@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from qla.appendix_u import build_u_data
 from qla.killing import killing_reports
-from qla.primed_basis import build_primed
+from qla.primed_basis import adjoint_prime, build_primed
 from qla.qla_core import build_structure, deformed_traces, fundamental_generators
 from qla.rmatrix import sun_r_matrix
 from qla.su2_golden import golden_basis_matrix, golden_suite
@@ -45,7 +45,7 @@ def main() -> int:
     print("  change of basis T:")
     print(pb.T.render())
 
-    reports = killing_reports(Q, pb, B)
+    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
     for name in ("fn", "ad'"):
         rep = reports[name]
         heading(f"killing data for {name}")

@@ -16,7 +16,7 @@ from qla.killing import (
     killing_reports,
     primed_metric_blocks,
 )
-from qla.primed_basis import build_primed
+from qla.primed_basis import adjoint_prime, build_primed
 from qla.qla_core import (
     build_structure,
     check_bigD_identities,
@@ -65,7 +65,7 @@ def main() -> int:
     size = len(prim.rows)
     print(f"  traceless block is {size}x{size}, decomposition exact: {full[0, 0] == eta00}")
 
-    reports = killing_reports(Q, pb, B)
+    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
     for name in ("fn", "ad'"):
         rep = reports[name]
         heading(f"killing data for {name}")

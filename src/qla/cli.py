@@ -239,7 +239,8 @@ class Pipeline:
 
     @cached_property
     def reports(self):
-        return killing_reports(self.structure, self.primed, self.fn)
+        ad = None if self.config.rep == "fn" else self.adjoint
+        return killing_reports(self.structure, self.primed, self.fn, ad)
 
     def bundles(self):
         selected = []
@@ -499,6 +500,14 @@ def _text_report(ppl: Pipeline) -> str:
 def cmd_report(config: RunConfig) -> int:
     config.validate()
     ppl = Pipeline(config)
+    # Build every stage before rendering: ad′ records its own μ on the primed basis.
+    stages = ("structure", "primed") + (() if config.rep == "fn" else ("adjoint",))
+    for stage in stages + ("reports",):
+        try:
+            getattr(ppl, stage)
+        except ValueError as exc:
+            print(f"error: {exc} (stage {stage})", file=sys.stderr)
+            return 2
     if config.output_format == "json":
         payload = {
             "label": ppl.spec.label,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .primed_basis import PrimedBasis, adjoint_prime, primed_images
+from .primed_basis import PrimedBasis, primed_images
 from .qla_core import QlaStructure, RepBundle
 from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
@@ -321,9 +321,12 @@ def positivity_sample(
     )
 
 
-def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle) -> dict[str, KillingReport]:
-    """Killing reports for the fundamental bundle and the traceless adjoint."""
-    ad = adjoint_prime(pb, Q)
+def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle,
+                    ad: RepBundle | None = None) -> dict[str, KillingReport]:
+    """Killing reports for the fundamental bundle and, if given, the traceless adjoint ``ad``.
+
+    Without ``ad`` only the fundamental report is built; its K is the identity.
+    """
     index_fn = fundamental_index(Q.ctx)
     eta_fn = killing_metric(B_fn)
     full_fn, eta00_fn, prim_fn = primed_metric_blocks(pb, eta_fn)
@@ -331,12 +334,13 @@ def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle) -> dict[s
     inv_canonical = canonical.inverse()
 
     reports: dict[str, KillingReport] = {}
-    for bundle in (B_fn, ad):
+    bundles, ad_gen = ((B_fn,), ()) if ad is None else ((B_fn, ad), ad.gen)
+    for bundle in bundles:
         if bundle is B_fn:
             full, eta00, prim = full_fn, eta00_fn, prim_fn
         else:
             full, eta00, prim = primed_metric_blocks(pb, killing_metric(bundle))
-        _, index, K = canonical_and_index(prim_fn, prim, ad.gen, index_fn)
+        _, index, K = canonical_and_index(prim_fn, prim, ad_gen, index_fn)
         cas_mat, cas_eigen = casimir(bundle, inv_canonical, pb)
         reports[bundle.name] = KillingReport(
             rep_name=bundle.name,

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from qla.scalars import Scalar
 from qla.tensors import Mat
@@ -39,49 +39,6 @@ class CheckResult:
         if self.witness is not None and not self.passed:
             text += f"  [{self.witness.describe()}]"
         return text
-
-
-@dataclass
-class CheckSuite:
-    """Ordered collection of check results from one run."""
-
-    results: list[CheckResult] = field(default_factory=list)
-
-    def add(self, result: CheckResult) -> CheckResult:
-        self.results.append(result)
-        return result
-
-    def extend(self, results: Sequence[CheckResult]) -> None:
-        self.results.extend(results)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed or r.skipped for r in self.results)
-
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.passed and not r.skipped]
-
-    def render(self) -> str:
-        return "\n".join(r.line() for r in self.results)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "skipped": r.skipped,
-                    "detail": r.detail,
-                    "witness": (
-                        {"key": list(r.witness.key), "residual": r.witness.residual}
-                        if r.witness
-                        else None
-                    ),
-                }
-                for r in self.results
-            ],
-        }
 
 
 def check_sparse_zero(name: str, tensor: Mapping[tuple[int, ...], Scalar], detail: str = "") -> CheckResult:

@@ -286,36 +286,47 @@ def _mat_witness(diff: Mat) -> Witness:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(item: dict, key: str) -> int:
+    """``item[key]`` if it is a JSON integer; floats, strings and booleans are rejected."""
+    value = item[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 def load_r_matrix(path: str | Path) -> RMatrixSpec:
     """Load an R-matrix from JSON.
 
     Schema: ``{"label": str, "n": int, "root_order": int, "entries":
     [{"i": int, "j": int, "k": int, "l": int, "value": scalar-string}, ...]}``
-    with 0-based indices; omitted entries are zero.  Invertibility is checked
-    on load.
+    with 0-based indices; omitted entries are zero and an index quadruple may
+    appear only once.  Invertibility is checked on load.
     """
     path = Path(path)
     data = json.loads(path.read_text())
     try:
         label = str(data["label"])
-        N = int(data["n"])
-        root_order = int(data["root_order"])
+        N, root_order = (_json_int(data, key) for key in ("n", "root_order"))
         raw_entries = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed R-matrix file: {exc}") from exc
     ctx = DeformationContext(N=N, root_order=root_order)
     R = BiMat.zeros(N)
+    seen: set[tuple[int, int, int, int]] = set()
     for pos, item in enumerate(raw_entries):
         try:
-            i, j, k, l = (int(item[key]) for key in ("i", "j", "k", "l"))
+            key = tuple(_json_int(item, name) for name in ("i", "j", "k", "l"))
             value = parse_scalar(str(item["value"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: entry {pos}: missing field: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: entry {pos}: {exc}") from exc
-        if not all(0 <= idx < N for idx in (i, j, k, l)):
+        if not all(0 <= idx < N for idx in key):
             raise ValueError(f"{path}: entry {pos}: index out of range for n={N}")
-        R.set4(i, j, k, l, value)
+        if key in seen:
+            raise ValueError(f"{path}: entry {pos}: duplicate entry {key}")
+        seen.add(key)
+        R.set4(*key, value)
     try:
         R.mat.inverse()
     except ValueError as exc:

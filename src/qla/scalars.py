@@ -2,7 +2,9 @@
 
 Values are ratios of Laurent polynomials in the parameter ``p`` with exact
 rational coefficients.  Every operation returns a canonical form, so structural
-equality is value equality and results can be compared bit-exactly.
+equality is value equality and results can be compared bit-exactly.  An
+integral coefficient is always stored as an ``int``, a ``Fraction`` only when
+it is not integral, so the common case runs on plain integer arithmetic.
 
 The module also provides :class:`DeformationContext`, which fixes the
 conventions ``q = p**k`` (``k`` the root order) and supplies quantum integers
@@ -26,32 +28,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
-
-try:  # gmpy2 rationals are drop-in replacements and considerably faster
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    QQ = Fraction
 
 #: Anything accepted where an exact rational coefficient is expected.
 RationalLike = Union[int, str, Fraction]
 
-_QZERO = QQ(0)
-_QONE = QQ(1)
+
+def _as_coef(value, den=1):
+    """The exact coefficient ``value / den``: an ``int`` if integral, else a ``Fraction``."""
+    if type(value) is int and type(den) is int and not value % den:
+        return value // den
+    value = Fraction(value) / den
+    return value.numerator if value.denominator == 1 else value
 
 
-def _as_coef(value):
-    """Coerce ``value`` to the internal exact-rational type."""
-    if isinstance(value, int):
-        return QQ(value)
-    try:
-        return QQ(value)
-    except (SystemError, TypeError):
-        # Fraction instances whose numerator/denominator are foreign integer
-        # types (e.g. produced by mixing with gmpy2 values) trip the fast
-        # converter; rebuild from plain ints.
-        return QQ(int(value.numerator), int(value.denominator))
+def _ints(terms: dict[int, object]) -> dict[int, object]:
+    """Store every integral ``Fraction`` in ``terms`` as an ``int``, in place."""
+    for exp, coef in terms.items():
+        if type(coef) is not int and coef.denominator == 1:
+            terms[exp] = coef.numerator
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +110,7 @@ class LaurentPoly:
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {0: _QONE} or (len(self._terms) == 1 and self._terms.get(0) == 1)
+        return len(self._terms) == 1 and self._terms.get(0) == 1
 
     @property
     def min_exp(self) -> int:
@@ -130,7 +127,7 @@ class LaurentPoly:
         return len(self._terms)
 
     def coeff(self, exp: int):
-        return self._terms.get(exp, _QZERO)
+        return self._terms.get(exp, 0)
 
     def terms(self) -> Iterator[tuple[int, object]]:
         """Yield ``(exponent, coefficient)`` pairs in descending exponent order."""
@@ -157,7 +154,7 @@ class LaurentPoly:
                     out[exp] = acc
                 else:
                     del out[exp]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(_ints(out))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -187,13 +184,13 @@ class LaurentPoly:
                         out[exp] = acc
                     else:
                         del out[exp]
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(_ints(out))
 
     def scale(self, coef) -> LaurentPoly:
         coef = _as_coef(coef)
         if not coef:
             return _LP_ZERO
-        return LaurentPoly._raw({exp: c * coef for exp, c in self._terms.items()})
+        return LaurentPoly({exp: c * coef for exp, c in self._terms.items()})
 
     def shift(self, offset: int) -> LaurentPoly:
         """Multiply by ``p**offset``."""
@@ -218,9 +215,9 @@ class LaurentPoly:
         return LaurentPoly._raw({-exp: coef for exp, coef in self._terms.items()})
 
     def eval_at(self, p0):
-        """Evaluate at an exact rational point ``p0`` (nonzero if negative exponents occur)."""
-        p0 = _as_coef(p0)
-        total = _QZERO
+        """Evaluate at a rational ``p0`` (nonzero if negative exponents occur); always a ``Fraction``."""
+        p0 = Fraction(p0)
+        total = Fraction(0)
         for exp, coef in self._terms.items():
             if exp >= 0:
                 total += coef * p0**exp
@@ -247,21 +244,12 @@ class LaurentPoly:
 
 
 _LP_ZERO = LaurentPoly._raw({})
-_LP_ONE = LaurentPoly._raw({0: _QONE})
+_LP_ONE = LaurentPoly._raw({0: 1})
 
 
 # ---------------------------------------------------------------------------
 # Integer polynomial GCD (primitive pseudo-remainder sequence)
 # ---------------------------------------------------------------------------
-
-
-def _int_content(coeffs: list[int]) -> int:
-    content = 0
-    for c in coeffs:
-        content = gcd(content, abs(c))
-        if content == 1:
-            break
-    return content
 
 
 def _int_primitive(coeffs: list[int]) -> list[int]:
@@ -270,7 +258,7 @@ def _int_primitive(coeffs: list[int]) -> list[int]:
         coeffs.pop()
     if not coeffs:
         return coeffs
-    content = _int_content(coeffs)
+    content = gcd(*coeffs)
     if coeffs[-1] < 0:
         content = -content
     if content != 1:
@@ -296,15 +284,10 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 def _poly_to_intlist(poly: LaurentPoly) -> list[int]:
     """Dense little-endian integer coefficients of a min-exponent-0 polynomial."""
-    parts: dict[int, tuple[int, int]] = {}
-    lcm = 1
-    for exp, coef in poly._terms.items():
-        n, d = int(coef.numerator), int(coef.denominator)
-        parts[exp] = (n, d)
-        lcm = lcm // gcd(lcm, d) * d
+    scale = lcm(*(coef.denominator for coef in poly._terms.values()))
     coeffs = [0] * (poly.max_exp + 1)
-    for exp, (n, d) in parts.items():
-        coeffs[exp] = n * (lcm // d)
+    for exp, coef in poly._terms.items():
+        coeffs[exp] = coef.numerator * (scale // coef.denominator)
     return coeffs
 
 
@@ -319,7 +302,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     while ib:
         ia, ib = ib, _int_primitive(_int_pseudo_rem(ia, ib))
     lead = ia[-1]
-    return LaurentPoly({exp: QQ(c, lead) for exp, c in enumerate(ia) if c})
+    return LaurentPoly._raw({exp: _as_coef(c, lead) for exp, c in enumerate(ia) if c})
 
 
 def poly_exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
@@ -339,11 +322,11 @@ def poly_exact_div(num: LaurentPoly, div: LaurentPoly) -> LaurentPoly:
         step_exp = rem_lead - lead_exp
         if step_exp < 0:
             raise ArithmeticError("polynomial division was not exact")
-        step_coef = rem[rem_lead] / lead_coef
+        step_coef = _as_coef(rem[rem_lead], lead_coef)
         quot[step_exp] = step_coef
         for exp, coef in div_terms:
             tgt = exp + step_exp
-            acc = rem.get(tgt, _QZERO) - coef * step_coef
+            acc = rem.get(tgt, 0) - coef * step_coef
             if acc:
                 rem[tgt] = acc
             else:
@@ -438,6 +421,9 @@ class Scalar:
             return other
         if other.num.is_zero:
             return self
+        if self.den is _LP_ONE and other.den is _LP_ONE:
+            num = self.num + other.num
+            return Scalar._trusted(num, _LP_ONE) if num._terms else _S_ZERO
         if self.den == other.den:
             num = self.num + other.num
             if num.is_zero:
@@ -470,6 +456,8 @@ class Scalar:
             return NotImplemented
         if self.num.is_zero or other.num.is_zero:
             return _S_ZERO
+        if self.den is _LP_ONE and other.den is _LP_ONE:
+            return Scalar._trusted(self.num * other.num, _LP_ONE)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -557,6 +545,8 @@ def _normalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laurent
         raise ZeroDivisionError("scalar with zero denominator")
     if num.is_zero:
         return _LP_ZERO, _LP_ONE
+    if den.is_one:
+        return num, _LP_ONE
     shift = den.min_exp
     if shift:
         den = den.shift(-shift)
@@ -570,10 +560,10 @@ def _normalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laurent
             den = poly_exact_div(den, common)
     lead = den.coeff(den.max_exp)
     if lead != 1:
-        inv_lead = _QONE / lead
+        inv_lead = _as_coef(1, lead)
         num = num.scale(inv_lead)
         den = den.scale(inv_lead)
-    return num, den
+    return num, _LP_ONE if den.is_one else den
 
 
 _S_ZERO = Scalar._trusted(_LP_ZERO, _LP_ONE)
@@ -583,10 +573,6 @@ _S_ONE = Scalar._trusted(_LP_ONE, _LP_ONE)
 # ---------------------------------------------------------------------------
 # Text grammar: rendering
 # ---------------------------------------------------------------------------
-
-
-def _render_coef(coef) -> str:
-    return str(coef)
 
 
 def render_poly(poly: LaurentPoly, guard_tail: bool = False) -> str:
@@ -604,10 +590,10 @@ def render_poly(poly: LaurentPoly, guard_tail: bool = False) -> str:
         sign = "-" if coef < 0 else "+"
         mag = -coef if coef < 0 else coef
         if exp == 0 and not guard_tail:
-            body = _render_coef(mag)
+            body = str(mag)
         else:
             mono = "p" if exp == 1 else f"p^{exp}"
-            body = mono if mag == 1 and exp != 0 else f"{_render_coef(mag)}*{mono}"
+            body = mono if mag == 1 and exp != 0 else f"{mag}*{mono}"
         chunks.append((sign, body))
     first_sign, first_body = chunks[0]
     out = [first_body if first_sign == "+" else f"-{first_body}"]
@@ -665,7 +651,7 @@ def _tokenize(text: str) -> list[_Tok]:
             and toks[i + 2].kind == "int"
             and not _exponent_position(toks, i)
         ):
-            fused.append(_Tok("frac", QQ(toks[i].value, toks[i + 2].value)))
+            fused.append(_Tok("frac", _as_coef(toks[i].value, toks[i + 2].value)))
             i += 3
         else:
             fused.append(toks[i])
@@ -722,7 +708,7 @@ class _PolyParser:
     def parse_term(self) -> LaurentPoly:
         tok = self.take()
         if tok.kind in ("int", "frac"):
-            coef = QQ(tok.value)
+            coef = tok.value
             nxt = self.peek()
             if nxt is not None and nxt.kind == "op" and nxt.value == "*":
                 self.take()

@@ -379,8 +379,8 @@ def golden_suite(tables: Su2Tables | None = None) -> list[CheckResult]:
     B = fundamental_generators(spec.R, ctx)
     D = build_u_data(spec.R, ctx).D
     pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
-    reports = killing_reports(Q, pb, B)
     ad = adjoint_prime(pb, Q)
+    reports = killing_reports(Q, pb, B, ad)
     fn_report = reports["fn"]
     ad_report = reports["ad'"]
 

@@ -71,8 +71,8 @@ def test_criterion_1_su2_golden_suite():
     spec, Q, B, D, pb = build_pipeline(2)
     ctx = spec.ctx
     q = ctx.q_power
-    reports = killing_reports(Q, pb, B)
     ad = adjoint_prime(pb, Q)
+    reports = killing_reports(Q, pb, B, ad)
 
     # Deformed trace matrices of both bundles.
     assert B.u == Mat.diagonal([q(Fraction(-5, 2)), q(Fraction(-1, 2))])
@@ -109,7 +109,7 @@ def test_criterion_2_classical_limits():
     """At p = 1 every deformed quantity takes its classical value."""
     start = time.monotonic()
     spec, Q, B, D, pb = build_pipeline(2)
-    reports = killing_reports(Q, pb, B)
+    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
 
     assert reports["fn"].index.eval_at(1) == Fraction(1, 2)
     assert reports["fn"].casimir_eigen.eval_at(1) == Fraction(3, 4)
@@ -160,7 +160,7 @@ def test_criterion_3_su3_suite():
     assert full[0, 0] == eta00
 
     # The metric ratio between the bundles is a scalar matrix.
-    reports = killing_reports(Q, pb, B)
+    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
     m = Q.n - 1
     assert reports["ad'"].K == Mat.identity(m).scale(reports["ad'"].index)
 
@@ -312,7 +312,7 @@ def test_criterion_7_conjecture_spot_checks():
     """mu and casimir eigenvalues match the spin-j formulas at j = 1/2, 1."""
     spec, Q, B, D, pb = build_pipeline(2)
     ctx = spec.ctx
-    reports = killing_reports(Q, pb, B)
+    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
 
     def mu_formula(j):
         return -(ctx.lam() * ctx.qnum(j) * ctx.qnum(j + 1, inverse=True))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +24,7 @@ from qla.su2_golden import rosso_term
 from qla.tensors import BiMat, Mat
 
 S = parse_scalar
+SO3_FILE = Path(__file__).parent / "data" / "so3.json"
 
 
 def spin1_spec() -> RMatrixSpec:
@@ -202,6 +204,37 @@ class TestReportCommand:
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert list(payload["killing"]) == ["ad'"]
+
+    def test_json_mu_matches_text_report(self, capsys):
+        assert main(["report", "--group", "su", "--n", "3"]) == 0
+        text_mu = {
+            line.split("]")[0].removeprefix("mu["): line.split(" = ", 1)[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("mu[")
+        }
+        assert main(["report", "--group", "su", "--n", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(text_mu) == {"fn", "ad'"}
+        assert payload["primed_basis"]["mu"] == text_mu
+
+    def test_external_fundamental_report(self, capsys):
+        # The so3 adjoint is reducible, but the fundamental report needs no ad'.
+        argv = ["report", "--group", "external", "--r-matrix", str(SO3_FILE), "--rep", "fn"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "## killing[fn]" in out and "## killing[ad']" not in out
+        assert "index[fn] = 1\n" in out
+        assert "casimir[fn] = " in out
+
+    @pytest.mark.parametrize("rep", ["ad", "both"])
+    def test_external_adjoint_report_is_refused(self, rep, capsys):
+        argv = ["report", "--group", "external", "--r-matrix", str(SO3_FILE), "--rep", rep]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: central element image in ad' is not proportional to I (stage adjoint)\n"
+        )
 
 
 class TestSu2TablesCommand:

@@ -67,13 +67,13 @@ def su3():
 @pytest.fixture(scope="module")
 def su2_reports(su2):
     _, Q, bundle, _, pb = su2
-    return killing_reports(Q, pb, bundle)
+    return killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
 
 
 @pytest.fixture(scope="module")
 def su3_reports(su3):
     _, Q, bundle, _, pb = su3
-    return killing_reports(Q, pb, bundle)
+    return killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
 
 
 def metric_pattern(ctx):

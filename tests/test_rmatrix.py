@@ -7,6 +7,7 @@ load/save round trip including the orthogonal-series fixture.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -227,4 +228,32 @@ class TestLoadSave:
         path = tmp_path / "bad.json"
         path.write_text('{"label": "x", "entries": []}')
         with pytest.raises(ValueError, match="malformed"):
+            load_r_matrix(path)
+
+    def test_duplicate_entry_is_rejected(self, tmp_path):
+        entry = {"i": 0, "j": 1, "k": 0, "l": 1, "value": "1"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"label": "x", "n": 2, "root_order": 1, "entries": [entry, {**entry, "value": "2"}]}
+        ))
+        with pytest.raises(ValueError, match=r"entry 1: duplicate entry \(0, 1, 0, 1\)"):
+            load_r_matrix(path)
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("entry", "i", 0.7),
+            ("entry", "l", True),
+            ("entry", "j", "1"),
+            ("file", "n", 2.0),
+            ("file", "root_order", True),
+        ],
+    )
+    def test_non_integer_field_is_rejected(self, tmp_path, where, key, value):
+        entry = {"i": 0, "j": 0, "k": 0, "l": 0, "value": "1"}
+        data = {"label": "x", "n": 2, "root_order": 1, "entries": [entry]}
+        (entry if where == "entry" else data)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
             load_r_matrix(path)

@@ -12,6 +12,7 @@ from qla.scalars import (
     DeformationContext,
     LaurentPoly,
     Scalar,
+    parse_poly,
     parse_scalar,
     poly_exact_div,
     poly_gcd,
@@ -123,6 +124,59 @@ class TestScalarCanonicalForm:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             Scalar(LaurentPoly.one(), LaurentPoly.zero())
+
+
+# ---------------------------------------------------------------------------
+# Coefficient representation
+# ---------------------------------------------------------------------------
+
+
+def _coef_types(poly: LaurentPoly) -> set[type]:
+    return {type(coef) for _, coef in poly.terms()}
+
+
+_HALVES = LaurentPoly({1: Fraction(1, 2), 0: Fraction(3, 2)})
+
+
+class TestCoefficientTypes:
+    """Integral coefficients are stored as ``int``, whatever operation made them."""
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: _HALVES + _HALVES, {1: 1, 0: 3}),
+            (lambda: _HALVES - LaurentPoly({1: Fraction(-1, 2), 0: Fraction(1, 2)}), {1: 1, 0: 1}),
+            (lambda: LaurentPoly({0: Fraction(2, 3)}) * LaurentPoly({1: Fraction(3, 2), 0: 3}),
+             {1: 1, 0: 2}),
+            (lambda: _HALVES.scale(2), {1: 1, 0: 3}),
+            (lambda: poly_gcd(LaurentPoly({0: 2, 1: 2}), LaurentPoly({0: -4, 2: 4})), {1: 1, 0: 1}),
+            (lambda: poly_gcd(_HALVES, LaurentPoly({2: 3, 1: 9})), {1: 1, 0: 3}),
+            (lambda: poly_exact_div(LaurentPoly({2: 2, 1: 4, 0: 2}),
+                                    LaurentPoly({1: Fraction(1, 2), 0: Fraction(1, 2)})),
+             {1: 4, 0: 4}),
+            (lambda: parse_poly("4/2*p - 9/3"), {1: 2, 0: -3}),
+            (lambda: Scalar(LaurentPoly({1: 3, 0: 3}), LaurentPoly({2: 3, 0: -3})).den,
+             {1: 1, 0: -1}),
+            (lambda: Scalar(LaurentPoly({1: Fraction(1, 2)}), _HALVES).num, {1: 1}),
+            (lambda: Scalar(LaurentPoly({1: Fraction(1, 2)}), _HALVES).den, {1: 1, 0: 3}),
+        ],
+        ids=["add", "sub", "mul", "scale", "gcd", "gcd-rational", "exact-div", "parse",
+             "normalize-den", "normalize-lead-num", "normalize-lead-den"],
+    )
+    def test_integral_results_are_ints(self, make, expected):
+        poly = make()
+        assert poly == LaurentPoly(expected)
+        assert _coef_types(poly) == {int}
+
+    def test_non_integral_coefficients_stay_fractions(self):
+        assert _coef_types(parse_poly("1/2*p + 1")) == {Fraction, int}
+        assert _coef_types(Scalar(LaurentPoly({0: 1}), LaurentPoly({0: 4})).num) == {Fraction}
+
+    @pytest.mark.parametrize("p0", [2, -3, Fraction(3, 2), Fraction(4, 2)])
+    def test_eval_at_returns_fraction(self, p0):
+        for poly in (LaurentPoly({2: 1, -1: 1}), LaurentPoly({0: 4}), LaurentPoly.zero()):
+            assert type(poly.eval_at(p0)) is Fraction
+        assert type(S("p^2 + 1 / p - 5").eval_at(p0)) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +407,15 @@ class TestFieldAxioms:
         except ZeroDivisionError:
             return
         assert lhs == a.eval_at(p0) * b.eval_at(p0) + a.eval_at(p0)
+
+    @given(_scalars, _scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_integral_coefficients_are_ints(self, a, b):
+        results = [a + b, a - b, a * b] + ([a / b] if b else [])
+        for value in results:
+            for poly in (value.num, value.den):
+                for _, coef in poly.terms():
+                    assert type(coef) is int or coef.denominator != 1
 
     @given(_scalars)
     @settings(max_examples=40, deadline=None)
