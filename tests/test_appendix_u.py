@@ -104,8 +104,16 @@ class TestDIdentities:
         bad_D[1, 1] = S("p^7")
         results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha, data.beta)}
         assert not results["u-tilde[b1]"].passed
-        assert results["u-tilde[b1]"].witness is not None
         assert not results["u-trace[a1]"].passed
+        assert [r.line() for r in results.values()] == [
+            "FAIL  u-trace[a1]  [at (0, 0): residual p^4 - p - 1 + p^-3]",
+            "FAIL  u-trace[a2]  [at (0, 0): residual p^3 - 1 - p^-1 + p^-4]",
+            "FAIL  u-tilde[b1]  [at (2, 1): residual p^-1 - p^-4 - p^-5 + p^-8]",
+            "FAIL  u-tilde[b2]  [at (2, 1): residual p^-1 - p^-4 - p^-5 + p^-8]",
+            "PASS  u-comm[c]",
+            "FAIL  u-invariant-trace[d]  [at (0, 0, 1): "
+            "residual -5/3 + 5/3*p^-3 + 5/3*p^-4 - 5/3*p^-7]",
+        ]
 
     def test_perturbed_offdiagonal_D_fails_commutation(self):
         spec = sun_r_matrix(2)
@@ -114,7 +122,14 @@ class TestDIdentities:
         bad_D[0, 1] = S("p")
         results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha, data.beta)}
         assert not results["u-comm[c]"].passed
-        assert results["u-comm[c]"].witness is not None
+        assert [r.line() for r in results.values()] == [
+            "FAIL  u-trace[a1]  [at (0, 1): residual -p^3]",
+            "FAIL  u-trace[a2]  [at (0, 1): residual p^-5]",
+            "FAIL  u-tilde[b1]  [at (0, 1): residual 1 - p^-4]",
+            "FAIL  u-tilde[b2]  [at (0, 1): residual p^-2 - p^-4]",
+            "FAIL  u-comm[c]  [at (0, 1): residual 1 - p^-2]",
+            "FAIL  u-invariant-trace[d]  [at (0, 0, 0): residual -3/4*p^-1 + 3/4*p^-3]",
+        ]
 
 
 class TestInvariantTrace:

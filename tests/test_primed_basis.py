@@ -200,7 +200,7 @@ class TestPrimedStructure:
         )
         _, result = primed_structure(broken)
         assert not result.passed
-        assert result.witness.key == (1, 0, 1)
+        assert result.line() == "FAIL  struc-prime  [at (1, 0, 1): residual p]"
 
     def test_classical_limit_is_classical_su2(self, su2_golden):
         _, _, _, pb = su2_golden
@@ -337,7 +337,15 @@ class TestRepresentationLevelChecks:
         )
         result = check_comm_prime(Q, pb, bundle, rescaled)
         assert not result.passed
-        assert result.witness is not None
+        assert result.line() == "FAIL  comm-prime[rescaled]  [at (0, 0, 0, 0): residual 2*p^-2 - 2*p^-6]"
+
+    def test_chi0_central_detects_perturbed_generator(self, su2):
+        _, Q, bundle, D = su2
+        pb = build_primed(Q, bundle, D)
+        gen = list(bundle.gen)
+        gen[0] = gen[0] + Mat([[S("0"), S("p")], [S("0"), S("0")]])
+        bent = RepBundle(name="bent", dim=2, gen=gen, u=bundle.u)
+        assert check_chi0_central(pb, bent).line() == "FAIL  chi0-central[bent]  [at (0, 0, 1): residual p^-3]"
 
 
 class TestBasisReport:

@@ -207,7 +207,37 @@ class TestVerifyQla:
         )
         results = {r.name: r for r in verify_qla(Q_bad, bundle)}
         assert not results["jacobi"].passed
-        assert results["jacobi"].witness is not None
+        assert [r.line() for r in results.values() if not r.passed] == [
+            "FAIL  qla-rel1[fn]  [at (1, 2, 1, 0): residual p^-1]",
+            "FAIL  qla-rel3[fn]  [at (0, 0, 1, 0, 0): residual p^5 - 2*p + p^-3]",
+            "FAIL  jacobi  [at (0, 0, 0, 2): residual -p^-1 + p^-5]",
+            "FAIL  aux1  [at (0, 0, 1, 0, 0): residual p - 2*p^-3 + p^-7]",
+            "FAIL  aux2  [at (0, 0, 1, 1, 2): residual -p + p^-3]",
+            "FAIL  qla-i[RI2]  [at (1, 1, 2): residual p^3 - p^-1]",
+        ]
+
+    def test_perturbed_bigR_fails_exchange_and_braid(self, su2):
+        spec, Q, bundle = su2
+        bigR = Q.bigR.copy()
+        bigR.set4(1, 2, 2, 1, bigR.get4(1, 2, 2, 1) + S("p"))
+        Q_bad = QlaStructure(
+            ctx=Q.ctx, n=Q.n, bigR=bigR, f=Q.f, I_id=Q.I_id,
+            bigD=Q.bigD, F_adj=Q.F_adj, lam=Q.lam,
+        )
+        assert [r.line() for r in verify_qla(Q_bad, bundle) if not r.passed] == [
+            "FAIL  qla-rel1[fn]  [at (2, 1, 1, 1): residual -p^-3]",
+            "FAIL  qla-rel2[fn]  [at (0, 0, 1, 2, 1, 1): residual -p^5 + 2*p - p^-3]",
+            "FAIL  qla-rel3[fn]  [at (2, 1, 1, 0, 1): residual p^-1]",
+            "FAIL  qla-rel4[fn]  [at (2, 2, 1, 1, 0): residual p^-1]",
+            "FAIL  ybe-qla  [at (3, 9): residual p - 2*p^-3 + p^-7]",
+            "FAIL  jacobi  [at (2, 1, 0, 0): residual -p^-7]",
+            "FAIL  aux1  [at (0, 0, 2, 1, 0): residual -p^-1 + p^-5]",
+            "FAIL  aux2  [at (0, 2, 2, 1, 1): residual p^3 - p^-5]",
+        ]
+        assert [r.line() for r in check_bigD_identities(Q_bad)] == [
+            "PASS  bigD-comm",
+            "FAIL  bigD-tilde  [at (2, 1, 0, 0): residual -p^4 + p^3 - p^2 + p]",
+        ]
 
     def test_representation_check_on_orep_free_bundle(self, su2):
         _, Q, bundle = su2
@@ -336,7 +366,7 @@ class TestAdjointRep:
         )
         result = check_square_antipode(Q, warped)
         assert not result.passed
-        assert result.witness is not None
+        assert result.line() == "FAIL  square-antipode[warped]  [at (0, 0, 1): residual -2*p^-3]"
 
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_bigD_identities(self, fixture_name, request):

@@ -91,7 +91,7 @@ class TestYangBaxterAndCharacteristic:
         broken = RMatrixSpec(label="bad", ctx=spec.ctx, R=bad)
         result = check_ybe(broken)
         assert not result.passed
-        assert result.witness is not None
+        assert result.line() == "FAIL  ybe[bad]  [at (0, 0, 1, 0, 1, 0): residual -p^5 + p]"
         assert len(result.witness.key) == 6
 
     def test_cubic_on_synthetic_diagonal_braid(self):
@@ -161,7 +161,17 @@ class TestLMatrices:
         lmats.s_lminus[0][0][0, 0] = S("p^9")
         result = check_antipode_inverse(lmats)
         assert not result.passed
-        assert result.witness is not None
+        assert result.line() == "FAIL  antipode-inverse  [at (0, 0): residual p^8 - 1]"
+
+    def test_broken_lplus_blocks_fail_exchange(self):
+        spec = sun_r_matrix(2)
+        lmats = fundamental_L_matrices(spec)
+        lmats.lplus[0][1][0, 0] = S("p^9")
+        assert [r.line() for r in check_rll(spec, lmats)] == [
+            "FAIL  rll[su2,++]  [at (0, 0): residual p^9 - p^7]",
+            "PASS  rll[su2,--]",
+            "FAIL  rll[su2,-+]  [at (0, 0): residual -p^9 + p^7]",
+        ]
 
 
 class TestOrthogonalFixture:
@@ -177,7 +187,7 @@ class TestOrthogonalFixture:
         spec = load_r_matrix(DATA_DIR / "so3.json")
         result = check_characteristic(spec, kind="cubic", eps=-1)
         assert not result.passed
-        assert result.witness is not None
+        assert result.line() == "FAIL  cubic[so3,eps=-1]  [at (2, 2): residual -p^-8 + p^-16]"
 
 
 class TestLoadSave:

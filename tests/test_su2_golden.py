@@ -111,7 +111,10 @@ class TestJimboDrinfeld:
         tables.X_plus = tables.X_plus.scale(S("-1"))
         result = jimbo_drinfeld_check(tables)
         assert not result.passed
-        assert result.witness is not None
+        assert result.line() == (
+            "FAIL  jimbo-drinfeld  (defining relations in the fundamental representation)"
+            "  [at ('[X+, X-] - (q^H - q^-H)/(q - 1/q)', 0, 0): residual 2]"
+        )
         assert "[X+, X-]" in result.witness.key[0]
 
     def test_non_diagonal_cartan_rejected(self, tables):
