@@ -79,7 +79,7 @@ def main() -> int:
     results.extend(check_bigD_identities(Q))
     results.append(check_square_antipode(Q, B))
     ud = build_u_data(spec.R, ctx)
-    results.extend(check_D_identities(spec.R, ud.D, ud.alpha, ud.beta))
+    results.extend(check_D_identities(spec.R, ud.D, ud.alpha))
     failures = [r for r in results if not r.passed]
     for result in results:
         print(f"  {result.line()}")

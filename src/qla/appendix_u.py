@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reporting import CheckResult, Witness, check_mats_equal
+from .reporting import CheckResult, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import BiMat, Mat
+from .tensors import BiMat, Mat, SparseTensor
 
 __all__ = [
     "UData",
@@ -118,7 +118,7 @@ def invariant_trace(D: Mat, M: Mat) -> Scalar:
 
 
 def check_D_identities(
-    R: BiMat, D: Mat, alpha: Scalar, beta: Scalar, seed: int = 0
+    R: BiMat, D: Mat, alpha: Scalar, seed: int = 0
 ) -> list[CheckResult]:
     """The identity family satisfied by the D-matrix.
 
@@ -127,10 +127,8 @@ def check_D_identities(
     (c) ``D₁D₂R = R·D₁D₂``;
     (d) ``tr₁(D₁⁻¹R⁻¹M₁R) = tr(D⁻¹M)·I`` for seeded random matrices M.
 
-    ``beta`` is accepted for interface symmetry; its defining traces are
-    validated inside :func:`beta_constant`.
+    β's defining traces are validated inside :func:`beta_constant`.
     """
-    del beta  # validated at construction time
     n = D.nrows
     eye = Mat.identity(n)
     d1 = embed1(D)
@@ -152,8 +150,7 @@ def check_D_identities(
         check_mats_equal("u-comm[c]", (d1 @ d2 @ R).mat, (R @ d1 @ d2).mat),
     ]
     rng = random.Random(seed)
-    ctx_free_ok = True
-    witness = None
+    residual: SparseTensor = {}
     for trial in range(3):
         M = Mat.zeros(n)
         for i in range(n):
@@ -163,18 +160,12 @@ def check_D_identities(
                 )
         lhs = (d1_inv @ r_inv @ embed1(M) @ R).tr1()
         rhs = eye.scale(invariant_trace(D, M))
-        if lhs != rhs:
-            ctx_free_ok = False
-            diff = lhs - rhs
-            for i in range(n):
-                for j in range(n):
-                    if not diff[i, j].is_zero:
-                        witness = Witness((trial, i, j), diff[i, j].render())
-                        break
-                if witness:
-                    break
+        residual = {
+            (trial, i, j): val for (i, j), val in (lhs - rhs).to_sparse().items()
+        }
+        if residual:
             break
-    results.append(CheckResult("u-invariant-trace[d]", ctx_free_ok, witness=witness))
+    results.append(check_sparse_zero("u-invariant-trace[d]", residual))
     return results
 
 

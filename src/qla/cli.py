@@ -17,17 +17,14 @@ Three subcommands:
     Rebuild the rank-one theory and diff it against the packaged golden
     tables, printing one line per comparison and a final diff count.
 
-Structure constants are cached between commands (keyed by a content hash of
-the group, size, root order, and R-matrix entries) under ``$QLA_CACHE_DIR``,
-``$XDG_CACHE_HOME/qla``, or ``~/.cache/qla``.
+Each command builds its pipeline stages from the R-matrix in memory; nothing
+is kept between commands.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -57,9 +54,7 @@ from .qla_core import (
     check_bigD_identities,
     check_square_antipode,
     fundamental_generators,
-    load_structure,
     null_space_lemma,
-    save_structure,
     structure_to_dict,
     verify_qla,
 )
@@ -155,34 +150,8 @@ def _parse_checks(text: str, group: str, n: int) -> dict[str, dict[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline assembly with structure caching
+# Pipeline assembly
 # ---------------------------------------------------------------------------
-
-
-def cache_dir() -> Path:
-    env = os.environ.get("QLA_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "qla"
-
-
-def _structure_cache_path(group: str, spec) -> Path:
-    payload = json.dumps(
-        {
-            "group": group,
-            "N": spec.ctx.N,
-            "root_order": spec.ctx.root_order,
-            "R": sorted(
-                [i, j, k, l, value.render()]
-                for (i, j, k, l), value in spec.R.to4dict().items()
-            ),
-        },
-        sort_keys=True,
-    )
-    key = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return cache_dir() / f"structure-{key}.json"
 
 
 class Pipeline:
@@ -206,16 +175,7 @@ class Pipeline:
 
     @cached_property
     def structure(self):
-        path = _structure_cache_path(self.config.group, self.spec)
-        if path.exists():
-            try:
-                return load_structure(path)
-            except (ValueError, KeyError, json.JSONDecodeError):
-                pass  # stale or corrupt cache entry: rebuild below
-        Q = build_structure(self.spec.R, self.spec.ctx)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_structure(Q, path)
-        return Q
+        return build_structure(self.spec.R, self.spec.ctx)
 
     @cached_property
     def fn(self):
@@ -288,7 +248,7 @@ def _suite_qla(ppl: Pipeline, params: dict) -> list[CheckResult]:
 
 def _suite_appendix(ppl: Pipeline, params: dict) -> list[CheckResult]:
     ud = ppl.udata
-    out = check_D_identities(ppl.spec.R, ud.D, ud.alpha, ud.beta)
+    out = check_D_identities(ppl.spec.R, ud.D, ud.alpha)
     lmats = fundamental_L_matrices(ppl.spec)
     out.extend(check_rll(ppl.spec, lmats))
     out.append(check_antipode_inverse(lmats))
@@ -308,7 +268,7 @@ def _suite_killing(ppl: Pipeline, params: dict) -> list[CheckResult]:
             out.append(replace(result, name=f"{result.name}[{bundle.name}]"))
         out.append(check_chi0_central(pb, bundle))
         out.append(check_traceless(pb, bundle))
-        out.append(check_comm_prime(Q, pb, ppl.fn, bundle))
+        out.append(check_comm_prime(Q, pb, bundle))
     rng = random.Random(0)
     N = ppl.spec.N
     samples = []

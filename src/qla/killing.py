@@ -20,7 +20,7 @@ from .primed_basis import PrimedBasis, primed_images
 from .qla_core import QlaStructure, RepBundle
 from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import Mat, SparseTensor
+from .tensors import Mat, SparseTensor, linear_combination
 
 __all__ = [
     "KillingReport",
@@ -68,18 +68,10 @@ class KillingReport:
     K: Mat
 
 
-def _image(B: RepBundle, coords: Sequence[Scalar]) -> Mat:
-    """ρ(x) for x = Σ_A coords[A]·χ_A."""
-    out = Mat.zeros(B.dim)
-    for A, c in enumerate(coords):
-        if not c.is_zero:
-            out = out + B.gen[A].scale(c)
-    return out
-
-
 def killing_form(B: RepBundle, x_coords: Sequence[Scalar], y_coords: Sequence[Scalar]) -> Scalar:
     """η(x, y) = tr(ρ(u)·ρ(x)·ρ(y)) for coordinate vectors of length n."""
-    return (B.u @ _image(B, x_coords) @ _image(B, y_coords)).trace()
+    x, y = (linear_combination(coords, B.gen) for coords in (x_coords, y_coords))
+    return (B.u @ x @ y).trace()
 
 
 def killing_metric(B: RepBundle) -> Mat:

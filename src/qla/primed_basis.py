@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .appendix_u import rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
-from .reporting import CheckResult, Witness
+from .reporting import CheckResult, check_sparse_zero
 from .scalars import Scalar
-from .tensors import Mat
+from .tensors import Mat, SparseTensor, linear_combination
 
 __all__ = [
     "PrimedBasis",
@@ -42,8 +42,9 @@ _ONE = Scalar.from_rational(1)
 class PrimedBasis:
     """The primed basis data over one structure.
 
-    ``d_vec`` is 𝒟^A; ``chi0_coords`` the coordinates of χ₀ in the unprimed
-    basis (equal to 𝒟); ``T`` the change-of-basis matrix whose column 0 is
+    ``d_vec`` is 𝒟^A, the coordinates of χ₀ in the unprimed basis;
+    ``ratios`` the trace ratios r_A = I′_A/I′₀ taken in the fundamental
+    bundle; ``T`` the change-of-basis matrix whose column 0 is
     χ₀ and whose remaining columns are the kept primed generators;
     ``dropped_index`` the composite index whose primed generator was removed;
     ``f_primed`` the structure constants in the new basis (index 0 = χ₀);
@@ -51,7 +52,7 @@ class PrimedBasis:
     """
 
     d_vec: list[Scalar]
-    chi0_coords: list[Scalar]
+    ratios: list[Scalar]
     T: Mat
     dropped_index: int
     f_primed: dict[tuple[int, int, int], Scalar]
@@ -60,9 +61,6 @@ class PrimedBasis:
     @property
     def n(self) -> int:
         return len(self.d_vec)
-
-    def f_primed_entry(self, A: int, B: int, C: int) -> Scalar:
-        return self.f_primed.get((A, B, C), _ZERO)
 
 
 def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
@@ -169,13 +167,8 @@ def build_primed(
 
     adj = _adjoint_matrices(Q)
     f_primed: dict[tuple[int, int, int], Scalar] = {}
-    for A in range(n):
-        acting = Mat.zeros(n)
-        for E in range(n):
-            coeff = T[E, A]
-            if not coeff.is_zero:
-                acting = acting + adj[E].scale(coeff)
-        conj = T_inv @ acting @ T
+    for A, column in enumerate(T.t().rows):
+        conj = T_inv @ linear_combination(column, adj) @ T
         for C in range(n):
             for B in range(n):
                 val = conj[C, B]
@@ -184,7 +177,7 @@ def build_primed(
 
     pb = PrimedBasis(
         d_vec=d_vec,
-        chi0_coords=list(d_vec),
+        ratios=ratios,
         T=T,
         dropped_index=dropped_index,
         f_primed=f_primed,
@@ -204,23 +197,15 @@ def primed_structure(
     Only ``f′_{Aa}{}^b`` with a, b ≥ 1 may be nonzero: nothing acts on χ₀,
     and nothing produces a χ₀ component.
     """
-    for (A, B, C), val in sorted(pb.f_primed.items()):
-        if B == 0 or C == 0:
-            return pb.f_primed, CheckResult(
-                "struc-prime",
-                False,
-                witness=Witness((A, B, C), val.render()),
-            )
-    return pb.f_primed, CheckResult("struc-prime", True)
+    touching_chi0 = {
+        (A, B, C): val for (A, B, C), val in pb.f_primed.items() if B == 0 or C == 0
+    }
+    return pb.f_primed, check_sparse_zero("struc-prime", touching_chi0)
 
 
 def chi0_image(pb: PrimedBasis, bundle: RepBundle) -> Mat:
     """ρ(χ₀) = Σ_A 𝒟^A ρ(χ_A)."""
-    out = Mat.zeros(bundle.dim)
-    for A, coeff in enumerate(pb.d_vec):
-        if not coeff.is_zero:
-            out = out + bundle.gen[A].scale(coeff)
-    return out
+    return linear_combination(pb.d_vec, bundle.gen)
 
 
 def mu_scalar(pb: PrimedBasis, bundle: RepBundle) -> Scalar:
@@ -236,15 +221,7 @@ def mu_scalar(pb: PrimedBasis, bundle: RepBundle) -> Scalar:
 
 def primed_images(pb: PrimedBasis, bundle: RepBundle) -> list[Mat]:
     """Images of the new basis [χ₀, χ′_a, …] in a bundle, via the T columns."""
-    out = []
-    for A in range(pb.n):
-        mat = Mat.zeros(bundle.dim)
-        for E in range(pb.n):
-            coeff = pb.T[E, A]
-            if not coeff.is_zero:
-                mat = mat + bundle.gen[E].scale(coeff)
-        out.append(mat)
-    return out
+    return [linear_combination(column, bundle.gen) for column in pb.T.t().rows]
 
 
 def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
@@ -286,57 +263,40 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
         for b in range(n - 1):
             u_block[a, b] = u_full[a + 1, b + 1]
 
-    gen = []
-    for E in range(n):
-        mat = Mat.zeros(n - 1)
-        for A in range(n):
-            coeff = T_inv[A, E]
-            if not coeff.is_zero:
-                mat = mat + small[A].scale(coeff)
-        gen.append(mat)
+    gen = [linear_combination(column, small) for column in T_inv.t().rows]
     return RepBundle(name="ad'", dim=n - 1, gen=gen, u=u_block)
 
 
 def check_chi0_central(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
     """ρ(χ₀) commutes with every ρ(χ_A)."""
-    name = f"chi0-central[{bundle.name}]"
     center = chi0_image(pb, bundle)
-    for A, g in enumerate(bundle.gen):
-        diff = center @ g - g @ center
-        if not diff.is_zero:
-            (x, y), val = sorted(diff.to_sparse().items())[0]
-            return CheckResult(name, False, witness=Witness((A, x, y), val.render()))
-    return CheckResult(name, True)
+    residual = {
+        (A, x, y): val
+        for A, g in enumerate(bundle.gen)
+        for (x, y), val in (center @ g - g @ center).to_sparse().items()
+    }
+    return check_sparse_zero(f"chi0-central[{bundle.name}]", residual)
 
 
 def check_traceless(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
     """tr(ρ(u)ρ(χ′_a)) = 0 for every kept primed generator."""
-    name = f"primed-traceless[{bundle.name}]"
     images = primed_images(pb, bundle)
-    for a in range(1, pb.n):
-        value = (bundle.u @ images[a]).trace()
-        if not value.is_zero:
-            return CheckResult(name, False, witness=Witness((a,), value.render()))
-    return CheckResult(name, True)
+    traces = {(a,): (bundle.u @ images[a]).trace() for a in range(1, pb.n)}
+    return check_sparse_zero(f"primed-traceless[{bundle.name}]", traces)
 
 
 def check_comm_prime(
-    Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle, bundle: RepBundle
+    Q: QlaStructure, pb: PrimedBasis, bundle: RepBundle
 ) -> CheckResult:
     """The primed commutation relation at representation level.
 
-    With ρ(χ₀) = μ(ρ)I and r_D = I′_D/I′₀ taken in the distinguished bundle,
+    With ρ(χ₀) = μ(ρ)I and r_D = I′_D/I′₀ the trace ratios of the basis,
 
     ``ρ(χ′_A)ρ(χ′_B) − ℝ^{CD}_{AB} ρ(χ′_C)ρ(χ′_D)
         = Σ_C [f_{AB}{}^C − μ(ρ)(r_A δ^C_B − ℝ^{CD}_{AB} r_D)] ρ(χ′_C)``.
     """
-    name = f"comm-prime[{bundle.name}]"
     n = Q.n
-    traces = deformed_traces(Q, B_fn)
-    I0 = _ZERO
-    for A in range(n):
-        I0 = I0 + pb.d_vec[A] * traces[A]
-    ratios = [traces[A] * I0.inv() for A in range(n)]
+    ratios = pb.ratios
     mu = mu_scalar(pb, bundle)
     eye = Mat.identity(bundle.dim)
     primed = [
@@ -345,6 +305,7 @@ def check_comm_prime(
     by_lower: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
     for (C, D, A, B), val in Q.bigR4().items():
         by_lower.setdefault((A, B), []).append((C, D, val))
+    residual: SparseTensor = {}
     for A in range(n):
         for B in range(n):
             lhs = primed[A] @ primed[B]
@@ -356,13 +317,9 @@ def check_comm_prime(
                 coeff = Q.f_entry(A, B, C)
                 if not coeff.is_zero:
                     rhs = rhs + primed[C].scale(coeff)
-            diff = lhs - rhs
-            if not diff.is_zero:
-                (x, y), val = sorted(diff.to_sparse().items())[0]
-                return CheckResult(
-                    name, False, witness=Witness((A, B, x, y), val.render())
-                )
-    return CheckResult(name, True)
+            for (x, y), val in (lhs - rhs).to_sparse().items():
+                residual[(A, B, x, y)] = val
+    return check_sparse_zero(f"comm-prime[{bundle.name}]", residual)
 
 
 def basis_report(pb: PrimedBasis) -> dict:

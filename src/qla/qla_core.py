@@ -9,15 +9,21 @@ together with checkers for the full family of consistency identities
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from .appendix_u import rep_u
-from .reporting import CheckResult, Witness, check_mat_zero, check_sparse_zero
+from .reporting import CheckResult, check_mat_zero, check_sparse_zero
 from .rmatrix import RMatrixSpec, fundamental_L_matrices
 from .scalars import DeformationContext, Scalar, parse_scalar
-from .tensors import BiMat, Mat, SparseTensor, contract
+from .tensors import (
+    BiMat,
+    Mat,
+    SparseTensor,
+    contract,
+    linear_combination,
+    sparse_residual,
+    three_site,
+)
 
 __all__ = [
     "RepBundle",
@@ -33,8 +39,6 @@ __all__ = [
     "check_square_antipode",
     "structure_to_dict",
     "structure_from_dict",
-    "save_structure",
-    "load_structure",
 ]
 
 _ZERO = Scalar.from_rational(0)
@@ -84,11 +88,7 @@ class QlaStructure:
     I_id: list[Scalar]
     bigD: Mat
     F_adj: BiMat
-    lam: Scalar = field(default=_ZERO)
-
-    def __post_init__(self) -> None:
-        if self.lam.is_zero:
-            self.lam = self.ctx.lam()
+    lam: Scalar
 
     def f_entry(self, A: int, B: int, C: int) -> Scalar:
         return self.f.get((A, B, C), _ZERO)
@@ -235,44 +235,6 @@ def _orep4(bundle: RepBundle) -> SparseTensor:
     return out
 
 
-def _sparse_diff(lhs: SparseTensor, *rest: SparseTensor) -> SparseTensor:
-    out = dict(lhs)
-    for term in rest:
-        for key, val in term.items():
-            acc = out.get(key, _ZERO) - val
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
-def _sparse_sum(lhs: SparseTensor, rhs: SparseTensor) -> SparseTensor:
-    out = dict(lhs)
-    for key, val in rhs.items():
-        acc = out.get(key, _ZERO) + val
-        if acc.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
-
-
-def _three_site_braid(M: BiMat) -> tuple[SparseTensor, SparseTensor]:
-    """(M₁₂M₂₃M₁₂, M₂₃M₁₂M₂₃) on the triple composite space, sparse."""
-    n = M.N
-    entries = M.to4dict()
-    m12: SparseTensor = {}
-    m23: SparseTensor = {}
-    for (a, b, c, d), val in entries.items():
-        for x in range(n):
-            m12[(a * n * n + b * n + x, c * n * n + d * n + x)] = val
-            m23[(x * n * n + a * n + b, x * n * n + c * n + d)] = val
-    lhs = contract("xy,yz,zw->xw", m12, m23, m12)
-    rhs = contract("xy,yz,zw->xw", m23, m12, m23)
-    return lhs, rhs
-
-
 def verify_qla(
     Q: QlaStructure, B: RepBundle, skip_heavy: bool = False
 ) -> list[CheckResult]:
@@ -298,13 +260,13 @@ def verify_qla(
     mid = contract("cdab,cxy,dyz->abxz", bigR4, G3, G3)
     rhs = contract("abc,cxz->abxz", f3, G3)
     results.append(
-        check_sparse_zero(f"qla-rel1[{tag}]", _sparse_diff(lhs, mid, rhs))
+        check_sparse_zero(f"qla-rel1[{tag}]", sparse_residual(lhs, mid, rhs))
     )
 
     lhs = contract("efab,ecxy,fdyz->abcdxz", bigR4, O4, O4)
     rhs = contract("aexy,bfyz,cdef->abcdxz", O4, O4, bigR4)
     results.append(
-        check_sparse_zero(f"qla-rel2[{tag}]", _sparse_diff(lhs, rhs))
+        check_sparse_zero(f"qla-rel2[{tag}]", sparse_residual(lhs, rhs))
     )
 
     t1 = contract("axy,bcyz->abcxz", G3, O4)
@@ -313,14 +275,14 @@ def verify_qla(
     t4 = contract("adxy,beyz,dec->abcxz", O4, O4, f3)
     results.append(
         check_sparse_zero(
-            f"qla-rel3[{tag}]", _sparse_sum(_sparse_diff(t1, t2, t3), t4)
+            f"qla-rel3[{tag}]", sparse_residual(t1, t2, t3, add=[t4])
         )
     )
 
     w1 = contract("abxy,cyz->abcxz", O4, G3)
     w2 = contract("deac,dxy,ebyz->abcxz", bigR4, G3, O4)
     results.append(
-        check_sparse_zero(f"qla-rel4[{tag}]", _sparse_diff(w1, w2))
+        check_sparse_zero(f"qla-rel4[{tag}]", sparse_residual(w1, w2))
     )
 
     if skip_heavy and Q.n >= 9:
@@ -328,14 +290,16 @@ def verify_qla(
             CheckResult("ybe-qla", True, detail="skipped (heavy)", skipped=True)
         )
     else:
-        lhs, rhs = _three_site_braid(Q.bigR)
-        results.append(check_sparse_zero("ybe-qla", _sparse_diff(lhs, rhs)))
+        m12, m23 = three_site(Q.bigR, (0, 1), (1, 2))
+        lhs = contract("xy,yz,zw->xw", m12, m23, m12)
+        rhs = contract("xy,yz,zw->xw", m23, m12, m23)
+        results.append(check_sparse_zero("ybe-qla", sparse_residual(lhs, rhs)))
 
     j1 = contract("alm,bnl->abmn", f3, f3)
     j2 = contract("cdab,clm,dnl->abmn", bigR4, f3, f3)
     j3 = contract("abc,cnm->abmn", f3, f3)
     results.append(
-        check_sparse_zero("jacobi", _sparse_diff(j1, j2, j3))
+        check_sparse_zero("jacobi", sparse_residual(j1, j2, j3))
     )
 
     u1 = contract("dcbn,adm->abcmn", bigR4, f3)
@@ -343,12 +307,12 @@ def verify_qla(
     u3 = contract("mcdn,abd->abcmn", bigR4, f3)
     u4 = contract("dfbn,mead,efc->abcmn", bigR4, bigR4, f3)
     results.append(
-        check_sparse_zero("aux1", _sparse_sum(_sparse_diff(u1, u2, u3), u4))
+        check_sparse_zero("aux1", sparse_residual(u1, u2, u3, add=[u4]))
     )
 
     v1 = contract("mbad,cnd->abcmn", bigR4, f3)
     v2 = contract("deac,fben,dfm->abcmn", bigR4, bigR4, f3)
-    results.append(check_sparse_zero("aux2", _sparse_diff(v1, v2)))
+    results.append(check_sparse_zero("aux2", sparse_residual(v1, v2)))
 
     Ivec: SparseTensor = {
         (A,): val for A, val in enumerate(Q.I_id) if not val.is_zero
@@ -362,7 +326,7 @@ def verify_qla(
         for B, val in enumerate(Q.I_id):
             if not val.is_zero:
                 delta1[(A, A, B)] = val
-    results.append(check_sparse_zero("qla-i[RI1]", _sparse_diff(s1, delta1)))
+    results.append(check_sparse_zero("qla-i[RI1]", sparse_residual(s1, delta1)))
     s2 = contract("cdab,d->cab", bigR4, Ivec)
     delta2: SparseTensor = {}
     for key, val in Ivec.items():
@@ -373,7 +337,7 @@ def verify_qla(
     lam_f3: SparseTensor = {(c, a, b): v for (a, b, c), v in lam_f.items()}
     results.append(
         check_sparse_zero(
-            "qla-i[RI2]", _sparse_sum(_sparse_diff(s2, delta2), lam_f3)
+            "qla-i[RI2]", sparse_residual(s2, delta2, add=[lam_f3])
         )
     )
     return results
@@ -389,7 +353,7 @@ def check_representation(Q: QlaStructure, B: RepBundle) -> CheckResult:
     mid = contract("cdab,cxy,dyz->abxz", Q.bigR4(), G3, G3)
     rhs = contract("abc,cxz->abxz", Q.f3(), G3)
     return check_sparse_zero(
-        f"qla-rel1[{B.name}]", _sparse_diff(lhs, mid, rhs)
+        f"qla-rel1[{B.name}]", sparse_residual(lhs, mid, rhs)
     )
 
 
@@ -413,7 +377,7 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
         for C, val in enumerate(traces):
             if not val.is_zero:
                 expected[(A, A, C)] = val
-    if _sparse_diff(lhs, expected):
+    if sparse_residual(lhs, expected):
         raise ValueError(f"deformed traces of {B.name} violate the ℝ-sum rule")
     return traces
 
@@ -479,39 +443,23 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
     ]
     til = (BiMat.perm(n) @ Q.bigR).tilde()
     conj = d1_inv @ Q.bigR.inverse() @ d2
-    residual: SparseTensor = {}
-    for (A, B, C, D), val in til.to4dict().items():
-        residual[(A, B, C, D)] = val
-    for (A, B, D, C), val in conj.to4dict().items():
-        key = (A, B, C, D)
-        acc = residual.get(key, _ZERO) - val
-        if acc.is_zero:
-            residual.pop(key, None)
-        else:
-            residual[key] = acc
-    results.append(check_sparse_zero("bigD-tilde", residual))
+    conj_swapped = {(A, B, C, D): val for (A, B, D, C), val in conj.to4dict().items()}
+    results.append(
+        check_sparse_zero("bigD-tilde", sparse_residual(til.to4dict(), conj_swapped))
+    )
     return results
 
 
 def check_square_antipode(Q: QlaStructure, B: RepBundle) -> CheckResult:
     """``Σ_B 𝔻^B_A ρ(χ_B) = ρ(u) ρ(χ_A) ρ(u)⁻¹`` for every A."""
     u_inv = B.u.inverse()
+    bigD_cols = Q.bigD.t().rows
+    residual: SparseTensor = {}
     for A in range(Q.n):
-        lhs = Mat.zeros(B.dim)
-        for Bidx in range(Q.n):
-            coeff = Q.bigD[Bidx, A]
-            if not coeff.is_zero:
-                lhs = lhs + B.gen[Bidx].scale(coeff)
-        rhs = B.u @ B.gen[A] @ u_inv
-        diff = lhs - rhs
-        if not diff.is_zero:
-            for (x, y), val in sorted(diff.to_sparse().items()):
-                return CheckResult(
-                    f"square-antipode[{B.name}]",
-                    False,
-                    witness=Witness((A, x, y), val.render()),
-                )
-    return CheckResult(f"square-antipode[{B.name}]", True)
+        diff = linear_combination(bigD_cols[A], B.gen) - B.u @ B.gen[A] @ u_inv
+        for (x, y), val in diff.to_sparse().items():
+            residual[(A, x, y)] = val
+    return check_sparse_zero(f"square-antipode[{B.name}]", residual)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +516,3 @@ def structure_from_dict(data: dict) -> QlaStructure:
         F_adj=_bimat_from_entries(n, data["F_adj"]),
         lam=parse_scalar(data["lambda"]),
     )
-
-
-def save_structure(Q: QlaStructure, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(structure_to_dict(Q)))
-
-
-def load_structure(path: str | Path) -> QlaStructure:
-    return structure_from_dict(json.loads(Path(path).read_text()))

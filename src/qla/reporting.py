@@ -51,11 +51,7 @@ def check_sparse_zero(name: str, tensor: Mapping[tuple[int, ...], Scalar], detai
 
 
 def check_mat_zero(name: str, mat: Mat, detail: str = "") -> CheckResult:
-    for i, row in enumerate(mat.rows):
-        for j, value in enumerate(row):
-            if not value.is_zero:
-                return CheckResult(name, False, detail, Witness((i, j), value.render()))
-    return CheckResult(name, True, detail)
+    return check_sparse_zero(name, mat.to_sparse(), detail)
 
 
 def check_mats_equal(name: str, got: Mat, expected: Mat, detail: str = "") -> CheckResult:

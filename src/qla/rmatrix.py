@@ -13,12 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from qla.reporting import CheckResult, Witness, check_mat_zero
-from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat, SparseTensor, contract
-
-_ZERO = Scalar.zero()
-_ONE = Scalar.one()
+from qla.reporting import CheckResult, check_mat_zero, check_sparse_zero
+from qla.scalars import DeformationContext, parse_scalar
+from qla.tensors import BiMat, Mat, contract, sparse_residual, three_site
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,50 +82,25 @@ def sun_r_matrix(N: int, ctx: DeformationContext | None = None) -> RMatrixSpec:
 # ---------------------------------------------------------------------------
 
 
-def _three_site_ops(R: BiMat) -> tuple[SparseTensor, SparseTensor, SparseTensor]:
-    """R acting on sites (1,2), (1,3), (2,3) of an N³ space, as sparse matrices."""
-    N = R.N
-    entries = R.to4dict()
-    r12: SparseTensor = {}
-    r13: SparseTensor = {}
-    r23: SparseTensor = {}
-    for (a, b, c, d), val in entries.items():
-        for x in range(N):
-            r12[(a * N * N + b * N + x, c * N * N + d * N + x)] = val
-            r13[(a * N * N + x * N + b, c * N * N + x * N + d)] = val
-            r23[(x * N * N + a * N + b, x * N * N + c * N + d)] = val
-    return r12, r13, r23
-
-
-def _first_nonzero_witness(diff: SparseTensor, N: int) -> Witness | None:
-    for key in sorted(diff):
-        val = diff[key]
-        if not val.is_zero:
-            row, col = key
-            a, rest = divmod(row, N * N)
-            b, c = divmod(rest, N)
-            d, rest = divmod(col, N * N)
-            e, f = divmod(rest, N)
-            return Witness((a, b, c, d, e, f), val.render())
-    return None
-
-
 def check_ybe(spec: RMatrixSpec) -> CheckResult:
-    """Yang–Baxter equation ``R12 R13 R23 = R23 R13 R12`` on the triple space."""
-    r12, r13, r23 = _three_site_ops(spec.R)
+    """Yang–Baxter equation ``R12 R13 R23 = R23 R13 R12`` on the triple space.
+
+    The residual is keyed by the six site indices (a, b, c, d, e, f) of
+    row (a, b, c) and column (d, e, f).
+    """
+    r12, r13, r23 = three_site(spec.R, (0, 1), (0, 2), (1, 2))
     lhs = contract("xy,yz,zw->xw", r12, r13, r23)
     rhs = contract("xy,yz,zw->xw", r23, r13, r12)
-    diff = dict(lhs)
-    for key, val in rhs.items():
-        acc = diff.get(key, _ZERO) - val
-        if acc.is_zero:
-            diff.pop(key, None)
-        else:
-            diff[key] = acc
-    witness = _first_nonzero_witness(diff, spec.N)
-    if witness is None:
-        return CheckResult(f"ybe[{spec.label}]", True)
-    return CheckResult(f"ybe[{spec.label}]", False, witness=witness)
+    N = spec.N
+
+    def sites(index: int) -> tuple[int, int, int]:
+        return (index // (N * N), index // N % N, index % N)
+
+    residual = {
+        sites(row) + sites(col): val
+        for (row, col), val in sparse_residual(lhs, rhs).items()
+    }
+    return check_sparse_zero(f"ybe[{spec.label}]", residual)
 
 
 def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -> CheckResult:
@@ -202,8 +174,8 @@ def _exchange_residual(
     left_space2: list[list[Mat]],
     right_space1: list[list[Mat]],
     right_space2: list[list[Mat]],
-) -> Mat | None:
-    """Residual of ``A₁B₂R − RB₂A₁`` in the representation, or None if zero.
+) -> Mat:
+    """First nonzero block of the residual ``A₁B₂R − RB₂A₁``, or a zero matrix.
 
     Entry (ij),(kl) of the left side is ``Σ_{a,b} ρ(A^i_a)ρ(B^j_b) R^{ab}_{kl}``
     (products taken in reading order), and of the right side
@@ -227,7 +199,7 @@ def _exchange_residual(
                     diff = lhs - rhs
                     if not diff.is_zero:
                         return diff
-    return None
+    return Mat.zeros(N)
 
 
 def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckResult]:
@@ -239,22 +211,12 @@ def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckRe
         lmats = fundamental_L_matrices(spec)
     R = spec.R
     lp, lm = lmats.lplus, lmats.lminus
-    results = []
-    res = _exchange_residual(R, lp, lp, lp, lp)
-    results.append(
-        CheckResult(f"rll[{spec.label},++]", res is None, witness=None if res is None else _mat_witness(res))
-    )
-    res = _exchange_residual(R, lm, lm, lm, lm)
-    results.append(
-        CheckResult(f"rll[{spec.label},--]", res is None, witness=None if res is None else _mat_witness(res))
-    )
     # Mixed relation L⁻₁L⁺₂R = RL⁺₂L⁻₁: the left side pairs ρ(L⁻ⁱ_c)ρ(L⁺ʲ_d)
     # with R^{cd}_{kl}, the right side R^{ij}_{cd} with ρ(L⁺ᵈ_l)ρ(L⁻ᶜ_k).
-    res = _exchange_residual(R, lm, lp, lm, lp)
-    results.append(
-        CheckResult(f"rll[{spec.label},-+]", res is None, witness=None if res is None else _mat_witness(res))
-    )
-    return results
+    return [
+        check_mat_zero(f"rll[{spec.label},{tag}]", _exchange_residual(R, a, b, a, b))
+        for tag, a, b in (("++", lp, lp), ("--", lm, lm), ("-+", lm, lp))
+    ]
 
 
 def check_antipode_inverse(lmats: LMatrices) -> CheckResult:
@@ -267,18 +229,8 @@ def check_antipode_inverse(lmats: LMatrices) -> CheckResult:
                 total = total + lmats.lminus[k][a] @ lmats.s_lminus[a][l]
             expected = Mat.identity(N) if k == l else Mat.zeros(N)
             if total != expected:
-                return CheckResult(
-                    "antipode-inverse", False, witness=_mat_witness(total - expected)
-                )
+                return check_mat_zero("antipode-inverse", total - expected)
     return CheckResult("antipode-inverse", True)
-
-
-def _mat_witness(diff: Mat) -> Witness:
-    for i, row in enumerate(diff.rows):
-        for j, val in enumerate(row):
-            if not val.is_zero:
-                return Witness((i, j), val.render())
-    raise AssertionError("witness requested for a zero matrix")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .qla_core import QlaStructure, build_structure, deformed_traces, fundamenta
 from .reporting import CheckResult, check_mats_equal, check_scalar_equal, check_sparse_zero
 from .rmatrix import sun_r_matrix
 from .scalars import DeformationContext, Scalar, parse_scalar
-from .tensors import BiMat, Mat, mat_pow
+from .tensors import BiMat, Mat, mat_pow, sparse_residual
 
 __all__ = [
     "Su2Tables",
@@ -213,19 +213,6 @@ def universal_r_truncation(tables: Su2Tables) -> CheckResult:
         tables.R_sl2.mat,
         detail="n = 0 and n = 1 terms of the universal R-matrix",
     )
-
-
-def _golden_images(Q: QlaStructure, bundle, T: Mat) -> list[Mat]:
-    """Images of the golden basis columns under a representation bundle."""
-    images = []
-    for col in range(T.nrows):
-        acc = Mat.zeros(bundle.dim)
-        for A in range(T.nrows):
-            coeff = T.rows[A][col]
-            if not coeff.is_zero:
-                acc = acc + bundle.gen[A].scale(coeff)
-        images.append(acc)
-    return images
 
 
 def _commutation_residuals(ctx: DeformationContext, images: list[Mat]) -> dict:
@@ -421,14 +408,10 @@ def golden_suite(tables: Su2Tables | None = None) -> list[CheckResult]:
         check_scalar_equal("ad-casimir", ad_report.casimir_eigen, tables.ad_casimir),
     ]
 
-    f_residuals = {
-        key: pb.f_primed.get(key, Scalar.zero()) - tables.f_primed.get(key, Scalar.zero())
-        for key in set(pb.f_primed) | set(tables.f_primed)
-    }
     results.append(
         check_sparse_zero(
             "adjoint-action-table",
-            f_residuals,
+            sparse_residual(pb.f_primed, tables.f_primed),
             detail="f' over the golden labels 0, +, -, 3",
         )
     )

@@ -9,7 +9,7 @@ contraction inverse used throughout the R-matrix constructions), and
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from qla.scalars import Scalar
 
@@ -97,9 +97,6 @@ class Mat:
             if not val.is_zero
         }
 
-    def nnz(self) -> int:
-        return sum(1 for row in self.rows for val in row if not val.is_zero)
-
     # -- predicates --------------------------------------------------------------
 
     @property
@@ -175,9 +172,6 @@ class Mat:
         for i in range(self.nrows):
             total = total + self.rows[i][i]
         return total
-
-    def map_entries(self, fn: Callable[[Scalar], Scalar]) -> Mat:
-        return Mat([[fn(a) for a in row] for row in self.rows])
 
     def eval_at(self, p0) -> Mat:
         """Entrywise evaluation at a rational point, as a matrix of constants."""
@@ -343,6 +337,19 @@ def mat_pow(mat: Mat, power: int) -> Mat:
     return result
 
 
+def linear_combination(coeffs: Sequence[Scalar], mats: Sequence[Mat]) -> Mat:
+    """``Σ_A coeffs[A]·mats[A]``, skipping zero coefficients and zero entries."""
+    out = Mat.zeros(mats[0].nrows, mats[0].ncols)
+    for coeff, mat in zip(coeffs, mats):
+        if coeff.is_zero:
+            continue
+        for out_row, row in zip(out.rows, mat.rows):
+            for j, val in enumerate(row):
+                if not val.is_zero:
+                    out_row[j] = out_row[j] + coeff * val
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Matrices over a composite double index
 # ---------------------------------------------------------------------------
@@ -381,14 +388,6 @@ class BiMat:
         for i in range(N):
             for j in range(N):
                 out.set4(i, j, j, i, _ONE)
-        return out
-
-    @classmethod
-    def from4dict(cls, N: int, entries: Mapping[tuple[int, int, int, int], Scalar]) -> BiMat:
-        out = cls.zeros(N)
-        for (i, j, k, l), val in entries.items():
-            if not val.is_zero:
-                out.set4(i, j, k, l, val)
         return out
 
     # -- access ----------------------------------------------------------------
@@ -493,6 +492,28 @@ class BiMat:
         return f"BiMat(N={self.N})"
 
 
+def three_site(M: BiMat, *pairs: tuple[int, int]) -> list[SparseTensor]:
+    """M acting on each site pair ``(s, t)``, s < t, of the triple space, sparse.
+
+    The triple index of ``(x₀, x₁, x₂)`` is ``x₀·N² + x₁·N + x₂``; M's first
+    factor acts on site s, its second on site t, and the third site is a
+    spectator.
+    """
+    N = M.N
+    weight = (N * N, N, 1)
+    entries = M.to4dict()
+    out = []
+    for s, t in pairs:
+        (x_site,) = {0, 1, 2} - {s, t}
+        ws, wt, wx = weight[s], weight[t], weight[x_site]
+        op: SparseTensor = {}
+        for (a, b, c, d), val in entries.items():
+            for x in range(N):
+                op[(a * ws + b * wt + x * wx, c * ws + d * wt + x * wx)] = val
+        out.append(op)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Sparse einsum
 # ---------------------------------------------------------------------------
@@ -544,6 +565,25 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
                 projected[out_key] = acc
         return projected
     return {k: v for k, v in current.items() if not v.is_zero}
+
+
+def sparse_residual(
+    lhs: Mapping[tuple[int, ...], Scalar],
+    *subtract: Mapping[tuple[int, ...], Scalar],
+    add: Sequence[Mapping[tuple[int, ...], Scalar]] = (),
+) -> SparseTensor:
+    """``lhs − Σ subtract + Σ add`` entrywise, with zero entries dropped."""
+    out = dict(lhs)
+    for terms, negate in ((subtract, True), (add, False)):
+        for term in terms:
+            for key, val in term.items():
+                acc = out.get(key, _ZERO)
+                acc = acc - val if negate else acc + val
+                if acc.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = acc
+    return out
 
 
 def _collapse_repeats(
@@ -610,14 +650,6 @@ def _join(
             else:
                 out[out_key] = acc
     return "".join(out_letters), out
-
-
-def sparse_identity(dim: int) -> SparseTensor:
-    return {(i, i): _ONE for i in range(dim)}
-
-
-def sparse_to_mat(entries: Mapping[tuple[int, int], Scalar], nrows: int, ncols: int | None = None) -> Mat:
-    return Mat.from_sparse(entries, nrows, ncols)
 
 
 def delta(N: int) -> SparseTensor:

@@ -94,7 +94,7 @@ class TestDIdentities:
     def test_all_identities_pass(self, N):
         spec = sun_r_matrix(N)
         data = build_u_data(spec.R, spec.ctx)
-        for result in check_D_identities(spec.R, data.D, data.alpha, data.beta):
+        for result in check_D_identities(spec.R, data.D, data.alpha):
             assert result.passed, result.line()
 
     def test_perturbed_D_fails_tilde_identity(self):
@@ -102,7 +102,7 @@ class TestDIdentities:
         data = build_u_data(spec.R, spec.ctx)
         bad_D = data.D.copy()
         bad_D[1, 1] = S("p^7")
-        results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha, data.beta)}
+        results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha)}
         assert not results["u-tilde[b1]"].passed
         assert not results["u-trace[a1]"].passed
         assert [r.line() for r in results.values()] == [
@@ -120,7 +120,7 @@ class TestDIdentities:
         data = build_u_data(spec.R, spec.ctx)
         bad_D = data.D.copy()
         bad_D[0, 1] = S("p")
-        results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha, data.beta)}
+        results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha)}
         assert not results["u-comm[c]"].passed
         assert [r.line() for r in results.values()] == [
             "FAIL  u-trace[a1]  [at (0, 1): residual -p^3]",

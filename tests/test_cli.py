@@ -48,12 +48,6 @@ def spin1_spec() -> RMatrixSpec:
     return RMatrixSpec(label="so3", ctx=DeformationContext(N=3, root_order=2), R=BiMat(3, total))
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("QLA_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path / "cache"
-
-
 @pytest.fixture()
 def so3_path(tmp_path):
     path = tmp_path / "so3.json"
@@ -265,27 +259,16 @@ class TestSu2TablesCommand:
         assert any(r["name"] == "r-truncation" for r in payload["results"])
 
 
-class TestCaching:
-    def test_structure_cached_and_reused(self, isolated_cache, capsys):
-        assert main(["check", "--group", "su", "--n", "2", "--checks", "qla"]) == 0
-        files = list(isolated_cache.glob("structure-*.json"))
-        assert len(files) == 1
-        stamp = files[0].stat().st_mtime_ns
-        assert main(["check", "--group", "su", "--n", "2", "--checks", "qla"]) == 0
-        assert files[0].stat().st_mtime_ns == stamp
-
-    def test_corrupt_cache_rebuilt(self, isolated_cache, capsys):
-        assert main(["check", "--group", "su", "--n", "2", "--checks", "qla"]) == 0
-        (path,) = isolated_cache.glob("structure-*.json")
-        path.write_text("{not json")
-        assert main(["check", "--group", "su", "--n", "2", "--checks", "qla"]) == 0
-
-    def test_cache_key_depends_on_size(self, isolated_cache, capsys):
-        assert main(["check", "--group", "su", "--n", "2", "--checks", "ybe"]) == 0
-        assert main(["check", "--group", "su", "--n", "2", "--checks", "qla"]) == 0
-        assert main(["check", "--group", "su", "--n", "3", "--checks", "qla",
-                     "--skip-heavy"]) == 0
-        assert len(list(isolated_cache.glob("structure-*.json"))) == 2
+class TestSideEffects:
+    def test_check_writes_nothing_under_home(self, tmp_path, monkeypatch, capsys):
+        home, xdg = tmp_path / "home", tmp_path / "xdg"
+        home.mkdir()
+        xdg.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        assert main(["check", "--n", "2", "--checks", "qla"]) == 0
+        assert list(home.iterdir()) == []
+        assert list(xdg.iterdir()) == []
 
 
 class TestArgumentParsing:

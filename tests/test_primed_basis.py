@@ -125,7 +125,6 @@ class TestBuildPrimed:
         _, Q, bundle, D = su2
         pb = build_primed(Q, bundle, D)
         assert pb.dropped_index == 3
-        assert pb.chi0_coords == pb.d_vec
         assert [pb.T[E, 0] for E in range(4)] == pb.d_vec
 
     def test_d_is_first_unit_vector_in_primed_basis(self, su2):
@@ -194,7 +193,7 @@ class TestPrimedStructure:
     def test_pattern_violation_reported(self, su2_golden):
         _, _, _, pb = su2_golden
         broken = PrimedBasis(
-            d_vec=pb.d_vec, chi0_coords=pb.chi0_coords, T=pb.T,
+            d_vec=pb.d_vec, ratios=pb.ratios, T=pb.T,
             dropped_index=pb.dropped_index,
             f_primed={**pb.f_primed, (1, 0, 1): S("p")},
         )
@@ -296,7 +295,7 @@ class TestAdjointPrime:
     def test_reducible_constants_rejected(self, su2_golden):
         _, Q, _, pb = su2_golden
         hollow = PrimedBasis(
-            d_vec=pb.d_vec, chi0_coords=pb.chi0_coords, T=pb.T,
+            d_vec=pb.d_vec, ratios=pb.ratios, T=pb.T,
             dropped_index=pb.dropped_index, f_primed={},
         )
         with pytest.raises(ValueError, match="null vector"):
@@ -325,8 +324,8 @@ class TestRepresentationLevelChecks:
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
         pb = build_primed(Q, bundle, D)
         adp = adjoint_prime(pb, Q)
-        assert check_comm_prime(Q, pb, bundle, bundle).passed
-        assert check_comm_prime(Q, pb, bundle, adp).passed
+        assert check_comm_prime(Q, pb, bundle).passed
+        assert check_comm_prime(Q, pb, adp).passed
 
     def test_comm_prime_detects_rescaled_generators(self, su2):
         _, Q, bundle, D = su2
@@ -335,7 +334,7 @@ class TestRepresentationLevelChecks:
         rescaled = RepBundle(
             name="rescaled", dim=2, gen=[g.scale(two) for g in bundle.gen], u=bundle.u
         )
-        result = check_comm_prime(Q, pb, bundle, rescaled)
+        result = check_comm_prime(Q, pb, rescaled)
         assert not result.passed
         assert result.line() == "FAIL  comm-prime[rescaled]  [at (0, 0, 0, 0): residual 2*p^-2 - 2*p^-6]"
 

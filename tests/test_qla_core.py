@@ -17,9 +17,7 @@ from qla.qla_core import (
     check_square_antipode,
     deformed_traces,
     fundamental_generators,
-    load_structure,
     null_space_lemma,
-    save_structure,
     structure_from_dict,
     structure_to_dict,
     verify_qla,
@@ -409,12 +407,6 @@ class TestSerialization:
     def test_dict_round_trip(self, su2):
         _, Q, _ = su2
         assert structure_from_dict(structure_to_dict(Q)) == Q
-
-    def test_file_round_trip(self, su3, tmp_path):
-        _, Q, _ = su3
-        path = tmp_path / "structure.json"
-        save_structure(Q, path)
-        assert load_structure(path) == Q
 
     def test_scalars_serialize_in_text_grammar(self, su2):
         _, Q, _ = su2

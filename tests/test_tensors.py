@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qla.scalars import LaurentPoly, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat, contract, delta, mat_pow
+from qla.tensors import (
+    BiMat,
+    Mat,
+    contract,
+    delta,
+    linear_combination,
+    mat_pow,
+    sparse_residual,
+    three_site,
+)
 
 
 def S(text: str) -> Scalar:
@@ -295,3 +304,43 @@ class TestContract:
             contract("ij->ijj", delta(2))
         with pytest.raises(ValueError):
             contract("ij,jk->ik", delta(2))
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers: linear combination, sparse residual, three-site embedding
+# ---------------------------------------------------------------------------
+
+
+class TestHelpers:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_combination_matches_scale_and_add(self, seed):
+        rng = random.Random(seed)
+        mats = [random_mat(rng, 3) for _ in range(4)]
+        coeffs = [random_scalar(rng) for _ in range(3)] + [Scalar.zero()]
+        expected = Mat.zeros(3)
+        for c, m in zip(coeffs, mats):
+            expected = expected + m.scale(c)
+        assert linear_combination(coeffs, mats) == expected
+
+    def test_linear_combination_of_zero_coefficients_is_zero(self):
+        mats = [Mat([[S("p"), S("1")]])]
+        assert linear_combination([Scalar.zero()], mats) == Mat.zeros(1, 2)
+
+    def test_sparse_residual_signs_and_dropped_zeros(self):
+        lhs = {(0,): S("p"), (1,): S("1")}
+        sub = {(0,): S("p"), (2,): S("2")}
+        add = {(1,): S("-1"), (3,): S("p^-1")}
+        assert sparse_residual(lhs, sub, add=[add]) == {(2,): S("-2"), (3,): S("p^-1")}
+        assert sparse_residual(lhs, lhs) == {}
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_three_site_matches_kronecker_embeddings(self, seed):
+        rng = random.Random(seed)
+        N = 2
+        M = BiMat(N, random_mat(rng, N * N))
+        eye = Mat.identity(N)
+        p23 = Mat.identity(N).kron(BiMat.perm(N).mat)
+        m12, m13, m23 = three_site(M, (0, 1), (0, 2), (1, 2))
+        assert Mat.from_sparse(m12, N**3) == M.mat.kron(eye)
+        assert Mat.from_sparse(m23, N**3) == eye.kron(M.mat)
+        assert Mat.from_sparse(m13, N**3) == p23 @ M.mat.kron(eye) @ p23
