@@ -13,7 +13,8 @@ import pytest
 
 from qla.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 CASES = {
     "report_n2_json_eval1": ["report", "--n", "2", "--format", "json", "--eval-at", "1"],
@@ -23,6 +24,10 @@ CASES = {
     "report_n2_text": ["report", "--n", "2"],
     "check_n2": ["check", "--n", "2"],
     "su2_tables": ["su2-tables"],
+    "check_so3": [
+        "check", "--group", "external", "--r-matrix", str(DATA / "so3.json"),
+        "--checks", "ybe,cubic:eps=1,qla",
+    ],
 }
 
 
