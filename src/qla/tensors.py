@@ -9,6 +9,9 @@ contraction inverse used throughout the R-matrix constructions), and
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from qla.scalars import Scalar
@@ -525,9 +528,12 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     ``pattern`` reads like ``"mkjn,sdml->kjsdnl"``: single-letter indices, one
     group per operand, and an explicit output.  Repeated letters inside one
     group take the diagonal; letters absent from the output are summed over.
-    Operands are folded left to right with hash joins on the shared letters,
-    dropping (summing) letters as soon as no later group or the output needs
-    them.  Zero values are never stored.
+    Operands are joined pairwise with hash joins on the shared letters, in a
+    greedy order: each step joins the pair that costs the fewest products
+    (see :func:`_join_cost`), ties going to the lowest operand positions, and
+    the result takes the place of the first of the pair.  A letter is summed
+    out as soon as neither the output nor a remaining operand needs it.  Zero
+    values are never stored.
     """
     lhs, _, out_letters = pattern.partition("->")
     groups = [g.strip() for g in lhs.split(",")]
@@ -540,16 +546,16 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     if len(set(out_letters)) != len(out_letters):
         raise ValueError("output letters must be distinct")
 
-    prepared: list[tuple[str, Mapping[tuple[int, ...], Scalar]]] = []
-    for letters, tensor in zip(groups, operands):
-        prepared.append(_collapse_repeats(letters, tensor))
-
-    letters, current = prepared[0]
-    for pos in range(1, len(prepared)):
+    prepared = [_collapse_repeats(letters, tensor) for letters, tensor in zip(groups, operands)]
+    while len(prepared) > 1:
+        i, j = (0, 1) if len(prepared) == 2 else _cheapest_pair(prepared)
         needed = set(out_letters)
-        for future_letters, _ in prepared[pos + 1 :]:
-            needed.update(future_letters)
-        letters, current = _join(letters, current, *prepared[pos], needed)
+        for pos, (other_letters, _) in enumerate(prepared):
+            if pos != i and pos != j:
+                needed.update(other_letters)
+        prepared[i] = _join(*prepared[i], *prepared[j], needed)
+        del prepared[j]
+    letters, current = prepared[0]
 
     # Sum out any remaining letters not in the output, then order the key.
     if set(letters) != set(out_letters) or letters != out_letters:
@@ -602,6 +608,36 @@ def _collapse_repeats(
         if all(key[pos] == key[first_pos[ch]] for pos, ch in enumerate(letters)):
             out[tuple(key[p] for p in keep)] = val
     return "".join(letters[p] for p in keep), out
+
+
+def _cheapest_pair(
+    prepared: Sequence[tuple[str, Mapping[tuple[int, ...], Scalar]]],
+) -> tuple[int, int]:
+    """Positions ``(i, j)``, i < j, of the cheapest join; ties go to the lowest pair."""
+    return min(
+        combinations(range(len(prepared)), 2),
+        key=lambda pair: _join_cost(*prepared[pair[0]], *prepared[pair[1]]),
+    )
+
+
+def _join_cost(
+    letters_a: str,
+    tensor_a: Mapping[tuple[int, ...], Scalar],
+    letters_b: str,
+    tensor_b: Mapping[tuple[int, ...], Scalar],
+) -> int:
+    """The exact number of products :func:`_join` makes for this pair.
+
+    That is Σ over shared-letter keys of bucket_a × bucket_b, or ``|a|·|b|``
+    when the pair shares no letter.
+    """
+    shared = [ch for ch in letters_a if ch in letters_b]
+    if not shared:
+        return len(tensor_a) * len(tensor_b)
+    key_a = itemgetter(*(letters_a.index(ch) for ch in shared))
+    key_b = itemgetter(*(letters_b.index(ch) for ch in shared))
+    buckets = Counter(map(key_b, tensor_b))
+    return sum(buckets[key] for key in map(key_a, tensor_a))
 
 
 def _join(

@@ -373,6 +373,39 @@ class TestAdjointRep:
         assert [r.name for r in results] == ["bigD-comm", "bigD-tilde"]
         assert all(r.passed for r in results)
 
+    @pytest.mark.parametrize(
+        "fixture_name, edits, lines",
+        [
+            (
+                "su2",
+                [((1, 2), "p")],
+                [
+                    "FAIL  bigD-comm  [at (1, 2): residual -p^5 + p^-3]",
+                    "FAIL  bigD-tilde  [at (1, 0, 0, 2): residual p - p^-3]",
+                ],
+            ),
+            (
+                "su3",
+                [((4, 0), "1"), ((2, 7), "p^-1")],
+                [
+                    "FAIL  bigD-comm  [at (2, 7): residual -p^5 + p^-1]",
+                    "FAIL  bigD-tilde  [at (2, 0, 0, 7): residual -p^-1 + 2*p^-7 - p^-13]",
+                ],
+            ),
+        ],
+    )
+    def test_perturbed_bigD_witnesses(self, fixture_name, edits, lines, request):
+        # bigD-comm is keyed by the composite (row, column) of 𝔻₁𝔻₂ℝ − ℝ𝔻₁𝔻₂.
+        _, Q, _ = request.getfixturevalue(fixture_name)
+        bigD = Q.bigD.copy()
+        for (A, B), text in edits:
+            bigD[A, B] = bigD[A, B] + S(text)
+        Q_bad = QlaStructure(
+            ctx=Q.ctx, n=Q.n, bigR=Q.bigR, f=Q.f, I_id=Q.I_id,
+            bigD=bigD, F_adj=Q.F_adj, lam=Q.lam,
+        )
+        assert [r.line() for r in check_bigD_identities(Q_bad)] == lines
+
 
 class TestNullSpaceLemma:
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])

@@ -1,10 +1,11 @@
-"""Differential tests of the exact scalar layer against SymPy.
+"""Differential tests of the exact scalar layer and dense elimination against SymPy.
 
 SymPy is an independent implementation of rational-function arithmetic, so
 every result of ``qla.scalars`` is compared with it: field operations by
 value, ``poly_gcd`` with ``sympy.gcd``, and the canonical form with the
 denominator that ``sympy.cancel`` leaves once powers of ``p`` and the
-leading coefficient are divided out.
+leading coefficient are divided out.  ``Mat.inverse``, ``Mat.rref`` and
+``Mat.null_space`` are compared with SymPy's ``DomainMatrix`` over Q(p).
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qla.scalars import LaurentPoly, Scalar, poly_gcd
+from qla.tensors import Mat
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 p = sympy.Symbol("p")
+QQp = sympy.QQ.frac_field(p)
 
 _coeffs = st.one_of(
     st.integers(min_value=-6, max_value=6),
@@ -103,3 +107,56 @@ class TestAgainstSympy:
         a = LaurentPoly({2: Fraction(1, 2), 0: Fraction(-1, 2)})
         b = LaurentPoly({1: 3, 0: 3})
         assert poly_gcd(a, b) == LaurentPoly({1: 1, 0: 1})
+
+
+# Matrix entries are nonzero Laurent polynomials with small exponents, and
+# about one row in three is a combination of two rows above it, so singular
+# and rank-deficient matrices come up often.
+_entries = _nonzero.map(Scalar)
+
+
+@st.composite
+def _matrices(draw, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 2)) == 0:
+            c0, c1 = draw(_entries), draw(_entries)
+            rows.append([c0 * x + c1 * y for x, y in zip(rows[0], rows[-1])])
+        else:
+            rows.append([draw(_entries) for _ in range(ncols)])
+    return Mat(rows)
+
+
+def domain_matrix(mat: Mat) -> DomainMatrix:
+    return DomainMatrix(
+        [[QQp.from_sympy(value(s)) for s in row] for row in mat.rows],
+        (mat.nrows, mat.ncols),
+        QQp,
+    )
+
+
+class TestMatAgainstSympy:
+    @given(st.integers(1, 3).flatmap(lambda n: _matrices(n, n)))
+    @settings(max_examples=50, deadline=None)
+    def test_inverse(self, m):
+        theirs = domain_matrix(m)
+        if theirs.det() == QQp.zero:
+            with pytest.raises(ValueError):
+                m.inverse()
+            return
+        assert domain_matrix(m.inverse()) == theirs.inv()
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(lambda s: _matrices(*s)))
+    @settings(max_examples=50, deadline=None)
+    def test_rref_and_null_space(self, m):
+        theirs = domain_matrix(m)
+        reduced, pivots = m.rref()
+        their_reduced, their_pivots = theirs.rref()
+        assert pivots == list(their_pivots)
+        assert domain_matrix(reduced) == their_reduced
+        basis = m.null_space()
+        assert len(basis) == m.ncols - theirs.rank()
+        free = [c for c in range(m.ncols) if c not in their_pivots]
+        for vec, col in zip(basis, free):
+            assert [vec[c] for c in free] == [Scalar.one() if c == col else Scalar.zero() for c in free]
+            assert (theirs * domain_matrix(Mat([[x] for x in vec]))).is_zero_matrix

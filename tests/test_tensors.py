@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qla import tensors
+from qla.qla_core import build_structure
+from qla.rmatrix import sun_r_matrix
 from qla.scalars import LaurentPoly, Scalar, parse_scalar
 from qla.tensors import (
     BiMat,
     Mat,
+    _join_cost,
     contract,
     delta,
     linear_combination,
@@ -220,27 +224,69 @@ class TestBiMat:
 # ---------------------------------------------------------------------------
 
 
-def dense_einsum_2(pattern, a, b, dim):
-    """Naive reference: contract two 4-index tensors over every index assignment."""
+def dense_einsum(pattern, *operands, dim):
+    """Naive reference: sum the product of every operand over every index assignment."""
     lhs, out = pattern.split("->")
-    la, lb = lhs.split(",")
-    letters = sorted(set(la + lb))
+    groups = lhs.split(",")
+    letters = sorted(set("".join(groups)))
     result = {}
     for assignment in itertools.product(range(dim), repeat=len(letters)):
         env = dict(zip(letters, assignment))
-        ka = tuple(env[ch] for ch in la)
-        kb = tuple(env[ch] for ch in lb)
-        va = a.get(ka)
-        vb = b.get(kb)
-        if va is None or vb is None:
-            continue
-        key = tuple(env[ch] for ch in out)
-        acc = result.get(key, Scalar.zero()) + va * vb
-        if acc.is_zero:
-            result.pop(key, None)
+        term = Scalar.one()
+        for group, tensor in zip(groups, operands):
+            val = tensor.get(tuple(env[ch] for ch in group))
+            if val is None:
+                break
+            term = term * val
         else:
-            result[key] = acc
+            key = tuple(env[ch] for ch in out)
+            acc = result.get(key, Scalar.zero()) + term
+            if acc.is_zero:
+                result.pop(key, None)
+            else:
+                result[key] = acc
     return result
+
+
+def random_sparse(rng: random.Random, rank: int, dim: int) -> dict:
+    """About two thirds of the keys of a rank-``rank`` tensor, with nonzero values."""
+    out = {}
+    for key in itertools.product(range(dim), repeat=rank):
+        val = random_scalar(rng)
+        if rng.random() < 0.65 and not val.is_zero:
+            out[key] = val
+    return out
+
+
+@st.composite
+def einsum_patterns(draw):
+    """Random 3- and 4-operand patterns over five letters, repeats allowed."""
+    groups = draw(
+        st.lists(st.text(alphabet="abcde", min_size=1, max_size=3), min_size=3, max_size=4)
+    )
+    letters = sorted(set("".join(groups)))
+    out = draw(st.permutations(letters))[: draw(st.integers(0, len(letters)))]
+    return ",".join(groups) + "->" + "".join(out)
+
+
+def assert_matches_dense(pattern: str, seed: int) -> None:
+    rng = random.Random(seed)
+    groups = pattern.split("->")[0].split(",")
+    operands = [random_sparse(rng, len(group), 2) for group in groups]
+    assert contract(pattern, *operands) == dense_einsum(pattern, *operands, dim=2)
+
+
+def record_joins(monkeypatch) -> list[tuple[str, str]]:
+    """Patch ``tensors._join`` to log the operand letters of every join it makes."""
+    joins: list[tuple[str, str]] = []
+    join = tensors._join
+
+    def logged(letters_a, tensor_a, letters_b, tensor_b, needed):
+        joins.append((letters_a, letters_b))
+        return join(letters_a, tensor_a, letters_b, tensor_b, needed)
+
+    monkeypatch.setattr(tensors, "_join", logged)
+    return joins
 
 
 class TestContract:
@@ -278,7 +324,7 @@ class TestContract:
         b = BiMat(dim, random_mat(rng, dim * dim)).to4dict()
         pattern = "mkjn,sdml->kjsdnl"
         fast = contract(pattern, a, b)
-        slow = dense_einsum_2(pattern, a, b, dim)
+        slow = dense_einsum(pattern, a, b, dim=dim)
         assert fast == slow
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -296,6 +342,76 @@ class TestContract:
         m = Mat([[S("p"), S("1")], [S("0"), S("p")]])
         result = contract("ij,jk->ik", delta(2), m.to_sparse())
         assert Mat.from_sparse(result, 2) == m
+
+    # Between them the patterns have a pair with no shared letter (ab, cd),
+    # a repeated letter inside one group (aab, cca) and a letter that the
+    # first join its group takes part in sums out (x).
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "ab,cd,bd->ac",
+            "aab,bc,cd->ad",
+            "ax,ab,bc->c",
+            "ab,bc,cd,de->ae",
+            "xab,cd,cca,db->",
+            "ab,cd,bx,dxe->ace",
+        ],
+    )
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_multi_operand_patterns_match_dense_reference(self, pattern, seed):
+        assert_matches_dense(pattern, seed)
+
+    @given(einsum_patterns(), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_patterns_match_dense_reference(self, pattern, seed):
+        assert_matches_dense(pattern, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_join_cost_counts_the_products(self, seed):
+        rng = random.Random(seed)
+        a, b = random_sparse(rng, 3, 3), random_sparse(rng, 2, 3)
+        for letters_a, letters_b in (("xyz", "zy"), ("xyz", "zw"), ("xyz", "uv")):
+            products = sum(
+                1
+                for key_a in a
+                for key_b in b
+                if all(
+                    key_a[letters_a.index(ch)] == key_b[letters_b.index(ch)]
+                    for ch in letters_a
+                    if ch in letters_b
+                )
+            )
+            assert _join_cost(letters_a, a, letters_b, b) == products
+
+    def test_plan_joins_cheapest_pair_first_and_breaks_ties_low(self, monkeypatch):
+        joins = record_joins(monkeypatch)
+        chain = {(i, j): Scalar.one() for i in range(3) for j in range(3)}
+        # (0, 1) and (1, 2) cost 27 products each, (0, 2) shares no letter: 81.
+        contract("ab,bc,cd->ad", chain, chain, chain)
+        assert joins[0] == ("ab", "bc")
+        joins.clear()
+        diagonal = delta(3)
+        # (1, 2) costs 3 products, (0, 1) costs 9 and (0, 2) 27.
+        contract("ab,bc,cd->ad", chain, diagonal, diagonal)
+        assert joins[0] == ("bc", "cd")
+
+    def test_two_operand_calls_skip_the_cost_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cost scan on a two-operand call")
+
+        monkeypatch.setattr(tensors, "_join_cost", refuse)
+        m = Mat([[S("p"), S("1")], [S("0"), S("p")]])
+        assert Mat.from_sparse(contract("ij,jk->ik", m.to_sparse(), m.to_sparse()), 2) == m @ m
+
+    def test_aux1_plan_does_not_start_with_the_bigR_pair(self, monkeypatch):
+        spec = sun_r_matrix(3)
+        Q = build_structure(spec.R, spec.ctx)
+        bigR4 = Q.bigR4()
+        joins = record_joins(monkeypatch)
+        contract("dfbn,mead,efc->abcmn", bigR4, bigR4, Q.f3())
+        assert len(joins) == 2
+        assert "efc" in joins[0]
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
