@@ -69,7 +69,7 @@ from .rmatrix import (
     sun_r_matrix,
 )
 from .scalars import DeformationContext, Scalar
-from .su2_golden import golden_basis_matrix, golden_suite, load_su2_tables
+from .su2_golden import Su2Stages, golden_basis_matrix, golden_suite, load_su2_tables
 from .tensors import Mat
 
 __all__ = ["RunConfig", "ConfigError", "cmd_check", "cmd_report", "cmd_su2_tables", "main"]
@@ -294,7 +294,11 @@ def _suite_golden(ppl: Pipeline, params: dict) -> list[CheckResult]:
     applicable = cfg.group == "su" and cfg.n == 2 and cfg.root_order in (None, 2)
     if not applicable:
         return [skipped("golden", "golden tables cover --group su --n 2 at root order 2")]
-    return golden_suite()
+    Q, pb, ad = ppl.structure, ppl.primed, ppl.adjoint
+    reports = ppl.reports if "ad'" in ppl.reports else killing_reports(Q, pb, ppl.fn, ad)
+    return golden_suite(
+        stages=Su2Stages(R=ppl.spec.R, Q=Q, B=ppl.fn, pb=pb, ad=ad, reports=reports)
+    )
 
 
 _SUITE_RUNNERS = {

@@ -48,7 +48,10 @@ class PrimedBasis:
     χ₀ and whose remaining columns are the kept primed generators;
     ``dropped_index`` the composite index whose primed generator was removed;
     ``f_primed`` the structure constants in the new basis (index 0 = χ₀);
-    ``mu`` maps a bundle name to μ(ρ) where ρ(χ₀) = μ(ρ)·I.
+    ``mu`` maps a bundle name to μ(ρ) where ρ(χ₀) = μ(ρ)·I;
+    ``traces`` holds the fundamental bundle's deformed traces I′_A
+    (:func:`~qla.qla_core.deformed_traces`) when :func:`build_primed` made
+    the basis.
     """
 
     d_vec: list[Scalar]
@@ -57,6 +60,7 @@ class PrimedBasis:
     dropped_index: int
     f_primed: dict[tuple[int, int, int], Scalar]
     mu: dict[str, Scalar] = field(default_factory=dict)
+    traces: list[Scalar] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -181,6 +185,7 @@ def build_primed(
         T=T,
         dropped_index=dropped_index,
         f_primed=f_primed,
+        traces=traces,
     )
     try:
         pb.mu[B_fn.name] = mu_scalar(pb, B_fn)

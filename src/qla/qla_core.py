@@ -10,6 +10,7 @@ together with checkers for the full family of consistency identities
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .appendix_u import rep_u
 from .reporting import CheckResult, check_sparse_zero
@@ -100,6 +101,15 @@ class QlaStructure:
     def f3(self) -> SparseTensor:
         """f as a sparse 3-index dict keyed (A, B, C) for f_{AB}{}^C."""
         return dict(self.f)
+
+    @cached_property
+    def perm_bigR_tilde(self) -> BiMat:
+        """tilde(Pℝ), the contraction inverse of the un-braided ℝ that defines 𝔻.
+
+        Derived from ``bigR`` on first use; :func:`build_structure` fills it
+        with the one it formed, so it is inverted once per structure.
+        """
+        return (BiMat.perm(self.n) @ self.bigR).tilde()
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +214,11 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
                 bigD[A, B] = acc
 
     I_id = [_ONE if A // N == A % N else _ZERO for A in range(n)]
-    return QlaStructure(
+    Q = QlaStructure(
         ctx=ctx, n=n, bigR=bigR, f=f, I_id=I_id, bigD=bigD, F_adj=F_adj, lam=lam
     )
+    Q.perm_bigR_tilde = til_big
+    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +458,13 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
             {(A * n + B, C * n + D): val for (A, B, C, D), val in comm.items()},
         )
     ]
-    til = (BiMat.perm(n) @ Q.bigR).tilde()
     conj_swapped = contract(
         "ae,ebcf,fd->abdc", Q.bigD.inverse().to_sparse(), Q.bigR.inverse().to4dict(), bigD
     )
     results.append(
-        check_sparse_zero("bigD-tilde", sparse_residual(til.to4dict(), conj_swapped))
+        check_sparse_zero(
+            "bigD-tilde", sparse_residual(Q.perm_bigR_tilde.to4dict(), conj_swapped)
+        )
     )
     return results
 

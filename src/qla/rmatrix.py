@@ -14,8 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from qla.reporting import CheckResult, check_mat_zero, check_sparse_zero
-from qla.scalars import DeformationContext, parse_scalar
+from qla.scalars import DeformationContext, Scalar, parse_ratio
 from qla.tensors import BiMat, Mat, contract, sparse_residual, three_site
+
+#: Largest magnitude of an exponent of ``p`` that :func:`load_r_matrix`
+#: accepts in an entry's numerator or denominator, as written.  Dense
+#: polynomial work (the gcd's coefficient lists, packed contractions) takes
+#: time and memory in proportion to exponent spans; so3.json uses -4..2.
+MAX_EXPONENT = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +258,8 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
     Schema: ``{"label": str, "n": int, "root_order": int, "entries":
     [{"i": int, "j": int, "k": int, "l": int, "value": scalar-string}, ...]}``
     with 0-based indices; omitted entries are zero and an index quadruple may
-    appear only once.  Invertibility is checked on load.
+    appear only once.  No exponent of ``p`` may exceed :data:`MAX_EXPONENT`
+    in magnitude.  Invertibility is checked on load.
     """
     path = Path(path)
     data = json.loads(path.read_text())
@@ -268,11 +275,17 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
     for pos, item in enumerate(raw_entries):
         try:
             key = tuple(_json_int(item, name) for name in ("i", "j", "k", "l"))
-            value = parse_scalar(str(item["value"]))
+            num, den = parse_ratio(str(item["value"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: entry {pos}: missing field: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: entry {pos}: {exc}") from exc
+        widest = max((num.min_exp, num.max_exp, den.min_exp, den.max_exp), key=abs)
+        if abs(widest) > MAX_EXPONENT:
+            raise ValueError(
+                f"{path}: entry {pos}: exponent p^{widest} exceeds the bound {MAX_EXPONENT}"
+            )
+        value = Scalar(num, den)
         if not all(0 <= idx < N for idx in key):
             raise ValueError(f"{path}: entry {pos}: index out of range for n={N}")
         if key in seen:

@@ -571,6 +571,80 @@ _S_ONE = Scalar._trusted(_LP_ONE, _LP_ONE)
 
 
 # ---------------------------------------------------------------------------
+# Kronecker substitution: Laurent polynomials packed into one int
+# ---------------------------------------------------------------------------
+
+
+def cleared_numerators(values: list[Scalar]) -> tuple[list[dict[int, int]], LaurentPoly]:
+    """Nonzero ``values`` as integer-coefficient numerators over one common denominator.
+
+    The common denominator is the product of the distinct denominators of
+    ``values`` times the lcm of the coefficient denominators of the cleared
+    numerators ``num·(product/den)``.  Returns the numerators' ``{exponent:
+    coefficient}`` maps (read-only) in the order of ``values``, and that
+    denominator.
+    """
+    dens = {val.den for val in values if not val.den.is_one}
+    common = _LP_ONE
+    for den in dens:
+        common = common * den
+    if dens:
+        cofactors = {den: poly_exact_div(common, den) for den in dens}
+        nums = [(val.num * cofactors.get(val.den, common))._terms for val in values]
+    else:
+        nums = [val.num._terms for val in values]
+    scale = 1
+    for terms in nums:
+        for coef in terms.values():
+            if type(coef) is not int:
+                scale = lcm(scale, coef.denominator)
+    if scale != 1:
+        nums = [
+            {exp: coef.numerator * (scale // coef.denominator) for exp, coef in terms.items()}
+            for terms in nums
+        ]
+        common = common.scale(scale)
+    return nums, common
+
+
+def pack_terms(terms: dict[int, int], step: int, bits: int) -> tuple[int, int]:
+    """``(offset, value)`` with ``value = Σ c·2^(bits·(e − low)/step)`` and ``offset = bits·low/step``.
+
+    ``low`` is the smallest exponent of the nonempty ``terms``; ``step``
+    divides every exponent, and every coefficient must fit a balanced digit
+    (``|c| < 2^(bits−1)``).  The pair stands for ``value·2^offset``.
+    """
+    low = min(terms)
+    value = 0
+    for exp, coef in terms.items():
+        value += coef << (bits * ((exp - low) // step))
+    return bits * (low // step), value
+
+
+def unpack_scalar(offset: int, value: int, step: int, bits: int, den: LaurentPoly) -> Scalar:
+    """The scalar ``num/den`` whose numerator :func:`pack_terms` packed into ``(offset, value)``.
+
+    Digits are read low to high as balanced base-``2^bits`` digits, which is
+    exact while every coefficient has magnitude below ``2^(bits−1)``.
+    """
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    exp = offset // bits * step
+    terms: dict[int, object] = {}
+    while value:
+        digit = value & mask
+        value >>= bits
+        if digit >= half:
+            digit -= mask + 1
+            value += 1
+        if digit:
+            terms[exp] = digit
+        exp += step
+    num = LaurentPoly._raw(terms)
+    return Scalar._trusted(num, _LP_ONE) if den.is_one else Scalar(num, den)
+
+
+# ---------------------------------------------------------------------------
 # Text grammar: rendering
 # ---------------------------------------------------------------------------
 
@@ -749,6 +823,11 @@ def parse_poly(text: str) -> LaurentPoly:
 
 
 def parse_scalar(text: str) -> Scalar:
+    return Scalar(*parse_ratio(text))
+
+
+def parse_ratio(text: str) -> tuple[LaurentPoly, LaurentPoly]:
+    """Numerator and denominator of scalar text, as written (not yet normalized)."""
     toks = _tokenize(text)
     splits = [i for i, tok in enumerate(toks) if tok.kind == "op" and tok.value == "/"]
     if not splits:
@@ -756,7 +835,7 @@ def parse_scalar(text: str) -> Scalar:
         poly = parser.parse_poly()
         if parser.peek() is not None:
             raise ValueError(f"trailing tokens in scalar text {text!r}")
-        return Scalar(poly)
+        return poly, _LP_ONE
     if len(splits) > 1:
         raise ValueError("at most one top-level '/' is allowed in scalar text")
     split = splits[0]
@@ -768,7 +847,7 @@ def parse_scalar(text: str) -> Scalar:
     den = den_parser.parse_poly()
     if den_parser.peek() is not None:
         raise ValueError("denominator did not parse cleanly")
-    return Scalar(num, den)
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from fractions import Fraction
 from importlib import resources
 
 from .appendix_u import build_u_data
-from .killing import killing_metric, killing_reports, primed_metric_blocks
-from .primed_basis import adjoint_prime, build_primed, d_vector, primed_images
-from .qla_core import QlaStructure, build_structure, deformed_traces, fundamental_generators
+from .killing import KillingReport, killing_metric, killing_reports, primed_metric_blocks
+from .primed_basis import PrimedBasis, adjoint_prime, build_primed, d_vector, primed_images
+from .qla_core import QlaStructure, RepBundle, build_structure, fundamental_generators
 from .reporting import CheckResult, check_mats_equal, check_scalar_equal, check_sparse_zero
 from .rmatrix import sun_r_matrix
 from .scalars import DeformationContext, Scalar, parse_scalar
@@ -31,7 +31,9 @@ from .tensors import BiMat, Mat, mat_pow, sparse_residual
 
 __all__ = [
     "Su2Tables",
+    "Su2Stages",
     "load_su2_tables",
+    "su2_stages",
     "golden_basis_matrix",
     "jimbo_drinfeld_check",
     "rosso_term",
@@ -314,7 +316,7 @@ _CLASSICAL_F = {
 }
 
 
-def _classical_check(tables: Su2Tables, Q: QlaStructure, B, pb, reports) -> CheckResult:
+def _classical_check(pb: PrimedBasis, reports: dict[str, KillingReport]) -> CheckResult:
     """Evaluate the deformed data at ``p = 1`` against the classical theory.
 
     The indices and casimir eigenvalues take their undeformed values, the
@@ -333,7 +335,7 @@ def _classical_check(tables: Su2Tables, Q: QlaStructure, B, pb, reports) -> Chec
     for key, (scalar, target) in expected.items():
         residuals[key] = Scalar.from_rational(Fraction(scalar.eval_at(1)) - target)
 
-    for A, trace in enumerate(deformed_traces(Q, B)):
+    for A, trace in enumerate(pb.traces):
         residuals[("trace", A)] = Scalar.from_rational(Fraction(trace.eval_at(1)))
 
     classical = {
@@ -348,7 +350,39 @@ def _classical_check(tables: Su2Tables, Q: QlaStructure, B, pb, reports) -> Chec
     )
 
 
-def golden_suite(tables: Su2Tables | None = None) -> list[CheckResult]:
+@dataclass
+class Su2Stages:
+    """The rank-one pipeline stages that :func:`golden_suite` compares.
+
+    ``R`` is the standard N = 2 R-matrix, ``Q`` its structure, ``B`` the
+    fundamental bundle, ``pb`` the primed basis over the golden basis
+    (:func:`golden_basis_matrix`, primed generator 3 dropped), ``ad`` the
+    traceless adjoint bundle and ``reports`` the Killing reports of ``fn``
+    and ``ad'``.
+    """
+
+    R: BiMat
+    Q: QlaStructure
+    B: RepBundle
+    pb: PrimedBasis
+    ad: RepBundle
+    reports: dict[str, KillingReport]
+
+
+def su2_stages(ctx: DeformationContext) -> Su2Stages:
+    """Build the stages of the standard N = 2 R-matrix at ``ctx``."""
+    spec = sun_r_matrix(2, ctx)
+    Q = build_structure(spec.R, ctx)
+    B = fundamental_generators(spec.R, ctx)
+    D = build_u_data(spec.R, ctx).D
+    pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
+    ad = adjoint_prime(pb, Q)
+    return Su2Stages(R=spec.R, Q=Q, B=B, pb=pb, ad=ad, reports=killing_reports(Q, pb, B, ad))
+
+
+def golden_suite(
+    tables: Su2Tables | None = None, stages: Su2Stages | None = None
+) -> list[CheckResult]:
     """Rebuild the rank-one theory from its R-matrix and compare to the tables.
 
     Every tabulated object is reproduced bit-exactly by the pipeline: the
@@ -356,18 +390,16 @@ def golden_suite(tables: Su2Tables | None = None) -> list[CheckResult]:
     both bundles, the metric blocks, canonical metric, indices, and casimirs,
     and the adjoint action table.  Structural checks (defining relations,
     universal R-matrix truncation, commutation relations, reordered metric,
-    classical limit) run alongside.  Returns one result per check.
+    classical limit) run alongside.  ``stages`` defaults to
+    ``su2_stages(tables.ctx)``; a caller that already built them passes them
+    in.  Returns one result per check.
     """
     if tables is None:
         tables = load_su2_tables()
     ctx = tables.ctx
-    spec = sun_r_matrix(2, ctx)
-    Q = build_structure(spec.R, ctx)
-    B = fundamental_generators(spec.R, ctx)
-    D = build_u_data(spec.R, ctx).D
-    pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
-    ad = adjoint_prime(pb, Q)
-    reports = killing_reports(Q, pb, B, ad)
+    if stages is None:
+        stages = su2_stages(ctx)
+    B, pb, ad, reports = stages.B, stages.pb, stages.ad, stages.reports
     fn_report = reports["fn"]
     ad_report = reports["ad'"]
 
@@ -388,7 +420,7 @@ def golden_suite(tables: Su2Tables | None = None) -> list[CheckResult]:
     results = [
         check_mats_equal(
             "fundamental-r-matrix",
-            spec.R.mat,
+            stages.R.mat,
             tables.R_sl2.mat,
             detail="R-matrix of the standard N = 2 solution",
         ),
@@ -430,5 +462,5 @@ def golden_suite(tables: Su2Tables | None = None) -> list[CheckResult]:
         )
     )
     results.append(_reordered_metric_check(tables))
-    results.append(_classical_check(tables, Q, B, pb, reports))
+    results.append(_classical_check(pb, reports))
     return results

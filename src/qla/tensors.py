@@ -5,21 +5,36 @@ with exact inverse and null space), :class:`BiMat` (a matrix over a composite
 double index, with the partial transpose, partial traces and the "tilde"
 contraction inverse used throughout the R-matrix constructions), and
 :func:`contract`, a sparse einsum over dictionaries keyed by index tuples.
+
+Inside :func:`contract` a value is not a :class:`Scalar` but a packed pair
+``(offset, v)``.  Each operand is first written as integer-coefficient
+numerators over one common denominator; each numerator ``Σ c·p^e`` then
+becomes the Python int ``v = Σ c·2^(bits·(e/step − e₀))`` with
+``offset = bits·e₀`` (Kronecker substitution, as in Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC 2009).
+A product of two entries is one int multiply and a sum one aligned add.
+``bits`` exceeds the bit length of a bound on every coefficient that can
+arise (see :func:`_pack_operands`), so each output numerator is decoded
+exactly, and dividing by the product of the common denominators gives the
+canonical scalar that exact arithmetic on scalars would have given.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from math import gcd
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from qla.scalars import Scalar
+from qla.scalars import LaurentPoly, Scalar, cleared_numerators, pack_terms, unpack_scalar
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
 
 SparseTensor = dict[tuple[int, ...], Scalar]
+# Inside :func:`contract`: each value as ``(offset, packed numerator)``.
+PackedTensor = dict[tuple[int, ...], tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +549,14 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     the result takes the place of the first of the pair.  A letter is summed
     out as soon as neither the output nor a remaining operand needs it.  Zero
     values are never stored.
+
+    Values are packed once on entry (:func:`_pack_operands`): each operand is
+    written as integer-coefficient numerators over one common denominator,
+    and each numerator becomes one Python int by Kronecker substitution
+    ``p^step -> 2^bits``.  Joins then multiply and add ints, and each output
+    entry is unpacked once, over the product of the operands' common
+    denominators.  Every coefficient met on the way is bounded by the slot
+    width, so decoding is exact and the result is the canonical scalar.
     """
     lhs, _, out_letters = pattern.partition("->")
     groups = [g.strip() for g in lhs.split(",")]
@@ -546,7 +569,9 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     if len(set(out_letters)) != len(out_letters):
         raise ValueError("output letters must be distinct")
 
-    prepared = [_collapse_repeats(letters, tensor) for letters, tensor in zip(groups, operands)]
+    prepared, step, bits, den = _pack_operands(
+        [_collapse_repeats(letters, tensor) for letters, tensor in zip(groups, operands)]
+    )
     while len(prepared) > 1:
         i, j = (0, 1) if len(prepared) == 2 else _cheapest_pair(prepared)
         needed = set(out_letters)
@@ -558,19 +583,16 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     letters, current = prepared[0]
 
     # Sum out any remaining letters not in the output, then order the key.
-    if set(letters) != set(out_letters) or letters != out_letters:
+    if letters != out_letters:
         positions = [letters.index(ch) for ch in out_letters]
-        projected: SparseTensor = {}
-        for key, val in current.items():
-            out_key = tuple(key[p] for p in positions)
-            acc = projected.get(out_key)
-            acc = val if acc is None else acc + val
-            if acc.is_zero:
-                projected.pop(out_key, None)
-            else:
-                projected[out_key] = acc
-        return projected
-    return {k: v for k, v in current.items() if not v.is_zero}
+        projected: PackedTensor = {}
+        for key, (offset, value) in current.items():
+            _accumulate(projected, tuple(key[p] for p in positions), offset, value)
+        current = projected
+    return {
+        key: unpack_scalar(offset, value, step, bits, den)
+        for key, (offset, value) in current.items()
+    }
 
 
 def sparse_residual(
@@ -610,9 +632,61 @@ def _collapse_repeats(
     return "".join(letters[p] for p in keep), out
 
 
-def _cheapest_pair(
+def _pack_operands(
     prepared: Sequence[tuple[str, Mapping[tuple[int, ...], Scalar]]],
-) -> tuple[int, int]:
+) -> tuple[list[tuple[str, PackedTensor]], int, int, LaurentPoly]:
+    """Pack the nonzero entries of every operand as ``(offset, int)`` pairs.
+
+    Returns the packed operands, the exponent step, the slot width in bits
+    and the product of the operands' common denominators.
+
+    Slot width: let M be the product over operands of the summed L1 norms of
+    their cleared numerators.  A coefficient of any join or projection result
+    is a sum of coefficient products taken over a subset of the fully
+    expanded product of all operands, so its magnitude is at most M.  With
+    ``bits = M.bit_length() + 1`` every such coefficient lies strictly inside
+    ``±2^(bits−1)``, and balanced base-``2^bits`` digits decode uniquely (a
+    packed value is zero exactly when its polynomial is).
+    """
+    cleared = []
+    den = LaurentPoly.one()
+    for letters, tensor in prepared:
+        keys = [key for key, val in tensor.items() if val]
+        nums, common = cleared_numerators([tensor[key] for key in keys])
+        cleared.append((letters, keys, nums))
+        if not common.is_one:
+            den = den * common
+    step = gcd(*(exp for _, _, nums in cleared for terms in nums for exp in terms)) or 1
+    bound = 1
+    for _, _, nums in cleared:
+        bound *= max(1, sum(abs(coef) for terms in nums for coef in terms.values()))
+    bits = bound.bit_length() + 1
+    packed = [
+        (letters, {key: pack_terms(terms, step, bits) for key, terms in zip(keys, nums)})
+        for letters, keys, nums in cleared
+    ]
+    return packed, step, bits, den
+
+
+def _accumulate(out: PackedTensor, key: tuple[int, ...], offset: int, value: int) -> None:
+    """Add the packed ``value·2^offset`` into ``out[key]``, dropping a zero sum."""
+    acc = out.get(key)
+    if acc is not None:
+        acc_offset, acc_value = acc
+        if acc_offset == offset:
+            value += acc_value
+        elif acc_offset < offset:
+            value = acc_value + (value << (offset - acc_offset))
+            offset = acc_offset
+        else:
+            value += acc_value << (acc_offset - offset)
+        if not value:
+            del out[key]
+            return
+    out[key] = (offset, value)
+
+
+def _cheapest_pair(prepared: Sequence[tuple[str, PackedTensor]]) -> tuple[int, int]:
     """Positions ``(i, j)``, i < j, of the cheapest join; ties go to the lowest pair."""
     return min(
         combinations(range(len(prepared)), 2),
@@ -621,10 +695,7 @@ def _cheapest_pair(
 
 
 def _join_cost(
-    letters_a: str,
-    tensor_a: Mapping[tuple[int, ...], Scalar],
-    letters_b: str,
-    tensor_b: Mapping[tuple[int, ...], Scalar],
+    letters_a: str, tensor_a: PackedTensor, letters_b: str, tensor_b: PackedTensor
 ) -> int:
     """The exact number of products :func:`_join` makes for this pair.
 
@@ -642,11 +713,11 @@ def _join_cost(
 
 def _join(
     letters_a: str,
-    tensor_a: Mapping[tuple[int, ...], Scalar],
+    tensor_a: PackedTensor,
     letters_b: str,
-    tensor_b: Mapping[tuple[int, ...], Scalar],
+    tensor_b: PackedTensor,
     needed: set[str],
-) -> tuple[str, SparseTensor]:
+) -> tuple[str, PackedTensor]:
     shared = [ch for ch in letters_a if ch in letters_b]
     out_letters = [ch for ch in letters_a if ch in needed]
     out_letters += [ch for ch in letters_b if ch in needed and ch not in letters_a]
@@ -660,31 +731,24 @@ def _join(
         if ch not in letters_a and ch in letters_b
     ]
 
-    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], Scalar]]] = {}
+    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, int]]]] = {}
     for key, val in tensor_b.items():
         buckets.setdefault(tuple(key[p] for p in b_shared), []).append((key, val))
 
-    out: SparseTensor = {}
+    out: PackedTensor = {}
     width = len(out_letters)
-    for key_a, val_a in tensor_a.items():
+    for key_a, (offset_a, value_a) in tensor_a.items():
         matches = buckets.get(tuple(key_a[p] for p in a_shared))
         if not matches:
             continue
         base = [0] * width
         for pos, src in a_out:
             base[pos] = key_a[src]
-        for key_b, val_b in matches:
+        for key_b, (offset_b, value_b) in matches:
             out_key_list = list(base)
             for pos, src in b_out:
                 out_key_list[pos] = key_b[src]
-            out_key = tuple(out_key_list)
-            term = val_a * val_b
-            acc = out.get(out_key)
-            acc = term if acc is None else acc + term
-            if acc.is_zero:
-                out.pop(out_key, None)
-            else:
-                out[out_key] = acc
+            _accumulate(out, tuple(out_key_list), offset_a + offset_b, value_a * value_b)
     return "".join(out_letters), out
 
 

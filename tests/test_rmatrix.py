@@ -267,3 +267,25 @@ class TestLoadSave:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
             load_r_matrix(path)
+
+    @pytest.mark.parametrize(
+        "value, widest",
+        [("p^1025 + 1", "1025"), ("1 / p^-1025 - 3", "-1025"), ("p^1000000000", "1000000000")],
+    )
+    def test_exponent_beyond_the_bound_is_rejected(self, tmp_path, value, widest):
+        entry = {"i": 0, "j": 0, "k": 0, "l": 0, "value": value}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"label": "x", "n": 2, "root_order": 1, "entries": [entry]}))
+        with pytest.raises(ValueError) as excinfo:
+            load_r_matrix(path)
+        assert str(excinfo.value) == f"{path}: entry 0: exponent p^{widest} exceeds the bound 1024"
+
+    def test_exponent_at_the_bound_loads(self, tmp_path):
+        entries = [
+            {"i": i, "j": j, "k": i, "l": j, "value": "p^1024" if i == j else "p^-1024"}
+            for i in range(2)
+            for j in range(2)
+        ]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"label": "x", "n": 2, "root_order": 1, "entries": entries}))
+        assert load_r_matrix(path).R.get4(0, 1, 0, 1) == parse_scalar("p^-1024")

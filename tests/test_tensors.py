@@ -258,6 +258,57 @@ def random_sparse(rng: random.Random, rank: int, dim: int) -> dict:
     return out
 
 
+# Denominators in x = p^step, with rational coefficients.
+DENOMINATORS = [
+    {1: 1, 0: Fraction(1, 2)},
+    {2: 1, 1: Fraction(-3, 4), 0: 2},
+    {1: 3, 0: -1},
+    {1: Fraction(2, 3), -1: 5},
+]
+
+
+def random_entry(rng: random.Random, step: int, dens: list[LaurentPoly]) -> Scalar:
+    """A zero, an integer Laurent polynomial or a ratio over one of ``dens``.
+
+    A nonzero numerator spans at least 20 steps and every exponent is a
+    multiple of ``step``; a ratio's coefficients are fractions, now and then
+    beyond 2^64.
+    """
+    draw = rng.random()
+    if draw < 0.15:
+        return Scalar.zero()
+    low = rng.randint(-12, -2)
+    exps = {low, low + rng.randint(20, 24)}
+    exps |= {rng.randint(low, low + 20) for _ in range(rng.randint(0, 2))}
+    terms = {}
+    for exp in exps:
+        coef = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        if draw >= 0.4:
+            coef /= rng.choice((1, 2, 3))
+            if rng.random() < 0.15:
+                coef += rng.choice((-1, 1)) * 2**64 * rng.randint(1, 9)
+        terms[step * exp] = coef
+    den = LaurentPoly.one() if draw < 0.4 else rng.choice(dens)
+    return Scalar(LaurentPoly(terms), den)
+
+
+def random_operand(rng: random.Random, rank: int, dim: int, step: int) -> dict:
+    """Entries of :func:`random_entry` on about nine tenths of the keys.
+
+    Each operand draws three distinct denominators besides 1, so its
+    entries do not share one.
+    """
+    dens = [
+        LaurentPoly({step * exp: coef for exp, coef in terms.items()})
+        for terms in rng.sample(DENOMINATORS, 3)
+    ]
+    return {
+        key: random_entry(rng, step, dens)
+        for key in itertools.product(range(dim), repeat=rank)
+        if rng.random() < 0.9
+    }
+
+
 @st.composite
 def einsum_patterns(draw):
     """Random 3- and 4-operand patterns over five letters, repeats allowed."""
@@ -270,9 +321,15 @@ def einsum_patterns(draw):
 
 
 def assert_matches_dense(pattern: str, seed: int) -> None:
+    """``contract`` equals the dense reference on random operands.
+
+    One exponent step serves every operand of a call: 1, or 4 as in su(4)'s
+    ℝ and f.
+    """
     rng = random.Random(seed)
     groups = pattern.split("->")[0].split(",")
-    operands = [random_sparse(rng, len(group), 2) for group in groups]
+    step = rng.choice((1, 4))
+    operands = [random_operand(rng, len(group), 2, step) for group in groups]
     assert contract(pattern, *operands) == dense_einsum(pattern, *operands, dim=2)
 
 
@@ -412,6 +469,34 @@ class TestContract:
         contract("dfbn,mead,efc->abcmn", bigR4, bigR4, Q.f3())
         assert len(joins) == 2
         assert "efc" in joins[0]
+
+    def test_two_denominators_with_fractional_coefficients(self):
+        # Each numerator is cleared over the product of both denominators.
+        a = {(0,): S("1") / S("p + 1/2"), (1,): S("1") / S("p + 1/3")}
+        ones = {(0,): S("1"), (1,): S("1")}
+        assert contract("i,i->", a, ones) == {(): S("2*p + 5/6*p^0 / p^2 + 5/6*p + 1/6")}
+
+    @pytest.mark.parametrize("coef", [1, 3, 2**31 - 1, 2**64 + 1])
+    def test_coefficient_at_the_slot_bound_decodes(self, coef):
+        # Every product lands on one coefficient, so it reaches the bound M,
+        # the product of the operands' summed coefficient magnitudes.
+        a = {(i,): S(f"{coef}*p^2") for i in range(3)}
+        b = {(j,): S(f"{coef}*p^-1") for j in range(5)}
+        assert contract("i,j->", a, b) == {(): S(f"{15 * coef * coef}*p")}
+        assert contract("i,j->", a, {(0,): -b[(0,)]}) == {(): S(f"{-3 * coef * coef}*p")}
+
+    def test_zero_entries_are_skipped(self):
+        a = {(0, 0): Scalar.zero(), (0, 1): S("p"), (1, 1): Scalar.zero()}
+        b = {(0, 0): S("2"), (1, 0): S("p^-1"), (1, 1): Scalar.zero()}
+        assert contract("ij,jk->ik", a, b) == {(0, 0): S("1")}
+        assert contract("ij,jk->ik", a, {(1, 0): Scalar.zero()}) == {}
+
+    def test_packing_uses_the_common_exponent_step(self):
+        spec = sun_r_matrix(4)
+        Q = build_structure(spec.R, spec.ctx)
+        _, step, _, den = tensors._pack_operands([("abcd", Q.bigR4()), ("abc", Q.f3())])
+        assert step == 4
+        assert den == LaurentPoly.one()
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
