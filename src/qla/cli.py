@@ -294,11 +294,11 @@ def _suite_golden(ppl: Pipeline, params: dict) -> list[CheckResult]:
     applicable = cfg.group == "su" and cfg.n == 2 and cfg.root_order in (None, 2)
     if not applicable:
         return [skipped("golden", "golden tables cover --group su --n 2 at root order 2")]
-    Q, pb, ad = ppl.structure, ppl.primed, ppl.adjoint
-    reports = ppl.reports if "ad'" in ppl.reports else killing_reports(Q, pb, ppl.fn, ad)
-    return golden_suite(
-        stages=Su2Stages(R=ppl.spec.R, Q=Q, B=ppl.fn, pb=pb, ad=ad, reports=reports)
-    )
+    B, pb, ad = ppl.fn, ppl.primed, ppl.adjoint
+    reports = ppl.reports
+    if "ad'" not in reports:  # --rep fn builds no ad' report; the tables need one
+        reports = killing_reports(ppl.structure, pb, B, ad)
+    return golden_suite(stages=Su2Stages(R=ppl.spec.R, B=B, pb=pb, ad=ad, reports=reports))
 
 
 _SUITE_RUNNERS = {

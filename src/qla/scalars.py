@@ -8,7 +8,9 @@ it is not integral, so the common case runs on plain integer arithmetic.
 
 The module also provides :class:`DeformationContext`, which fixes the
 conventions ``q = p**k`` (``k`` the root order) and supplies quantum integers
-``[m] = (q**(2m) - 1)/(q**2 - 1)`` and quantum factorials as exact scalars.
+``[m] = (q**(2m) - 1)/(q**2 - 1)`` and quantum factorials as exact scalars,
+and the Kronecker codec (:func:`cleared_numerators`, :func:`pack_terms`,
+:func:`unpack_scalar`) that :func:`qla.tensors.contract` computes with.
 
 A small text grammar serializes scalars::
 
@@ -608,11 +610,12 @@ def cleared_numerators(values: list[Scalar]) -> tuple[list[dict[int, int]], Laur
 
 
 def pack_terms(terms: dict[int, int], step: int, bits: int) -> tuple[int, int]:
-    """``(offset, value)`` with ``value = Σ c·2^(bits·(e − low)/step)`` and ``offset = bits·low/step``.
+    """Pack ``terms`` as ``(offset, value)``, standing for ``value·2^offset``.
 
-    ``low`` is the smallest exponent of the nonempty ``terms``; ``step``
+    ``value = Σ c·2^(bits·(e − low)/step)`` and ``offset = bits·low/step``,
+    with ``low`` the smallest exponent of the nonempty ``terms``; ``step``
     divides every exponent, and every coefficient must fit a balanced digit
-    (``|c| < 2^(bits−1)``).  The pair stands for ``value·2^offset``.
+    (``|c| < 2^(bits−1)``).
     """
     low = min(terms)
     value = 0
@@ -630,7 +633,7 @@ def unpack_scalar(offset: int, value: int, step: int, bits: int, den: LaurentPol
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     exp = offset // bits * step
-    terms: dict[int, object] = {}
+    terms: dict[int, int] = {}
     while value:
         digit = value & mask
         value >>= bits
@@ -725,6 +728,8 @@ def _tokenize(text: str) -> list[_Tok]:
             and toks[i + 2].kind == "int"
             and not _exponent_position(toks, i)
         ):
+            if not toks[i + 2].value:
+                raise ValueError("zero denominator in a rational coefficient")
             fused.append(_Tok("frac", _as_coef(toks[i].value, toks[i + 2].value)))
             i += 3
         else:
@@ -847,6 +852,8 @@ def parse_ratio(text: str) -> tuple[LaurentPoly, LaurentPoly]:
     den = den_parser.parse_poly()
     if den_parser.peek() is not None:
         raise ValueError("denominator did not parse cleanly")
+    if den.is_zero:
+        raise ValueError("zero denominator")
     return num, den
 
 

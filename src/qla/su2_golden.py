@@ -354,15 +354,14 @@ def _classical_check(pb: PrimedBasis, reports: dict[str, KillingReport]) -> Chec
 class Su2Stages:
     """The rank-one pipeline stages that :func:`golden_suite` compares.
 
-    ``R`` is the standard N = 2 R-matrix, ``Q`` its structure, ``B`` the
-    fundamental bundle, ``pb`` the primed basis over the golden basis
+    ``R`` is the standard N = 2 R-matrix, ``B`` its fundamental bundle,
+    ``pb`` the primed basis over the golden basis
     (:func:`golden_basis_matrix`, primed generator 3 dropped), ``ad`` the
     traceless adjoint bundle and ``reports`` the Killing reports of ``fn``
     and ``ad'``.
     """
 
     R: BiMat
-    Q: QlaStructure
     B: RepBundle
     pb: PrimedBasis
     ad: RepBundle
@@ -377,7 +376,7 @@ def su2_stages(ctx: DeformationContext) -> Su2Stages:
     D = build_u_data(spec.R, ctx).D
     pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
     ad = adjoint_prime(pb, Q)
-    return Su2Stages(R=spec.R, Q=Q, B=B, pb=pb, ad=ad, reports=killing_reports(Q, pb, B, ad))
+    return Su2Stages(R=spec.R, B=B, pb=pb, ad=ad, reports=killing_reports(Q, pb, B, ad))
 
 
 def golden_suite(

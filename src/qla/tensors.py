@@ -606,6 +606,9 @@ def sparse_residual(
         for term in terms:
             for key, val in term.items():
                 acc = out.get(key, _ZERO)
+                if negate and acc == val:  # exact cancellation, most entries of a passing check
+                    out.pop(key, None)
+                    continue
                 acc = acc - val if negate else acc + val
                 if acc.is_zero:
                     out.pop(key, None)

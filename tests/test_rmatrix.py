@@ -216,6 +216,18 @@ class TestLoadSave:
         with pytest.raises(ValueError, match="entry 0"):
             load_r_matrix(path)
 
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("1/0", "zero denominator in a rational coefficient"), ("p / 0", "zero denominator")],
+    )
+    def test_zero_denominator_is_rejected(self, tmp_path, value, reason):
+        entry = {"i": 0, "j": 0, "k": 0, "l": 0, "value": value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"label": "x", "n": 2, "root_order": 1, "entries": [entry]}))
+        with pytest.raises(ValueError) as excinfo:
+            load_r_matrix(path)
+        assert str(excinfo.value) == f"{path}: entry 0: {reason}"
+
     def test_index_out_of_range_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
