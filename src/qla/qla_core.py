@@ -21,8 +21,8 @@ from .tensors import (
     Mat,
     SparseTensor,
     contract,
+    contract_residual,
     linear_combination,
-    sparse_residual,
     three_site,
 )
 
@@ -268,33 +268,34 @@ def verify_qla(
     tag = B.name
     results: list[CheckResult] = []
 
-    lhs = contract("axy,byz->abxz", G3, G3)
-    mid = contract("cdab,cxy,dyz->abxz", bigR4, G3, G3)
-    rhs = contract("abc,cxz->abxz", f3, G3)
-    results.append(
-        check_sparse_zero(f"qla-rel1[{tag}]", sparse_residual(lhs, mid, rhs))
-    )
-
-    lhs = contract("efab,ecxy,fdyz->abcdxz", bigR4, O4, O4)
-    rhs = contract("aexy,bfyz,cdef->abcdxz", O4, O4, bigR4)
-    results.append(
-        check_sparse_zero(f"qla-rel2[{tag}]", sparse_residual(lhs, rhs))
-    )
-
-    t1 = contract("axy,bcyz->abcxz", G3, O4)
-    t2 = contract("deab,dcxy,eyz->abcxz", bigR4, O4, G3)
-    t3 = contract("abd,dcxz->abcxz", f3, O4)
-    t4 = contract("adxy,beyz,dec->abcxz", O4, O4, f3)
+    results.append(check_representation(Q, B))
     results.append(
         check_sparse_zero(
-            f"qla-rel3[{tag}]", sparse_residual(t1, t2, t3, add=[t4])
+            f"qla-rel2[{tag}]",
+            contract_residual(
+                ("efab,ecxy,fdyz->abcdxz", bigR4, O4, O4),
+                ("aexy,bfyz,cdef->abcdxz", O4, O4, bigR4),
+            ),
         )
     )
-
-    w1 = contract("abxy,cyz->abcxz", O4, G3)
-    w2 = contract("deac,dxy,ebyz->abcxz", bigR4, G3, O4)
     results.append(
-        check_sparse_zero(f"qla-rel4[{tag}]", sparse_residual(w1, w2))
+        check_sparse_zero(
+            f"qla-rel3[{tag}]",
+            contract_residual(
+                ("axy,bcyz->abcxz", G3, O4),
+                ("deab,dcxy,eyz->abcxz", bigR4, O4, G3),
+                ("abd,dcxz->abcxz", f3, O4),
+                add=[("adxy,beyz,dec->abcxz", O4, O4, f3)],
+            ),
+        )
+    )
+    results.append(
+        check_sparse_zero(
+            f"qla-rel4[{tag}]",
+            contract_residual(
+                ("abxy,cyz->abcxz", O4, G3), ("deac,dxy,ebyz->abcxz", bigR4, G3, O4)
+            ),
+        )
     )
 
     if skip_heavy and Q.n >= 9:
@@ -303,43 +304,57 @@ def verify_qla(
         )
     else:
         m12, m23 = three_site(Q.bigR, (0, 1), (1, 2))
-        lhs = contract("xy,yz,zw->xw", m12, m23, m12)
-        rhs = contract("xy,yz,zw->xw", m23, m12, m23)
-        results.append(check_sparse_zero("ybe-qla", sparse_residual(lhs, rhs)))
+        residual = contract_residual(
+            ("xy,yz,zw->xw", m12, m23, m12), ("xy,yz,zw->xw", m23, m12, m23)
+        )
+        results.append(check_sparse_zero("ybe-qla", residual))
 
-    j1 = contract("alm,bnl->abmn", f3, f3)
-    j2 = contract("cdab,clm,dnl->abmn", bigR4, f3, f3)
-    j3 = contract("abc,cnm->abmn", f3, f3)
     results.append(
-        check_sparse_zero("jacobi", sparse_residual(j1, j2, j3))
+        check_sparse_zero(
+            "jacobi",
+            contract_residual(
+                ("alm,bnl->abmn", f3, f3),
+                ("cdab,clm,dnl->abmn", bigR4, f3, f3),
+                ("abc,cnm->abmn", f3, f3),
+            ),
+        )
     )
-
-    u1 = contract("dcbn,adm->abcmn", bigR4, f3)
-    u2 = contract("deab,mcdf,enf->abcmn", bigR4, bigR4, f3)
-    u3 = contract("mcdn,abd->abcmn", bigR4, f3)
-    u4 = contract("dfbn,mead,efc->abcmn", bigR4, bigR4, f3)
     results.append(
-        check_sparse_zero("aux1", sparse_residual(u1, u2, u3, add=[u4]))
+        check_sparse_zero(
+            "aux1",
+            contract_residual(
+                ("dcbn,adm->abcmn", bigR4, f3),
+                ("deab,mcdf,enf->abcmn", bigR4, bigR4, f3),
+                ("mcdn,abd->abcmn", bigR4, f3),
+                add=[("dfbn,mead,efc->abcmn", bigR4, bigR4, f3)],
+            ),
+        )
     )
-
-    v1 = contract("mbad,cnd->abcmn", bigR4, f3)
-    v2 = contract("deac,fben,dfm->abcmn", bigR4, bigR4, f3)
-    results.append(check_sparse_zero("aux2", sparse_residual(v1, v2)))
+    results.append(
+        check_sparse_zero(
+            "aux2",
+            contract_residual(
+                ("mbad,cnd->abcmn", bigR4, f3), ("deac,fben,dfm->abcmn", bigR4, bigR4, f3)
+            ),
+        )
+    )
 
     Ivec: SparseTensor = {
         (A,): val for A, val in enumerate(Q.I_id) if not val.is_zero
     }
     results.append(
-        check_sparse_zero("qla-i[fI]", contract("abc,c->ab", f3, Ivec))
+        check_sparse_zero("qla-i[fI]", contract_residual(("abc,c->ab", f3, Ivec)))
     )
-    s1 = contract("cdab,c->dab", bigR4, Ivec)
     delta1: SparseTensor = {}
     for A in range(Q.n):
         for B, val in enumerate(Q.I_id):
             if not val.is_zero:
                 delta1[(A, A, B)] = val
-    results.append(check_sparse_zero("qla-i[RI1]", sparse_residual(s1, delta1)))
-    s2 = contract("cdab,d->cab", bigR4, Ivec)
+    results.append(
+        check_sparse_zero(
+            "qla-i[RI1]", contract_residual(("cdab,c->dab", bigR4, Ivec), delta1)
+        )
+    )
     delta2: SparseTensor = {}
     for key, val in Ivec.items():
         (A,) = key
@@ -349,7 +364,8 @@ def verify_qla(
     lam_f3: SparseTensor = {(c, a, b): v for (a, b, c), v in lam_f.items()}
     results.append(
         check_sparse_zero(
-            "qla-i[RI2]", sparse_residual(s2, delta2, add=[lam_f3])
+            "qla-i[RI2]",
+            contract_residual(("cdab,d->cab", bigR4, Ivec), delta2, add=[lam_f3]),
         )
     )
     return results
@@ -361,12 +377,12 @@ def check_representation(Q: QlaStructure, B: RepBundle) -> CheckResult:
     ``ρ(χ_A)ρ(χ_B) − ℝ^{CD}_{AB} ρ(χ_C)ρ(χ_D) = f_{AB}{}^C ρ(χ_C)``.
     """
     G3 = _gen3(B)
-    lhs = contract("axy,byz->abxz", G3, G3)
-    mid = contract("cdab,cxy,dyz->abxz", Q.bigR4(), G3, G3)
-    rhs = contract("abc,cxz->abxz", Q.f3(), G3)
-    return check_sparse_zero(
-        f"qla-rel1[{B.name}]", sparse_residual(lhs, mid, rhs)
+    residual = contract_residual(
+        ("axy,byz->abxz", G3, G3),
+        ("cdab,cxy,dyz->abxz", Q.bigR4(), G3, G3),
+        ("abc,cxz->abxz", Q.f3(), G3),
     )
+    return check_sparse_zero(f"qla-rel1[{B.name}]", residual)
 
 
 def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
@@ -381,15 +397,14 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
         (A,): val for A, val in enumerate(traces) if not val.is_zero
     }
     f3 = Q.f3()
-    if contract("abc,c->ab", f3, Ivec):
+    if contract_residual(("abc,c->ab", f3, Ivec)):
         raise ValueError(f"deformed traces of {B.name} violate the f-sum rule")
-    lhs = contract("dbac,d->bac", Q.bigR4(), Ivec)
     expected: SparseTensor = {}
     for A in range(Q.n):
         for C, val in enumerate(traces):
             if not val.is_zero:
                 expected[(A, A, C)] = val
-    if sparse_residual(lhs, expected):
+    if contract_residual(("dbac,d->bac", Q.bigR4(), Ivec), expected):
         raise ValueError(f"deformed traces of {B.name} violate the ℝ-sum rule")
     return traces
 
@@ -446,9 +461,8 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
     n = Q.n
     bigR4 = Q.bigR4()
     bigD = Q.bigD.to_sparse()
-    comm = sparse_residual(
-        contract("ae,bf,efcd->abcd", bigD, bigD, bigR4),
-        contract("abef,ec,fd->abcd", bigR4, bigD, bigD),
+    comm = contract_residual(
+        ("ae,bf,efcd->abcd", bigD, bigD, bigR4), ("abef,ec,fd->abcd", bigR4, bigD, bigD)
     )
     # Keyed by the composite (row, column) of 𝔻₁𝔻₂ℝ − ℝ𝔻₁𝔻₂; B, D < n keeps
     # the sorted order, so the witness is the matrix one.
@@ -458,14 +472,11 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
             {(A * n + B, C * n + D): val for (A, B, C, D), val in comm.items()},
         )
     ]
-    conj_swapped = contract(
-        "ae,ebcf,fd->abdc", Q.bigD.inverse().to_sparse(), Q.bigR.inverse().to4dict(), bigD
+    residual = contract_residual(
+        Q.perm_bigR_tilde.to4dict(),
+        ("ae,ebcf,fd->abdc", Q.bigD.inverse().to_sparse(), Q.bigR.inverse().to4dict(), bigD),
     )
-    results.append(
-        check_sparse_zero(
-            "bigD-tilde", sparse_residual(Q.perm_bigR_tilde.to4dict(), conj_swapped)
-        )
-    )
+    results.append(check_sparse_zero("bigD-tilde", residual))
     return results
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from qla.reporting import CheckResult, check_mat_zero, check_sparse_zero
 from qla.scalars import DeformationContext, Scalar, parse_ratio
-from qla.tensors import BiMat, Mat, contract, sparse_residual, three_site
+from qla.tensors import BiMat, Mat, contract_residual, three_site
 
 #: Largest magnitude of an exponent of ``p`` that :func:`load_r_matrix`
 #: accepts in an entry's numerator or denominator, as written.  Dense
@@ -95,8 +95,6 @@ def check_ybe(spec: RMatrixSpec) -> CheckResult:
     row (a, b, c) and column (d, e, f).
     """
     r12, r13, r23 = three_site(spec.R, (0, 1), (0, 2), (1, 2))
-    lhs = contract("xy,yz,zw->xw", r12, r13, r23)
-    rhs = contract("xy,yz,zw->xw", r23, r13, r12)
     N = spec.N
 
     def sites(index: int) -> tuple[int, int, int]:
@@ -104,7 +102,9 @@ def check_ybe(spec: RMatrixSpec) -> CheckResult:
 
     residual = {
         sites(row) + sites(col): val
-        for (row, col), val in sparse_residual(lhs, rhs).items()
+        for (row, col), val in contract_residual(
+            ("xy,yz,zw->xw", r12, r13, r23), ("xy,yz,zw->xw", r23, r13, r12)
+        ).items()
     }
     return check_sparse_zero(f"ybe[{spec.label}]", residual)
 

@@ -27,7 +27,7 @@ from .qla_core import QlaStructure, RepBundle, build_structure, fundamental_gene
 from .reporting import CheckResult, check_mats_equal, check_scalar_equal, check_sparse_zero
 from .rmatrix import sun_r_matrix
 from .scalars import DeformationContext, Scalar, parse_scalar
-from .tensors import BiMat, Mat, mat_pow, sparse_residual
+from .tensors import BiMat, Mat, contract_residual, mat_pow
 
 __all__ = [
     "Su2Tables",
@@ -442,7 +442,7 @@ def golden_suite(
     results.append(
         check_sparse_zero(
             "adjoint-action-table",
-            sparse_residual(pb.f_primed, tables.f_primed),
+            contract_residual(pb.f_primed, tables.f_primed),
             detail="f' over the golden labels 0, +, -, 3",
         )
     )

@@ -3,27 +3,32 @@
 Provides :class:`Mat` (a dense matrix of :class:`~qla.scalars.Scalar` entries
 with exact inverse and null space), :class:`BiMat` (a matrix over a composite
 double index, with the partial transpose, partial traces and the "tilde"
-contraction inverse used throughout the R-matrix constructions), and
-:func:`contract`, a sparse einsum over dictionaries keyed by index tuples.
+contraction inverse used throughout the R-matrix constructions),
+:func:`contract`, a sparse einsum over dictionaries keyed by index tuples,
+and :func:`contract_residual`, a signed sum of such contractions and literal
+sparse dicts, which is how every identity check forms its residual.
 
-Inside :func:`contract` a value is not a :class:`Scalar` but a packed pair
-``(offset, v)``.  Each operand is first written as integer-coefficient
-numerators over one common denominator; each numerator ``Σ c·p^e`` then
-becomes the Python int ``v = Σ c·2^(bits·(e/step − e₀))`` with
-``offset = bits·e₀`` (Kronecker substitution, as in Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", JSC 2009).
-A product of two entries is one int multiply and a sum one aligned add.
-``bits`` exceeds the bit length of a bound on every coefficient that can
-arise (see :func:`_pack_operands`), so each output numerator is decoded
-exactly, and dividing by the product of the common denominators gives the
-canonical scalar that exact arithmetic on scalars would have given.
+Inside both a value is not a :class:`Scalar` but a packed pair ``(offset,
+v)``.  Every operand of every term is written as integer-coefficient
+numerators over its common denominator; each numerator ``Σ c·p^e`` then
+becomes the Python int ``v = Σ c·2^(bits·(e/step − e₀))`` with ``offset =
+bits·e₀`` (Kronecker substitution, as in Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", JSC 2009).  A product
+of two entries is one int multiply and a sum one aligned add.  The terms of
+a residual share one frame: one ``step``, one denominator D, and per term an
+integer lift D/den_t that each term's packed result is multiplied by, its
+sign folded in, before the terms are added.  ``bits`` exceeds the bit length
+of a bound on every coefficient that can arise (see :func:`_pack_frame`), so
+each nonzero entry of the sum is decoded exactly, and dividing by D gives the
+canonical scalar that exact arithmetic on scalars would have given.  Entries
+that cancel are dropped as ints and never decoded.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -33,7 +38,8 @@ _ZERO = Scalar.zero()
 _ONE = Scalar.one()
 
 SparseTensor = dict[tuple[int, ...], Scalar]
-# Inside :func:`contract`: each value as ``(offset, packed numerator)``.
+# Inside :func:`contract` and :func:`contract_residual`: each value as
+# ``(offset, packed numerator)``.
 PackedTensor = dict[tuple[int, ...], tuple[int, int]]
 
 
@@ -204,50 +210,62 @@ class Mat:
     # -- elimination-based operations -------------------------------------------------
 
     def inverse(self) -> Mat:
-        """Exact inverse by Gauss-Jordan elimination.
+        """Exact inverse, block by block.
 
-        Pivots are chosen to minimize the term count of the pivot entry, which
-        keeps intermediate rational functions small.  Raises ``ValueError`` on
-        a singular matrix.
+        The rows and columns split into the connected components of the
+        bipartite graph with an edge (r, c) for each nonzero entry; after
+        permuting rows and columns the matrix is block diagonal with one block
+        per component, and its inverse is the block-diagonal matrix of the
+        blocks' inverses, transposed in place.  A component with more rows
+        than columns (or fewer) proves the matrix singular.  Each block is
+        inverted by :func:`_gauss_jordan_inverse`.  Raises ``ValueError`` on a
+        singular matrix.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        work = [list(row) + ident_row for row, ident_row in zip(self.rows, Mat.identity(n).rows)]
-        for col in range(n):
-            pivot_row = None
-            pivot_size = None
-            for r in range(col, n):
-                entry = work[r][col]
-                if entry.is_zero:
-                    continue
-                if pivot_row is None or entry.size < pivot_size:
-                    pivot_row, pivot_size = r, entry.size
-                    if pivot_size == 2:  # a monomial pivot cannot be beaten
-                        break
-            if pivot_row is None:
+        out = Mat.zeros(n)
+        for rows, cols in self._components():
+            if len(rows) != len(cols):
                 raise ValueError("matrix is singular")
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            if not pivot.is_one:
-                inv_pivot = pivot.inv()
-                work[col] = [
-                    val if val.is_zero else val * inv_pivot for val in work[col]
-                ]
-            prow = work[col]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = work[r][col]
-                if factor.is_zero:
-                    continue
-                row = work[r]
-                for j in range(col, 2 * n):
-                    pval = prow[j]
-                    if not pval.is_zero:
-                        row[j] = row[j] - factor * pval
-        return Mat([row[n:] for row in work])
+            block = _gauss_jordan_inverse([[self.rows[r][c] for c in cols] for r in rows])
+            for c, block_row in zip(cols, block):
+                out_row = out.rows[c]
+                for r, val in zip(rows, block_row):
+                    out_row[r] = val
+        return out
+
+    def _components(self) -> list[tuple[list[int], list[int]]]:
+        """Row and column sets of the connected components of the nonzero pattern.
+
+        Column c is node ``nrows + c`` of a union-find over rows and columns.
+        Each component lists its rows and its columns in increasing order; an
+        all-zero row or column is a component of its own.
+        """
+        nrows = self.nrows
+        parent = list(range(nrows + self.ncols))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for r, row in enumerate(self.rows):
+            root = find(r)
+            for c, val in enumerate(row):
+                if not val.is_zero:
+                    other = find(nrows + c)
+                    if other != root:
+                        parent[other] = root
+        components: dict[int, tuple[list[int], list[int]]] = {}
+        for node in range(len(parent)):
+            rows, cols = components.setdefault(find(node), ([], []))
+            if node < nrows:
+                rows.append(node)
+            else:
+                cols.append(node - nrows)
+        return list(components.values())
 
     def rref(self) -> tuple[Mat, list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
@@ -340,6 +358,49 @@ class Mat:
         for row in cells:
             lines.append("[ " + "   ".join(text.rjust(w) for text, w in zip(row, widths)) + " ]")
         return "\n".join(lines)
+
+
+def _gauss_jordan_inverse(rows: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Exact inverse of the square ``rows`` by Gauss-Jordan elimination.
+
+    Pivots are chosen to minimize the term count of the pivot entry, which
+    keeps intermediate rational functions small.  Raises ``ValueError`` on
+    a singular matrix.
+    """
+    n = len(rows)
+    work = [list(row) + [_ONE if j == i else _ZERO for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot_row = None
+        pivot_size = None
+        for r in range(col, n):
+            entry = work[r][col]
+            if entry.is_zero:
+                continue
+            if pivot_row is None or entry.size < pivot_size:
+                pivot_row, pivot_size = r, entry.size
+                if pivot_size == 2:  # a monomial pivot cannot be beaten
+                    break
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        if not pivot.is_one:
+            inv_pivot = pivot.inv()
+            work[col] = [val if val.is_zero else val * inv_pivot for val in work[col]]
+        prow = work[col]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if factor.is_zero:
+                continue
+            row = work[r]
+            for j in range(col, 2 * n):
+                pval = prow[j]
+                if not pval.is_zero:
+                    row[j] = row[j] - factor * pval
+    return [row[n:] for row in work]
 
 
 def mat_pow(mat: Mat, power: int) -> Mat:
@@ -469,14 +530,6 @@ class BiMat:
             out.set4(k, j, i, l, val)
         return out
 
-    def t2(self) -> BiMat:
-        """Partial transpose in the second factor: ``out[i,j;k,l] = self[i,l;k,j]``."""
-        N = self.N
-        out = BiMat.zeros(N)
-        for (i, j, k, l), val in self.to4dict().items():
-            out.set4(i, l, k, j, val)
-        return out
-
     def tr1(self) -> Mat:
         """Trace over the first factor: ``out[k,l] = sum_m self[m,k;m,l]``."""
         N = self.N
@@ -550,28 +603,91 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     out as soon as neither the output nor a remaining operand needs it.  Zero
     values are never stored.
 
-    Values are packed once on entry (:func:`_pack_operands`): each operand is
+    Values are packed once on entry (:func:`_pack_frame`): each operand is
     written as integer-coefficient numerators over one common denominator,
     and each numerator becomes one Python int by Kronecker substitution
     ``p^step -> 2^bits``.  Joins then multiply and add ints, and each output
     entry is unpacked once, over the product of the operands' common
     denominators.  Every coefficient met on the way is bounded by the slot
     width, so decoding is exact and the result is the canonical scalar.
+    This is the one-term case of :func:`contract_residual`, which forms a
+    signed sum of contractions in the same packed frame.
     """
-    lhs, _, out_letters = pattern.partition("->")
-    groups = [g.strip() for g in lhs.split(",")]
-    out_letters = out_letters.strip()
-    if len(groups) != len(operands):
-        raise ValueError("operand count does not match the pattern")
-    seen_inputs = set("".join(groups))
-    if any(ch not in seen_inputs for ch in out_letters):
-        raise ValueError("output uses a letter absent from the inputs")
-    if len(set(out_letters)) != len(out_letters):
-        raise ValueError("output letters must be distinct")
+    return _decode(*_packed_sum([(1, pattern, operands)]))
 
-    prepared, step, bits, den = _pack_operands(
-        [_collapse_repeats(letters, tensor) for letters, tensor in zip(groups, operands)]
-    )
+
+# A term of :func:`contract_residual`: ``(pattern, *operands)`` or a literal sparse dict.
+Term = tuple | Mapping[tuple[int, ...], Scalar]
+
+
+def contract_residual(lhs: Term, *subtract: Term, add: Sequence[Term] = ()) -> SparseTensor:
+    """``lhs − Σ subtract + Σ add`` entrywise, with zero entries dropped.
+
+    A term is either a contraction ``(pattern, *operands)``, read as by
+    :func:`contract`, or a literal sparse dict.  Every term is packed into
+    one frame (:func:`_pack_frame`): one exponent step, one denominator D
+    and, per term, an integer lift that takes the term's own denominator to
+    D.  The signed, lifted terms are summed as packed ints, so entries that
+    cancel are never decoded; only the nonzero entries of the residual are
+    unpacked, each to the canonical scalar exact arithmetic would give.
+    """
+    terms = [(1, lhs)] + [(-1, term) for term in subtract] + [(1, term) for term in add]
+    normalized = []
+    for sign, term in terms:
+        if isinstance(term, Mapping):
+            if term:
+                letters = "".join(map(chr, range(97, 97 + len(next(iter(term))))))
+                normalized.append((sign, f"{letters}->{letters}", (term,)))
+        else:
+            normalized.append((sign, term[0], term[1:]))
+    return _decode(*_packed_sum(normalized))
+
+
+def _decode(packed: PackedTensor, step: int, bits: int, den: LaurentPoly) -> SparseTensor:
+    return {
+        key: unpack_scalar(offset, value, step, bits, den)
+        for key, (offset, value) in packed.items()
+    }
+
+
+def _packed_sum(
+    terms: Sequence[tuple[int, str, Sequence[Mapping[tuple[int, ...], Scalar]]]],
+) -> tuple[PackedTensor, int, int, LaurentPoly]:
+    """``Σ sign·contract(pattern, *operands)`` over ``terms``, still packed.
+
+    Returns the packed sum, its exponent step and slot width, and the
+    denominator D that every packed numerator stands over.
+    """
+    parsed = []
+    for sign, pattern, operands in terms:
+        lhs, _, out_letters = pattern.partition("->")
+        groups = [g.strip() for g in lhs.split(",")]
+        out_letters = out_letters.strip()
+        if len(groups) != len(operands):
+            raise ValueError("operand count does not match the pattern")
+        seen_inputs = set("".join(groups))
+        if any(ch not in seen_inputs for ch in out_letters):
+            raise ValueError("output uses a letter absent from the inputs")
+        if len(set(out_letters)) != len(out_letters):
+            raise ValueError("output letters must be distinct")
+        prepared = [_collapse_repeats(letters, tensor) for letters, tensor in zip(groups, operands)]
+        parsed.append((sign, out_letters, prepared))
+
+    packed_terms, lifts, step, bits, den = _pack_frame([(sign, prepared) for sign, _, prepared in parsed])
+    out: PackedTensor = {}
+    for (_, out_letters, _), prepared, (lift_offset, lift_value) in zip(parsed, packed_terms, lifts):
+        term = _contract_packed(prepared, out_letters)
+        if not out and (lift_offset, lift_value) == (0, 1):
+            out = dict(term)  # the term may be a packed operand itself
+            continue
+        for key, (offset, value) in term.items():
+            _accumulate(out, key, offset + lift_offset, value * lift_value)
+    return out, step, bits, den
+
+
+def _contract_packed(prepared: list[tuple[str, PackedTensor]], out_letters: str) -> PackedTensor:
+    """Join packed operands in the greedy order and project onto ``out_letters``."""
+    prepared = list(prepared)
     while len(prepared) > 1:
         i, j = (0, 1) if len(prepared) == 2 else _cheapest_pair(prepared)
         needed = set(out_letters)
@@ -589,32 +705,7 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
         for key, (offset, value) in current.items():
             _accumulate(projected, tuple(key[p] for p in positions), offset, value)
         current = projected
-    return {
-        key: unpack_scalar(offset, value, step, bits, den)
-        for key, (offset, value) in current.items()
-    }
-
-
-def sparse_residual(
-    lhs: Mapping[tuple[int, ...], Scalar],
-    *subtract: Mapping[tuple[int, ...], Scalar],
-    add: Sequence[Mapping[tuple[int, ...], Scalar]] = (),
-) -> SparseTensor:
-    """``lhs − Σ subtract + Σ add`` entrywise, with zero entries dropped."""
-    out = dict(lhs)
-    for terms, negate in ((subtract, True), (add, False)):
-        for term in terms:
-            for key, val in term.items():
-                acc = out.get(key, _ZERO)
-                if negate and acc == val:  # exact cancellation, most entries of a passing check
-                    out.pop(key, None)
-                    continue
-                acc = acc - val if negate else acc + val
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-    return out
+    return current
 
 
 def _collapse_repeats(
@@ -635,40 +726,92 @@ def _collapse_repeats(
     return "".join(letters[p] for p in keep), out
 
 
-def _pack_operands(
-    prepared: Sequence[tuple[str, Mapping[tuple[int, ...], Scalar]]],
-) -> tuple[list[tuple[str, PackedTensor]], int, int, LaurentPoly]:
-    """Pack the nonzero entries of every operand as ``(offset, int)`` pairs.
+def _pack_frame(
+    terms: Sequence[tuple[int, Sequence[tuple[str, Mapping[tuple[int, ...], Scalar]]]]],
+) -> tuple[list[list[tuple[str, PackedTensor]]], list[tuple[int, int]], int, int, LaurentPoly]:
+    """Pack the operands of signed terms ``(sign, [(letters, tensor), ...])`` into one frame.
 
-    Returns the packed operands, the exponent step, the slot width in bits
-    and the product of the operands' common denominators.
+    Each distinct operand's nonzero entries are cleared to integer-coefficient
+    numerators over its common denominator (``scalars.cleared_numerators``)
+    and packed as ``(offset, int)`` pairs.  A term's denominator den_t is the
+    product of its operands' common denominators, D is the product of the
+    distinct den_t, and lift_t = D/den_t; D and every lift are scaled by the
+    lcm of the lifts' coefficient denominators, so lifts have integer
+    coefficients.  Returns the packed operands per term, each term's lift
+    packed with its sign folded in, the exponent step (the gcd over every
+    numerator and lift exponent), the slot width in bits, and D.
 
-    Slot width: let M be the product over operands of the summed L1 norms of
-    their cleared numerators.  A coefficient of any join or projection result
-    is a sum of coefficient products taken over a subset of the fully
-    expanded product of all operands, so its magnitude is at most M.  With
-    ``bits = M.bit_length() + 1`` every such coefficient lies strictly inside
-    ``±2^(bits−1)``, and balanced base-``2^bits`` digits decode uniquely (a
-    packed value is zero exactly when its polynomial is).
+    Slot width: let M_t be the product over term t's operands of the summed
+    L1 norms of their cleared numerators.  A coefficient of any join or
+    projection result inside term t is a sum of coefficient products taken
+    over a subset of the fully expanded product of its operands, so its
+    magnitude is at most M_t.  Multiplying by lift_t scales that bound by
+    ‖lift_t‖₁, and a coefficient of any partial sum over terms is then at
+    most M = Σ_t M_t·‖lift_t‖₁.  With ``bits = M.bit_length() + 1`` every
+    such coefficient lies strictly inside ``±2^(bits−1)``, and balanced
+    base-``2^bits`` digits decode uniquely (a packed value is zero exactly
+    when its polynomial is).
     """
-    cleared = []
+    cleared: dict[int, tuple[list[tuple[int, ...]], list[dict[int, int]], LaurentPoly, int]] = {}
+    for _, prepared in terms:
+        for _, tensor in prepared:
+            if id(tensor) not in cleared:
+                keys = [key for key, val in tensor.items() if val]
+                nums, common = cleared_numerators([tensor[key] for key in keys])
+                norm = sum(abs(coef) for terms_ in nums for coef in terms_.values())
+                cleared[id(tensor)] = (keys, nums, common, norm)
+
+    term_dens = []
+    for _, prepared in terms:
+        den_t = LaurentPoly.one()
+        for _, tensor in prepared:
+            common = cleared[id(tensor)][2]
+            if not common.is_one:
+                den_t = den_t * common
+        term_dens.append(den_t)
+    distinct = list(dict.fromkeys(d for d in term_dens if not d.is_one))
     den = LaurentPoly.one()
-    for letters, tensor in prepared:
-        keys = [key for key, val in tensor.items() if val]
-        nums, common = cleared_numerators([tensor[key] for key in keys])
-        cleared.append((letters, keys, nums))
-        if not common.is_one:
-            den = den * common
-    step = gcd(*(exp for _, _, nums in cleared for terms in nums for exp in terms)) or 1
-    bound = 1
-    for _, _, nums in cleared:
-        bound *= max(1, sum(abs(coef) for terms in nums for coef in terms.values()))
-    bits = bound.bit_length() + 1
-    packed = [
-        (letters, {key: pack_terms(terms, step, bits) for key, terms in zip(keys, nums)})
-        for letters, keys, nums in cleared
+    for d in distinct:
+        den = den * d
+    lifts = []
+    for den_t in term_dens:
+        lift = LaurentPoly.one()
+        for d in distinct:
+            if d != den_t:
+                lift = lift * d
+        lifts.append(lift)
+    scale = 1
+    for lift in lifts:
+        for _, coef in lift.terms():
+            if type(coef) is not int:
+                scale = lcm(scale, coef.denominator)
+    if scale != 1:
+        den = den.scale(scale)
+    lift_terms = [
+        {exp: int(sign * coef * scale) for exp, coef in lift.terms()}
+        for (sign, _), lift in zip(terms, lifts)
     ]
-    return packed, step, bits, den
+
+    step = gcd(
+        *(exp for _, nums, _, _ in cleared.values() for terms_ in nums for exp in terms_),
+        *(exp for lt in lift_terms for exp in lt),
+    ) or 1
+    bound = 0
+    for (_, prepared), lt in zip(terms, lift_terms):
+        m_t = 1
+        for _, tensor in prepared:
+            m_t *= max(1, cleared[id(tensor)][3])
+        bound += m_t * sum(abs(coef) for coef in lt.values())
+    bits = bound.bit_length() + 1
+
+    packed: dict[int, PackedTensor] = {
+        ident: {key: pack_terms(terms_, step, bits) for key, terms_ in zip(keys, nums)}
+        for ident, (keys, nums, _, _) in cleared.items()
+    }
+    packed_terms = [
+        [(letters, packed[id(tensor)]) for letters, tensor in prepared] for _, prepared in terms
+    ]
+    return packed_terms, [pack_terms(lt, step, bits) for lt in lift_terms], step, bits, den
 
 
 def _accumulate(out: PackedTensor, key: tuple[int, ...], offset: int, value: int) -> None:

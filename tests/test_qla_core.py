@@ -237,6 +237,73 @@ class TestVerifyQla:
             "FAIL  bigD-tilde  [at (2, 1, 0, 0): residual -p^4 + p^3 - p^2 + p]",
         ]
 
+    # Ratio perturbations: every residual below stands over a denominator, so
+    # the lifts of the shared residual frame and the division by D are what
+    # produce these lines.  1/(p+2) is monic; p/(2p²+3) has the fractional
+    # canonical form 1/2*p / (p² + 3/2).
+    @pytest.mark.parametrize(
+        "edit, bigD_lines, lines",
+        [
+            (
+                ("bigR", "1 / p + 2"),
+                [
+                    "PASS  bigD-comm",
+                    "FAIL  bigD-tilde  [at (2, 1, 0, 0): residual -p^4 + 1*p^0 / p + 3]",
+                ],
+                [
+                    "FAIL  qla-rel1[fn]  [at (2, 1, 1, 1): residual -p^-4 / p + 2]",
+                    "FAIL  qla-rel2[fn]  [at (0, 0, 1, 2, 1, 1): residual -p^4 + 2*p^0 - p^-4 / p + 2]",
+                    "FAIL  qla-rel3[fn]  [at (2, 1, 1, 0, 1): residual p^-2 / p + 2]",
+                    "FAIL  qla-rel4[fn]  [at (2, 2, 1, 1, 0): residual p^-2 / p + 2]",
+                    "FAIL  ybe-qla  [at (3, 9): residual 1*p^0 - 2*p^-4 + p^-8 / p + 2]",
+                    "FAIL  jacobi  [at (2, 1, 0, 0): residual -p^-8 / p + 2]",
+                    "FAIL  aux1  [at (0, 0, 2, 1, 0): residual -p^-2 + p^-6 / p + 2]",
+                    "FAIL  aux2  [at (0, 2, 2, 1, 1): residual p^2 - p^-6 / p + 2]",
+                ],
+            ),
+            (
+                ("f", "1 / p + 2"),
+                ["PASS  bigD-comm", "PASS  bigD-tilde"],
+                [
+                    "FAIL  qla-rel1[fn]  [at (1, 2, 1, 0): residual p^-2 / p + 2]",
+                    "FAIL  qla-rel3[fn]  [at (0, 0, 1, 0, 0): residual p^4 - 2*p^0 + p^-4 / p + 2]",
+                    "FAIL  jacobi  [at (0, 0, 0, 2): residual -p^-2 + p^-6 / p + 2]",
+                    "FAIL  aux1  [at (0, 0, 1, 0, 0): residual 1*p^0 - 2*p^-4 + p^-8 / p + 2]",
+                    "FAIL  aux2  [at (0, 0, 1, 1, 2): residual -1*p^0 + p^-4 / p + 2]",
+                    "FAIL  qla-i[RI2]  [at (1, 1, 2): residual p^2 - p^-2 / p + 2]",
+                ],
+            ),
+            (
+                ("f", "p / 2*p^2 + 3"),
+                ["PASS  bigD-comm", "PASS  bigD-tilde"],
+                [
+                    "FAIL  qla-rel1[fn]  [at (1, 2, 1, 0): residual 1/2*p^-1 / p^2 + 3/2]",
+                    "FAIL  qla-rel3[fn]  [at (0, 0, 1, 0, 0): residual 1/2*p^5 - p + 1/2*p^-3 / p^2 + 3/2]",
+                    "FAIL  jacobi  [at (0, 0, 0, 2): residual -1/2*p^-1 + 1/2*p^-5 / p^2 + 3/2]",
+                    "FAIL  aux1  [at (0, 0, 1, 0, 0): residual 1/2*p - p^-3 + 1/2*p^-7 / p^2 + 3/2]",
+                    "FAIL  aux2  [at (0, 0, 1, 1, 2): residual -1/2*p + 1/2*p^-3 / p^2 + 3/2]",
+                    "FAIL  qla-i[RI2]  [at (1, 1, 2): residual 1/2*p^3 - 1/2*p^-1 / p^2 + 3/2]",
+                ],
+            ),
+        ],
+    )
+    def test_ratio_perturbation_witnesses(self, su2, edit, bigD_lines, lines):
+        _, Q, bundle = su2
+        target, text = edit
+        bigR, f = Q.bigR, Q.f
+        if target == "bigR":
+            bigR = Q.bigR.copy()
+            bigR.set4(1, 2, 2, 1, bigR.get4(1, 2, 2, 1) + S(text))
+        else:
+            f = dict(Q.f)
+            f[(1, 2, 1)] = f.get((1, 2, 1), Scalar.from_rational(0)) + S(text)
+        Q_bad = QlaStructure(
+            ctx=Q.ctx, n=Q.n, bigR=bigR, f=f, I_id=Q.I_id,
+            bigD=Q.bigD, F_adj=Q.F_adj, lam=Q.lam,
+        )
+        assert [r.line() for r in verify_qla(Q_bad, bundle) if not r.passed] == lines
+        assert [r.line() for r in check_bigD_identities(Q_bad)] == bigD_lines
+
     def test_representation_check_on_orep_free_bundle(self, su2):
         _, Q, bundle = su2
         plain = RepBundle(name="plain", dim=bundle.dim, gen=bundle.gen, u=bundle.u)
@@ -390,6 +457,14 @@ class TestAdjointRep:
                 [
                     "FAIL  bigD-comm  [at (2, 7): residual -p^5 + p^-1]",
                     "FAIL  bigD-tilde  [at (2, 0, 0, 7): residual -p^-1 + 2*p^-7 - p^-13]",
+                ],
+            ),
+            (
+                "su2",
+                [((1, 2), "1 / p + 2")],
+                [
+                    "FAIL  bigD-comm  [at (1, 2): residual -p^4 + p^-4 / p + 2]",
+                    "FAIL  bigD-tilde  [at (1, 0, 0, 2): residual 1*p^0 - p^-4 / p + 2]",
                 ],
             ),
         ],

@@ -94,6 +94,22 @@ class TestYangBaxterAndCharacteristic:
         assert result.line() == "FAIL  ybe[bad]  [at (0, 0, 1, 0, 1, 0): residual -p^5 + p]"
         assert len(result.witness.key) == 6
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 / p + 2", "FAIL  ybe[bad]  [at (0, 0, 1, 0, 1, 0): residual -1*p^0 + p^-4 / p + 2]"),
+            (
+                "p / 2*p^2 + 3",
+                "FAIL  ybe[bad]  [at (0, 0, 1, 0, 1, 0): residual -1/2*p + 1/2*p^-3 / p^2 + 3/2]",
+            ),
+        ],
+    )
+    def test_ratio_perturbed_r_fails_ybe_with_witness(self, text, line):
+        spec = sun_r_matrix(2)
+        bad = spec.R.copy()
+        bad.set4(0, 1, 1, 0, bad.get4(0, 1, 1, 0) + S(text))
+        assert check_ybe(RMatrixSpec(label="bad", ctx=spec.ctx, R=bad)).line() == line
+
     def test_cubic_on_synthetic_diagonal_braid(self):
         # Build R so that the braid matrix is diagonal with exactly the three
         # admissible eigenvalues for eps = -1: q, -1/q, -q^{eps-N}.

@@ -403,10 +403,10 @@ class TestFieldAxioms:
     def test_eval_homomorphism(self, a, b):
         p0 = Fraction(3, 2)
         try:
-            lhs = (a * b + a).eval_at(p0)
-        except ZeroDivisionError:
+            a0, b0 = a.eval_at(p0), b.eval_at(p0)
+        except ZeroDivisionError:  # the identity holds where both sides are defined
             return
-        assert lhs == a.eval_at(p0) * b.eval_at(p0) + a.eval_at(p0)
+        assert (a * b + a).eval_at(p0) == a0 * b0 + a0
 
     @given(_scalars, _scalars)
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,9 @@ every result of ``qla.scalars`` is compared with it: field operations by
 value, ``poly_gcd`` with ``sympy.gcd``, and the canonical form with the
 denominator that ``sympy.cancel`` leaves once powers of ``p`` and the
 leading coefficient are divided out.  ``Mat.inverse``, ``Mat.rref`` and
-``Mat.null_space`` are compared with SymPy's ``DomainMatrix`` over Q(p).
+``Mat.null_space`` are compared with SymPy's ``DomainMatrix`` over Q(p),
+the inverse also on matrices that are block diagonal after permuting rows
+and columns, the form ``Mat.inverse`` splits into.
 """
 
 from __future__ import annotations
@@ -127,6 +129,23 @@ def _matrices(draw, nrows, ncols):
     return Mat(rows)
 
 
+@st.composite
+def _permuted_block_diagonal(draw):
+    """One to three blocks of ``_matrices`` on the diagonal, rows and columns then permuted."""
+    blocks = draw(st.lists(st.integers(1, 3).flatmap(lambda n: _matrices(n, n)), min_size=1, max_size=3))
+    n = sum(block.nrows for block in blocks)
+    dense = Mat.zeros(n)
+    base = 0
+    for block in blocks:
+        for i, row in enumerate(block.rows):
+            for j, val in enumerate(row):
+                dense[base + i, base + j] = val
+        base += block.nrows
+    row_perm = draw(st.permutations(range(n)))
+    col_perm = draw(st.permutations(range(n)))
+    return Mat([[dense[r, c] for c in col_perm] for r in row_perm])
+
+
 def domain_matrix(mat: Mat) -> DomainMatrix:
     return DomainMatrix(
         [[QQp.from_sympy(value(s)) for s in row] for row in mat.rows],
@@ -145,6 +164,35 @@ class TestMatAgainstSympy:
                 m.inverse()
             return
         assert domain_matrix(m.inverse()) == theirs.inv()
+
+    @given(_permuted_block_diagonal())
+    @settings(max_examples=50, deadline=None)
+    def test_inverse_of_permuted_block_diagonal(self, m):
+        theirs = domain_matrix(m)
+        if theirs.det() == QQp.zero:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+            return
+        assert domain_matrix(m.inverse()) == theirs.inv()
+
+    def test_singular_block_and_non_square_component(self):
+        one, pp = Scalar.one(), Scalar(LaurentPoly({1: 1}))
+        zero = Scalar.zero()
+        # Blocks {0, 2} x {1, 2} (invertible) and {1, 3} x {0, 3} (rank one).
+        singular_block = Mat(
+            [
+                [zero, one, pp, zero],
+                [pp, zero, zero, pp],
+                [zero, pp, one, zero],
+                [one, zero, zero, one],
+            ]
+        )
+        # Rows {0, 1} meet only column 0, row 2 meets columns 1 and 2.
+        non_square = Mat([[one, zero, zero], [pp, zero, zero], [zero, one, pp]])
+        for m in (singular_block, non_square):
+            assert domain_matrix(m).det() == QQp.zero
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
 
     @given(st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(lambda s: _matrices(*s)))
     @settings(max_examples=50, deadline=None)

@@ -19,10 +19,10 @@ from qla.tensors import (
     Mat,
     _join_cost,
     contract,
+    contract_residual,
     delta,
     linear_combination,
     mat_pow,
-    sparse_residual,
     three_site,
 )
 
@@ -167,14 +167,6 @@ class TestBiMat:
         for i, j, k, l in itertools.product(range(2), repeat=4):
             assert t.get4(i, j, k, l) == m.get4(k, j, i, l)
         assert t.t1() == m
-
-    def test_t2_involution_and_layout(self):
-        rng = random.Random(12)
-        m = BiMat(2, random_mat(rng, 4))
-        t = m.t2()
-        for i, j, k, l in itertools.product(range(2), repeat=4):
-            assert t.get4(i, j, k, l) == m.get4(i, l, k, j)
-        assert t.t2() == m
 
     def test_partial_traces(self):
         rng = random.Random(13)
@@ -494,7 +486,7 @@ class TestContract:
     def test_packing_uses_the_common_exponent_step(self):
         spec = sun_r_matrix(4)
         Q = build_structure(spec.R, spec.ctx)
-        _, step, _, den = tensors._pack_operands([("abcd", Q.bigR4()), ("abc", Q.f3())])
+        _, _, step, _, den = tensors._pack_frame([(1, [("abcd", Q.bigR4()), ("abc", Q.f3())])])
         assert step == 4
         assert den == LaurentPoly.one()
 
@@ -508,7 +500,130 @@ class TestContract:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers: linear combination, sparse residual, three-site embedding
+# Residuals of signed sums of contractions
+# ---------------------------------------------------------------------------
+
+
+def reference_residual(lhs, *subtract, add=()) -> dict:
+    """``lhs − Σ subtract + Σ add`` on unpacked scalars, one entry at a time.
+
+    Each contraction term is evaluated by :func:`contract` on its own, so the
+    only shared frame is exact scalar arithmetic.
+    """
+
+    def value(term):
+        return term if isinstance(term, dict) else contract(term[0], *term[1:])
+
+    out = dict(value(lhs))
+    for terms, sign in ((subtract, -1), (add, 1)):
+        for term in terms:
+            for key, val in value(term).items():
+                acc = out.get(key, Scalar.zero()) + (-val if sign < 0 else val)
+                if acc.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = acc
+    return out
+
+
+# Patterns with the output ``ik`` over two or three operands.
+RESIDUAL_PATTERNS = ["ij,jk->ik", "ia,ab,bk->ik", "ijk,j->ik", "kai,ab->ik"]
+
+
+def random_term(rng: random.Random, step: int):
+    """A contraction of :func:`random_operand` draws, or now and then a literal dict."""
+    if rng.random() < 0.2:
+        return random_operand(rng, 2, 2, step)
+    pattern = rng.choice(RESIDUAL_PATTERNS)
+    groups = pattern.split("->")[0].split(",")
+    return (pattern, *(random_operand(rng, len(group), 2, step) for group in groups))
+
+
+def swapped(term):
+    """The same value as ``term`` from a different pattern: operands in reverse order."""
+    if isinstance(term, dict):
+        return dict(reversed(list(term.items())))
+    groups, out = term[0].split("->")
+    return (",".join(reversed(groups.split(","))) + "->" + out, *reversed(term[1:]))
+
+
+class TestContractResidual:
+    def test_literal_terms_signs_and_dropped_zeros(self):
+        lhs = {(0,): S("p"), (1,): S("1")}
+        sub = {(0,): S("p"), (2,): S("2")}
+        add = {(1,): S("-1"), (3,): S("p^-1")}
+        assert contract_residual(lhs, sub, add=[add]) == {(2,): S("-2"), (3,): S("p^-1")}
+        assert contract_residual(lhs, lhs) == {}
+
+    def test_one_term_is_contract(self):
+        a = {(0, 1): S("p") / S("p + 1/2"), (1, 1): S("3*p^2")}
+        b = {(1, 0): S("2") / S("p^2 - 3"), (1, 1): S("p^-1")}
+        assert contract_residual(("ij,jk->ik", a, b)) == contract("ij,jk->ik", a, b)
+        assert contract_residual({}) == {}
+
+    def test_distinct_denominators_are_lifted(self):
+        # 1/(p+1) − 1/(p+2) = 1/((p+1)(p+2)); dropping a lift gives another value.
+        a = {(0,): S("1") / S("p + 1"), (1,): S("p")}
+        b = {(0,): S("1") / S("p + 2"), (1,): S("p")}
+        assert contract_residual(a, b) == {(0,): S("1") / S("p^2 + 3*p + 2")}
+        ones = {(0,): S("1")}
+        assert contract_residual(("i,i->i", a, ones), ("i,i->i", b, ones), add=[{(1,): S("p")}]) == {
+            (0,): S("1") / S("p^2 + 3*p + 2"),
+            (1,): S("p"),
+        }
+        # Fractional lifts: the denominators p + 1/2 and 2p + 3 (monic p + 3/2).
+        c = {(0,): S("1") / S("p + 1/2")}
+        d = {(0,): S("p") / S("2*p + 3")}
+        assert contract_residual(c, add=[d]) == {(0,): c[(0,)] + d[(0,)]}
+
+    @pytest.mark.parametrize("coef", [1, 3, 2**31 - 1, 2**64 + 1])
+    def test_coefficient_at_the_cross_term_bound_decodes(self, coef):
+        # Each term reaches its own bound M_t = 15·coef², and the three terms
+        # add up with one sign, so the sum reaches M = Σ_t M_t exactly.
+        a = {(i,): S(f"{coef}*p^2") for i in range(3)}
+        b = {(j,): S(f"{coef}*p^-1") for j in range(5)}
+        minus_b = {key: -val for key, val in b.items()}
+        total = S(f"{45 * coef * coef}*p")
+        assert contract_residual(("i,j->", a, b), ("i,j->", a, minus_b), add=[("j,i->", b, a)]) == {
+            (): total
+        }
+        assert contract_residual(("i,j->", a, minus_b), ("i,j->", a, b), ("j,i->", b, a)) == {
+            (): -total
+        }
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["free", "zero", "one"]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_residual_of_separate_contractions(self, seed, shape):
+        """Against the unpacked reference, on terms over several denominators.
+
+        ``zero`` draws a sum that cancels exactly (each term also enters with
+        the other sign, through a different pattern); ``one`` leaves a single
+        nonzero entry on top of such a sum.
+        """
+        rng = random.Random(seed)
+        step = rng.choice((1, 4))
+        terms = [random_term(rng, step) for _ in range(rng.randint(2, 4))]
+        lhs, rest = terms[0], terms[1:]
+        cut = rng.randint(0, len(rest))
+        subtract, add = rest[:cut], rest[cut:]
+        if shape != "free":
+            subtract, add = (
+                subtract + [swapped(lhs)] + [swapped(t) for t in add],
+                add + [swapped(t) for t in subtract],
+            )
+        leftover = {}
+        if shape == "one":
+            key = (rng.randrange(2), rng.randrange(2))
+            leftover = {key: random_entry(rng, step, [LaurentPoly({0: 7, step: 1})])}
+            add = add + [leftover]
+        got = contract_residual(lhs, *subtract, add=add)
+        assert got == reference_residual(lhs, *subtract, add=add)
+        if shape != "free":
+            assert got == {key: val for key, val in leftover.items() if val}
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers: linear combination, three-site embedding
 # ---------------------------------------------------------------------------
 
 
@@ -526,13 +641,6 @@ class TestHelpers:
     def test_linear_combination_of_zero_coefficients_is_zero(self):
         mats = [Mat([[S("p"), S("1")]])]
         assert linear_combination([Scalar.zero()], mats) == Mat.zeros(1, 2)
-
-    def test_sparse_residual_signs_and_dropped_zeros(self):
-        lhs = {(0,): S("p"), (1,): S("1")}
-        sub = {(0,): S("p"), (2,): S("2")}
-        add = {(1,): S("-1"), (3,): S("p^-1")}
-        assert sparse_residual(lhs, sub, add=[add]) == {(2,): S("-2"), (3,): S("p^-1")}
-        assert sparse_residual(lhs, lhs) == {}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_three_site_matches_kronecker_embeddings(self, seed):
