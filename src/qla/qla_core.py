@@ -266,36 +266,27 @@ def verify_qla(
     G3 = _gen3(B)
     O4 = _orep4(B)
     tag = B.name
-    results: list[CheckResult] = []
+    results = [check_representation(Q, B)]
 
-    results.append(check_representation(Q, B))
-    results.append(
-        check_sparse_zero(
-            f"qla-rel2[{tag}]",
-            contract_residual(
-                ("efab,ecxy,fdyz->abcdxz", bigR4, O4, O4),
-                ("aexy,bfyz,cdef->abcdxz", O4, O4, bigR4),
-            ),
-        )
+    def check(name: str, *terms, add=()) -> None:
+        results.append(check_sparse_zero(name, contract_residual(*terms, add=add)))
+
+    check(
+        f"qla-rel2[{tag}]",
+        ("efab,ecxy,fdyz->abcdxz", bigR4, O4, O4),
+        ("aexy,bfyz,cdef->abcdxz", O4, O4, bigR4),
     )
-    results.append(
-        check_sparse_zero(
-            f"qla-rel3[{tag}]",
-            contract_residual(
-                ("axy,bcyz->abcxz", G3, O4),
-                ("deab,dcxy,eyz->abcxz", bigR4, O4, G3),
-                ("abd,dcxz->abcxz", f3, O4),
-                add=[("adxy,beyz,dec->abcxz", O4, O4, f3)],
-            ),
-        )
+    check(
+        f"qla-rel3[{tag}]",
+        ("axy,bcyz->abcxz", G3, O4),
+        ("deab,dcxy,eyz->abcxz", bigR4, O4, G3),
+        ("abd,dcxz->abcxz", f3, O4),
+        add=[("adxy,beyz,dec->abcxz", O4, O4, f3)],
     )
-    results.append(
-        check_sparse_zero(
-            f"qla-rel4[{tag}]",
-            contract_residual(
-                ("abxy,cyz->abcxz", O4, G3), ("deac,dxy,ebyz->abcxz", bigR4, G3, O4)
-            ),
-        )
+    check(
+        f"qla-rel4[{tag}]",
+        ("abxy,cyz->abcxz", O4, G3),
+        ("deac,dxy,ebyz->abcxz", bigR4, G3, O4),
     )
 
     if skip_heavy and Q.n >= 9:
@@ -304,70 +295,40 @@ def verify_qla(
         )
     else:
         m12, m23 = three_site(Q.bigR, (0, 1), (1, 2))
-        residual = contract_residual(
-            ("xy,yz,zw->xw", m12, m23, m12), ("xy,yz,zw->xw", m23, m12, m23)
-        )
-        results.append(check_sparse_zero("ybe-qla", residual))
+        check("ybe-qla", ("xy,yz,zw->xw", m12, m23, m12), ("xy,yz,zw->xw", m23, m12, m23))
 
-    results.append(
-        check_sparse_zero(
-            "jacobi",
-            contract_residual(
-                ("alm,bnl->abmn", f3, f3),
-                ("cdab,clm,dnl->abmn", bigR4, f3, f3),
-                ("abc,cnm->abmn", f3, f3),
-            ),
-        )
+    check(
+        "jacobi",
+        ("alm,bnl->abmn", f3, f3),
+        ("cdab,clm,dnl->abmn", bigR4, f3, f3),
+        ("abc,cnm->abmn", f3, f3),
     )
-    results.append(
-        check_sparse_zero(
-            "aux1",
-            contract_residual(
-                ("dcbn,adm->abcmn", bigR4, f3),
-                ("deab,mcdf,enf->abcmn", bigR4, bigR4, f3),
-                ("mcdn,abd->abcmn", bigR4, f3),
-                add=[("dfbn,mead,efc->abcmn", bigR4, bigR4, f3)],
-            ),
-        )
+    check(
+        "aux1",
+        ("dcbn,adm->abcmn", bigR4, f3),
+        ("deab,mcdf,enf->abcmn", bigR4, bigR4, f3),
+        ("mcdn,abd->abcmn", bigR4, f3),
+        add=[("dfbn,mead,efc->abcmn", bigR4, bigR4, f3)],
     )
-    results.append(
-        check_sparse_zero(
-            "aux2",
-            contract_residual(
-                ("mbad,cnd->abcmn", bigR4, f3), ("deac,fben,dfm->abcmn", bigR4, bigR4, f3)
-            ),
-        )
-    )
+    check("aux2", ("mbad,cnd->abcmn", bigR4, f3), ("deac,fben,dfm->abcmn", bigR4, bigR4, f3))
 
     Ivec: SparseTensor = {
         (A,): val for A, val in enumerate(Q.I_id) if not val.is_zero
     }
-    results.append(
-        check_sparse_zero("qla-i[fI]", contract_residual(("abc,c->ab", f3, Ivec)))
-    )
+    check("qla-i[fI]", ("abc,c->ab", f3, Ivec))
     delta1: SparseTensor = {}
     for A in range(Q.n):
         for B, val in enumerate(Q.I_id):
             if not val.is_zero:
                 delta1[(A, A, B)] = val
-    results.append(
-        check_sparse_zero(
-            "qla-i[RI1]", contract_residual(("cdab,c->dab", bigR4, Ivec), delta1)
-        )
-    )
+    check("qla-i[RI1]", ("cdab,c->dab", bigR4, Ivec), delta1)
     delta2: SparseTensor = {}
     for key, val in Ivec.items():
         (A,) = key
         for C in range(Q.n):
             delta2[(C, A, C)] = val
-    lam_f = {key: Q.lam * val for key, val in f3.items()}
-    lam_f3: SparseTensor = {(c, a, b): v for (a, b, c), v in lam_f.items()}
-    results.append(
-        check_sparse_zero(
-            "qla-i[RI2]",
-            contract_residual(("cdab,d->cab", bigR4, Ivec), delta2, add=[lam_f3]),
-        )
-    )
+    lam_f3: SparseTensor = {(c, a, b): Q.lam * v for (a, b, c), v in f3.items()}
+    check("qla-i[RI2]", ("cdab,d->cab", bigR4, Ivec), delta2, add=[lam_f3])
     return results
 
 
