@@ -213,13 +213,14 @@ class Mat:
         """Exact inverse, block by block.
 
         The rows and columns split into the connected components of the
-        bipartite graph with an edge (r, c) for each nonzero entry; after
+        bipartite graph with an edge (r, c) for each nonzero entry, so after
         permuting rows and columns the matrix is block diagonal with one block
-        per component, and its inverse is the block-diagonal matrix of the
-        blocks' inverses, transposed in place.  A component with more rows
-        than columns (or fewer) proves the matrix singular.  Each block is
-        inverted by :func:`_gauss_jordan_inverse`.  Raises ``ValueError`` on a
-        singular matrix.
+        per component.  A block on rows ``rows`` and columns ``cols`` is
+        inverted by :func:`_gauss_jordan_inverse`, and its inverse fills the
+        entries ``(cols, rows)`` of the result.  A component with more rows
+        than columns, or fewer, proves the matrix singular.  The inverse is
+        unique, so the entries are the canonical scalars a whole-matrix
+        elimination gives.  Raises ``ValueError`` on a singular matrix.
         """
         n = self.nrows
         if n != self.ncols:
