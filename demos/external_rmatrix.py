@@ -19,7 +19,7 @@ from qla.cli import main as qla_main
 from qla.rmatrix import RMatrixSpec, save_r_matrix
 from qla.scalars import DeformationContext, parse_scalar
 from qla.su2_golden import rosso_term
-from qla.tensors import BiMat, Mat
+from qla.tensors import Mat
 
 S = parse_scalar
 
@@ -35,11 +35,11 @@ def spin1_r_matrix() -> RMatrixSpec:
         X_plus=Mat([[zero, one, zero], [zero, zero, two], [zero, zero, zero]]),
         X_minus=Mat([[zero, zero, zero], [two, zero, zero], [zero, one, zero]]),
     )
-    total = rosso_term(rep, 0).mat + rosso_term(rep, 1).mat + rosso_term(rep, 2).mat
+    total = rosso_term(rep, 0) + rosso_term(rep, 1) + rosso_term(rep, 2)
     # The braid matrix has eigenvalues Q, -1/Q, 1/Q^2 with Q = q^2, so the
     # saved context declares root order 2: the cubic characteristic
     # equation then holds verbatim with eps = +1.
-    return RMatrixSpec(label="so3", ctx=DeformationContext(N=3, root_order=2), R=BiMat(3, total))
+    return RMatrixSpec(label="so3", ctx=DeformationContext(N=3, root_order=2), R=total)
 
 
 def run(argv: list[str]) -> int:

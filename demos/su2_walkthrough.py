@@ -15,6 +15,7 @@ from qla.primed_basis import adjoint_prime, build_primed
 from qla.qla_core import build_structure, deformed_traces, fundamental_generators
 from qla.rmatrix import sun_r_matrix
 from qla.su2_golden import golden_basis_matrix, golden_suite
+from qla.tensors import Mat
 
 
 def heading(text: str) -> None:
@@ -25,7 +26,9 @@ def main() -> int:
     spec = sun_r_matrix(2)
     ctx = spec.ctx
     heading(f"R-matrix ({spec.label}, root order {ctx.root_order}, q = p^{ctx.root_order})")
-    print(spec.R.mat.render())
+    N = spec.N
+    rows = {(i * N + j, k * N + l): val for (i, j, k, l), val in spec.R.to4dict().items()}
+    print(Mat.from_sparse(rows, N * N).render())
 
     Q = build_structure(spec.R, ctx)
     heading(f"structure constants on n = {Q.n} generators (nonzero entries)")

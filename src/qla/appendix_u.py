@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reporting import CheckResult, check_mats_equal, check_sparse_zero
+from .reporting import CheckResult, check_composite_zero, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
 from .tensors import BiMat, Mat, SparseTensor
 
@@ -50,13 +50,13 @@ class UData:
 def embed1(A: Mat) -> BiMat:
     """A acting on the first tensor factor: A⊗I as a BiMat."""
     n = A.nrows
-    return BiMat(n, A.kron(Mat.identity(n)))
+    return BiMat(n, {(i, j, k, j): val for (i, k), val in A.to_sparse().items() for j in range(n)})
 
 
 def embed2(A: Mat) -> BiMat:
     """A acting on the second tensor factor: I⊗A as a BiMat."""
     n = A.nrows
-    return BiMat(n, Mat.identity(n).kron(A))
+    return BiMat(n, {(i, j, i, l): val for (j, l), val in A.to_sparse().items() for i in range(n)})
 
 
 def rep_u(R: BiMat) -> Mat:
@@ -66,7 +66,7 @@ def rep_u(R: BiMat) -> Mat:
     unitary-series fundamental R-matrix at N = 2 this evaluates to
     ``q^{-5/2}·diag(1, q²)``.
     """
-    return (BiMat.perm(R.N) @ R.tilde()).tr2()
+    return R.tilde().flip().tr2()
 
 
 def rep_u_inverse(R: BiMat) -> Mat:
@@ -76,7 +76,7 @@ def rep_u_inverse(R: BiMat) -> Mat:
     agrees exactly with ``rep_u(R).inverse()``, which is asserted by
     :func:`build_u_data`.
     """
-    return (BiMat.perm(R.N) @ R.inverse().tilde()).tr2()
+    return R.inverse().tilde().flip().tr2()
 
 
 def normalize_D(u_mat: Mat, ctx: DeformationContext) -> tuple[Mat, Scalar]:
@@ -101,7 +101,7 @@ def beta_constant(D: Mat, R: BiMat) -> Scalar:
     """
     n = D.nrows
     eye = Mat.identity(n)
-    rhat = BiMat.perm(n) @ R
+    rhat = R.flip()
     traced = (embed1(D.inverse()) @ rhat).tr1()
     beta = traced[0, 0]
     if beta.is_zero or traced != eye.scale(beta):
@@ -135,7 +135,7 @@ def check_D_identities(
     d2 = embed2(D)
     d1_inv = embed1(D.inverse())
     d2_inv = embed2(D.inverse())
-    rhat = BiMat.perm(n) @ R
+    rhat = R.flip()
     r_inv = R.inverse()
     til = R.tilde()
     results = [
@@ -145,9 +145,9 @@ def check_D_identities(
         check_mats_equal(
             "u-trace[a2]", (d2 @ rhat).tr2().scale(alpha ** -1), eye
         ),
-        check_mats_equal("u-tilde[b1]", (d1_inv @ r_inv @ d1).mat, til.mat),
-        check_mats_equal("u-tilde[b2]", (d2 @ r_inv @ d2_inv).mat, til.mat),
-        check_mats_equal("u-comm[c]", (d1 @ d2 @ R).mat, (R @ d1 @ d2).mat),
+        check_composite_zero("u-tilde[b1]", (d1_inv @ r_inv @ d1 - til).to4dict(), n),
+        check_composite_zero("u-tilde[b2]", (d2 @ r_inv @ d2_inv - til).to4dict(), n),
+        check_composite_zero("u-comm[c]", (d1 @ d2 @ R - R @ d1 @ d2).to4dict(), n),
     ]
     rng = random.Random(seed)
     residual: SparseTensor = {}

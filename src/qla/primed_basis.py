@@ -308,7 +308,7 @@ def check_comm_prime(
         bundle.gen[A] - eye.scale(mu * ratios[A]) for A in range(n)
     ]
     by_lower: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
-    for (C, D, A, B), val in Q.bigR4().items():
+    for (C, D, A, B), val in Q.bigR.to4dict().items():
         by_lower.setdefault((A, B), []).append((C, D, val))
     residual: SparseTensor = {}
     for A in range(n):

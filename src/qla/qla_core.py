@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .appendix_u import rep_u
-from .reporting import CheckResult, check_sparse_zero
+from .reporting import CheckResult, check_composite_zero, check_sparse_zero
 from .rmatrix import RMatrixSpec, fundamental_L_matrices
 from .scalars import DeformationContext, Scalar, parse_scalar
 from .tensors import (
@@ -94,10 +94,6 @@ class QlaStructure:
     def f_entry(self, A: int, B: int, C: int) -> Scalar:
         return self.f.get((A, B, C), _ZERO)
 
-    def bigR4(self) -> SparseTensor:
-        """ℝ as a sparse 4-index dict keyed (A, B, C, D) for ℝ^{AB}_{CD}."""
-        return self.bigR.to4dict()
-
     def f3(self) -> SparseTensor:
         """f as a sparse 3-index dict keyed (A, B, C) for f_{AB}{}^C."""
         return dict(self.f)
@@ -109,7 +105,7 @@ class QlaStructure:
         Derived from ``bigR`` on first use; :func:`build_structure` fills it
         with the one it formed, so it is inverted once per structure.
         """
-        return (BiMat.perm(self.n) @ self.bigR).tilde()
+        return self.bigR.flip().tilde()
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +122,10 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
     """
     N = R.N
     lam_inv = ctx.lam() ** -1
-    rhat = BiMat.perm(N) @ R
-    rhat2 = rhat @ rhat
-    gen: list[Mat] = []
-    for k in range(N):
-        for l in range(N):
-            mat = Mat.zeros(N)
-            for i in range(N):
-                for j in range(N):
-                    val = rhat2.get4(k, i, l, j)
-                    if k == l and i == j:
-                        val = val - _ONE
-                    if not val.is_zero:
-                        mat[i, j] = -lam_inv * val
-            gen.append(mat)
+    rhat = R.flip()
+    gen = [Mat.zeros(N) for _ in range(N * N)]
+    for (k, i, l, j), val in (rhat @ rhat - BiMat.identity(N)).to4dict().items():
+        gen[k * N + l][i, j] = -lam_inv * val
     lmats = fundamental_L_matrices(RMatrixSpec(label="tmp", ctx=ctx, R=R))
     orep = [
         [lmats.lplus[i][k] @ lmats.s_lminus[l][j] for k in range(N) for l in range(N)]
@@ -164,54 +150,41 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
     N = R.N
     n = N * N
     til4 = R.tilde().to4dict()
-    rhat = BiMat.perm(N) @ R
+    rhat = R.flip()
     rhat4 = rhat.to4dict()
     rhatinv4 = rhat.inverse().to4dict()
     rhat2_4 = (rhat @ rhat).to4dict()
     lam = ctx.lam()
     lam_inv = lam ** -1
 
-    bigR = BiMat.zeros(n)
-    for key, val in contract(
-        "mkjn,sdml,nira,rbsc->abcdijkl", til4, rhat4, rhatinv4, rhat4
-    ).items():
-        a, b, c, d, i, j, k, l = key
-        bigR.set4(a * N + b, c * N + d, i * N + j, k * N + l, val)
+    def composite(tensor: SparseTensor) -> BiMat:
+        """Keys (a, b, c, d, i, j, k, l) taken to the composite (ab, cd, ij, kl)."""
+        return BiMat(
+            n,
+            {
+                (a * N + b, c * N + d, i * N + j, k * N + l): val
+                for (a, b, c, d, i, j, k, l), val in tensor.items()
+            },
+        )
 
-    f_term = contract("mkjn,nitr,tsml->ijklrs", til4, rhatinv4, rhat2_4)
-    f: dict[tuple[int, int, int], Scalar] = {}
-    keys = set(f_term)
-    for i in range(N):
-        for k in range(N):
-            for l in range(N):
-                keys.add((i, i, k, l, k, l))
-    for i, j, k, l, r, s in keys:
-        val = -f_term.get((i, j, k, l, r, s), _ZERO)
-        if i == j and k == r and s == l:
-            val = val + _ONE
-        if not val.is_zero:
-            f[(i * N + j, k * N + l, r * N + s)] = lam_inv * val
+    bigR = composite(contract("mkjn,sdml,nira,rbsc->abcdijkl", til4, rhat4, rhatinv4, rhat4))
 
-    F_adj = BiMat.zeros(n)
-    for key, val in contract(
-        "mkjn,sbml,nirc,rdsa->abcdijkl", til4, rhat4, rhat4, rhatinv4
-    ).items():
-        a, b, c, d, i, j, k, l = key
-        F_adj.set4(a * N + b, c * N + d, i * N + j, k * N + l, val)
+    deltas = {(i, i, k, l, k, l): _ONE for i in range(N) for k in range(N) for l in range(N)}
+    f = {
+        (i * N + j, k * N + l, r * N + s): lam_inv * val
+        for (i, j, k, l, r, s), val in contract_residual(
+            deltas, ("mkjn,nitr,tsml->ijklrs", til4, rhatinv4, rhat2_4)
+        ).items()
+    }
+
+    F_adj = composite(contract("mkjn,sbml,nirc,rdsa->abcdijkl", til4, rhat4, rhat4, rhatinv4))
 
     # ℝ is braid-form (it tends to the composite flip classically), so the
     # tilde operation applies to its un-braided companion P·ℝ.  The result
     # solves the exchange system Σ_{C,B} T^{AB}_{CD} ℝ^{FC}_{EB} = δ^A_E δ^F_D
     # coming from the antipode axioms.
-    til_big = (BiMat.perm(n) @ bigR).tilde()
-    bigD = Mat.zeros(n)
-    for A in range(n):
-        for B in range(n):
-            acc = _ZERO
-            for C in range(n):
-                acc = acc + til_big.get4(C, A, B, C)
-            if not acc.is_zero:
-                bigD[A, B] = acc
+    til_big = bigR.flip().tilde()
+    bigD = Mat.from_sparse(contract("cabc->ab", til_big.to4dict()), n)
 
     I_id = [_ONE if A // N == A % N else _ZERO for A in range(n)]
     Q = QlaStructure(
@@ -261,7 +234,7 @@ def verify_qla(
     4. both auxiliary ℝ–f relations;
     5. the three sum rules tying ℝ and f to the invariant vector I.
     """
-    bigR4 = Q.bigR4()
+    bigR4 = Q.bigR.to4dict()
     f3 = Q.f3()
     G3 = _gen3(B)
     O4 = _orep4(B)
@@ -340,7 +313,7 @@ def check_representation(Q: QlaStructure, B: RepBundle) -> CheckResult:
     G3 = _gen3(B)
     residual = contract_residual(
         ("axy,byz->abxz", G3, G3),
-        ("cdab,cxy,dyz->abxz", Q.bigR4(), G3, G3),
+        ("cdab,cxy,dyz->abxz", Q.bigR.to4dict(), G3, G3),
         ("abc,cxz->abxz", Q.f3(), G3),
     )
     return check_sparse_zero(f"qla-rel1[{B.name}]", residual)
@@ -365,7 +338,7 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
         for C, val in enumerate(traces):
             if not val.is_zero:
                 expected[(A, A, C)] = val
-    if contract_residual(("dbac,d->bac", Q.bigR4(), Ivec), expected):
+    if contract_residual(("dbac,d->bac", Q.bigR.to4dict(), Ivec), expected):
         raise ValueError(f"deformed traces of {B.name} violate the ℝ-sum rule")
     return traces
 
@@ -419,20 +392,12 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
 
     ``𝔻₁𝔻₂ℝ = ℝ𝔻₁𝔻₂`` and ``tilde(Pℝ)^{AB}_{CD} = (𝔻₁⁻¹ℝ⁻¹𝔻₂)^{AB}_{DC}``.
     """
-    n = Q.n
-    bigR4 = Q.bigR4()
+    bigR4 = Q.bigR.to4dict()
     bigD = Q.bigD.to_sparse()
     comm = contract_residual(
         ("ae,bf,efcd->abcd", bigD, bigD, bigR4), ("abef,ec,fd->abcd", bigR4, bigD, bigD)
     )
-    # Keyed by the composite (row, column) of 𝔻₁𝔻₂ℝ − ℝ𝔻₁𝔻₂; B, D < n keeps
-    # the sorted order, so the witness is the matrix one.
-    results = [
-        check_sparse_zero(
-            "bigD-comm",
-            {(A * n + B, C * n + D): val for (A, B, C, D), val in comm.items()},
-        )
-    ]
+    results = [check_composite_zero("bigD-comm", comm, Q.n)]
     residual = contract_residual(
         Q.perm_bigR_tilde.to4dict(),
         ("ae,ebcf,fd->abdc", Q.bigD.inverse().to_sparse(), Q.bigR.inverse().to4dict(), bigD),
@@ -465,10 +430,9 @@ def _bimat_entries(M: BiMat) -> list[list]:
 
 
 def _bimat_from_entries(n: int, entries: list[list]) -> BiMat:
-    M = BiMat.zeros(n)
-    for i, j, k, l, text in entries:
-        M.set4(int(i), int(j), int(k), int(l), parse_scalar(text))
-    return M
+    return BiMat(
+        n, {(int(i), int(j), int(k), int(l)): parse_scalar(text) for i, j, k, l, text in entries}
+    )
 
 
 def structure_to_dict(Q: QlaStructure) -> dict:

@@ -50,6 +50,20 @@ def check_sparse_zero(name: str, tensor: Mapping[tuple[int, ...], Scalar], detai
     return CheckResult(name, True, detail)
 
 
+def check_composite_zero(
+    name: str, tensor: Mapping[tuple[int, int, int, int], Scalar], N: int, detail: str = ""
+) -> CheckResult:
+    """:func:`check_sparse_zero` on a 4-index tensor read as an N²×N² matrix.
+
+    The witness key is the composite ``(row, column) = (i·N + j, k·N + l)``;
+    with j, l < N it sorts as ``(i, j, k, l)`` does, so the witness is the
+    same entry.
+    """
+    return check_sparse_zero(
+        name, {(i * N + j, k * N + l): val for (i, j, k, l), val in tensor.items()}, detail
+    )
+
+
 def check_mat_zero(name: str, mat: Mat, detail: str = "") -> CheckResult:
     return check_sparse_zero(name, mat.to_sparse(), detail)
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from qla.reporting import CheckResult, check_mat_zero, check_sparse_zero
+from qla.reporting import CheckResult, check_composite_zero, check_mat_zero, check_sparse_zero
 from qla.scalars import DeformationContext, Scalar, parse_ratio
-from qla.tensors import BiMat, Mat, contract_residual, three_site
+from qla.tensors import BiMat, Mat, contract, contract_residual, three_site
 
 #: Largest magnitude of an exponent of ``p`` that :func:`load_r_matrix`
 #: accepts in an entry's numerator or denominator, as written.  Dense
@@ -47,12 +47,11 @@ class RMatrixSpec:
 
     def hat(self) -> BiMat:
         """The braid form: the flip composed with R."""
-        return BiMat.perm(self.N) @ self.R
+        return self.R.flip()
 
     def r21(self) -> BiMat:
         """R with both tensor factors swapped: P·R·P."""
-        p = BiMat.perm(self.N)
-        return p @ self.R @ p
+        return BiMat(self.N, {(j, i, l, k): val for (i, j, k, l), val in self.R.to4dict().items()})
 
 
 def sun_r_matrix(N: int, ctx: DeformationContext | None = None) -> RMatrixSpec:
@@ -69,18 +68,13 @@ def sun_r_matrix(N: int, ctx: DeformationContext | None = None) -> RMatrixSpec:
     pref = ctx.q_power(Fraction(-1, N))
     q = ctx.q_power(1)
     lam = ctx.lam()
-    R = BiMat.zeros(N)
-    for i in range(N):
-        R.set4(i, i, i, i, pref * q)
+    entries = {}
     for i in range(N):
         for j in range(N):
-            if i != j:
-                R.set4(i, j, i, j, pref)
-    for i in range(N):
-        for j in range(N):
+            entries[(i, j, i, j)] = pref * q if i == j else pref
             if i > j:
-                R.set4(i, j, j, i, pref * lam)
-    return RMatrixSpec(label=f"su{N}", ctx=ctx, R=R)
+                entries[(i, j, j, i)] = pref * lam
+    return RMatrixSpec(label=f"su{N}", ctx=ctx, R=BiMat(N, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +110,22 @@ def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -
     ``kind="cubic"``: verifies ``(R̂ − qI)(R̂ + q⁻¹I)(R̂ − ε q^{ε−N} I) = 0``
     with ``eps`` ∈ {+1, −1}.
     """
-    ctx = spec.ctx
-    rhat = spec.hat().mat
-    eye = Mat.identity(spec.N * spec.N)
+    ctx, N = spec.ctx, spec.N
+    rhat = spec.hat()
+    eye = BiMat.identity(N)
     if kind == "hecke":
-        coeff1 = ctx.q_power(Fraction(-1, spec.N)) * ctx.lam()
-        coeff0 = ctx.q_power(Fraction(-2, spec.N))
+        coeff1 = ctx.q_power(Fraction(-1, N)) * ctx.lam()
+        coeff0 = ctx.q_power(Fraction(-2, N))
         residual = rhat @ rhat - rhat.scale(coeff1) - eye.scale(coeff0)
-        return check_mat_zero(f"hecke[{spec.label}]", residual)
+        return check_composite_zero(f"hecke[{spec.label}]", residual.to4dict(), N)
     if kind == "cubic":
         if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
         q = ctx.q_power(1)
-        roots = [q, -ctx.q_power(-1), ctx.scalar(eps) * ctx.q_power(eps - spec.N)]
-        residual = eye
-        for root in roots:
-            residual = residual @ (rhat - eye.scale(root))
-        return check_mat_zero(f"cubic[{spec.label},eps={eps:+d}]", residual)
+        roots = [q, -ctx.q_power(-1), ctx.scalar(eps) * ctx.q_power(eps - N)]
+        factors = [(rhat - eye.scale(root)).to4dict() for root in roots]
+        residual = contract("ijab,abcd,cdkl->ijkl", *factors)
+        return check_composite_zero(f"cubic[{spec.label},eps={eps:+d}]", residual, N)
     raise ValueError(f"unknown characteristic kind {kind!r}")
 
 
@@ -164,13 +157,11 @@ def fundamental_L_matrices(spec: RMatrixSpec) -> LMatrices:
     lplus = [[Mat.zeros(N) for _ in range(N)] for _ in range(N)]
     lminus = [[Mat.zeros(N) for _ in range(N)] for _ in range(N)]
     s_lminus = [[Mat.zeros(N) for _ in range(N)] for _ in range(N)]
-    for k in range(N):
-        for l in range(N):
-            for i in range(N):
-                for j in range(N):
-                    lplus[k][l][i, j] = R.get4(i, k, j, l)
-                    lminus[k][l][i, j] = r21_inv.get4(i, k, j, l)
-                    s_lminus[k][l][i, j] = R.get4(k, i, l, j)
+    for (a, b, c, d), val in R.to4dict().items():
+        lplus[b][d][a, c] = val
+        s_lminus[a][c][b, d] = val
+    for (a, b, c, d), val in r21_inv.to4dict().items():
+        lminus[b][d][a, c] = val
     return LMatrices(N=N, lplus=lplus, lminus=lminus, s_lminus=s_lminus)
 
 
@@ -270,8 +261,7 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed R-matrix file: {exc}") from exc
     ctx = DeformationContext(N=N, root_order=root_order)
-    R = BiMat.zeros(N)
-    seen: set[tuple[int, int, int, int]] = set()
+    entries: dict[tuple[int, int, int, int], Scalar] = {}
     for pos, item in enumerate(raw_entries):
         try:
             key = tuple(_json_int(item, name) for name in ("i", "j", "k", "l"))
@@ -288,12 +278,12 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
         value = Scalar(num, den)
         if not all(0 <= idx < N for idx in key):
             raise ValueError(f"{path}: entry {pos}: index out of range for n={N}")
-        if key in seen:
+        if key in entries:
             raise ValueError(f"{path}: entry {pos}: duplicate entry {key}")
-        seen.add(key)
-        R.set4(*key, value)
+        entries[key] = value
+    R = BiMat(N, entries)
     try:
-        R.mat.inverse()
+        R.inverse()
     except ValueError as exc:
         raise ValueError(f"{path}: R-matrix is singular") from exc
     return RMatrixSpec(label=label, ctx=ctx, R=R)

@@ -1,12 +1,15 @@
-"""Exact dense/sparse linear algebra over the scalar field Q(p).
+"""Exact linear algebra over the scalar field Q(p).
 
-Provides :class:`Mat` (a dense matrix of :class:`~qla.scalars.Scalar` entries
-with exact inverse and null space), :class:`BiMat` (a matrix over a composite
-double index, with the partial transpose, partial traces and the "tilde"
-contraction inverse used throughout the R-matrix constructions),
-:func:`contract`, a sparse einsum over dictionaries keyed by index tuples,
-and :func:`contract_residual`, a signed sum of such contractions and literal
-sparse dicts, which is how every identity check forms its residual.
+Provides :class:`Mat`, the small dense matrix of :class:`~qla.scalars.Scalar`
+entries (exact inverse, null space, rank), and :class:`BiMat`, the sparse
+matrix over a composite double index: a ``{(i, j, k, l): Scalar}`` dict that
+never holds a zero, with the partial transpose, partial traces and the
+"tilde" contraction inverse used throughout the R-matrix constructions.  Both
+inverses run block by block over the connected components of the nonzero
+pattern (:func:`_components`).  :func:`contract` is a sparse einsum over
+dictionaries keyed by index tuples, and :func:`contract_residual`, a signed
+sum of such contractions and literal sparse dicts, is how every identity
+check forms its residual.
 
 Inside both a value is not a :class:`Scalar` but a packed pair ``(offset,
 v)``.  Every operand of every term is written as integer-coefficient
@@ -30,7 +33,7 @@ from collections import Counter
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from qla.scalars import LaurentPoly, Scalar, cleared_numerators, pack_terms, unpack_scalar
 
@@ -49,11 +52,13 @@ PackedTensor = dict[tuple[int, ...], tuple[int, int]]
 
 
 class Mat:
-    """Dense matrix of exact scalars.
+    """Small dense matrix of exact scalars.
 
-    Rows are lists of :class:`Scalar`.  Arithmetic skips zero entries, so
-    sparse matrices stay cheap even in the dense representation.  Equality is
-    entrywise (canonical scalar forms make that exact value equality).
+    Rows are lists of :class:`Scalar`; this is the form of representation
+    matrices, metrics and N×N blocks, while the large sparse operators over
+    doubled labels are :class:`BiMat`.  Arithmetic skips zero entries.
+    Equality is entrywise (canonical scalar forms make that exact value
+    equality).
     """
 
     __slots__ = ("rows",)
@@ -210,63 +215,14 @@ class Mat:
     # -- elimination-based operations -------------------------------------------------
 
     def inverse(self) -> Mat:
-        """Exact inverse, block by block.
+        """Exact inverse, block by block (:func:`_block_inverse`).
 
-        The rows and columns split into the connected components of the
-        bipartite graph with an edge (r, c) for each nonzero entry, so after
-        permuting rows and columns the matrix is block diagonal with one block
-        per component.  A block on rows ``rows`` and columns ``cols`` is
-        inverted by :func:`_gauss_jordan_inverse`, and its inverse fills the
-        entries ``(cols, rows)`` of the result.  A component with more rows
-        than columns, or fewer, proves the matrix singular.  The inverse is
-        unique, so the entries are the canonical scalars a whole-matrix
-        elimination gives.  Raises ``ValueError`` on a singular matrix.
+        Raises ``ValueError`` on a singular matrix.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        out = Mat.zeros(n)
-        for rows, cols in self._components():
-            if len(rows) != len(cols):
-                raise ValueError("matrix is singular")
-            block = _gauss_jordan_inverse([[self.rows[r][c] for c in cols] for r in rows])
-            for c, block_row in zip(cols, block):
-                out_row = out.rows[c]
-                for r, val in zip(rows, block_row):
-                    out_row[r] = val
-        return out
-
-    def _components(self) -> list[tuple[list[int], list[int]]]:
-        """Row and column sets of the connected components of the nonzero pattern.
-
-        Column c is node ``nrows + c`` of a union-find over rows and columns.
-        Each component lists its rows and its columns in increasing order; an
-        all-zero row or column is a component of its own.
-        """
-        nrows = self.nrows
-        parent = list(range(nrows + self.ncols))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for r, row in enumerate(self.rows):
-            root = find(r)
-            for c, val in enumerate(row):
-                if not val.is_zero:
-                    other = find(nrows + c)
-                    if other != root:
-                        parent[other] = root
-        components: dict[int, tuple[list[int], list[int]]] = {}
-        for node in range(len(parent)):
-            rows, cols = components.setdefault(find(node), ([], []))
-            if node < nrows:
-                rows.append(node)
-            else:
-                cols.append(node - nrows)
-        return list(components.values())
+        return Mat.from_sparse(_block_inverse(self.to_sparse(), n), n)
 
     def rref(self) -> tuple[Mat, list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
@@ -327,24 +283,6 @@ class Mat:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    # -- structure helpers -----------------------------------------------------------
-
-    def kron(self, other: Mat) -> Mat:
-        """Kronecker product; row/column composite index is (self, other) row-major."""
-        out = Mat.zeros(self.nrows * other.nrows, self.ncols * other.ncols)
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if a.is_zero:
-                    continue
-                for k, orow in enumerate(other.rows):
-                    base_r = i * other.nrows + k
-                    base_c = j * other.ncols
-                    out_row = out.rows[base_r]
-                    for l, b in enumerate(orow):
-                        if not b.is_zero:
-                            out_row[base_c + l] = a * b
-        return out
-
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols})"
 
@@ -404,6 +342,67 @@ def _gauss_jordan_inverse(rows: list[list[Scalar]]) -> list[list[Scalar]]:
     return [row[n:] for row in work]
 
 
+def _components(keys: Iterable[tuple[Hashable, Hashable]]) -> list[tuple[list, list]]:
+    """Row and column sets of the connected components of a nonzero pattern.
+
+    ``keys`` are the ``(row, col)`` positions of the nonzero entries.  A
+    union-find joins row r (node ``(0, r)``) and column c (node ``(1, c)``)
+    for each entry, so after permuting rows and columns the matrix is block
+    diagonal with one block per component.  Each component lists its rows and
+    its columns in increasing order.  This is the block-diagonal case of the
+    block triangular form (Pothen & Fan, "Computing the block triangular form
+    of a sparse matrix", ACM TOMS 1990).
+    """
+    parent: dict[tuple[int, Hashable], tuple[int, Hashable]] = {}
+
+    def find(node: tuple[int, Hashable]) -> tuple[int, Hashable]:
+        root = parent.setdefault(node, node)
+        while root != node:
+            parent[node] = parent[root]
+            node, root = root, parent[root]
+        return node
+
+    for row, col in keys:
+        a, b = find((0, row)), find((1, col))
+        if a != b:
+            parent[b] = a
+    components: dict[tuple[int, Hashable], tuple[list, list]] = {}
+    for node in parent:
+        side, label = node
+        components.setdefault(find(node), ([], []))[side].append(label)
+    return [(sorted(rows), sorted(cols)) for rows, cols in components.values()]
+
+
+def _block_inverse(
+    entries: Mapping[tuple[Hashable, Hashable], Scalar], size: int
+) -> dict[tuple[Hashable, Hashable], Scalar]:
+    """The nonzero entries of the inverse of a ``size``×``size`` matrix.
+
+    ``entries`` maps ``(row, col)`` to the nonzero values.  Fewer than
+    ``size`` distinct rows or columns mean a zero row or column, and a
+    component (:func:`_components`) with more rows than columns, or fewer,
+    proves the matrix singular; both are found before anything sized by
+    ``size`` is built.  A block on rows ``rows`` and columns ``cols`` is
+    inverted by :func:`_gauss_jordan_inverse`, and its inverse fills the
+    entries ``(cols, rows)`` of the result.  The inverse is unique, so the
+    entries are the canonical scalars a whole-matrix elimination gives.
+    Raises ``ValueError`` on a singular matrix.
+    """
+    blocks = _components(key for key, val in entries.items() if val)
+    if sum(len(rows) for rows, _ in blocks) < size or sum(len(cols) for _, cols in blocks) < size:
+        raise ValueError("matrix is singular")
+    out: dict[tuple[Hashable, Hashable], Scalar] = {}
+    for rows, cols in blocks:
+        if len(rows) != len(cols):
+            raise ValueError("matrix is singular")
+        block = _gauss_jordan_inverse([[entries.get((r, c), _ZERO) for c in cols] for r in rows])
+        for c, block_row in zip(cols, block):
+            for r, val in zip(rows, block_row):
+                if val:
+                    out[(c, r)] = val
+    return out
+
+
 def mat_pow(mat: Mat, power: int) -> Mat:
     if power < 0:
         return mat_pow(mat.inverse(), -power)
@@ -436,115 +435,111 @@ def linear_combination(coeffs: Sequence[Scalar], mats: Sequence[Mat]) -> Mat:
 
 
 class BiMat:
-    """Square matrix over the composite index ``(i, j) -> i*N + j``.
+    """Sparse square matrix over the composite index ``(i, j)``, i, j < N.
 
-    Entry ``M[i,j ; k,l]`` lives at row ``i*N + j`` and column ``k*N + l``.
-    This is the natural home of R-matrices (operators on a two-fold tensor
-    product) and of structure tensors over doubled labels.
+    Entry ``M[i,j ; k,l]`` (row ``(i, j)``, column ``(k, l)``) is stored as
+    ``entries[(i, j, k, l)]``, and a zero is never stored, so the dict is the
+    4-index sparse tensor :func:`contract` reads.  This is the natural home
+    of R-matrices (operators on a two-fold tensor product) and of structure
+    tensors over doubled labels.  Index maps (``t1``, ``flip``, the partial
+    traces) move keys; products and sums are contractions.
     """
 
-    __slots__ = ("N", "mat")
+    __slots__ = ("N", "entries")
 
-    def __init__(self, N: int, mat: Mat):
-        if mat.nrows != N * N or mat.ncols != N * N:
-            raise ValueError("matrix size must be N^2 x N^2")
+    def __init__(self, N: int, entries: Mapping[tuple[int, int, int, int], Scalar] | None = None):
         self.N = N
-        self.mat = mat
+        self.entries: SparseTensor = {key: val for key, val in (entries or {}).items() if val}
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zeros(cls, N: int) -> BiMat:
-        return cls(N, Mat.zeros(N * N))
+        return cls(N)
 
     @classmethod
     def identity(cls, N: int) -> BiMat:
-        return cls(N, Mat.identity(N * N))
+        return cls(N, {(i, j, i, j): _ONE for i in range(N) for j in range(N)})
 
     @classmethod
     def perm(cls, N: int) -> BiMat:
         """The flip operator: ``P[i,j ; k,l] = delta(i,l) delta(j,k)``."""
-        out = cls.zeros(N)
-        for i in range(N):
-            for j in range(N):
-                out.set4(i, j, j, i, _ONE)
-        return out
+        return cls(N, {(i, j, j, i): _ONE for i in range(N) for j in range(N)})
 
     # -- access ----------------------------------------------------------------
 
     def get4(self, i: int, j: int, k: int, l: int) -> Scalar:
-        return self.mat.rows[i * self.N + j][k * self.N + l]
+        return self.entries.get((i, j, k, l), _ZERO)
 
     def set4(self, i: int, j: int, k: int, l: int, value: Scalar) -> None:
-        self.mat.rows[i * self.N + j][k * self.N + l] = value
+        if value:
+            self.entries[(i, j, k, l)] = value
+        else:
+            self.entries.pop((i, j, k, l), None)
 
     def to4dict(self) -> SparseTensor:
-        N = self.N
-        out: SparseTensor = {}
-        for r, row in enumerate(self.mat.rows):
-            i, j = divmod(r, N)
-            for c, val in enumerate(row):
-                if not val.is_zero:
-                    k, l = divmod(c, N)
-                    out[(i, j, k, l)] = val
-        return out
+        """The stored ``{(i, j, k, l): value}`` dict itself; callers must not change it."""
+        return self.entries
 
     def copy(self) -> BiMat:
-        return BiMat(self.N, self.mat.copy())
+        return BiMat(self.N, self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiMat):
             return NotImplemented
-        return self.N == other.N and self.mat == other.mat
+        return self.N == other.N and self.entries == other.entries
 
     def __hash__(self):
         raise TypeError("BiMat is unhashable")
 
-    # -- arithmetic (delegated) ---------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------------
 
     def __matmul__(self, other: BiMat) -> BiMat:
-        return BiMat(self.N, self.mat @ other.mat)
+        return BiMat(self.N, contract("ijmn,mnkl->ijkl", self.entries, other.entries))
 
     def __add__(self, other: BiMat) -> BiMat:
-        return BiMat(self.N, self.mat + other.mat)
+        return BiMat(self.N, contract_residual(self.entries, add=[other.entries]))
 
     def __sub__(self, other: BiMat) -> BiMat:
-        return BiMat(self.N, self.mat - other.mat)
+        return BiMat(self.N, contract_residual(self.entries, other.entries))
 
     def scale(self, factor: Scalar | int) -> BiMat:
-        return BiMat(self.N, self.mat.scale(factor))
+        if isinstance(factor, int):
+            factor = Scalar.from_rational(factor)
+        return BiMat(self.N, {key: val * factor for key, val in self.entries.items()})
 
     def inverse(self) -> BiMat:
-        return BiMat(self.N, self.mat.inverse())
+        """Exact inverse, block by block (:func:`_block_inverse`) over row and column pairs."""
+        pairs = {((i, j), (k, l)): val for (i, j, k, l), val in self.entries.items()}
+        inverse = _block_inverse(pairs, self.N * self.N)
+        return BiMat(self.N, {row + col: val for (row, col), val in inverse.items()})
 
     @property
     def is_zero(self) -> bool:
-        return self.mat.is_zero
+        return not self.entries
 
     # -- index gymnastics ------------------------------------------------------------
 
+    def flip(self) -> BiMat:
+        """The flip applied on the left, P·M: ``out[i,j;k,l] = self[j,i;k,l]``."""
+        return BiMat(self.N, {(j, i, k, l): val for (i, j, k, l), val in self.entries.items()})
+
     def t1(self) -> BiMat:
         """Partial transpose in the first factor: ``out[i,j;k,l] = self[k,j;i,l]``."""
-        N = self.N
-        out = BiMat.zeros(N)
-        for (i, j, k, l), val in self.to4dict().items():
-            out.set4(k, j, i, l, val)
-        return out
+        return BiMat(self.N, {(k, j, i, l): val for (i, j, k, l), val in self.entries.items()})
 
     def tr1(self) -> Mat:
         """Trace over the first factor: ``out[k,l] = sum_m self[m,k;m,l]``."""
-        N = self.N
-        out = Mat.zeros(N)
-        for (i, j, k, l), val in self.to4dict().items():
+        out = Mat.zeros(self.N)
+        for (i, j, k, l), val in self.entries.items():
             if i == k:
                 out.rows[j][l] = out.rows[j][l] + val
         return out
 
     def tr2(self) -> Mat:
         """Trace over the second factor: ``out[i,j] = sum_m self[i,m;j,m]``."""
-        N = self.N
-        out = Mat.zeros(N)
-        for (i, j, k, l), val in self.to4dict().items():
+        out = Mat.zeros(self.N)
+        for (i, j, k, l), val in self.entries.items():
             if j == l:
                 out.rows[i][k] = out.rows[i][k] + val
         return out
@@ -558,7 +553,10 @@ class BiMat:
         return self.t1().inverse().t1()
 
     def eval_at(self, p0) -> BiMat:
-        return BiMat(self.N, self.mat.eval_at(p0))
+        return BiMat(
+            self.N,
+            {key: Scalar.from_rational(val.eval_at(p0)) for key, val in self.entries.items()},
+        )
 
     def __repr__(self) -> str:
         return f"BiMat(N={self.N})"
@@ -701,12 +699,25 @@ def _contract_packed(prepared: list[tuple[str, PackedTensor]], out_letters: str)
 
     # Sum out any remaining letters not in the output, then order the key.
     if letters != out_letters:
-        positions = [letters.index(ch) for ch in out_letters]
+        out_key = _key_getter([letters.index(ch) for ch in out_letters])
         projected: PackedTensor = {}
         for key, (offset, value) in current.items():
-            _accumulate(projected, tuple(key[p] for p in positions), offset, value)
+            _accumulate(projected, out_key(key), offset, value)
         current = projected
     return current
+
+
+def _key_getter(positions: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A C-level function taking a key to the tuple of its entries at ``positions``.
+
+    ``itemgetter`` returns a bare entry for one position, so one position is
+    read as a one-entry slice, and none as the empty slice.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 def _collapse_repeats(
@@ -720,10 +731,11 @@ def _collapse_repeats(
         if ch not in first_pos:
             first_pos[ch] = pos
             keep.append(pos)
+    kept = _key_getter(keep)
     out: SparseTensor = {}
     for key, val in tensor.items():
         if all(key[pos] == key[first_pos[ch]] for pos, ch in enumerate(letters)):
-            out[tuple(key[p] for p in keep)] = val
+            out[kept(key)] = val
     return "".join(letters[p] for p in keep), out
 
 
@@ -865,38 +877,29 @@ def _join(
     tensor_b: PackedTensor,
     needed: set[str],
 ) -> tuple[str, PackedTensor]:
+    # The output key is the needed letters of a, in a's order, then the needed
+    # letters of b that a lacks, so it is one tuple from each side, joined.
     shared = [ch for ch in letters_a if ch in letters_b]
-    out_letters = [ch for ch in letters_a if ch in needed]
-    out_letters += [ch for ch in letters_b if ch in needed and ch not in letters_a]
-
-    a_shared = [letters_a.index(ch) for ch in shared]
-    b_shared = [letters_b.index(ch) for ch in shared]
-    a_out = [(pos, letters_a.index(ch)) for pos, ch in enumerate(out_letters) if ch in letters_a]
-    b_out = [
-        (pos, letters_b.index(ch))
-        for pos, ch in enumerate(out_letters)
-        if ch not in letters_a and ch in letters_b
-    ]
+    a_letters = [ch for ch in letters_a if ch in needed]
+    b_letters = [ch for ch in letters_b if ch in needed and ch not in letters_a]
+    a_shared = _key_getter([letters_a.index(ch) for ch in shared])
+    b_shared = _key_getter([letters_b.index(ch) for ch in shared])
+    a_out = _key_getter([letters_a.index(ch) for ch in a_letters])
+    b_out = _key_getter([letters_b.index(ch) for ch in b_letters])
 
     buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, int]]]] = {}
     for key, val in tensor_b.items():
-        buckets.setdefault(tuple(key[p] for p in b_shared), []).append((key, val))
+        buckets.setdefault(b_shared(key), []).append((b_out(key), val))
 
     out: PackedTensor = {}
-    width = len(out_letters)
     for key_a, (offset_a, value_a) in tensor_a.items():
-        matches = buckets.get(tuple(key_a[p] for p in a_shared))
+        matches = buckets.get(a_shared(key_a))
         if not matches:
             continue
-        base = [0] * width
-        for pos, src in a_out:
-            base[pos] = key_a[src]
-        for key_b, (offset_b, value_b) in matches:
-            out_key_list = list(base)
-            for pos, src in b_out:
-                out_key_list[pos] = key_b[src]
-            _accumulate(out, tuple(out_key_list), offset_a + offset_b, value_a * value_b)
-    return "".join(out_letters), out
+        head = a_out(key_a)
+        for tail, (offset_b, value_b) in matches:
+            _accumulate(out, head + tail, offset_a + offset_b, value_a * value_b)
+    return "".join(a_letters + b_letters), out
 
 
 def delta(N: int) -> SparseTensor:

@@ -21,7 +21,7 @@ from qla.reporting import CheckResult
 from qla.rmatrix import RMatrixSpec, save_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
 from qla.su2_golden import rosso_term
-from qla.tensors import BiMat, Mat
+from qla.tensors import Mat
 
 S = parse_scalar
 SO3_FILE = Path(__file__).parent / "data" / "so3.json"
@@ -44,8 +44,8 @@ def spin1_spec() -> RMatrixSpec:
         X_plus=Mat([[zero, one, zero], [zero, zero, two], [zero, zero, zero]]),
         X_minus=Mat([[zero, zero, zero], [two, zero, zero], [zero, one, zero]]),
     )
-    total = rosso_term(rep, 0).mat + rosso_term(rep, 1).mat + rosso_term(rep, 2).mat
-    return RMatrixSpec(label="so3", ctx=DeformationContext(N=3, root_order=2), R=BiMat(3, total))
+    total = rosso_term(rep, 0) + rosso_term(rep, 1) + rosso_term(rep, 2)
+    return RMatrixSpec(label="so3", ctx=DeformationContext(N=3, root_order=2), R=total)
 
 
 @pytest.fixture()

@@ -48,7 +48,13 @@ class TestSunRMatrix:
         spec = sun_r_matrix(2)
         assert spec.label == "su2"
         assert spec.ctx == DeformationContext(N=2, root_order=2)
-        assert spec.R.mat.rows == golden_su2_rows()
+        rows = golden_su2_rows()
+        assert spec.R.to4dict() == {
+            (*divmod(r, 2), *divmod(c, 2)): rows[r][c]
+            for r in range(4)
+            for c in range(4)
+            if not rows[r][c].is_zero
+        }
 
     def test_context_dimension_must_match(self):
         with pytest.raises(ValueError):
@@ -57,7 +63,7 @@ class TestSunRMatrix:
     def test_classical_limit_is_flipless_identity(self):
         for N in (2, 3):
             spec = sun_r_matrix(N)
-            assert spec.R.eval_at(1).mat.is_identity
+            assert spec.R.eval_at(1) == BiMat.identity(N)
 
     def test_hat_is_perm_times_r(self):
         spec = sun_r_matrix(2)
@@ -116,7 +122,7 @@ class TestYangBaxterAndCharacteristic:
         ctx = DeformationContext(N=2, root_order=1)
         q = ctx.q_power(1)
         eigs = [q, -ctx.q_power(-1), -ctx.q_power(-1), -ctx.q_power(-3)]
-        rhat = BiMat(2, Mat.diagonal(eigs))
+        rhat = BiMat(2, {(*divmod(r, 2), *divmod(r, 2)): eig for r, eig in enumerate(eigs)})
         spec = RMatrixSpec(label="synthetic", ctx=ctx, R=BiMat.perm(2) @ rhat)
         assert spec.hat() == rhat
         result = check_characteristic(spec, kind="cubic", eps=-1)
@@ -261,6 +267,19 @@ class TestLoadSave:
         )
         with pytest.raises(ValueError, match="singular"):
             load_r_matrix(path)
+
+    def test_large_declared_dimension_with_few_entries_is_singular(self, tmp_path):
+        # Two entries fill two of the N² = 10⁸ rows, so the matrix is rejected
+        # from its entries alone, before anything sized by N² is built.
+        path = tmp_path / "big.json"
+        entries = [
+            {"i": 0, "j": 0, "k": 0, "l": 0, "value": "1"},
+            {"i": 9999, "j": 9999, "k": 9999, "l": 9999, "value": "p"},
+        ]
+        path.write_text(json.dumps({"label": "x", "n": 10000, "root_order": 1, "entries": entries}))
+        with pytest.raises(ValueError) as excinfo:
+            load_r_matrix(path)
+        assert str(excinfo.value) == f"{path}: R-matrix is singular"
 
     def test_missing_top_level_key_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -18,7 +18,7 @@ from qla.su2_golden import (
     rosso_term,
     universal_r_truncation,
 )
-from qla.tensors import Mat
+from qla.tensors import BiMat, Mat
 
 S = parse_scalar
 
@@ -63,11 +63,13 @@ class TestTables:
         assert tables.X_minus == Mat([[zero, -one], [zero, zero]])
 
     def test_r_matrix_entries(self, tables):
-        mat = tables.R_sl2.mat
-        assert mat.rows[0][0] == S("p")
-        assert mat.rows[1][1] == S("p^-1")
-        assert mat.rows[2][1] == S("p - p^-3")
-        assert mat.rows[3][3] == S("p")
+        assert tables.R_sl2.to4dict() == {
+            (0, 0, 0, 0): S("p"),
+            (0, 1, 0, 1): S("p^-1"),
+            (1, 0, 0, 1): S("p - p^-3"),
+            (1, 0, 1, 0): S("p^-1"),
+            (1, 1, 1, 1): S("p"),
+        }
 
     def test_shapes(self, tables):
         assert set(tables.fn_matrices) == {"chi0", "chi+", "chi-", "chi3", "u"}
@@ -125,20 +127,19 @@ class TestJimboDrinfeld:
 
 class TestRossoTruncation:
     def test_zeroth_term_is_cartan_diagonal(self, tables):
-        term = rosso_term(tables, 0).mat
-        assert term == Mat.diagonal([S("p"), S("p^-1"), S("p^-1"), S("p")])
+        term = rosso_term(tables, 0)
+        diagonal = [S("p"), S("p^-1"), S("p^-1"), S("p")]
+        assert term == BiMat(2, {(*divmod(r, 2), *divmod(r, 2)): v for r, v in enumerate(diagonal)})
 
     def test_first_term_has_single_entry(self, tables):
-        term = rosso_term(tables, 1).mat
+        term = rosso_term(tables, 1)
         expected = tables.ctx.q_power(Fraction(-1, 2)) * tables.ctx.lam()
-        for i in range(4):
-            for j in range(4):
-                want = expected if (i, j) == (2, 1) else S("0")
-                assert term.rows[i][j] == want
+        # Composite row 2 = (1, 0), column 1 = (0, 1).
+        assert term.to4dict() == {(1, 0, 0, 1): expected}
 
     def test_series_terminates(self, tables):
-        assert rosso_term(tables, 2).mat.is_zero
-        assert rosso_term(tables, 5).mat.is_zero
+        assert rosso_term(tables, 2).is_zero
+        assert rosso_term(tables, 5).is_zero
 
     def test_negative_index_rejected(self, tables):
         with pytest.raises(ValueError, match="non-negative"):
@@ -150,9 +151,10 @@ class TestRossoTruncation:
         assert result.name == "r-truncation"
 
     def test_zeroth_term_alone_misses_lambda_entry(self, tables):
-        from qla.reporting import check_mats_equal
+        from qla.reporting import check_composite_zero
 
-        partial = check_mats_equal("partial", rosso_term(tables, 0).mat, tables.R_sl2.mat)
+        residual = (rosso_term(tables, 0) - tables.R_sl2).to4dict()
+        partial = check_composite_zero("partial", residual, 2)
         assert not partial.passed
         assert partial.witness.key == (2, 1)
 

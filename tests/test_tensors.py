@@ -44,6 +44,28 @@ def random_mat(rng: random.Random, n: int) -> Mat:
     return Mat([[random_scalar(rng) for _ in range(n)] for _ in range(n)])
 
 
+def bimat_of(N: int, dense: Mat) -> BiMat:
+    """The BiMat whose N²×N² matrix, row (i, j) ↦ i·N + j, is ``dense``."""
+    entries = dense.to_sparse().items()
+    return BiMat(N, {(*divmod(r, N), *divmod(c, N)): val for (r, c), val in entries})
+
+
+def dense_of(M: BiMat) -> Mat:
+    """The N²×N² dense matrix of ``M``, row (i, j) ↦ i·N + j."""
+    N = M.N
+    rows = {(i * N + j, k * N + l): val for (i, j, k, l), val in M.to4dict().items()}
+    return Mat.from_sparse(rows, N * N)
+
+
+def dense_kron(a: Mat, b: Mat) -> Mat:
+    """Kronecker product; row/column composite index is (a, b) row-major."""
+    out = Mat.zeros(a.nrows * b.nrows, a.ncols * b.ncols)
+    for (i, j), x in a.to_sparse().items():
+        for (k, l), y in b.to_sparse().items():
+            out[i * b.nrows + k, j * b.ncols + l] = x * y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Mat basics
 # ---------------------------------------------------------------------------
@@ -71,16 +93,6 @@ class TestMat:
         a = Mat([[S("1"), S("2")], [S("3"), S("4")]])
         assert a.t() == Mat([[S("1"), S("3")], [S("2"), S("4")]])
         assert a.trace() == S("5")
-
-    def test_kron(self):
-        a = Mat([[S("1"), S("2")], [S("0"), S("1")]])
-        b = Mat([[S("p"), S("0")], [S("0"), S("p^-1")]])
-        k = a.kron(b)
-        assert k.nrows == 4
-        # entry at composite row (0,1), col (1,0) is a[0,1]*b[1,0] = 0
-        assert k[0 * 2 + 1, 1 * 2 + 0].is_zero
-        # entry at composite row (0,0), col (1,0): a[0,1]*b[0,0] = 2p
-        assert k[0, 2] == S("2*p")
 
     def test_inverse_exact(self):
         m = Mat(
@@ -150,19 +162,20 @@ class TestBiMat:
     def test_composite_layout(self):
         b = BiMat.zeros(2)
         b.set4(0, 1, 1, 0, S("p"))
-        assert b.mat[0 * 2 + 1, 1 * 2 + 0] == S("p")
+        assert b.to4dict() == {(0, 1, 1, 0): S("p")}
+        assert dense_of(b)[0 * 2 + 1, 1 * 2 + 0] == S("p")
         assert b.get4(0, 1, 1, 0) == S("p")
 
     def test_perm(self):
         p = BiMat.perm(3)
-        assert (p @ p).mat.is_identity
+        assert dense_of(p @ p).is_identity
         for i, j, k, l in itertools.product(range(3), repeat=4):
             expected = Scalar.one() if (i == l and j == k) else Scalar.zero()
             assert p.get4(i, j, k, l) == expected
 
     def test_t1_involution_and_layout(self):
         rng = random.Random(11)
-        m = BiMat(2, random_mat(rng, 4))
+        m = bimat_of(2, random_mat(rng, 4))
         t = m.t1()
         for i, j, k, l in itertools.product(range(2), repeat=4):
             assert t.get4(i, j, k, l) == m.get4(k, j, i, l)
@@ -170,13 +183,14 @@ class TestBiMat:
 
     def test_partial_traces(self):
         rng = random.Random(13)
-        m = BiMat(2, random_mat(rng, 4))
+        dense = random_mat(rng, 4)
+        m = bimat_of(2, dense)
         tr1 = m.tr1()
         tr2 = m.tr2()
         for a, b in itertools.product(range(2), repeat=2):
             assert tr1[a, b] == m.get4(0, a, 0, b) + m.get4(1, a, 1, b)
             assert tr2[a, b] == m.get4(a, 0, b, 0) + m.get4(a, 1, b, 1)
-        assert m.tr1().trace() == m.tr2().trace() == m.mat.trace()
+        assert m.tr1().trace() == m.tr2().trace() == dense.trace()
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -185,7 +199,7 @@ class TestBiMat:
         #   sum_{m,n} M[i,m;n,l] tilde(M)[n,k;j,m] = delta(i,j) delta(k,l)
         # and it also satisfies the mirrored contraction.
         rng = random.Random(seed)
-        m = BiMat(2, random_mat(rng, 4))
+        m = bimat_of(2, random_mat(rng, 4))
         try:
             mt = m.tilde()
         except ValueError:
@@ -203,12 +217,187 @@ class TestBiMat:
 
     def test_tilde_round_trip(self):
         rng = random.Random(5)
-        m = BiMat(2, random_mat(rng, 4))
+        m = bimat_of(2, random_mat(rng, 4))
         try:
             mt = m.tilde()
         except ValueError:
             pytest.skip("random sample not partial-transpose invertible")
         assert mt.tilde() == m
+
+
+# ---------------------------------------------------------------------------
+# BiMat against a dense N²×N² reference
+# ---------------------------------------------------------------------------
+
+
+def random_block_bimat(rng: random.Random, N: int) -> tuple[BiMat, Mat]:
+    """A random BiMat and the dense N²×N² matrix it stands for.
+
+    Rows and columns of the composite index are shuffled and split into
+    blocks of one to three, so the nonzero pattern is block diagonal after
+    permuting rows and columns.  Every slot of every block is written with
+    ``set4``, zeros included (``random_scalar`` draws one about a third of
+    the time), and three more explicit zeros land anywhere, on a stored
+    entry or not.
+    """
+    n = N * N
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    dense = Mat.zeros(n)
+    M = BiMat.zeros(N)
+
+    def put(r: int, c: int, val: Scalar) -> None:
+        dense[r, c] = val
+        M.set4(*divmod(r, N), *divmod(c, N), val)
+
+    start = 0
+    while start < n:
+        stop = min(n, start + rng.randint(1, 3))
+        for r in rows[start:stop]:
+            for c in cols[start:stop]:
+                put(r, c, random_scalar(rng))
+        start = stop
+    for _ in range(3):
+        put(rng.randrange(n), rng.randrange(n), Scalar.zero())
+    return M, dense
+
+
+def dense_t1(dense: Mat, N: int) -> Mat:
+    """``out[(i,j),(k,l)] = dense[(k,j),(i,l)]``."""
+    n = N * N
+    return Mat(
+        [[dense[c // N * N + r % N, r // N * N + c % N] for c in range(n)] for r in range(n)]
+    )
+
+
+def dense_partial_trace(dense: Mat, N: int, site: int) -> Mat:
+    """Trace over the first (``site`` 0) or second (``site`` 1) tensor factor."""
+    out = Mat.zeros(N)
+    for a, b, m in itertools.product(range(N), repeat=3):
+        row, col = (m * N + a, m * N + b) if site == 0 else (a * N + m, b * N + m)
+        out[a, b] = out[a, b] + dense[row, col]
+    return out
+
+
+def dense_perm(N: int) -> Mat:
+    out = Mat.zeros(N * N)
+    for i, j in itertools.product(range(N), repeat=2):
+        out[i * N + j, j * N + i] = Scalar.one()
+    return out
+
+
+def dense_inverse(dense: Mat) -> Mat:
+    """Whole-matrix Gauss-Jordan elimination, with no block splitting."""
+    return Mat(tensors._gauss_jordan_inverse(dense.rows))
+
+
+class TestSparseBiMat:
+    @pytest.mark.parametrize("N", [2, 3])
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_no_zero_is_stored_and_equality_ignores_zeros(self, N, seed):
+        M, dense = random_block_bimat(random.Random(seed), N)
+        assert all(not val.is_zero for val in M.to4dict().values())
+        assert dense_of(M) == dense
+        every_slot = {
+            (*divmod(r, N), *divmod(c, N)): dense[r, c]
+            for r, c in itertools.product(range(N * N), repeat=2)
+        }
+        padded = BiMat(N, every_slot)
+        assert padded == M
+        assert padded.to4dict() == M.to4dict()
+        copy = M.copy()
+        copy.set4(0, 0, 0, 0, Scalar.zero())
+        assert (0, 0, 0, 0) not in copy.to4dict()
+        assert copy == BiMat(N, {**M.to4dict(), (0, 0, 0, 0): Scalar.zero()})
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_index_maps_and_products_match_dense(self, N, seed):
+        rng = random.Random(seed)
+        M, dense = random_block_bimat(rng, N)
+        other, other_dense = random_block_bimat(rng, N)
+        P = BiMat.perm(N)
+        assert dense_of(P) == dense_perm(N)
+        assert dense_of(M.t1()) == dense_t1(dense, N)
+        assert M.tr1() == dense_partial_trace(dense, N, 0)
+        assert M.tr2() == dense_partial_trace(dense, N, 1)
+        assert dense_of(M.flip()) == dense_perm(N) @ dense
+        assert dense_of(P @ M) == dense_perm(N) @ dense
+        assert dense_of(M @ P) == dense @ dense_perm(N)
+        assert dense_of(M @ other) == dense @ other_dense
+        assert dense_of(M + other) == dense + other_dense
+        assert dense_of(M - other) == dense - other_dense
+        assert dense_of(M.scale(S("p - 2"))) == dense.scale(S("p - 2"))
+        assert (M - M).is_zero and not (M - M).to4dict()
+        assert dense_of(M.eval_at(Fraction(3, 2))) == dense.eval_at(Fraction(3, 2))
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_inverse_and_tilde_match_dense(self, N, seed):
+        M, dense = random_block_bimat(random.Random(seed), N)
+        try:
+            expected = dense_inverse(dense)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                M.inverse()
+        else:
+            assert dense_of(M.inverse()) == expected
+        try:
+            expected = dense_t1(dense_inverse(dense_t1(dense, N)), N)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                M.tilde()
+        else:
+            assert dense_of(M.tilde()) == expected
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_inverse_matches_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        p = sympy.Symbol("p")
+        field = sympy.QQ.frac_field(p)
+
+        def domain_matrix(mat: Mat) -> DomainMatrix:
+            def value(s: Scalar):
+                num, den = (
+                    sum(sympy.Rational(c.numerator, c.denominator) * p**e for e, c in poly.terms())
+                    for poly in (s.num, s.den)
+                )
+                return field.from_sympy(num / den)
+
+            rows = [[value(s) for s in row] for row in mat.rows]
+            return DomainMatrix(rows, (mat.nrows, mat.ncols), field)
+
+        M, dense = random_block_bimat(random.Random(seed), 3)
+        theirs = domain_matrix(dense)
+        if theirs.det() == field.zero:
+            with pytest.raises(ValueError, match="singular"):
+                M.inverse()
+        else:
+            assert domain_matrix(dense_of(M.inverse())) == theirs.inv()
+
+    def test_non_square_component_is_singular(self):
+        # Rows (0,0) and (0,1) meet only column (0,0); rows (1,0) and (1,1)
+        # meet columns (0,1), (1,0) and (1,1).  No row or column is zero.
+        one = Scalar.one()
+        M = BiMat(
+            2,
+            {
+                (0, 0, 0, 0): one,
+                (0, 1, 0, 0): S("p"),
+                (1, 0, 0, 1): one,
+                (1, 0, 1, 0): S("p^2"),
+                (1, 1, 1, 1): one,
+            },
+        )
+        with pytest.raises(ValueError, match="matrix is singular"):
+            M.inverse()
+        with pytest.raises(ValueError, match="matrix is singular"):
+            tensors._block_inverse({((0, 0), (0, 0)): one, ((0, 1), (0, 0)): one}, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +541,7 @@ class TestContract:
 
     def test_partial_trace_matches_bimat(self):
         rng = random.Random(3)
-        m = BiMat(2, random_mat(rng, 4))
+        m = bimat_of(2, random_mat(rng, 4))
         tr2 = contract("imjm->ij", m.to4dict())
         assert Mat.from_sparse(tr2, 2) == m.tr2()
         tr1 = contract("mkml->kl", m.to4dict())
@@ -369,8 +558,8 @@ class TestContract:
     def test_matches_dense_reference(self, seed):
         rng = random.Random(seed)
         dim = 2
-        a = BiMat(dim, random_mat(rng, dim * dim)).to4dict()
-        b = BiMat(dim, random_mat(rng, dim * dim)).to4dict()
+        a = bimat_of(dim, random_mat(rng, dim * dim)).to4dict()
+        b = bimat_of(dim, random_mat(rng, dim * dim)).to4dict()
         pattern = "mkjn,sdml->kjsdnl"
         fast = contract(pattern, a, b)
         slow = dense_einsum(pattern, a, b, dim=dim)
@@ -393,8 +582,9 @@ class TestContract:
         assert Mat.from_sparse(result, 2) == m
 
     # Between them the patterns have a pair with no shared letter (ab, cd),
-    # a repeated letter inside one group (aab, cca) and a letter that the
-    # first join its group takes part in sums out (x).
+    # a repeated letter inside one group (aab, cca), a letter that the
+    # first join its group takes part in sums out (x) and a projection onto
+    # a one-letter output (ab->a).
     @pytest.mark.parametrize(
         "pattern",
         [
@@ -404,6 +594,7 @@ class TestContract:
             "ab,bc,cd,de->ae",
             "xab,cd,cca,db->",
             "ab,cd,bx,dxe->ace",
+            "ab->a",
         ],
     )
     @given(st.integers(min_value=0, max_value=10_000))
@@ -456,7 +647,7 @@ class TestContract:
     def test_aux1_plan_does_not_start_with_the_bigR_pair(self, monkeypatch):
         spec = sun_r_matrix(3)
         Q = build_structure(spec.R, spec.ctx)
-        bigR4 = Q.bigR4()
+        bigR4 = Q.bigR.to4dict()
         joins = record_joins(monkeypatch)
         contract("dfbn,mead,efc->abcmn", bigR4, bigR4, Q.f3())
         assert len(joins) == 2
@@ -486,7 +677,8 @@ class TestContract:
     def test_packing_uses_the_common_exponent_step(self):
         spec = sun_r_matrix(4)
         Q = build_structure(spec.R, spec.ctx)
-        _, _, step, _, den = tensors._pack_frame([(1, [("abcd", Q.bigR4()), ("abc", Q.f3())])])
+        operands = [("abcd", Q.bigR.to4dict()), ("abc", Q.f3())]
+        _, _, step, _, den = tensors._pack_frame([(1, operands)])
         assert step == 4
         assert den == LaurentPoly.one()
 
@@ -646,10 +838,11 @@ class TestHelpers:
     def test_three_site_matches_kronecker_embeddings(self, seed):
         rng = random.Random(seed)
         N = 2
-        M = BiMat(N, random_mat(rng, N * N))
+        dense = random_mat(rng, N * N)
+        M = bimat_of(N, dense)
         eye = Mat.identity(N)
-        p23 = Mat.identity(N).kron(BiMat.perm(N).mat)
+        p23 = dense_kron(eye, dense_of(BiMat.perm(N)))
         m12, m13, m23 = three_site(M, (0, 1), (0, 2), (1, 2))
-        assert Mat.from_sparse(m12, N**3) == M.mat.kron(eye)
-        assert Mat.from_sparse(m23, N**3) == eye.kron(M.mat)
-        assert Mat.from_sparse(m13, N**3) == p23 @ M.mat.kron(eye) @ p23
+        assert Mat.from_sparse(m12, N**3) == dense_kron(dense, eye)
+        assert Mat.from_sparse(m23, N**3) == dense_kron(eye, dense)
+        assert Mat.from_sparse(m13, N**3) == p23 @ dense_kron(dense, eye) @ p23
