@@ -23,6 +23,7 @@ CASES = {
     ],
     "report_n2_text": ["report", "--n", "2"],
     "check_n2": ["check", "--n", "2"],
+    "check_n3": ["check", "--n", "3"],
     "su2_tables": ["su2-tables"],
     "check_so3": [
         "check", "--group", "external", "--r-matrix", str(DATA / "so3.json"),

@@ -209,6 +209,16 @@ class TestMetricIdentities:
         assert not by_name["metric-asym"].passed
         assert by_name["metric-asym"].line() == "FAIL  metric-asym  [at (0, 0, 3): residual p^-1 - p^-5]"
 
+    def test_perturbed_off_diagonal_fails_every_symmetry(self, su2):
+        _, Q, bundle, _, _ = su2
+        eta = killing_metric(bundle)
+        eta[2, 1] = eta[2, 1] + S("p")
+        assert [r.line() for r in check_metric_identities(Q, eta)] == [
+            "FAIL  metric-rsym  [at (0, 0): residual -p + p^-3]",
+            "FAIL  metric-dsym  [at (1, 2): residual p^5]",
+            "FAIL  metric-asym  [at (0, 0, 0): residual p^-1 - p^-5]",
+        ]
+
 
 class TestCanonicalAndIndex:
     def test_su2_canonical_golden(self, su2, su2_reports):
@@ -258,7 +268,7 @@ class TestCanonicalAndIndex:
         fn_primed = su2_reports["fn"].eta_primed
         perturbed = fn_primed.copy()
         perturbed[2, 2] = perturbed[2, 2] + perturbed[2, 2]
-        with pytest.raises(ValueError, match="does not commute"):
+        with pytest.raises(ValueError, match="^metric ratio K does not commute with the adjoint action$"):
             canonical_and_index(fn_primed, perturbed, ad.gen, S("1"))
 
     def test_non_scalar_ratio_rejected(self, su2_reports):
@@ -322,7 +332,7 @@ class TestCasimir:
         doctored = [g.copy() for g in bundle.gen]
         doctored[1] = doctored[1].scale(S("2"))
         bad = RepBundle(name="bad", dim=2, gen=doctored, u=bundle.u)
-        with pytest.raises(ValueError, match="not central"):
+        with pytest.raises(ValueError, match="^quadratic casimir is not central in bad$"):
             casimir(bad, su2_reports["fn"].inv_canonical, pb)
 
 
@@ -338,6 +348,14 @@ class TestFullCasimir:
                 images = primed_images(pb, B)
                 lhs = Qfull - (images[0] @ images[0]).scale(report.eta00.inv())
                 assert lhs == report.casimir_mat.scale(report.index.inv())
+
+    def test_centrality_enforced(self, su2, su2_reports):
+        _, _, bundle, _, pb = su2
+        doctored = [g.copy() for g in bundle.gen]
+        doctored[1] = doctored[1].scale(S("2"))
+        bad = RepBundle(name="bad", dim=2, gen=doctored, u=bundle.u)
+        with pytest.raises(ValueError, match="^full-metric casimir is not central in bad$"):
+            full_casimir(pb, bad, su2_reports["fn"].eta_full)
 
 
 class TestPositivity:

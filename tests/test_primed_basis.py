@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -337,6 +338,20 @@ class TestRepresentationLevelChecks:
         result = check_comm_prime(Q, pb, rescaled)
         assert not result.passed
         assert result.line() == "FAIL  comm-prime[rescaled]  [at (0, 0, 0, 0): residual 2*p^-2 - 2*p^-6]"
+
+    def test_comm_prime_detects_perturbed_structure_constant(self, su2):
+        _, Q, bundle, D = su2
+        pb = build_primed(Q, bundle, D)
+        adp = adjoint_prime(pb, Q)
+        f = dict(Q.f)
+        f[(1, 0, 1)] = f[(1, 0, 1)] + S("p")
+        bent = replace(Q, f=f)
+        assert check_comm_prime(bent, pb, adp).line() == (
+            "FAIL  comm-prime[ad']  [at (1, 0, 0, 2): residual -p^3 - p^-1]"
+        )
+        assert check_comm_prime(bent, pb, bundle).line() == (
+            "FAIL  comm-prime[fn]  [at (1, 0, 1, 0): residual p^-1]"
+        )
 
     def test_chi0_central_detects_perturbed_generator(self, su2):
         _, Q, bundle, D = su2

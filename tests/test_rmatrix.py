@@ -195,6 +195,16 @@ class TestLMatrices:
             "FAIL  rll[su2,-+]  [at (0, 0): residual -p^9 + p^7]",
         ]
 
+    def test_broken_lminus_blocks_fail_exchange(self):
+        spec = sun_r_matrix(3)
+        lmats = fundamental_L_matrices(spec)
+        lmats.lminus[2][1][0, 0] = lmats.lminus[2][1][0, 0] + S("p")
+        assert [r.line() for r in check_rll(spec, lmats)] == [
+            "PASS  rll[su3,++]",
+            "FAIL  rll[su3,--]  [at (0, 1): residual p^4 - p^-2]",
+            "FAIL  rll[su3,-+]  [at (0, 0): residual p^5 - p^-1]",
+        ]
+
 
 class TestOrthogonalFixture:
     def test_fixture_passes_ybe_and_cubic(self):
