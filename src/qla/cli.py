@@ -110,6 +110,16 @@ class RunConfig:
             raise ConfigError("--group external requires --r-matrix FILE")
         if self.group == "su" and self.n < 2:
             raise ConfigError("--group su requires --n >= 2")
+        if self.root_order is not None:
+            if self.group == "external":
+                raise ConfigError("--root-order applies to --group su; the --r-matrix file sets its own")
+            if self.root_order < 1:
+                raise ConfigError("--root-order must be at least 1")
+            if self.root_order % self.n:
+                raise ConfigError(
+                    f"--root-order must be a multiple of --n {self.n}, "
+                    f"so that q^(-1/{self.n}) is a power of p"
+                )
         if self.rep not in ("fn", "ad", "both"):
             raise ConfigError("--rep must be 'fn', 'ad', or 'both'")
         if self.output_format not in ("text", "json"):
@@ -366,6 +376,14 @@ def _eval_cell(value: Scalar, point: Fraction) -> str:
         return "undefined"
 
 
+def _evaluations(scalars: dict[str, Scalar], points: list[Fraction]) -> dict:
+    """The JSON form of :func:`_eval_table`: ``{point: {label: value}}``."""
+    return {
+        str(point): {label: _eval_cell(value, point) for label, value in scalars.items()}
+        for point in points
+    }
+
+
 def _eval_table(scalars: dict[str, Scalar], points: list[Fraction]) -> list[str]:
     """Aligned table of scalar evaluations, one row per label."""
     headers = ["value"] + [f"p={p}" for p in points]
@@ -484,13 +502,9 @@ def cmd_report(config: RunConfig) -> int:
                 name: killing_report_to_dict(ppl.reports[name])
                 for name in (b.name for b in ppl.bundles())
             },
-            "evaluations": {
-                str(point): {
-                    label: _eval_cell(value, point)
-                    for label, value in _headline_scalars(ppl).items()
-                }
-                for point in config.eval_points
-            },
+            "evaluations": _evaluations(
+                _headline_scalars(ppl) if config.eval_points else {}, config.eval_points
+            ),
         }
         _emit(json.dumps(payload, indent=1), config)
     else:
@@ -505,6 +519,7 @@ def cmd_su2_tables(config: RunConfig | None = None) -> int:
     diffs = [r for r in results if not r.passed]
     lines = [r.line() for r in results]
     lines.append(f"{len(diffs)} diffs")
+    rows: dict[str, Scalar] = {}
     if config.eval_points:
         tables = load_su2_tables()
         rows = {
@@ -517,7 +532,11 @@ def cmd_su2_tables(config: RunConfig | None = None) -> int:
         }
         lines += ["", *_eval_table(rows, config.eval_points)]
     if config.output_format == "json":
-        payload = {"results": [_result_dict(r) for r in results], "diffs": len(diffs)}
+        payload = {
+            "results": [_result_dict(r) for r in results],
+            "diffs": len(diffs),
+            "evaluations": _evaluations(rows, config.eval_points),
+        }
         _emit(json.dumps(payload, indent=1), config)
     else:
         _emit("\n".join(lines), config)

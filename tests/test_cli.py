@@ -74,6 +74,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             RunConfig(checks={"bogus": {}}).validate()
 
+    def test_root_order_validated(self):
+        with pytest.raises(ConfigError, match="at least 1"):
+            RunConfig(root_order=0).validate()
+        with pytest.raises(ConfigError, match="multiple of --n 3"):
+            RunConfig(n=3, root_order=2).validate()
+        with pytest.raises(ConfigError, match="applies to --group su"):
+            RunConfig(group="external", r_matrix_path="so3.json", root_order=2).validate()
+        RunConfig(n=3, root_order=6).validate()
+
     def test_parse_checks_all_expands_by_group(self):
         su2 = _parse_checks("all", "su", 2)
         assert list(su2) == ["ybe", "hecke", "qla", "appendix", "killing", "golden"]
@@ -133,6 +142,24 @@ class TestCheckCommand:
         base = ["check", "--group", "external", "--r-matrix", so3_path, "--checks"]
         assert main(base + ["cubic:eps=2"]) == 2
         assert main(base + ["cubic:eps=x"]) == 2
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--root-order", "0"], "--root-order must be at least 1"),
+            (["--n", "3", "--root-order", "2"],
+             "--root-order must be a multiple of --n 3, so that q^(-1/3) is a power of p"),
+            (["--group", "external", "--r-matrix", str(SO3_FILE), "--root-order", "2"],
+             "--root-order applies to --group su; the --r-matrix file sets its own"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "report"])
+    def test_bad_root_order_is_a_usage_error(self, command, options, message, capsys):
+        extra = ["--checks", "ybe"] if command == "check" else []
+        assert main([command, *options, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_missing_file(self, capsys):
         argv = ["check", "--group", "external", "--r-matrix", "/does/not/exist.json",
@@ -257,6 +284,23 @@ class TestSu2TablesCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["diffs"] == 0
         assert any(r["name"] == "r-truncation" for r in payload["results"])
+        assert payload["evaluations"] == {}
+
+    def test_json_carries_the_evaluations(self, capsys):
+        assert main(["su2-tables", "--eval-at", "1", "--eval-at", "3/2"]) == 0
+        table = capsys.readouterr().out.split("\n\n", 1)[1].splitlines()
+        assert main(["su2-tables", "--format", "json", "--eval-at", "1", "--eval-at", "3/2"]) == 0
+        evaluations = json.loads(capsys.readouterr().out)["evaluations"]
+        assert list(evaluations) == ["1", "3/2"]
+        assert evaluations["1"] == {
+            "index[fn]": "1/2", "casimir[fn]": "3/4", "eta00[fn]": "0",
+            "index[ad']": "2", "casimir[ad']": "2", "eta00[ad']": "0",
+        }
+        # The text table's rows, cell for cell.
+        assert [row.split() for row in table[1:]] == [
+            [label, evaluations["1"][label], evaluations["3/2"][label]]
+            for label in evaluations["1"]
+        ]
 
 
 class TestSideEffects:
