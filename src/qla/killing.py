@@ -20,7 +20,7 @@ from .primed_basis import PrimedBasis, primed_images
 from .qla_core import QlaStructure, RepBundle
 from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import Mat, SparseTensor, linear_combination
+from .tensors import Mat, commutator, contract, contract_residual, linear_combination, stack
 
 __all__ = [
     "KillingReport",
@@ -76,13 +76,8 @@ def killing_form(B: RepBundle, x_coords: Sequence[Scalar], y_coords: Sequence[Sc
 
 def killing_metric(B: RepBundle) -> Mat:
     """η_{AB} = tr(ρ(u)·ρ(χ_A)·ρ(χ_B)) over the unprimed generator labels."""
-    n = len(B.gen)
-    eta = Mat.zeros(n)
-    for A in range(n):
-        uA = B.u @ B.gen[A]
-        for C in range(n):
-            eta[A, C] = (uA @ B.gen[C]).trace()
-    return eta
+    G3 = stack(B.gen)
+    return Mat.from_sparse(contract("xy,ayz,bzx->ab", B.u.to_sparse(), G3, G3), len(B.gen))
 
 
 def primed_metric_blocks(pb: PrimedBasis, eta: Mat) -> tuple[Mat, Scalar, Mat]:
@@ -141,46 +136,18 @@ def check_metric_identities(
     f_{CA}^D η_{DB} + ℝ^{ED}_{CA} f_{DB}^F η_{EF} = 0.  When a closed-form
     ``reference`` metric is supplied, an entrywise equality check is added.
     """
-    n = Q.n
-    by_low: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
-    for (C, D2, A, B), val in Q.bigR.to4dict().items():
-        by_low.setdefault((A, B), []).append((C, D2, val))
-    f_low: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for (A, B, C), val in Q.f.items():
-        f_low.setdefault((A, B), []).append((C, val))
-
-    rsym: SparseTensor = {}
-    dsym: SparseTensor = {}
-    for A in range(n):
-        for B in range(n):
-            acc = -eta[A, B]
-            for C, D2, val in by_low.get((A, B), []):
-                acc = acc + val * eta[C, D2]
-            if not acc.is_zero:
-                rsym[(A, B)] = acc
-            acc = -eta[A, B]
-            for C in range(n):
-                acc = acc + Q.bigD[C, A] * eta[B, C]
-            if not acc.is_zero:
-                dsym[(A, B)] = acc
-
-    asym: SparseTensor = {}
-    for C in range(n):
-        for A in range(n):
-            for B in range(n):
-                acc = _ZERO
-                for D2, fv in f_low.get((C, A), []):
-                    acc = acc + fv * eta[D2, B]
-                for E, D2, rv in by_low.get((C, A), []):
-                    for F, fv in f_low.get((D2, B), []):
-                        acc = acc + rv * fv * eta[E, F]
-                if not acc.is_zero:
-                    asym[(C, A, B)] = acc
-
+    bigR4, f3, metric = Q.bigR.to4dict(), Q.f3(), eta.to_sparse()
     results = [
-        check_sparse_zero("metric-rsym", rsym),
-        check_sparse_zero("metric-dsym", dsym),
-        check_sparse_zero("metric-asym", asym),
+        check_sparse_zero("metric-rsym", contract_residual(("cdab,cd->ab", bigR4, metric), metric)),
+        check_sparse_zero(
+            "metric-dsym", contract_residual(("ca,bc->ab", Q.bigD.to_sparse(), metric), metric)
+        ),
+        check_sparse_zero(
+            "metric-asym",
+            contract_residual(
+                ("cad,db->cab", f3, metric), add=[("edca,dbf,ef->cab", bigR4, f3, metric)]
+            ),
+        ),
     ]
     if reference is not None:
         results.append(check_mats_equal("metric-closed-form", eta, reference))
@@ -212,10 +179,12 @@ def canonical_and_index(
     the traceless adjoint bundle and be a multiple of the identity; the
     index of ρ is that multiple times the fundamental index.
     """
-    K = fn_primed.inverse() @ rho_primed
-    for g in ad_gen:
-        if not (K @ g - g @ K).is_zero:
-            raise ValueError("metric ratio K does not commute with the adjoint action")
+    K = Mat.from_sparse(
+        contract("ab,bc->ac", fn_primed.inverse().to_sparse(), rho_primed.to_sparse()),
+        fn_primed.nrows,
+    )
+    if commutator(K.to_sparse(), stack(ad_gen)):
+        raise ValueError("metric ratio K does not commute with the adjoint action")
     ratio = K[0, 0]
     if K != Mat.identity(K.nrows).scale(ratio):
         raise ValueError("metric ratio K is not a multiple of the identity; "
@@ -224,22 +193,20 @@ def canonical_and_index(
     return canonical, ratio * index_fn, K
 
 
+def _quadratic(coeffs: Mat, images: Sequence[Mat], dim: int) -> Mat:
+    """``Σ_{a,b} coeffs[a, b]·images[a]·images[b]``."""
+    P = stack(images)
+    return Mat.from_sparse(contract("ab,axy,byz->xz", coeffs.to_sparse(), P, P), dim)
+
+
 def casimir(B: RepBundle, inv_canonical: Mat, pb: PrimedBasis) -> tuple[Mat, Scalar | None]:
     """ρ(Q′) = η^{ab}·ρ(χ′_a)·ρ(χ′_b) and its eigenvalue when scalar.
 
     Raises ValueError if the image fails to commute with every generator.
     """
-    images = primed_images(pb, B)
-    m = pb.n - 1
-    out = Mat.zeros(B.dim)
-    for a in range(m):
-        for b in range(m):
-            coeff = inv_canonical[a, b]
-            if not coeff.is_zero:
-                out = out + (images[a + 1] @ images[b + 1]).scale(coeff)
-    for g in B.gen:
-        if not (out @ g - g @ out).is_zero:
-            raise ValueError(f"quadratic casimir is not central in {B.name}")
+    out = _quadratic(inv_canonical, primed_images(pb, B)[1:], B.dim)
+    if commutator(out.to_sparse(), stack(B.gen)):
+        raise ValueError(f"quadratic casimir is not central in {B.name}")
     eigen = out[0, 0]
     if out == Mat.identity(B.dim).scale(eigen):
         return out, eigen
@@ -253,17 +220,9 @@ def full_casimir(pb: PrimedBasis, B: RepBundle, eta_full: Mat) -> Mat:
     b_a = χ′_a.  The result is checked to be central; unlike Q′ it is not
     proportional across bundles because the central block is not canonical.
     """
-    inv_full = eta_full.inverse()
-    images = primed_images(pb, B)
-    out = Mat.zeros(B.dim)
-    for A in range(pb.n):
-        for C in range(pb.n):
-            coeff = inv_full[A, C]
-            if not coeff.is_zero:
-                out = out + (images[A] @ images[C]).scale(coeff)
-    for g in B.gen:
-        if not (out @ g - g @ out).is_zero:
-            raise ValueError(f"full-metric casimir is not central in {B.name}")
+    out = _quadratic(eta_full.inverse(), primed_images(pb, B), B.dim)
+    if commutator(out.to_sparse(), stack(B.gen)):
+        raise ValueError(f"full-metric casimir is not central in {B.name}")
     return out
 
 

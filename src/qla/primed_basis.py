@@ -17,7 +17,7 @@ from .appendix_u import rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
 from .reporting import CheckResult, check_sparse_zero
 from .scalars import Scalar
-from .tensors import Mat, SparseTensor, linear_combination
+from .tensors import Mat, commutator, contract_residual, delta, linear_combination, stack
 
 __all__ = [
     "PrimedBasis",
@@ -274,12 +274,7 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
 
 def check_chi0_central(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
     """ρ(χ₀) commutes with every ρ(χ_A)."""
-    center = chi0_image(pb, bundle)
-    residual = {
-        (A, x, y): val
-        for A, g in enumerate(bundle.gen)
-        for (x, y), val in (center @ g - g @ center).to_sparse().items()
-    }
+    residual = commutator(chi0_image(pb, bundle).to_sparse(), stack(bundle.gen))
     return check_sparse_zero(f"chi0-central[{bundle.name}]", residual)
 
 
@@ -300,30 +295,18 @@ def check_comm_prime(
     ``ρ(χ′_A)ρ(χ′_B) − ℝ^{CD}_{AB} ρ(χ′_C)ρ(χ′_D)
         = Σ_C [f_{AB}{}^C − μ(ρ)(r_A δ^C_B − ℝ^{CD}_{AB} r_D)] ρ(χ′_C)``.
     """
-    n = Q.n
-    ratios = pb.ratios
     mu = mu_scalar(pb, bundle)
-    eye = Mat.identity(bundle.dim)
-    primed = [
-        bundle.gen[A] - eye.scale(mu * ratios[A]) for A in range(n)
-    ]
-    by_lower: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
-    for (C, D, A, B), val in Q.bigR.to4dict().items():
-        by_lower.setdefault((A, B), []).append((C, D, val))
-    residual: SparseTensor = {}
-    for A in range(n):
-        for B in range(n):
-            lhs = primed[A] @ primed[B]
-            rhs = primed[B].scale(-(mu * ratios[A]))
-            for C, D, val in by_lower.get((A, B), ()):
-                lhs = lhs - (primed[C] @ primed[D]).scale(val)
-                rhs = rhs + primed[C].scale(mu * val * ratios[D])
-            for C in range(n):
-                coeff = Q.f_entry(A, B, C)
-                if not coeff.is_zero:
-                    rhs = rhs + primed[C].scale(coeff)
-            for (x, y), val in (lhs - rhs).to_sparse().items():
-                residual[(A, B, x, y)] = val
+    mu_r = {(A,): mu * r for A, r in enumerate(pb.ratios)}
+    # ρ(χ′_A) = ρ(χ_A) − μ(ρ) r_A I, keyed (A, row, col).
+    primed = contract_residual(stack(bundle.gen), ("a,xy->axy", mu_r, delta(bundle.dim)))
+    bigR4 = Q.bigR.to4dict()
+    residual = contract_residual(
+        ("axy,byz->abxz", primed, primed),
+        ("cdab,cxy,dyz->abxz", bigR4, primed, primed),
+        ("cdab,d,cxz->abxz", bigR4, mu_r, primed),
+        ("abc,cxz->abxz", Q.f3(), primed),
+        add=[("a,bxz->abxz", mu_r, primed)],
+    )
     return check_sparse_zero(f"comm-prime[{bundle.name}]", residual)
 
 

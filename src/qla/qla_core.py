@@ -22,7 +22,7 @@ from .tensors import (
     SparseTensor,
     contract,
     contract_residual,
-    linear_combination,
+    stack,
     three_site,
 )
 
@@ -90,9 +90,6 @@ class QlaStructure:
     bigD: Mat
     F_adj: BiMat
     lam: Scalar
-
-    def f_entry(self, A: int, B: int, C: int) -> Scalar:
-        return self.f.get((A, B, C), _ZERO)
 
     def f3(self) -> SparseTensor:
         """f as a sparse 3-index dict keyed (A, B, C) for f_{AB}{}^C."""
@@ -199,27 +196,6 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
 # ---------------------------------------------------------------------------
 
 
-def _gen3(bundle: RepBundle) -> SparseTensor:
-    """Generators as a sparse dict keyed (A, row, col)."""
-    out: SparseTensor = {}
-    for A, g in enumerate(bundle.gen):
-        for (x, y), val in g.to_sparse().items():
-            out[(A, x, y)] = val
-    return out
-
-
-def _orep4(bundle: RepBundle) -> SparseTensor:
-    """O-matrices as a sparse dict keyed (A, B, row, col)."""
-    if bundle.orep is None:
-        raise ValueError("bundle does not carry the O-representation")
-    out: SparseTensor = {}
-    for A, row_of_mats in enumerate(bundle.orep):
-        for B, mat in enumerate(row_of_mats):
-            for (x, y), val in mat.to_sparse().items():
-                out[(A, B, x, y)] = val
-    return out
-
-
 def verify_qla(
     Q: QlaStructure, B: RepBundle, skip_heavy: bool = False
 ) -> list[CheckResult]:
@@ -234,10 +210,12 @@ def verify_qla(
     4. both auxiliary ℝ–f relations;
     5. the three sum rules tying ℝ and f to the invariant vector I.
     """
+    if B.orep is None:
+        raise ValueError("bundle does not carry the O-representation")
     bigR4 = Q.bigR.to4dict()
     f3 = Q.f3()
-    G3 = _gen3(B)
-    O4 = _orep4(B)
+    G3 = stack(B.gen)
+    O4 = stack(B.orep)
     tag = B.name
     results = [check_representation(Q, B)]
 
@@ -310,7 +288,7 @@ def check_representation(Q: QlaStructure, B: RepBundle) -> CheckResult:
 
     ``ρ(χ_A)ρ(χ_B) − ℝ^{CD}_{AB} ρ(χ_C)ρ(χ_D) = f_{AB}{}^C ρ(χ_C)``.
     """
-    G3 = _gen3(B)
+    G3 = stack(B.gen)
     residual = contract_residual(
         ("axy,byz->abxz", G3, G3),
         ("cdab,cxy,dyz->abxz", Q.bigR.to4dict(), G3, G3),
@@ -408,13 +386,11 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
 
 def check_square_antipode(Q: QlaStructure, B: RepBundle) -> CheckResult:
     """``Σ_B 𝔻^B_A ρ(χ_B) = ρ(u) ρ(χ_A) ρ(u)⁻¹`` for every A."""
-    u_inv = B.u.inverse()
-    bigD_cols = Q.bigD.t().rows
-    residual: SparseTensor = {}
-    for A in range(Q.n):
-        diff = linear_combination(bigD_cols[A], B.gen) - B.u @ B.gen[A] @ u_inv
-        for (x, y), val in diff.to_sparse().items():
-            residual[(A, x, y)] = val
+    G3 = stack(B.gen)
+    residual = contract_residual(
+        ("ba,bxy->axy", Q.bigD.to_sparse(), G3),
+        ("xw,awv,vy->axy", B.u.to_sparse(), G3, B.u.inverse().to_sparse()),
+    )
     return check_sparse_zero(f"square-antipode[{B.name}]", residual)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from qla.reporting import CheckResult, check_composite_zero, check_mat_zero, check_sparse_zero
+from qla.reporting import CheckResult, check_composite_zero, check_sparse_zero
 from qla.scalars import DeformationContext, Scalar, parse_ratio
-from qla.tensors import BiMat, Mat, contract, contract_residual, three_site
+from qla.tensors import BiMat, Mat, SparseTensor, contract, contract_residual, stack, three_site
 
 #: Largest magnitude of an exponent of ``p`` that :func:`load_r_matrix`
 #: accepts in an entry's numerator or denominator, as written.  Dense
@@ -165,53 +165,39 @@ def fundamental_L_matrices(spec: RMatrixSpec) -> LMatrices:
     return LMatrices(N=N, lplus=lplus, lminus=lminus, s_lminus=s_lminus)
 
 
-def _exchange_residual(
-    R: BiMat,
-    left_space1: list[list[Mat]],
-    left_space2: list[list[Mat]],
-    right_space1: list[list[Mat]],
-    right_space2: list[list[Mat]],
-) -> Mat:
-    """First nonzero block of the residual ``A₁B₂R − RB₂A₁``, or a zero matrix.
+def _first_block_zero(name: str, residual: SparseTensor) -> CheckResult:
+    """:func:`check_sparse_zero` on the sorted-first block of a residual of matrices.
 
-    Entry (ij),(kl) of the left side is ``Σ_{a,b} ρ(A^i_a)ρ(B^j_b) R^{ab}_{kl}``
-    (products taken in reading order), and of the right side
-    ``Σ_{a,b} R^{ij}_{ab} ρ(B^b_l)ρ(A^a_k)``.
+    The residual's keys end in ``(row, col)``.  The witness is the sorted-first
+    ``(row, col)`` of the first block with a nonzero entry, that is the key of
+    ``min(residual)`` without its block indices.
     """
-    N = R.N
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    lhs = Mat.zeros(N)
-                    rhs = Mat.zeros(N)
-                    for a in range(N):
-                        for b in range(N):
-                            coeff = R.get4(a, b, k, l)
-                            if not coeff.is_zero:
-                                lhs = lhs + (left_space1[i][a] @ left_space2[j][b]).scale(coeff)
-                            coeff = R.get4(i, j, a, b)
-                            if not coeff.is_zero:
-                                rhs = rhs + (right_space2[b][l] @ right_space1[a][k]).scale(coeff)
-                    diff = lhs - rhs
-                    if not diff.is_zero:
-                        return diff
-    return Mat.zeros(N)
+    first = min(residual, default=None)
+    return check_sparse_zero(name, {} if first is None else {first[-2:]: residual[first]})
 
 
 def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckResult]:
     """The three exchange relations among L-blocks:
 
     ``L⁺₁L⁺₂R = RL⁺₂L⁺₁``, ``L⁻₁L⁻₂R = RL⁻₂L⁻₁``, ``L⁻₂L⁺₁R = RL⁺₂L⁻₁``.
+
+    Block (ij),(kl) of ``A₁B₂R − RB₂A₁`` is ``Σ_{a,b} ρ(Aⁱ_a)ρ(Bʲ_b) R^{ab}_{kl}
+    − Σ_{a,b} R^{ij}_{ab} ρ(Bᵇ_l)ρ(Aᵃ_k)``; the witness is taken in the first
+    nonzero block, in (i, j, k, l) order.
     """
     if lmats is None:
         lmats = fundamental_L_matrices(spec)
-    R = spec.R
-    lp, lm = lmats.lplus, lmats.lminus
-    # Mixed relation L⁻₁L⁺₂R = RL⁺₂L⁻₁: the left side pairs ρ(L⁻ⁱ_c)ρ(L⁺ʲ_d)
-    # with R^{cd}_{kl}, the right side R^{ij}_{cd} with ρ(L⁺ᵈ_l)ρ(L⁻ᶜ_k).
+    R4 = spec.R.to4dict()
+    lp, lm = stack(lmats.lplus), stack(lmats.lminus)
+    # Mixed relation L⁻₁L⁺₂R = RL⁺₂L⁻₁: the left side pairs ρ(L⁻ⁱ_a)ρ(L⁺ʲ_b)
+    # with R^{ab}_{kl}, the right side R^{ij}_{ab} with ρ(L⁺ᵇ_l)ρ(L⁻ᵃ_k).
     return [
-        check_mat_zero(f"rll[{spec.label},{tag}]", _exchange_residual(R, a, b, a, b))
+        _first_block_zero(
+            f"rll[{spec.label},{tag}]",
+            contract_residual(
+                ("iaxy,jbyz,abkl->ijklxz", a, b, R4), ("ijab,blxy,akyz->ijklxz", R4, b, a)
+            ),
+        )
         for tag, a, b in (("++", lp, lp), ("--", lm, lm), ("-+", lm, lp))
     ]
 
@@ -219,15 +205,11 @@ def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckRe
 def check_antipode_inverse(lmats: LMatrices) -> CheckResult:
     """``S(L⁻)`` blocks invert the ``L⁻`` blocks: Σ_a ρ(L⁻ᵏ_a)ρ(S(L⁻ᵃ_ℓ)) = δᵏ_ℓ I."""
     N = lmats.N
-    for k in range(N):
-        for l in range(N):
-            total = Mat.zeros(N)
-            for a in range(N):
-                total = total + lmats.lminus[k][a] @ lmats.s_lminus[a][l]
-            expected = Mat.identity(N) if k == l else Mat.zeros(N)
-            if total != expected:
-                return check_mat_zero("antipode-inverse", total - expected)
-    return CheckResult("antipode-inverse", True)
+    identity = {(k, k, x, x): Scalar.one() for k in range(N) for x in range(N)}
+    residual = contract_residual(
+        ("kaxy,alyz->klxz", stack(lmats.lminus), stack(lmats.s_lminus)), identity
+    )
+    return _first_block_zero("antipode-inverse", residual)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ inverses run block by block over the connected components of the nonzero
 pattern (:func:`_components`).  :func:`contract` is a sparse einsum over
 dictionaries keyed by index tuples, and :func:`contract_residual`, a signed
 sum of such contractions and literal sparse dicts, is how every identity
-check forms its residual.
+check forms its residual.  :func:`stack` turns a list of representation
+matrices into such a dict, and :func:`commutator` is the residual of a
+centrality test.
 
 Inside both a value is not a :class:`Scalar` but a packed pair ``(offset,
 v)``.  Every operand of every term is written as integer-coefficient
@@ -416,6 +418,20 @@ def mat_pow(mat: Mat, power: int) -> Mat:
     return result
 
 
+def stack(mats: Sequence) -> SparseTensor:
+    """Matrices, or nested sequences of them, as one sparse dict.
+
+    A key is the position at each level of nesting, then ``(row, col)``:
+    ``stack([M₀, M₁])`` is ``{(A, x, y): M_A[x, y]}`` and a list of lists
+    of matrices is keyed ``(A, B, x, y)``.
+    """
+    out: SparseTensor = {}
+    for A, item in enumerate(mats):
+        for key, val in (item.to_sparse() if isinstance(item, Mat) else stack(item)).items():
+            out[(A, *key)] = val
+    return out
+
+
 def linear_combination(coeffs: Sequence[Scalar], mats: Sequence[Mat]) -> Mat:
     """``Σ_A coeffs[A]·mats[A]``, skipping zero coefficients and zero entries."""
     out = Mat.zeros(mats[0].nrows, mats[0].ncols)
@@ -640,6 +656,14 @@ def contract_residual(lhs: Term, *subtract: Term, add: Sequence[Term] = ()) -> S
         else:
             normalized.append((sign, term[0], term[1:]))
     return _decode(*_packed_sum(normalized))
+
+
+def commutator(M: Mapping[tuple[int, int], Scalar], G: Mapping[tuple[int, ...], Scalar]) -> SparseTensor:
+    """``M·G_A − G_A·M`` for every A, keyed ``(A, row, col)``, zero entries dropped.
+
+    ``M`` is a matrix as a sparse ``(row, col)`` dict and ``G`` a :func:`stack`.
+    """
+    return contract_residual(("xy,ayz->axz", M, G), ("axy,yz->axz", G, M))
 
 
 def _decode(packed: PackedTensor, step: int, bits: int, den: LaurentPoly) -> SparseTensor:

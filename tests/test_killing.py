@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,17 @@ class TestMetricIdentities:
             "FAIL  metric-rsym  [at (0, 0): residual -p + p^-3]",
             "FAIL  metric-dsym  [at (1, 2): residual p^5]",
             "FAIL  metric-asym  [at (0, 0, 0): residual p^-1 - p^-5]",
+        ]
+
+    def test_off_diagonal_bigD_fails_dsym(self, su2):
+        _, Q, bundle, _, _ = su2
+        bigD = Q.bigD.copy()
+        bigD[1, 2] = S("p")
+        results = check_metric_identities(replace(Q, bigD=bigD), killing_metric(bundle))
+        assert [r.line() for r in results] == [
+            "PASS  metric-rsym",
+            "FAIL  metric-dsym  [at (2, 2): residual p^-8]",
+            "PASS  metric-asym",
         ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,8 +137,8 @@ class TestBuildStructure:
                 comm = gens[A] @ gens[B] - gens[B] @ gens[A]
                 acc = Mat.zeros(N)
                 for C in range(n):
-                    c = Q.f_entry(A, B, C).eval_at(1)
-                    if c:
+                    if (A, B, C) in Q.f:
+                        c = Q.f[(A, B, C)].eval_at(1)
                         acc = acc + gens[C].scale(Scalar.from_rational(c))
                 assert comm == acc
 
@@ -152,10 +153,6 @@ class TestBuildStructure:
     def test_lambda_field_matches_context(self, su2):
         spec, Q, _ = su2
         assert Q.lam == spec.ctx.lam()
-
-    def test_f_entry_defaults_to_zero(self, su2):
-        _, Q, _ = su2
-        assert Q.f_entry(0, 0, 1).is_zero
 
     def test_su2_bigD_is_diagonal_golden(self, su2):
         _, Q, _ = su2
@@ -432,6 +429,13 @@ class TestAdjointRep:
         result = check_square_antipode(Q, warped)
         assert not result.passed
         assert result.line() == "FAIL  square-antipode[warped]  [at (0, 0, 1): residual -2*p^-3]"
+
+    def test_square_antipode_detects_off_diagonal_bigD(self, su2):
+        _, Q, bundle = su2
+        bigD = Q.bigD.copy()
+        bigD[1, 2] = S("p")
+        result = check_square_antipode(replace(Q, bigD=bigD), bundle)
+        assert result.line() == "FAIL  square-antipode[fn]  [at (2, 1, 0): residual -p^-1]"
 
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_bigD_identities(self, fixture_name, request):

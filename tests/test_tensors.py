@@ -846,3 +846,30 @@ class TestHelpers:
         assert Mat.from_sparse(m12, N**3) == dense_kron(dense, eye)
         assert Mat.from_sparse(m23, N**3) == dense_kron(eye, dense)
         assert Mat.from_sparse(m13, N**3) == p23 @ dense_kron(dense, eye) @ p23
+
+    def test_stack_keys_by_nesting_position(self):
+        rng = random.Random(7)
+        mats = [[random_mat(rng, 2) for _ in range(3)] for _ in range(2)]
+        assert tensors.stack(mats[0]) == {
+            (A, x, y): val for A, m in enumerate(mats[0]) for (x, y), val in m.to_sparse().items()
+        }
+        assert tensors.stack(mats) == {
+            (A, B, x, y): val
+            for A, row in enumerate(mats)
+            for B, m in enumerate(row)
+            for (x, y), val in m.to_sparse().items()
+        }
+        assert tensors.stack([]) == {}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_commutator_matches_dense_products(self, seed):
+        rng = random.Random(seed)
+        M = random_mat(rng, 3)
+        gens = [random_mat(rng, 3) for _ in range(3)] + [M.scale(S("p + 2"))]
+        expected = {
+            (A, x, y): val
+            for A, g in enumerate(gens)
+            for (x, y), val in (M @ g - g @ M).to_sparse().items()
+        }
+        assert tensors.commutator(M.to_sparse(), tensors.stack(gens)) == expected
+        assert not any(key[0] == 3 for key in expected)
