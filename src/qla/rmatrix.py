@@ -15,7 +15,7 @@ from pathlib import Path
 
 from qla.reporting import CheckResult, check_composite_zero, check_sparse_zero
 from qla.scalars import DeformationContext, Scalar, parse_ratio
-from qla.tensors import BiMat, Mat, SparseTensor, contract, contract_residual, stack, three_site
+from qla.tensors import BiMat, Mat, SparseTensor, contract, contract_residual, delta, stack, three_site
 
 #: Largest magnitude of an exponent of ``p`` that :func:`load_r_matrix`
 #: accepts in an entry's numerator or denominator, as written.  Dense
@@ -179,7 +179,7 @@ def _first_block_zero(name: str, residual: SparseTensor) -> CheckResult:
 def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckResult]:
     """The three exchange relations among L-blocks:
 
-    ``L⁺₁L⁺₂R = RL⁺₂L⁺₁``, ``L⁻₁L⁻₂R = RL⁻₂L⁻₁``, ``L⁻₂L⁺₁R = RL⁺₂L⁻₁``.
+    ``L⁺₁L⁺₂R = RL⁺₂L⁺₁``, ``L⁻₁L⁻₂R = RL⁻₂L⁻₁``, ``L⁻₁L⁺₂R = RL⁺₂L⁻₁``.
 
     Block (ij),(kl) of ``A₁B₂R − RB₂A₁`` is ``Σ_{a,b} ρ(Aⁱ_a)ρ(Bʲ_b) R^{ab}_{kl}
     − Σ_{a,b} R^{ij}_{ab} ρ(Bᵇ_l)ρ(Aᵃ_k)``; the witness is taken in the first
@@ -189,8 +189,6 @@ def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckRe
         lmats = fundamental_L_matrices(spec)
     R4 = spec.R.to4dict()
     lp, lm = stack(lmats.lplus), stack(lmats.lminus)
-    # Mixed relation L⁻₁L⁺₂R = RL⁺₂L⁻₁: the left side pairs ρ(L⁻ⁱ_a)ρ(L⁺ʲ_b)
-    # with R^{ab}_{kl}, the right side R^{ij}_{ab} with ρ(L⁺ᵇ_l)ρ(L⁻ᵃ_k).
     return [
         _first_block_zero(
             f"rll[{spec.label},{tag}]",
@@ -204,10 +202,10 @@ def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckRe
 
 def check_antipode_inverse(lmats: LMatrices) -> CheckResult:
     """``S(L⁻)`` blocks invert the ``L⁻`` blocks: Σ_a ρ(L⁻ᵏ_a)ρ(S(L⁻ᵃ_ℓ)) = δᵏ_ℓ I."""
-    N = lmats.N
-    identity = {(k, k, x, x): Scalar.one() for k in range(N) for x in range(N)}
+    eye = delta(lmats.N)
     residual = contract_residual(
-        ("kaxy,alyz->klxz", stack(lmats.lminus), stack(lmats.s_lminus)), identity
+        ("kaxy,alyz->klxz", stack(lmats.lminus), stack(lmats.s_lminus)),
+        ("kl,xz->klxz", eye, eye),
     )
     return _first_block_zero("antipode-inverse", residual)
 
