@@ -44,6 +44,12 @@ def su3():
 
 
 @pytest.fixture(scope="module")
+def su4():
+    spec = sun_r_matrix(4)
+    return spec, build_structure(spec.R, spec.ctx), fundamental_generators(spec.R, spec.ctx)
+
+
+@pytest.fixture(scope="module")
 def so3():
     spec = load_r_matrix(DATA_DIR / "so3.json")
     return spec, build_structure(spec.R, spec.ctx), fundamental_generators(spec.R, spec.ctx)
@@ -233,6 +239,40 @@ class TestVerifyQla:
             "PASS  bigD-comm",
             "FAIL  bigD-tilde  [at (2, 1, 0, 0): residual -p^4 + p^3 - p^2 + p]",
         ]
+
+    # The braid witness on perturbed ℝ at n = 9 and n = 16.  The two-entry edit
+    # touches two different blocks of ℝ: (7, 3, 3, 7) makes the residual
+    # nonzero on the triple-space block the braid check reaches first, while
+    # the sorted-first residual key (11, 11) comes from (2, 1, 1, 2) and lies
+    # in a block reached later.
+    @pytest.mark.parametrize(
+        "fixture_name, edits, line",
+        [
+            (
+                "su3",
+                [((0, 4, 1, 3), "p")],
+                "FAIL  ybe-qla  [at (4, 0): residual -p + 2*p^-5 - p^-11]",
+            ),
+            (
+                "su4",
+                [((0, 5, 1, 4), "p")],
+                "FAIL  ybe-qla  [at (5, 0): residual -p + 2*p^-7 - p^-15]",
+            ),
+            (
+                "su3",
+                [((2, 1, 1, 2), "p"), ((7, 3, 3, 7), "-1")],
+                "FAIL  ybe-qla  [at (11, 11): residual -p^-2 + p^-8]",
+            ),
+        ],
+        ids=["su3", "su4", "su3-two-blocks"],
+    )
+    def test_perturbed_bigR_braid_witness(self, fixture_name, edits, line, request):
+        _, Q, bundle = request.getfixturevalue(fixture_name)
+        bigR = Q.bigR.copy()
+        for key, text in edits:
+            bigR.set4(*key, bigR.get4(*key) + S(text))
+        results = {r.name: r for r in verify_qla(replace(Q, bigR=bigR), bundle)}
+        assert results["ybe-qla"].line() == line
 
     # Ratio perturbations: every residual below stands over a denominator, so
     # the lifts of the shared residual frame and the division by D are what
