@@ -299,11 +299,17 @@ def _suite_killing(ppl: Pipeline, params: dict) -> list[CheckResult]:
     return out
 
 
+_GOLDEN_SCOPE = "--group su --n 2 at root order 2"
+
+
+def _in_golden_scope(cfg: RunConfig) -> bool:
+    """Whether the packaged su(2) tables apply: su(2) at root order 2."""
+    return cfg.group == "su" and cfg.n == 2 and cfg.root_order in (None, 2)
+
+
 def _suite_golden(ppl: Pipeline, params: dict) -> list[CheckResult]:
-    cfg = ppl.config
-    applicable = cfg.group == "su" and cfg.n == 2 and cfg.root_order in (None, 2)
-    if not applicable:
-        return [skipped("golden", "golden tables cover --group su --n 2 at root order 2")]
+    if not _in_golden_scope(ppl.config):
+        return [skipped("golden", f"golden tables cover {_GOLDEN_SCOPE}")]
     B, pb, ad = ppl.fn, ppl.primed, ppl.adjoint
     reports = ppl.reports
     if "ad'" not in reports:  # --rep fn builds no ad' report; the tables need one
@@ -515,6 +521,9 @@ def cmd_report(config: RunConfig) -> int:
 def cmd_su2_tables(config: RunConfig | None = None) -> int:
     if config is None:
         config = RunConfig(checks={"golden": {}})
+    if not _in_golden_scope(config):
+        raise ConfigError(f"su2-tables covers {_GOLDEN_SCOPE}")
+    config.validate()
     results = golden_suite()
     diffs = [r for r in results if not r.passed]
     lines = [r.line() for r in results]

@@ -10,8 +10,9 @@ pattern (:func:`_components`).  :func:`contract` is a sparse einsum over
 dictionaries keyed by index tuples, and :func:`contract_residual`, a signed
 sum of such contractions and literal sparse dicts, is how every identity
 check forms its residual.  :func:`stack` turns a list of representation
-matrices into such a dict, and :func:`commutator` is the residual of a
-centrality test.
+matrices into such a dict, :func:`commutator` is the residual of a
+centrality test, and :func:`invariant_blocks` splits operators into their
+common invariant blocks, so their products are formed block by block.
 
 Inside both a value is not a :class:`Scalar` but a packed pair ``(offset,
 v)``.  Every operand of every term is written as integer-coefficient
@@ -32,7 +33,7 @@ that cancel are dropped as ints and never decoded.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -598,6 +599,28 @@ def three_site(M: BiMat, *pairs: tuple[int, int]) -> list[SparseTensor]:
                 op[(a * ws + b * wt + x * wx, c * ws + d * wt + x * wx)] = val
         out.append(op)
     return out
+
+
+def invariant_blocks(
+    size: int, *ops: Mapping[tuple[int, int], Scalar]
+) -> list[tuple[list[int], list[SparseTensor]]]:
+    """The common invariant blocks of square operators on ``range(size)``.
+
+    Each operator is a sparse ``(row, col)`` dict.  The blocks are the
+    components (:func:`_components`) of the joint nonzero pattern with every
+    diagonal ``(x, x)`` added, so row x and column x are one node: every
+    entry of every operator has both indices in one block, and the blocks
+    partition ``range(size)``.  Returns each block's sorted indices with the
+    operators restricted to it, in the order of ``ops``.  A product of the
+    operators is then block diagonal too, and is formed block by block.
+    """
+    components = _components(chain(*ops, ((x, x) for x in range(size))))
+    block_of = {x: pos for pos, (indices, _) in enumerate(components) for x in indices}
+    blocks = [(indices, [{} for _ in ops]) for indices, _ in components]
+    for pos, op in enumerate(ops):
+        for key, val in op.items():
+            blocks[block_of[key[0]]][1][pos][key] = val
+    return blocks
 
 
 # ---------------------------------------------------------------------------

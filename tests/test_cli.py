@@ -279,6 +279,32 @@ class TestSu2TablesCommand:
         assert cmd_su2_tables(RunConfig()) == 1
         assert "1 diffs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--group", "external", "--r-matrix", str(SO3_FILE)],
+            ["--group", "external"],
+            ["--n", "3"],
+            ["--n", "1"],
+            ["--root-order", "4"],
+            ["--root-order", "1"],
+            ["--root-order", "0", "--n", "7"],
+        ],
+    )
+    def test_options_outside_the_tables_are_usage_errors(self, options, capsys):
+        assert main(["su2-tables", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: su2-tables covers --group su --n 2 at root order 2\n"
+
+    def test_root_order_two_is_the_tables_own(self, capsys):
+        assert main(["su2-tables", "--root-order", "2"]) == 0
+        assert capsys.readouterr().out == (SO3_FILE.parent / "golden" / "su2_tables.txt").read_text()
+
+    def test_config_is_validated(self):
+        with pytest.raises(ConfigError, match="--format"):
+            cmd_su2_tables(RunConfig(output_format="xml"))
+
     def test_json_format(self, capsys):
         assert main(["su2-tables", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

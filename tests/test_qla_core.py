@@ -6,12 +6,16 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import random
+
 import pytest
 
+from qla import qla_core
 from qla.qla_core import (
     QlaStructure,
     RepBundle,
     adjoint_rep,
+    braid_residual,
     build_structure,
     check_bigD_identities,
     check_representation,
@@ -25,7 +29,8 @@ from qla.qla_core import (
 )
 from qla.rmatrix import RMatrixSpec, check_ybe, load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat
+from qla.reporting import check_sparse_zero
+from qla.tensors import BiMat, Mat, contract_residual, invariant_blocks, three_site
 
 S = parse_scalar
 DATA_DIR = Path(__file__).parent / "data"
@@ -572,6 +577,74 @@ class TestSerialization:
         del data["bigR"]
         with pytest.raises(KeyError):
             structure_from_dict(data)
+
+
+def whole_space_braid_residual(bigR: BiMat):
+    """ℝ₁₂ℝ₂₃ℝ₁₂ − ℝ₂₃ℝ₁₂ℝ₂₃ as one contract_residual over the whole triple space."""
+    m12, m23 = three_site(bigR, (0, 1), (1, 2))
+    return contract_residual(("xy,yz,zw->xw", m12, m23, m12), ("xy,yz,zw->xw", m23, m12, m23))
+
+
+class TestBraidBlocks:
+    @pytest.mark.parametrize("fixture_name", ["su2", "so3"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_residual_matches_whole_space(self, fixture_name, seed, request):
+        # Edits on present entries keep the pattern; edits on absent ones
+        # merge blocks.  Both must leave the gathered residual exact.
+        _, Q, _ = request.getfixturevalue(fixture_name)
+        rng = random.Random(seed)
+        bigR = Q.bigR.copy()
+        present = sorted(bigR.to4dict())
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                key = rng.choice(present)
+            else:
+                key = tuple(rng.randrange(Q.n) for _ in range(4))
+            text = rng.choice(["p", "-2", "p^-1 + 3", "1 / p + 2"])
+            bigR.set4(*key, bigR.get4(*key) + S(text))
+        gathered = braid_residual(bigR)
+        whole = whole_space_braid_residual(bigR)
+        assert gathered
+        assert gathered == whole
+        assert check_sparse_zero("ybe-qla", gathered).line() == check_sparse_zero(
+            "ybe-qla", whole
+        ).line()
+
+    def test_unperturbed_residuals_vanish(self, so3):
+        _, Q, _ = so3
+        assert braid_residual(Q.bigR) == {} == whole_space_braid_residual(Q.bigR)
+
+    def test_witness_block_is_not_the_first_failing_block(self, su3):
+        # The two-entry edit pinned in TestVerifyQla: the loop meets a nonzero
+        # residual before it reaches the block of the sorted-first key.
+        _, Q, _ = su3
+        bigR = Q.bigR.copy()
+        for key, text in [((2, 1, 1, 2), "p"), ((7, 3, 3, 7), "-1")]:
+            bigR.set4(*key, bigR.get4(*key) + S(text))
+        blocks = invariant_blocks(Q.n**3, *three_site(bigR, (0, 1), (1, 2)))
+        block_of = {x: pos for pos, (block, _) in enumerate(blocks) for x in block}
+        residual = braid_residual(bigR)
+        first_failing = min(block_of[row] for row, _ in residual)
+        assert block_of[min(residual)[0]] != first_failing
+
+    def test_so3_braid_operands_fit_in_the_largest_block(self, so3, monkeypatch):
+        _, Q, bundle = so3
+        rows = []
+
+        def recording(*terms, **kwargs):
+            for term in terms:
+                if isinstance(term, tuple) and term[0] == "xy,yz,zw->xw":
+                    rows.extend(len({key[0] for key in op}) for op in term[1:])
+            return contract_residual(*terms, **kwargs)
+
+        monkeypatch.setattr(qla_core, "contract_residual", recording)
+        results = {r.name: r for r in verify_qla(Q, bundle)}
+        assert results["ybe-qla"].passed
+        blocks = invariant_blocks(Q.n**3, *three_site(Q.bigR, (0, 1), (1, 2)))
+        largest = max(len(block) for block, _ in blocks)
+        assert largest == 141 < Q.n**3
+        assert rows
+        assert max(rows) <= largest
 
 
 class TestSparseDesign:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from qla import tensors
 from qla.qla_core import build_structure
-from qla.rmatrix import sun_r_matrix
+from qla.rmatrix import load_r_matrix, sun_r_matrix
 from qla.scalars import LaurentPoly, Scalar, parse_scalar
 from qla.tensors import (
     BiMat,
@@ -21,6 +22,7 @@ from qla.tensors import (
     contract,
     contract_residual,
     delta,
+    invariant_blocks,
     linear_combination,
     mat_pow,
     three_site,
@@ -873,3 +875,56 @@ class TestHelpers:
         }
         assert tensors.commutator(M.to_sparse(), tensors.stack(gens)) == expected
         assert not any(key[0] == 3 for key in expected)
+
+
+class TestInvariantBlocks:
+    def assert_blocks_split(self, size, ops, blocks):
+        """The blocks partition range(size) and restrict each operator exactly."""
+        indices = [x for block, _ in blocks for x in block]
+        assert sorted(indices) == list(range(size))
+        assert all(block == sorted(block) for block, _ in blocks)
+        for pos, op in enumerate(ops):
+            gathered = {}
+            for block, parts in blocks:
+                members = set(block)
+                assert all(r in members and c in members for r, c in parts[pos])
+                gathered.update(parts[pos])
+            assert gathered == op
+
+    # (blocks, largest block) of the triple space under ℝ₁₂ and ℝ₂₃.
+    @pytest.mark.parametrize(
+        "case, counts", [("su2", (7, 20)), ("su3", (37, 93)), ("so3", (13, 141))]
+    )
+    def test_braid_operators_split_into_invariant_blocks(self, case, counts):
+        if case == "so3":
+            spec = load_r_matrix(Path(__file__).parent / "data" / "so3.json")
+        else:
+            spec = sun_r_matrix(int(case[-1]))
+        Q = build_structure(spec.R, spec.ctx)
+        size = Q.n**3
+        ops = three_site(Q.bigR, (0, 1), (1, 2))
+        blocks = invariant_blocks(size, *ops)
+        self.assert_blocks_split(size, ops, blocks)
+        assert (len(blocks), max(len(block) for block, _ in blocks)) == counts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_form_block_by_block(self, seed):
+        rng = random.Random(seed)
+        size = 12
+        ops = [
+            {(rng.randrange(size), rng.randrange(size)): random_scalar(rng) for _ in range(8)}
+            for _ in range(2)
+        ]
+        ops = [{key: val for key, val in op.items() if val} for op in ops]
+        blocks = invariant_blocks(size, *ops)
+        self.assert_blocks_split(size, ops, blocks)
+        whole = contract("xy,yz,zw->xw", ops[0], ops[1], ops[0])
+        gathered = {}
+        for _, (a, b) in blocks:
+            gathered.update(contract("xy,yz,zw->xw", a, b, a))
+        assert gathered == whole
+
+    def test_untouched_index_is_its_own_block(self):
+        op = {(0, 1): S("p"), (1, 0): S("1")}
+        blocks = invariant_blocks(4, op)
+        assert blocks == [([0, 1], [op]), ([2], [{}]), ([3], [{}])]
