@@ -610,10 +610,6 @@ class TestBraidBlocks:
             "ybe-qla", whole
         ).line()
 
-    def test_unperturbed_residuals_vanish(self, so3):
-        _, Q, _ = so3
-        assert braid_residual(Q.bigR) == {} == whole_space_braid_residual(Q.bigR)
-
     def test_witness_block_is_not_the_first_failing_block(self, su3):
         # The two-entry edit pinned in TestVerifyQla: the loop meets a nonzero
         # residual before it reaches the block of the sorted-first key.
