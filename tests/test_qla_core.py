@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-
-import random
 
 import pytest
 
@@ -27,9 +26,9 @@ from qla.qla_core import (
     structure_to_dict,
     verify_qla,
 )
+from qla.reporting import check_sparse_zero
 from qla.rmatrix import RMatrixSpec, check_ybe, load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.reporting import check_sparse_zero
 from qla.tensors import BiMat, Mat, contract_residual, invariant_blocks, three_site
 
 S = parse_scalar
