@@ -64,9 +64,11 @@ def rep_u(R: BiMat) -> Mat:
 
     The normalization is fixed so that no further scalar appears: for the
     unitary-series fundamental R-matrix at N = 2 this evaluates to
-    ``q^{-5/2}·diag(1, q²)``.
+    ``q^{-5/2}·diag(1, q²)``.  Formed once per R.
     """
-    return R.tilde().flip().tr2()
+    if "u" not in R.derived:
+        R.derived["u"] = R.tilde().flip().tr2()
+    return R.derived["u"]
 
 
 def rep_u_inverse(R: BiMat) -> Mat:

@@ -487,6 +487,8 @@ def _text_report(ppl: Pipeline) -> str:
 
 def cmd_report(config: RunConfig) -> int:
     config.validate()
+    if config.skip_heavy:
+        raise ConfigError("--skip-heavy applies to check only")
     ppl = Pipeline(config)
     # Build every stage before rendering: ad′ records its own μ on the primed basis.
     stages = ("structure", "primed") + (() if config.rep == "fn" else ("adjoint",))
@@ -523,6 +525,8 @@ def cmd_su2_tables(config: RunConfig | None = None) -> int:
         config = RunConfig(checks={"golden": {}})
     if not _in_golden_scope(config):
         raise ConfigError(f"su2-tables covers {_GOLDEN_SCOPE}")
+    if config.rep != "both" or config.skip_heavy:
+        raise ConfigError("su2-tables takes neither --rep nor --skip-heavy")
     config.validate()
     results = golden_suite()
     diffs = [r for r in results if not r.passed]

@@ -14,29 +14,35 @@ matrices into such a dict, :func:`commutator` is the residual of a
 centrality test, and :func:`invariant_blocks` splits operators into their
 common invariant blocks, so their products are formed block by block.
 
-Inside both a value is not a :class:`Scalar` but a packed pair ``(offset,
-v)``.  Every operand of every term is written as integer-coefficient
-numerators over its common denominator; each numerator ``Σ c·p^e`` then
-becomes the Python int ``v = Σ c·2^(bits·(e/step − e₀))`` with ``offset =
-bits·e₀`` (Kronecker substitution, as in Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", JSC 2009).  A product
-of two entries is one int multiply and a sum one aligned add.  The terms of
-a residual share one frame: one ``step``, one denominator D, and per term an
+Inside both, a key is not a tuple but one int with a bit field of ``width =
+max_index.bit_length()`` bits per letter (the linearized keys of Helal et
+al., "ALTO: Adaptive Linearized Storage of Sparse Tensors", ICS 2021).  In
+each term output position k is field k, whatever letter names it, and the
+summed letters take the fields after those.  A join buckets, heads and tails
+keys with masks, its output key is one int add, and summing out a letter is
+a mask.  A value is not a :class:`Scalar` but a packed pair ``(offset, v)``.
+Every operand of every term is written as integer-coefficient numerators
+over its common denominator; each numerator ``Σ c·p^e`` then becomes the
+Python int ``v = Σ c·2^(bits·(e/step − e₀))`` with ``offset = bits·e₀``
+(Kronecker substitution, as in Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 2009).  A product of two entries is
+one int multiply and a sum one aligned add.  The terms of a residual share
+one frame: one ``width``, one ``step``, one denominator D, and per term an
 integer lift D/den_t that each term's packed result is multiplied by, its
 sign folded in, before the terms are added.  ``bits`` exceeds the bit length
 of a bound on every coefficient that can arise (see :func:`_pack_frame`), so
 each nonzero entry of the sum is decoded exactly, and dividing by D gives the
 canonical scalar that exact arithmetic on scalars would have given.  Entries
-that cancel are dropped as ints and never decoded.
+that cancel are dropped as ints and never decoded, key and value alike.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from operator import and_, eq, lshift, rshift
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from qla.scalars import LaurentPoly, Scalar, cleared_numerators, pack_terms, unpack_scalar
 
@@ -44,9 +50,9 @@ _ZERO = Scalar.zero()
 _ONE = Scalar.one()
 
 SparseTensor = dict[tuple[int, ...], Scalar]
-# Inside :func:`contract` and :func:`contract_residual`: each value as
-# ``(offset, packed numerator)``.
-PackedTensor = dict[tuple[int, ...], tuple[int, int]]
+# Inside :func:`contract` and :func:`contract_residual`: each key as one int of
+# bit fields (see :func:`_pack_frame`), each value as ``(offset, packed numerator)``.
+PackedTensor = dict[int, tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +465,17 @@ class BiMat:
     4-index sparse tensor :func:`contract` reads.  This is the natural home
     of R-matrices (operators on a two-fold tensor product) and of structure
     tensors over doubled labels.  Index maps (``t1``, ``flip``, the partial
-    traces) move keys; products and sums are contractions.
+    traces) move keys; products and sums are contractions.  ``derived`` keeps
+    what is formed from the matrix once and shared (its tilde, ρ(u)); callers
+    must not change those, and ``set4`` forgets them.
     """
 
-    __slots__ = ("N", "entries")
+    __slots__ = ("N", "entries", "derived")
 
     def __init__(self, N: int, entries: Mapping[tuple[int, int, int, int], Scalar] | None = None):
         self.N = N
         self.entries: SparseTensor = {key: val for key, val in (entries or {}).items() if val}
+        self.derived: dict[str, object] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -489,6 +498,7 @@ class BiMat:
         return self.entries.get((i, j, k, l), _ZERO)
 
     def set4(self, i: int, j: int, k: int, l: int, value: Scalar) -> None:
+        self.derived.clear()
         if value:
             self.entries[(i, j, k, l)] = value
         else:
@@ -565,9 +575,11 @@ class BiMat:
         """The contraction inverse: partial transpose, invert, transpose back.
 
         Satisfies ``sum_{m,n} M[i,m;n,l] tilde(M)[n,k;j,m] = delta(i,j) delta(k,l)``
-        whenever the partial transpose is invertible.
+        whenever the partial transpose is invertible.  Formed once per matrix.
         """
-        return self.t1().inverse().t1()
+        if "tilde" not in self.derived:
+            self.derived["tilde"] = self.t1().inverse().t1()
+        return self.derived["tilde"]
 
     def eval_at(self, p0) -> BiMat:
         return BiMat(
@@ -629,7 +641,7 @@ def invariant_blocks(
 
 
 def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> SparseTensor:
-    """Sparse einsum over dictionaries keyed by integer index tuples.
+    """Sparse einsum over dictionaries keyed by tuples of non-negative ints.
 
     ``pattern`` reads like ``"mkjn,sdml->kjsdnl"``: single-letter indices, one
     group per operand, and an explicit output.  Repeated letters inside one
@@ -641,13 +653,12 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     out as soon as neither the output nor a remaining operand needs it.  Zero
     values are never stored.
 
-    Values are packed once on entry (:func:`_pack_frame`): each operand is
-    written as integer-coefficient numerators over one common denominator,
-    and each numerator becomes one Python int by Kronecker substitution
-    ``p^step -> 2^bits``.  Joins then multiply and add ints, and each output
-    entry is unpacked once, over the product of the operands' common
-    denominators.  Every coefficient met on the way is bounded by the slot
-    width, so decoding is exact and the result is the canonical scalar.
+    Keys and values are packed once on entry (:func:`_pack_frame`): a key
+    becomes one int with a bit field per letter, and a value one int by
+    Kronecker substitution ``p^step -> 2^bits``.  Joins then mask, multiply
+    and add ints, and each output entry is unpacked once.  Every coefficient
+    met on the way is bounded by the slot width, so decoding is exact and the
+    result is the canonical scalar.
     This is the one-term case of :func:`contract_residual`, which forms a
     signed sum of contractions in the same packed frame.
     """
@@ -662,12 +673,14 @@ def contract_residual(lhs: Term, *subtract: Term, add: Sequence[Term] = ()) -> S
     """``lhs − Σ subtract + Σ add`` entrywise, with zero entries dropped.
 
     A term is either a contraction ``(pattern, *operands)``, read as by
-    :func:`contract`, or a literal sparse dict.  Every term is packed into
-    one frame (:func:`_pack_frame`): one exponent step, one denominator D
-    and, per term, an integer lift that takes the term's own denominator to
-    D.  The signed, lifted terms are summed as packed ints, so entries that
-    cancel are never decoded; only the nonzero entries of the residual are
-    unpacked, each to the canonical scalar exact arithmetic would give.
+    :func:`contract`, or a literal sparse dict, all of one output arity.
+    Every term is packed into one frame (:func:`_pack_frame`): one key field
+    width, one exponent step, one denominator D and, per term, an integer
+    lift that takes the term's own denominator to D.  Output position k is
+    key field k in every term, so the signed, lifted terms are summed as ints
+    on int keys: entries that cancel are never decoded, and only the nonzero
+    entries of the residual are unpacked, each to the canonical scalar exact
+    arithmetic would give.
     """
     terms = [(1, lhs)] + [(-1, term) for term in subtract] + [(1, term) for term in add]
     normalized = []
@@ -689,20 +702,25 @@ def commutator(M: Mapping[tuple[int, int], Scalar], G: Mapping[tuple[int, ...], 
     return contract_residual(("xy,ayz->axz", M, G), ("axy,yz->axz", G, M))
 
 
-def _decode(packed: PackedTensor, step: int, bits: int, den: LaurentPoly) -> SparseTensor:
-    return {
-        key: unpack_scalar(offset, value, step, bits, den)
-        for key, (offset, value) in packed.items()
-    }
+def _decode(
+    packed: PackedTensor, step: int, bits: int, den: LaurentPoly, width: int, arity: int
+) -> SparseTensor:
+    """Each entry unpacked: its int key to a tuple of ``arity`` fields, its value to a scalar."""
+    mask = (1 << width) - 1
+    fields = [map(and_, map(rshift, packed, repeat(width * k)), repeat(mask)) for k in range(arity)]
+    keys = zip(*fields) if arity else repeat((), len(packed))
+    values = [unpack_scalar(offset, value, step, bits, den) for offset, value in packed.values()]
+    return dict(zip(keys, values))
 
 
 def _packed_sum(
     terms: Sequence[tuple[int, str, Sequence[Mapping[tuple[int, ...], Scalar]]]],
-) -> tuple[PackedTensor, int, int, LaurentPoly]:
+) -> tuple[PackedTensor, int, int, LaurentPoly, int, int]:
     """``Σ sign·contract(pattern, *operands)`` over ``terms``, still packed.
 
-    Returns the packed sum, its exponent step and slot width, and the
-    denominator D that every packed numerator stands over.
+    Returns the packed sum, its exponent step and slot width, the
+    denominator D that every packed numerator stands over, the key field
+    width and the output arity.
     """
     parsed = []
     for sign, pattern, operands in terms:
@@ -718,88 +736,81 @@ def _packed_sum(
             raise ValueError("output letters must be distinct")
         prepared = [_collapse_repeats(letters, tensor) for letters, tensor in zip(groups, operands)]
         parsed.append((sign, out_letters, prepared))
+    arity = len(parsed[0][1]) if parsed else 0
+    if any(len(out_letters) != arity for _, out_letters, _ in parsed):
+        raise ValueError("terms differ in output arity")
 
-    packed_terms, lifts, step, bits, den = _pack_frame([(sign, prepared) for sign, _, prepared in parsed])
+    packed_terms, lifts, step, bits, den, width = _pack_frame(parsed)
     out: PackedTensor = {}
-    for (_, out_letters, _), prepared, (lift_offset, lift_value) in zip(parsed, packed_terms, lifts):
-        term = _contract_packed(prepared, out_letters)
-        if not out and (lift_offset, lift_value) == (0, 1):
+    for (_, out_letters, _), (prepared, masks), (lift_offset, lift_value) in zip(
+        parsed, packed_terms, lifts
+    ):
+        letters, term = _contract_packed(prepared, out_letters, masks)
+        if not out and (lift_offset, lift_value) == (0, 1) and len(letters) == arity:
             out = dict(term)  # the term may be a packed operand itself
             continue
+        out_mask = sum(masks[ch] for ch in out_letters)  # sums out a lone operand's extra letters
         for key, (offset, value) in term.items():
-            _accumulate(out, key, offset + lift_offset, value * lift_value)
-    return out, step, bits, den
+            _accumulate(out, key & out_mask, offset + lift_offset, value * lift_value)
+    return out, step, bits, den, width, arity
 
 
-def _contract_packed(prepared: list[tuple[str, PackedTensor]], out_letters: str) -> PackedTensor:
-    """Join packed operands in the greedy order and project onto ``out_letters``."""
+def _contract_packed(
+    prepared: list[tuple[str, PackedTensor]], out_letters: str, masks: Mapping[str, int]
+) -> tuple[str, PackedTensor]:
+    """Join packed operands in the greedy order; a lone operand is returned as it is."""
     prepared = list(prepared)
     while len(prepared) > 1:
-        i, j = (0, 1) if len(prepared) == 2 else _cheapest_pair(prepared)
+        # The cheapest pair (i, j), i < j; ties go to the lowest pair.
+        i, j = (0, 1) if len(prepared) == 2 else min(
+            combinations(range(len(prepared)), 2),
+            key=lambda pair: _join_cost(*prepared[pair[0]], *prepared[pair[1]], masks),
+        )
         needed = set(out_letters)
         for pos, (other_letters, _) in enumerate(prepared):
             if pos != i and pos != j:
                 needed.update(other_letters)
-        prepared[i] = _join(*prepared[i], *prepared[j], needed)
+        prepared[i] = _join(*prepared[i], *prepared[j], needed, masks)
         del prepared[j]
-    letters, current = prepared[0]
-
-    # Sum out any remaining letters not in the output, then order the key.
-    if letters != out_letters:
-        out_key = _key_getter([letters.index(ch) for ch in out_letters])
-        projected: PackedTensor = {}
-        for key, (offset, value) in current.items():
-            _accumulate(projected, out_key(key), offset, value)
-        current = projected
-    return current
-
-
-def _key_getter(positions: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """A C-level function taking a key to the tuple of its entries at ``positions``.
-
-    ``itemgetter`` returns a bare entry for one position, so one position is
-    read as a one-entry slice, and none as the empty slice.
-    """
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(slice(0, 0))
+    return prepared[0]
 
 
 def _collapse_repeats(
     letters: str, tensor: Mapping[tuple[int, ...], Scalar]
 ) -> tuple[str, Mapping[tuple[int, ...], Scalar]]:
+    """The diagonal of a group with a repeated letter, keyed by its distinct letters."""
     if len(set(letters)) == len(letters):
         return letters, tensor
-    first_pos: dict[str, int] = {}
-    keep: list[int] = []
-    for pos, ch in enumerate(letters):
-        if ch not in first_pos:
-            first_pos[ch] = pos
-            keep.append(pos)
-    kept = _key_getter(keep)
-    out: SparseTensor = {}
-    for key, val in tensor.items():
-        if all(key[pos] == key[first_pos[ch]] for pos, ch in enumerate(letters)):
-            out[kept(key)] = val
-    return "".join(letters[p] for p in keep), out
+    first = [letters.index(ch) for ch in letters]
+    keep = sorted(set(first))
+    diagonal = {
+        tuple(map(key.__getitem__, keep)): val
+        for key, val in tensor.items()
+        if all(map(eq, key, map(key.__getitem__, first)))
+    }
+    return "".join(letters[pos] for pos in keep), diagonal
 
 
 def _pack_frame(
-    terms: Sequence[tuple[int, Sequence[tuple[str, Mapping[tuple[int, ...], Scalar]]]]],
-) -> tuple[list[list[tuple[str, PackedTensor]]], list[tuple[int, int]], int, int, LaurentPoly]:
-    """Pack the operands of signed terms ``(sign, [(letters, tensor), ...])`` into one frame.
+    terms: Sequence[tuple[int, str, Sequence[tuple[str, Mapping[tuple[int, ...], Scalar]]]]],
+) -> tuple[list, list[tuple[int, int]], int, int, LaurentPoly, int]:
+    """Pack the operands of signed terms ``(sign, out_letters, [(letters, tensor), ...])``.
 
-    Each distinct operand's nonzero entries are cleared to integer-coefficient
-    numerators over its common denominator (``scalars.cleared_numerators``)
-    and packed as ``(offset, int)`` pairs.  A term's denominator den_t is the
-    product of its operands' common denominators, D is the product of the
-    distinct den_t, and lift_t = D/den_t; D and every lift are scaled by the
-    lcm of the lifts' coefficient denominators, so lifts have integer
-    coefficients.  Returns the packed operands per term, each term's lift
+    Keys: ``width`` is the bit length of the largest index of any operand,
+    and each distinct operand is encoded once per field layout (see the
+    module docstring); each term comes with the mask of every letter's field.
+
+    Values: each distinct operand's nonzero entries are cleared to
+    integer-coefficient numerators over its common denominator
+    (``scalars.cleared_numerators``) and packed as ``(offset, int)`` pairs.
+    A term's denominator den_t is the product of its operands' common
+    denominators, D is the product of the distinct den_t, and lift_t =
+    D/den_t; D and every lift are scaled by the lcm of the lifts'
+    coefficient denominators, so lifts have integer coefficients.
+
+    Returns per term its packed operands and letter masks, each term's lift
     packed with its sign folded in, the exponent step (the gcd over every
-    numerator and lift exponent), the slot width in bits, and D.
+    numerator and lift exponent), the slot width in bits, D and ``width``.
 
     Slot width: let M_t be the product over term t's operands of the summed
     L1 norms of their cleared numerators.  A coefficient of any join or
@@ -813,16 +824,20 @@ def _pack_frame(
     when its polynomial is).
     """
     cleared: dict[int, tuple[list[tuple[int, ...]], list[dict[int, int]], LaurentPoly, int]] = {}
-    for _, prepared in terms:
+    top = 0
+    for _, _, prepared in terms:
         for _, tensor in prepared:
             if id(tensor) not in cleared:
                 keys = [key for key, val in tensor.items() if val]
+                if min(chain.from_iterable(keys), default=0) < 0:
+                    raise ValueError("indices must be non-negative")
+                top = max(top, max(chain.from_iterable(keys), default=0))
                 nums, common = cleared_numerators([tensor[key] for key in keys])
                 norm = sum(abs(coef) for terms_ in nums for coef in terms_.values())
                 cleared[id(tensor)] = (keys, nums, common, norm)
 
     term_dens = []
-    for _, prepared in terms:
+    for _, _, prepared in terms:
         den_t = LaurentPoly.one()
         for _, tensor in prepared:
             common = cleared[id(tensor)][2]
@@ -849,7 +864,7 @@ def _pack_frame(
         den = den.scale(scale)
     lift_terms = [
         {exp: int(sign * coef * scale) for exp, coef in lift.terms()}
-        for (sign, _), lift in zip(terms, lifts)
+        for (sign, _, _), lift in zip(terms, lifts)
     ]
 
     step = gcd(
@@ -857,24 +872,33 @@ def _pack_frame(
         *(exp for lt in lift_terms for exp in lt),
     ) or 1
     bound = 0
-    for (_, prepared), lt in zip(terms, lift_terms):
+    for (_, _, prepared), lt in zip(terms, lift_terms):
         m_t = 1
         for _, tensor in prepared:
             m_t *= max(1, cleared[id(tensor)][3])
         bound += m_t * sum(abs(coef) for coef in lt.values())
     bits = bound.bit_length() + 1
 
-    packed: dict[int, PackedTensor] = {
-        ident: {key: pack_terms(terms_, step, bits) for key, terms_ in zip(keys, nums)}
-        for ident, (keys, nums, _, _) in cleared.items()
-    }
-    packed_terms = [
-        [(letters, packed[id(tensor)]) for letters, tensor in prepared] for _, prepared in terms
-    ]
-    return packed_terms, [pack_terms(lt, step, bits) for lt in lift_terms], step, bits, den
+    values = {i: [pack_terms(t, step, bits) for t in entry[1]] for i, entry in cleared.items()}
+    width = top.bit_length()
+    field = (1 << width) - 1
+    encoded: dict[tuple[int, tuple[int, ...]], PackedTensor] = {}
+    packed_terms = []
+    for _, out_letters, prepared in terms:
+        order = dict.fromkeys(out_letters + "".join(letters for letters, _ in prepared))
+        fields = {ch: width * k for k, ch in enumerate(order)}
+        operands = []
+        for letters, tensor in prepared:
+            slot = (id(tensor), tuple(fields[ch] for ch in letters))
+            if slot not in encoded:
+                keys = map(map, repeat(lshift), cleared[id(tensor)][0], repeat(slot[1]))
+                encoded[slot] = dict(zip(map(sum, keys), values[id(tensor)]))
+            operands.append((letters, encoded[slot]))
+        packed_terms.append((operands, {ch: field << shift for ch, shift in fields.items()}))
+    return packed_terms, [pack_terms(lt, step, bits) for lt in lift_terms], step, bits, den, width
 
 
-def _accumulate(out: PackedTensor, key: tuple[int, ...], offset: int, value: int) -> None:
+def _accumulate(out: PackedTensor, key: int, offset: int, value: int) -> None:
     """Add the packed ``value·2^offset`` into ``out[key]``, dropping a zero sum."""
     acc = out.get(key)
     if acc is not None:
@@ -892,60 +916,60 @@ def _accumulate(out: PackedTensor, key: tuple[int, ...], offset: int, value: int
     out[key] = (offset, value)
 
 
-def _cheapest_pair(prepared: Sequence[tuple[str, PackedTensor]]) -> tuple[int, int]:
-    """Positions ``(i, j)``, i < j, of the cheapest join; ties go to the lowest pair."""
-    return min(
-        combinations(range(len(prepared)), 2),
-        key=lambda pair: _join_cost(*prepared[pair[0]], *prepared[pair[1]]),
-    )
-
-
 def _join_cost(
-    letters_a: str, tensor_a: PackedTensor, letters_b: str, tensor_b: PackedTensor
+    letters_a: str, tensor_a: PackedTensor, letters_b: str, tensor_b: PackedTensor,
+    masks: Mapping[str, int],
 ) -> int:
     """The exact number of products :func:`_join` makes for this pair.
 
     That is Σ over shared-letter keys of bucket_a × bucket_b, or ``|a|·|b|``
-    when the pair shares no letter.
+    when the pair shares no letter (or every index is 0, so every key is).
     """
-    shared = [ch for ch in letters_a if ch in letters_b]
+    shared = sum(masks[ch] for ch in letters_a if ch in letters_b)
     if not shared:
         return len(tensor_a) * len(tensor_b)
-    key_a = itemgetter(*(letters_a.index(ch) for ch in shared))
-    key_b = itemgetter(*(letters_b.index(ch) for ch in shared))
-    buckets = Counter(map(key_b, tensor_b))
-    return sum(buckets[key] for key in map(key_a, tensor_a))
+    buckets = Counter(map(shared.__and__, tensor_b))
+    return sum(map(buckets.__getitem__, map(shared.__and__, tensor_a)))
 
 
 def _join(
-    letters_a: str,
-    tensor_a: PackedTensor,
-    letters_b: str,
-    tensor_b: PackedTensor,
-    needed: set[str],
+    letters_a: str, tensor_a: PackedTensor, letters_b: str, tensor_b: PackedTensor,
+    needed: set[str], masks: Mapping[str, int],
 ) -> tuple[str, PackedTensor]:
-    # The output key is the needed letters of a, in a's order, then the needed
-    # letters of b that a lacks, so it is one tuple from each side, joined.
-    shared = [ch for ch in letters_a if ch in letters_b]
+    # Fields are disjoint, so a product's key is head + tail; its sum into ``out`` is inlined.
     a_letters = [ch for ch in letters_a if ch in needed]
     b_letters = [ch for ch in letters_b if ch in needed and ch not in letters_a]
-    a_shared = _key_getter([letters_a.index(ch) for ch in shared])
-    b_shared = _key_getter([letters_b.index(ch) for ch in shared])
-    a_out = _key_getter([letters_a.index(ch) for ch in a_letters])
-    b_out = _key_getter([letters_b.index(ch) for ch in b_letters])
+    shared = sum(masks[ch] for ch in letters_a if ch in letters_b)
+    a_mask = sum(masks[ch] for ch in a_letters)
+    b_mask = sum(masks[ch] for ch in b_letters)
 
-    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, int]]]] = {}
-    for key, val in tensor_b.items():
-        buckets.setdefault(b_shared(key), []).append((b_out(key), val))
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for key, (offset, value) in tensor_b.items():
+        buckets.setdefault(key & shared, []).append((key & b_mask, offset, value))
 
     out: PackedTensor = {}
     for key_a, (offset_a, value_a) in tensor_a.items():
-        matches = buckets.get(a_shared(key_a))
+        matches = buckets.get(key_a & shared)
         if not matches:
             continue
-        head = a_out(key_a)
-        for tail, (offset_b, value_b) in matches:
-            _accumulate(out, head + tail, offset_a + offset_b, value_a * value_b)
+        head = key_a & a_mask
+        for tail, offset_b, value_b in matches:
+            key = head + tail
+            offset = offset_a + offset_b
+            value = value_a * value_b
+            if key in out:
+                acc_offset, acc_value = out[key]
+                if acc_offset == offset:
+                    value += acc_value
+                elif acc_offset < offset:
+                    value = acc_value + (value << (offset - acc_offset))
+                    offset = acc_offset
+                else:
+                    value += acc_value << (acc_offset - offset)
+                if not value:
+                    del out[key]
+                    continue
+            out[key] = (offset, value)
     return "".join(a_letters + b_letters), out
 
 

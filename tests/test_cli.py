@@ -257,6 +257,14 @@ class TestReportCommand:
             "error: central element image in ad' is not proportional to I (stage adjoint)\n"
         )
 
+    @pytest.mark.parametrize("options", [[], ["--rep", "fn", "--format", "json"]])
+    def test_skip_heavy_is_a_usage_error(self, options, capsys):
+        # Only check runs the braid relation that --skip-heavy skips.
+        assert main(["report", "--n", "2", "--skip-heavy", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --skip-heavy applies to check only\n"
+
 
 class TestSu2TablesCommand:
     def test_zero_diffs(self, capsys):
@@ -296,6 +304,16 @@ class TestSu2TablesCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: su2-tables covers --group su --n 2 at root order 2\n"
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--rep", "fn", "--skip-heavy"], ["--rep", "fn"], ["--rep", "ad"], ["--skip-heavy"]],
+    )
+    def test_options_it_does_not_read_are_usage_errors(self, options, capsys):
+        assert main(["su2-tables", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: su2-tables takes neither --rep nor --skip-heavy\n"
 
     def test_root_order_two_is_the_tables_own(self, capsys):
         assert main(["su2-tables", "--root-order", "2"]) == 0

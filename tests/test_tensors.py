@@ -521,9 +521,9 @@ def record_joins(monkeypatch) -> list[tuple[str, str]]:
     joins: list[tuple[str, str]] = []
     join = tensors._join
 
-    def logged(letters_a, tensor_a, letters_b, tensor_b, needed):
+    def logged(letters_a, tensor_a, letters_b, tensor_b, needed, masks):
         joins.append((letters_a, letters_b))
-        return join(letters_a, tensor_a, letters_b, tensor_b, needed)
+        return join(letters_a, tensor_a, letters_b, tensor_b, needed, masks)
 
     monkeypatch.setattr(tensors, "_join", logged)
     return joins
@@ -624,7 +624,10 @@ class TestContract:
                     if ch in letters_b
                 )
             )
-            assert _join_cost(letters_a, a, letters_b, b) == products
+            # The operands on int keys, laid out as in a summed-out term.
+            term = (1, "", [(letters_a, a), (letters_b, b)])
+            [(operands, masks)] = tensors._pack_frame([term])[0]
+            assert _join_cost(*operands[0], *operands[1], masks) == products
 
     def test_plan_joins_cheapest_pair_first_and_breaks_ties_low(self, monkeypatch):
         joins = record_joins(monkeypatch)
@@ -680,7 +683,7 @@ class TestContract:
         spec = sun_r_matrix(4)
         Q = build_structure(spec.R, spec.ctx)
         operands = [("abcd", Q.bigR.to4dict()), ("abc", Q.f3())]
-        _, _, step, _, den = tensors._pack_frame([(1, operands)])
+        _, _, step, _, den, _ = tensors._pack_frame([(1, "abcd", operands)])
         assert step == 4
         assert den == LaurentPoly.one()
 
@@ -703,12 +706,14 @@ def reference_residual(lhs, *subtract, add=()) -> dict:
 
     Each contraction term is evaluated by :func:`contract` on its own, so the
     only shared frame is exact scalar arithmetic.
+    A literal term may hold zeros; ``lhs``'s are dropped here, as every zero
+    sum is.
     """
 
     def value(term):
         return term if isinstance(term, dict) else contract(term[0], *term[1:])
 
-    out = dict(value(lhs))
+    out = {key: val for key, val in value(lhs).items() if not val.is_zero}
     for terms, sign in ((subtract, -1), (add, 1)):
         for term in terms:
             for key, val in value(term).items():
@@ -724,13 +729,17 @@ def reference_residual(lhs, *subtract, add=()) -> dict:
 RESIDUAL_PATTERNS = ["ij,jk->ik", "ia,ab,bk->ik", "ijk,j->ik", "kai,ab->ik"]
 
 
-def random_term(rng: random.Random, step: int):
-    """A contraction of :func:`random_operand` draws, or now and then a literal dict."""
+def random_term(rng: random.Random, step: int, draw=None):
+    """A contraction of :func:`random_operand` draws, or now and then a literal dict.
+
+    ``draw(rng, rank)`` replaces the operand draw when given.
+    """
+    draw = draw or (lambda rng, rank: random_operand(rng, rank, 2, step))
     if rng.random() < 0.2:
-        return random_operand(rng, 2, 2, step)
+        return draw(rng, 2)
     pattern = rng.choice(RESIDUAL_PATTERNS)
     groups = pattern.split("->")[0].split(",")
-    return (pattern, *(random_operand(rng, len(group), 2, step) for group in groups))
+    return (pattern, *(draw(rng, len(group)) for group in groups))
 
 
 def swapped(term):
@@ -814,6 +823,111 @@ class TestContractResidual:
         assert got == reference_residual(lhs, *subtract, add=add)
         if shape != "free":
             assert got == {key: val for key, val in leftover.items() if val}
+
+
+# ---------------------------------------------------------------------------
+# Int keys: one bit field of ``max_index.bit_length()`` bits per letter
+# ---------------------------------------------------------------------------
+
+
+def renamed(term, rng: random.Random):
+    """``term`` with every letter renamed at random; a literal dict as it is."""
+    if isinstance(term, dict):
+        return term
+    letters = sorted(set(term[0]) - set(",->"))
+    names = dict(zip(letters, rng.sample("abcdefghijklmnopqrstuvwxyz", len(letters))))
+    return ("".join(names.get(ch, ch) for ch in term[0]), *term[1:])
+
+
+def dense_residual(lhs, *subtract, add=(), dim: int) -> dict:
+    """``lhs − Σ subtract + Σ add``, each contraction term from :func:`dense_einsum`."""
+    out: dict = {}
+    for sign, term in [(1, lhs), *((-1, t) for t in subtract), *((1, t) for t in add)]:
+        value = term if isinstance(term, dict) else dense_einsum(term[0], *term[1:], dim=dim)
+        for key, val in value.items():
+            out[key] = out.get(key, Scalar.zero()) + (val if sign > 0 else -val)
+    return {key: val for key, val in out.items() if not val.is_zero}
+
+
+class TestIntKeys:
+    def test_terms_give_an_output_position_different_letters(self):
+        rng = random.Random(5)
+        T, v = random_operand(rng, 4, 3, 1), random_operand(rng, 1, 3, 1)
+        literal = random_operand(rng, 3, 3, 1)
+        # Output position 0 is d in the first term and a in the literal's "abc->abc".
+        got = contract_residual(("cdab,c->dab", T, v), literal)
+        assert got and got == dense_residual(("cdab,c->dab", T, v), literal, dim=3)
+        assert contract_residual(("zxyw,z->xyw", T, v), literal) == got
+        assert contract_residual(("cdab,c->dab", T, v), ("abcd,a->bcd", T, v)) == {}
+        transposed = {(c, b, a): val for (a, b, c), val in literal.items()}
+        assert contract_residual(literal, ("cba->abc", transposed)) == {}
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_largest_index_at_a_field_boundary(self, top):
+        # top = 2^w − 1 fills its w-bit field; top = 2^w needs w + 1 bits.
+        a = {(top, 0): S("p"), (0, top): S("2"), (top, top): S("p^-1 + 1"), (1, top - 1): S("3")}
+        b = {(top, top): S("3*p"), (0, 0): S("p^2"), (top, 0): S("1"), (top - 1, 1): S("-1")}
+        for pattern in ("ij,jk->ik", "ij,jk->ki", "ij,jk->", "ij,kj->ikj"):
+            assert contract(pattern, a, b) == dense_einsum(pattern, a, b, dim=top + 1)
+        assert contract_residual(("ij,jk->ik", a, b), ("ij,jk->ik", b, a)) == dense_residual(
+            ("ij,jk->ik", a, b), ("ij,jk->ik", b, a), dim=top + 1
+        )
+
+    def test_all_zero_indices_and_zero_arity_keys(self):
+        # Every index 0 gives fields of width 0, so every key is the int 0.
+        a, b = {(0, 0): S("p")}, {(0, 0): S("p^-1 + 2")}
+        product = a[(0, 0)] * b[(0, 0)]
+        assert contract("ij,jk->ik", a, b) == {(0, 0): product}
+        assert contract("ij,jk->kji", a, b) == {(0, 0, 0): product}
+        assert contract("ij,jk->", a, b) == {(): product}
+        assert contract_residual(("ij,jk->ik", a, b), {(0, 0): product}) == {}
+        x, y = {(): S("p")}, {(): S("3")}
+        assert contract(",->", x, y) == {(): S("3*p")}
+        assert contract_residual(x, y) == {(): S("p - 3")}
+        assert contract_residual(x, x) == {}
+        one = {(): S("1")}
+        assert contract_residual(("i,->", {(5,): S("p")}, y), add=[one]) == {(): S("3*p + 1")}
+
+    def test_lone_operand_with_a_summed_letter(self):
+        m = {(0, 0): S("p"), (0, 1): S("2"), (1, 1): S("p^-1"), (2, 1): S("-p")}
+        assert contract("ij->i", m) == {(0,): S("p + 2"), (1,): S("p^-1"), (2,): S("-p")}
+        assert contract("ij->j", m) == {(0,): S("p"), (1,): S("2 + p^-1 - p")}
+        assert contract("ij->", m) == {(): S("2 + p^-1")}
+        # As a later term of a residual, and cancelling one that sums the other letter.
+        rest = {(1,): S("-p^-1"), (2,): S("p")}
+        assert contract_residual({(0,): S("p + 2")}, ("ij->i", m)) == rest
+        flipped = {(j, i): val for (i, j), val in m.items()}
+        assert contract_residual(("ij->i", m), ("ji->i", flipped)) == {}
+
+    def test_repeated_letter_diagonal(self):
+        rng = random.Random(2)
+        t, m = random_operand(rng, 3, 3, 1), random_operand(rng, 2, 3, 1)
+        for pattern in ("iij->ij", "iji->j", "iij->ji", "iii->", "aab,bc->ac"):
+            operands = (t, m)[: pattern.count(",") + 1]
+            assert contract(pattern, *operands) == dense_einsum(pattern, *operands, dim=3)
+
+    def test_negative_indices_and_mixed_arities_are_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            contract("i,i->", {(-1,): S("1")}, {(0,): S("1")})
+        with pytest.raises(ValueError, match="arity"):
+            contract_residual({(0,): S("1")}, {(0, 0): S("1")})
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_renamed_letters_match_the_dense_reference(self, seed):
+        # Index ranges of 1 to 5 put the largest index on both sides of 2^w.
+        # Laurent-polynomial entries keep the dense reference quick at 5^4 assignments.
+        rng = random.Random(seed)
+        dim = rng.randint(1, 5)
+
+        def draw(rng, rank):
+            return random_sparse(rng, rank, dim)
+
+        terms = [renamed(random_term(rng, 1, draw), rng) for _ in range(rng.randint(2, 4))]
+        lhs, rest = terms[0], terms[1:]
+        cut = rng.randint(0, len(rest))
+        got = contract_residual(lhs, *rest[:cut], add=rest[cut:])
+        assert got == dense_residual(lhs, *rest[:cut], add=rest[cut:], dim=dim)
 
 
 # ---------------------------------------------------------------------------
