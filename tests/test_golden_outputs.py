@@ -22,6 +22,11 @@ CASES = {
         "report", "--n", "3", "--format", "json", "--eval-at", "3/2", "--eval-at", "7/4",
     ],
     "report_n2_text": ["report", "--n", "2"],
+    "report_n4_json": ["report", "--n", "4", "--format", "json"],
+    "report_so3_fn_json": [
+        "report", "--group", "external", "--r-matrix", str(DATA / "so3.json"),
+        "--rep", "fn", "--format", "json",
+    ],
     "check_n2": ["check", "--n", "2"],
     "check_n3": ["check", "--n", "3"],
     "su2_tables": ["su2-tables"],
