@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .reporting import CheckResult, check_composite_zero, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import BiMat, Mat, SparseTensor
+from .tensors import BiMat, Mat, SparseTensor, contract
 
 __all__ = [
     "UData",
@@ -116,7 +116,7 @@ def beta_constant(D: Mat, R: BiMat) -> Scalar:
 
 def invariant_trace(D: Mat, M: Mat) -> Scalar:
     """The invariant trace ``tr(D⁻¹M)``."""
-    return (D.inverse() @ M).trace()
+    return contract("xy,yx->", D.inverse().to_sparse(), M.to_sparse()).get((), Scalar.zero())
 
 
 def check_D_identities(

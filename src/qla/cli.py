@@ -416,6 +416,8 @@ def _eval_table(scalars: dict[str, Scalar], points: list[Fraction]) -> list[str]
 
 def cmd_check(config: RunConfig) -> int:
     config.validate()
+    if config.eval_points:
+        raise ConfigError("--eval-at applies to report and su2-tables only")
     if not config.checks:
         config.checks = _parse_checks("all", config.group, config.n)
     results = run_checks(config)

@@ -16,11 +16,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .primed_basis import PrimedBasis, primed_images
+from .primed_basis import PrimedBasis
 from .qla_core import QlaStructure, RepBundle
 from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import Mat, commutator, contract, contract_residual, linear_combination, stack
+from .tensors import Mat, SparseTensor, commutator, contract, contract_residual, stack
 
 __all__ = [
     "KillingReport",
@@ -70,8 +70,9 @@ class KillingReport:
 
 def killing_form(B: RepBundle, x_coords: Sequence[Scalar], y_coords: Sequence[Scalar]) -> Scalar:
     """η(x, y) = tr(ρ(u)·ρ(x)·ρ(y)) for coordinate vectors of length n."""
-    x, y = (linear_combination(coords, B.gen) for coords in (x_coords, y_coords))
-    return (B.u @ x @ y).trace()
+    x, y = ({(A,): val for A, val in enumerate(coords) if val} for coords in (x_coords, y_coords))
+    G3 = stack(B.gen)
+    return contract("xy,a,ayz,b,bzx->", B.u.to_sparse(), x, G3, y, G3).get((), _ZERO)
 
 
 def killing_metric(B: RepBundle) -> Mat:
@@ -87,12 +88,12 @@ def primed_metric_blocks(pb: PrimedBasis, eta: Mat) -> tuple[Mat, Scalar, Mat]:
     Raises ValueError if the result is not block-diagonal.
     """
     n = pb.n
-    full = pb.T.t() @ eta @ pb.T
-    for a in range(1, n):
-        if not (full[0, a].is_zero and full[a, 0].is_zero):
-            raise ValueError("Killing metric is not block-diagonal in the traceless basis")
-    primed = Mat([[full[a, b] for b in range(1, n)] for a in range(1, n)])
-    return full, full[0, 0], primed
+    T = pb.T.to_sparse()
+    full = contract("ea,ef,fb->ab", T, eta.to_sparse(), T)
+    if any((a == 0) != (b == 0) for a, b in full):
+        raise ValueError("Killing metric is not block-diagonal in the traceless basis")
+    primed = {(a - 1, b - 1): val for (a, b), val in full.items() if a}
+    return Mat.from_sparse(full, n), full.get((0, 0), _ZERO), Mat.from_sparse(primed, n - 1)
 
 
 def fundamental_metric_closed_form(ctx: DeformationContext, D: Mat) -> Mat:
@@ -193,10 +194,19 @@ def canonical_and_index(
     return canonical, ratio * index_fn, K
 
 
-def _quadratic(coeffs: Mat, images: Sequence[Mat], dim: int) -> Mat:
-    """``Σ_{a,b} coeffs[a, b]·images[a]·images[b]``."""
-    P = stack(images)
-    return Mat.from_sparse(contract("ab,axy,byz->xz", coeffs.to_sparse(), P, P), dim)
+def _central_quadratic(coeffs: SparseTensor, pb: PrimedBasis, B: RepBundle, name: str) -> Mat:
+    """``Σ_{a,b} coeffs[a, b]·ρ(b_a)·ρ(b_b)`` over the traceless basis b = [χ₀, χ′_a, …].
+
+    With ρ(b_a) = T^e_a ρ(χ_e) this is one contraction over the stacked
+    generators.  Raises ValueError, naming the casimir ``name``, if the
+    result fails to commute with every generator.
+    """
+    G3 = stack(B.gen)
+    T = pb.T.to_sparse()
+    out = contract("ab,ea,fb,exy,fyz->xz", coeffs, T, T, G3, G3)
+    if commutator(out, G3):
+        raise ValueError(f"{name} is not central in {B.name}")
+    return Mat.from_sparse(out, B.dim)
 
 
 def casimir(B: RepBundle, inv_canonical: Mat, pb: PrimedBasis) -> tuple[Mat, Scalar | None]:
@@ -204,9 +214,8 @@ def casimir(B: RepBundle, inv_canonical: Mat, pb: PrimedBasis) -> tuple[Mat, Sca
 
     Raises ValueError if the image fails to commute with every generator.
     """
-    out = _quadratic(inv_canonical, primed_images(pb, B)[1:], B.dim)
-    if commutator(out.to_sparse(), stack(B.gen)):
-        raise ValueError(f"quadratic casimir is not central in {B.name}")
+    coeffs = {(a + 1, b + 1): val for (a, b), val in inv_canonical.to_sparse().items()}
+    out = _central_quadratic(coeffs, pb, B, "quadratic casimir")
     eigen = out[0, 0]
     if out == Mat.identity(B.dim).scale(eigen):
         return out, eigen
@@ -220,10 +229,7 @@ def full_casimir(pb: PrimedBasis, B: RepBundle, eta_full: Mat) -> Mat:
     b_a = χ′_a.  The result is checked to be central; unlike Q′ it is not
     proportional across bundles because the central block is not canonical.
     """
-    out = _quadratic(eta_full.inverse(), primed_images(pb, B), B.dim)
-    if commutator(out.to_sparse(), stack(B.gen)):
-        raise ValueError(f"full-metric casimir is not central in {B.name}")
-    return out
+    return _central_quadratic(eta_full.inverse().to_sparse(), pb, B, "full-metric casimir")
 
 
 def positivity_sample(

@@ -17,7 +17,7 @@ from .appendix_u import rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
 from .reporting import CheckResult, check_sparse_zero
 from .scalars import Scalar
-from .tensors import Mat, commutator, contract_residual, delta, linear_combination, stack
+from .tensors import Mat, commutator, contract, contract_residual, delta, stack, unstack
 
 __all__ = [
     "PrimedBasis",
@@ -98,14 +98,6 @@ def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
     return scaled
 
 
-def _adjoint_matrices(Q: QlaStructure) -> list[Mat]:
-    """Unprimed adjoint action matrices M_A with (M_A)^C_B = f_{AB}{}^C."""
-    mats = [Mat.zeros(Q.n) for _ in range(Q.n)]
-    for (A, B, C), val in Q.f.items():
-        mats[A][C, B] = val
-    return mats
-
-
 def build_primed(
     Q: QlaStructure,
     B_fn: RepBundle,
@@ -169,15 +161,9 @@ def build_primed(
             "basis matrix is singular; drop a different generator"
         ) from exc
 
-    adj = _adjoint_matrices(Q)
-    f_primed: dict[tuple[int, int, int], Scalar] = {}
-    for A, column in enumerate(T.t().rows):
-        conj = T_inv @ linear_combination(column, adj) @ T
-        for C in range(n):
-            for B in range(n):
-                val = conj[C, B]
-                if not val.is_zero:
-                    f_primed[(A, B, C)] = val
+    # f′_{AB}{}^C = (T⁻¹)^C_E f_{XY}{}^E T^X_A T^Y_B, the structure constants in the new basis.
+    T4 = T.to_sparse()
+    f_primed = contract("xa,yb,xye,ce->abc", T4, T4, Q.f3(), T_inv.to_sparse())
 
     pb = PrimedBasis(
         d_vec=d_vec,
@@ -210,7 +196,8 @@ def primed_structure(
 
 def chi0_image(pb: PrimedBasis, bundle: RepBundle) -> Mat:
     """ρ(χ₀) = Σ_A 𝒟^A ρ(χ_A)."""
-    return linear_combination(pb.d_vec, bundle.gen)
+    d = {(A,): val for A, val in enumerate(pb.d_vec) if val}
+    return Mat.from_sparse(contract("a,axy->xy", d, stack(bundle.gen)), bundle.dim)
 
 
 def mu_scalar(pb: PrimedBasis, bundle: RepBundle) -> Scalar:
@@ -226,7 +213,7 @@ def mu_scalar(pb: PrimedBasis, bundle: RepBundle) -> Scalar:
 
 def primed_images(pb: PrimedBasis, bundle: RepBundle) -> list[Mat]:
     """Images of the new basis [χ₀, χ′_a, …] in a bundle, via the T columns."""
-    return [linear_combination(column, bundle.gen) for column in pb.T.t().rows]
+    return unstack(contract("ea,exy->axy", pb.T.to_sparse(), stack(bundle.gen)), pb.n, bundle.dim)
 
 
 def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
@@ -258,17 +245,13 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
         raise ValueError("central element image in ad' is not proportional to I")
     pb.mu["ad'"] = mu0
 
-    T_inv = pb.T.inverse()
-    u_full = T_inv @ rep_u(Q.F_adj) @ pb.T
-    for k in range(1, n):
-        if not (u_full[0, k].is_zero and u_full[k, 0].is_zero):
-            raise ValueError("adjoint u-matrix is not block-diagonal in this basis")
-    u_block = Mat.zeros(n - 1)
-    for a in range(n - 1):
-        for b in range(n - 1):
-            u_block[a, b] = u_full[a + 1, b + 1]
+    T_inv = pb.T.inverse().to_sparse()
+    u_full = contract("ae,ef,fb->ab", T_inv, rep_u(Q.F_adj).to_sparse(), pb.T.to_sparse())
+    if any((a == 0) != (b == 0) for a, b in u_full):
+        raise ValueError("adjoint u-matrix is not block-diagonal in this basis")
+    u_block = Mat.from_sparse({(a - 1, b - 1): val for (a, b), val in u_full.items() if a}, n - 1)
 
-    gen = [linear_combination(column, small) for column in T_inv.t().rows]
+    gen = unstack(contract("ea,exy->axy", T_inv, stack(small)), n, n - 1)
     return RepBundle(name="ad'", dim=n - 1, gen=gen, u=u_block)
 
 
@@ -280,8 +263,8 @@ def check_chi0_central(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
 
 def check_traceless(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
     """tr(ρ(u)ρ(χ′_a)) = 0 for every kept primed generator."""
-    images = primed_images(pb, bundle)
-    traces = {(a,): (bundle.u @ images[a]).trace() for a in range(1, pb.n)}
+    traces = contract("xy,eyx,ea->a", bundle.u.to_sparse(), stack(bundle.gen), pb.T.to_sparse())
+    traces.pop((0,), None)  # column 0 of T is χ₀
     return check_sparse_zero(f"primed-traceless[{bundle.name}]", traces)
 
 

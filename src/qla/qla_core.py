@@ -14,7 +14,6 @@ from functools import cached_property
 
 from .appendix_u import rep_u
 from .reporting import CheckResult, check_composite_zero, check_sparse_zero
-from .rmatrix import RMatrixSpec, fundamental_L_matrices
 from .scalars import DeformationContext, Scalar, parse_scalar
 from .tensors import (
     BiMat,
@@ -53,7 +52,8 @@ class RepBundle:
     """A representation of the quantum Lie algebra.
 
     ``gen[A]`` is ρ(χ_A) with the composite basis order A = (i,j) ↦ i·N + j;
-    ``orep[A][B]``, when present, is ρ(O_A{}^B); ``u`` is ρ(u);
+    ``orep``, when present, holds ρ(O_A{}^B) as one sparse dict keyed
+    ``(A, B, row, col)``; ``u`` is ρ(u);
     ``numerical_R`` is the R-matrix of the pair (ρ, ρ) when known.
     """
 
@@ -61,7 +61,7 @@ class RepBundle:
     dim: int
     gen: list[Mat]
     u: Mat
-    orep: list[list[Mat]] | None = None
+    orep: SparseTensor | None = None
     numerical_R: BiMat | None = None
 
     def __post_init__(self) -> None:
@@ -117,7 +117,10 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
 
     ``fn(χ_(kl))^i_j = (1/λ)(δ^k_l δ^i_j − (R̂²)^{ki}_{lj})`` — the composite
     label supplies the first index of each slot of R̂².  The bundle carries
-    ``ρ(O_(ij){}^{(kl)}) = ρ(L⁺ⁱ_k)·ρ(S(L⁻ˡ_j))`` and ρ(u).
+    ``ρ(O_(ij){}^{(kl)}) = ρ(L⁺ⁱ_k)·ρ(S(L⁻ˡ_j))`` and ρ(u); with the blocks
+    ``ρ(L⁺ⁱ_k)^x_y = R^{xi}_{yk}`` and ``ρ(S(L⁻ˡ_j))^y_z = R^{ly}_{jz}``
+    (:func:`~qla.rmatrix.fundamental_L_matrices`) that product is one
+    contraction of R with itself.
     """
     N = R.N
     lam_inv = ctx.lam() ** -1
@@ -125,12 +128,11 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
     gen = [Mat.zeros(N) for _ in range(N * N)]
     for (k, i, l, j), val in (rhat @ rhat - BiMat.identity(N)).to4dict().items():
         gen[k * N + l][i, j] = -lam_inv * val
-    lmats = fundamental_L_matrices(RMatrixSpec(label="tmp", ctx=ctx, R=R))
-    orep = [
-        [lmats.lplus[i][k] @ lmats.s_lminus[l][j] for k in range(N) for l in range(N)]
-        for i in range(N)
-        for j in range(N)
-    ]
+    R4 = R.to4dict()
+    orep = {
+        (i * N + j, k * N + l, x, z): val
+        for (i, j, k, l, x, z), val in contract("xiyk,lyjz->ijklxz", R4, R4).items()
+    }
     return RepBundle(
         name="fn", dim=N, gen=gen, u=rep_u(R), orep=orep, numerical_R=R
     )
@@ -217,7 +219,7 @@ def verify_qla(
     bigR4 = Q.bigR.to4dict()
     f3 = Q.f3()
     G3 = stack(B.gen)
-    O4 = stack(B.orep)
+    O4 = B.orep
     tag = B.name
     results = [check_representation(Q, B)]
 
@@ -325,10 +327,8 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
     ``ℝ^{DB}_{AC} I^ρ_D = δ^B_A I^ρ_C`` fail (they hold for every
     consistently built bundle).
     """
-    traces = [(B.u @ g).trace() for g in B.gen]
-    Ivec: SparseTensor = {
-        (A,): val for A, val in enumerate(traces) if not val.is_zero
-    }
+    Ivec = contract("xy,ayx->a", B.u.to_sparse(), stack(B.gen))
+    traces = [Ivec.get((A,), _ZERO) for A in range(B.n)]
     f3 = Q.f3()
     if contract_residual(("abc,c->ab", f3, Ivec)):
         raise ValueError(f"deformed traces of {B.name} violate the f-sum rule")

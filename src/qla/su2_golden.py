@@ -33,7 +33,7 @@ from .reporting import (
 )
 from .rmatrix import sun_r_matrix
 from .scalars import DeformationContext, Scalar, parse_scalar
-from .tensors import BiMat, Mat, contract_residual, mat_pow
+from .tensors import BiMat, Mat, SparseTensor, contract, contract_residual, delta, stack
 
 __all__ = [
     "Su2Tables",
@@ -163,25 +163,37 @@ def jimbo_drinfeld_check(tables: Su2Tables) -> CheckResult:
     exponentiating the eigenvalues of ``H``.
     """
     ctx = tables.ctx
-    H, Xp, Xm = tables.H, tables.X_plus, tables.X_minus
-    qH = Mat.diagonal([ctx.q_power(e) for e in _diag_exponents(H)])
     lam_inv = ctx.lam().inv()
-    relations = {
-        "[H, X+] - 2 X+": H @ Xp - Xp @ H - Xp.scale(Scalar.from_rational(2)),
-        "[H, X-] + 2 X-": H @ Xm - Xm @ H + Xm.scale(Scalar.from_rational(2)),
-        "[X+, X-] - (q^H - q^-H)/(q - 1/q)": Xp @ Xm - Xm @ Xp - (qH - qH.inverse()).scale(lam_inv),
+    one, two = Scalar.one(), Scalar.from_rational(2)
+    labels = ("[H, X+] - 2 X+", "[H, X-] + 2 X-", "[X+, X-] - (q^H - q^-H)/(q - 1/q)")
+    # Relation r: Σ quad[r, a, b]·g_a·g_b + Σ lin[r, a]·g_a − cartan[r] over g = (H, X+, X-).
+    quad = {(0, 0, 1): one, (0, 1, 0): -one, (1, 0, 2): one, (1, 2, 0): -one,
+            (2, 1, 2): one, (2, 2, 1): -one}
+    lin = {(0, 1): -two, (1, 2): two}
+    cartan = {
+        (2, i, i): (ctx.q_power(e) - ctx.q_power(-e)) * lam_inv
+        for i, e in enumerate(_diag_exponents(tables.H))
     }
-    residuals = {
-        (label, i, j): value
-        for label, res in relations.items()
-        for i, row in enumerate(res.rows)
-        for j, value in enumerate(row)
-    }
+    G = stack([tables.H, tables.X_plus, tables.X_minus])
     return check_sparse_zero(
         "jimbo-drinfeld",
-        residuals,
+        _relation_residuals(labels, quad, lin, G, cartan),
         detail="defining relations in the fundamental representation",
     )
+
+
+def _relation_residuals(
+    labels: tuple[str, ...], quad: SparseTensor, lin: SparseTensor, G: SparseTensor,
+    constant: SparseTensor,
+) -> dict:
+    """``Σ quad[r, a, b]·g_a·g_b + Σ lin[r, a]·g_a − constant[r]``, keyed ``(labels[r], row, col)``.
+
+    ``G`` is the :func:`~qla.tensors.stack` of the matrices g_a.
+    """
+    residual = contract_residual(
+        ("rab,axy,byz->rxz", quad, G, G), constant, add=[("ra,axz->rxz", lin, G)]
+    )
+    return {(labels[r], i, j): val for (r, i, j), val in residual.items()}
 
 
 def rosso_term(tables: Su2Tables, n: int) -> BiMat:
@@ -202,8 +214,11 @@ def rosso_term(tables: Su2Tables, n: int) -> BiMat:
         for i in range(dim)
         for j in range(dim)
     }
-    raising = mat_pow(tables.X_plus, n).to_sparse()
-    lowering = mat_pow(tables.X_minus, n).to_sparse()
+    Xp, Xm = tables.X_plus.to_sparse(), tables.X_minus.to_sparse()
+    raising, lowering = delta(dim), delta(dim)
+    for _ in range(n):
+        raising = contract("xy,yz->xz", raising, Xp)
+        lowering = contract("xy,yz->xz", lowering, Xm)
     return BiMat(
         dim,
         {
@@ -243,37 +258,31 @@ def _commutation_residuals(ctx: DeformationContext, images: list[Mat]) -> dict:
     ``m+ m- - m- m+ = [2]_{1/q}/q (1 - lam/[2]_{1/q} m0) m3
     + lam [2]_{1/q}/q m3^2``.
     """
-    m0, mp, mm, m3 = images
     q = ctx.q_power(1)
     q_inv = ctx.q_power(-1)
     tp = ctx.qnum(2, inverse=True)
     ratio = ctx.lam() / tp
-    res_plus = (m3 @ mp).scale(q_inv) - (mp @ m3).scale(q) - (mp - (m0 @ mp).scale(ratio))
-    res_minus = (m3 @ mm).scale(q) - (mm @ m3).scale(q_inv) + (mm - (m0 @ mm).scale(ratio))
-    res_mix = (
-        mp @ mm
-        - mm @ mp
-        - (m3 - (m0 @ m3).scale(ratio)).scale(tp / q)
-        - (m3 @ m3).scale(ctx.lam() * tp / q)
-    )
-    labeled = {"m3 with m+": res_plus, "m3 with m-": res_minus, "m+ with m-": res_mix}
-    return {
-        (label, i, j): value
-        for label, res in labeled.items()
-        for i, row in enumerate(res.rows)
-        for j, value in enumerate(row)
+    one = Scalar.one()
+    labels = ("m3 with m+", "m3 with m-", "m+ with m-")
+    # Over m = (m0, m+, m-, m3), every term moved to the left-hand side.
+    quad = {
+        (0, 3, 1): q_inv, (0, 1, 3): -q, (0, 0, 1): ratio,
+        (1, 3, 2): q, (1, 2, 3): -q_inv, (1, 0, 2): -ratio,
+        (2, 1, 2): one, (2, 2, 1): -one, (2, 0, 3): ratio * tp / q,
+        (2, 3, 3): -(ctx.lam() * tp / q),
     }
+    lin = {(0, 1): -one, (1, 2): one, (2, 3): -(tp / q)}
+    return _relation_residuals(labels, quad, lin, stack(images), {})
 
 
-def _matrix_table_check(name: str, got: dict[str, Mat], tables_side: dict[str, Mat]) -> CheckResult:
-    """Compare a label -> matrix map against the tabulated one entrywise."""
-    residuals = {}
-    for key in _GOLDEN_KEYS:
-        diff = got[key] - tables_side[key]
-        for i, row in enumerate(diff.rows):
-            for j, value in enumerate(row):
-                residuals[(key, i, j)] = value
-    return check_sparse_zero(name, residuals, detail="all five tabulated matrices")
+def _matrix_table_check(name: str, got: SparseTensor, tables_side: dict[str, Mat]) -> CheckResult:
+    """Compare the stacked matrices ``got``, in ``_GOLDEN_KEYS`` order, against the tabulated ones."""
+    residual = contract_residual(got, stack([tables_side[key] for key in _GOLDEN_KEYS]))
+    return check_sparse_zero(
+        name,
+        {(_GOLDEN_KEYS[A], i, j): val for (A, i, j), val in residual.items()},
+        detail="all five tabulated matrices",
+    )
 
 
 def _reordered_metric_check(tables: Su2Tables) -> CheckResult:
@@ -424,14 +433,11 @@ def golden_suite(
 
     # The tabulated adjoint matrices live in a frame that rescales the third
     # basis vector of the representation space by [2]_{1/q}.
-    tp_inv = ctx.qnum(2, inverse=True).inv()
-    frame = Mat.diagonal([Scalar.one(), Scalar.one(), tp_inv])
-    frame_inv = frame.inverse()
-    fn_got = dict(zip(_GOLDEN_KEYS, fn_images + [B.u]))
-    ad_got = {
-        key: frame @ image @ frame_inv
-        for key, image in zip(_GOLDEN_KEYS, ad_images + [ad.u])
-    }
+    tp = ctx.qnum(2, inverse=True)
+    frame = {(0, 0): Scalar.one(), (1, 1): Scalar.one(), (2, 2): tp.inv()}
+    frame_inv = {(0, 0): Scalar.one(), (1, 1): Scalar.one(), (2, 2): tp}
+    fn_got = stack(fn_images + [B.u])
+    ad_got = contract("xy,ayz,zw->axw", frame, stack(ad_images + [ad.u]), frame_inv)
 
     results = [
         check_composite_zero(

@@ -1,17 +1,21 @@
 """Exact linear algebra over the scalar field Q(p).
 
 Provides :class:`Mat`, the small dense matrix of :class:`~qla.scalars.Scalar`
-entries (exact inverse, null space, rank), and :class:`BiMat`, the sparse
-matrix over a composite double index: a ``{(i, j, k, l): Scalar}`` dict that
-never holds a zero, with the partial transpose, partial traces and the
-"tilde" contraction inverse used throughout the R-matrix constructions.  Both
-inverses run block by block over the connected components of the nonzero
-pattern (:func:`_components`).  :func:`contract` is a sparse einsum over
-dictionaries keyed by index tuples, and :func:`contract_residual`, a signed
-sum of such contractions and literal sparse dicts, is how every identity
-check forms its residual.  :func:`stack` turns a list of representation
-matrices into such a dict, :func:`commutator` is the residual of a
-centrality test, and :func:`invariant_blocks` splits operators into their
+entries that representation matrices and metrics are stored, eliminated
+(exact inverse, null space, rank) and rendered in, and :class:`BiMat`, the
+sparse matrix over a composite double index: a ``{(i, j, k, l): Scalar}``
+dict that never holds a zero, with the partial transpose, partial traces and
+the "tilde" contraction inverse used throughout the R-matrix constructions.
+Both inverses run block by block over the connected components of the
+nonzero pattern (:func:`_components`).  :func:`contract` is a sparse einsum
+over dictionaries keyed by index tuples, and every product in the package is
+one: traces are contractions with a 0- or 1-letter output, and a change of
+basis or a linear combination of matrices is one contraction with the
+coefficient matrix.  :func:`contract_residual`, a signed sum of such
+contractions and literal sparse dicts, is how every identity check forms its
+residual.  :func:`stack` turns a list of representation matrices into such a
+dict and :func:`unstack` turns it back, :func:`commutator` is the residual of
+a centrality test, and :func:`invariant_blocks` splits operators into their
 common invariant blocks, so their products are formed block by block.
 
 Inside both, a key is not a tuple but one int with a bit field of ``width =
@@ -63,11 +67,14 @@ PackedTensor = dict[int, tuple[int, int]]
 class Mat:
     """Small dense matrix of exact scalars.
 
-    Rows are lists of :class:`Scalar`; this is the form of representation
-    matrices, metrics and N×N blocks, while the large sparse operators over
-    doubled labels are :class:`BiMat`.  Arithmetic skips zero entries.
-    Equality is entrywise (canonical scalar forms make that exact value
-    equality).
+    Rows are lists of :class:`Scalar`; this is the form representation
+    matrices, metrics and N×N blocks are stored, eliminated (``inverse``,
+    ``rref``, ``null_space``) and rendered in, while the large sparse
+    operators over doubled labels are :class:`BiMat`.  Products are not
+    formed here but by :func:`contract` on ``to_sparse()``/:func:`stack`
+    forms; ``@`` is kept as the dense reference the tests compare
+    :func:`contract` against.  Equality is entrywise (canonical scalar forms
+    make that exact value equality).
     """
 
     __slots__ = ("rows",)
@@ -175,9 +182,6 @@ class Mat:
         return Mat(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
-
-    def __neg__(self) -> Mat:
-        return Mat([[-a for a in row] for row in self.rows])
 
     def scale(self, factor: Scalar | int) -> Mat:
         if isinstance(factor, int):
@@ -412,19 +416,6 @@ def _block_inverse(
     return out
 
 
-def mat_pow(mat: Mat, power: int) -> Mat:
-    if power < 0:
-        return mat_pow(mat.inverse(), -power)
-    result = Mat.identity(mat.nrows)
-    base = mat
-    while power:
-        if power & 1:
-            result = result @ base
-        base = base @ base
-        power >>= 1
-    return result
-
-
 def stack(mats: Sequence) -> SparseTensor:
     """Matrices, or nested sequences of them, as one sparse dict.
 
@@ -439,16 +430,11 @@ def stack(mats: Sequence) -> SparseTensor:
     return out
 
 
-def linear_combination(coeffs: Sequence[Scalar], mats: Sequence[Mat]) -> Mat:
-    """``Σ_A coeffs[A]·mats[A]``, skipping zero coefficients and zero entries."""
-    out = Mat.zeros(mats[0].nrows, mats[0].ncols)
-    for coeff, mat in zip(coeffs, mats):
-        if coeff.is_zero:
-            continue
-        for out_row, row in zip(out.rows, mat.rows):
-            for j, val in enumerate(row):
-                if not val.is_zero:
-                    out_row[j] = out_row[j] + coeff * val
+def unstack(tensor: Mapping[tuple[int, int, int], Scalar], count: int, dim: int) -> list[Mat]:
+    """The ``count`` dim×dim matrices of a one-level :func:`stack` ``{(A, x, y): val}``."""
+    out = [Mat.zeros(dim) for _ in range(count)]
+    for (A, x, y), val in tensor.items():
+        out[A].rows[x][y] = val
     return out
 
 

@@ -161,6 +161,14 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("options", [[], ["--checks", "ybe", "--format", "json"]])
+    def test_eval_at_is_a_usage_error(self, options, capsys):
+        # check renders no scalar table for --eval-at to evaluate.
+        assert main(["check", "--n", "2", "--eval-at", "2", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --eval-at applies to report and su2-tables only\n"
+
     def test_missing_file(self, capsys):
         argv = ["check", "--group", "external", "--r-matrix", "/does/not/exist.json",
                 "--checks", "ybe"]

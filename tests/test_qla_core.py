@@ -111,11 +111,15 @@ class TestFundamentalGenerators:
             for j in range(N):
                 for k in range(N):
                     for l in range(N):
-                        got = bundle.orep[i * N + j][k * N + l].eval_at(1)
+                        got = {
+                            (x, y): val.eval_at(1)
+                            for (A, B, x, y), val in bundle.orep.items()
+                            if (A, B) == (i * N + j, k * N + l) and val.eval_at(1)
+                        }
                         if i == k and l == j:
-                            assert got.is_identity
+                            assert got == {(x, x): 1 for x in range(N)}
                         else:
-                            assert got.is_zero
+                            assert got == {}
 
     def test_bundle_shape(self, su3):
         _, _, bundle = su3

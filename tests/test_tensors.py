@@ -23,8 +23,6 @@ from qla.tensors import (
     contract_residual,
     delta,
     invariant_blocks,
-    linear_combination,
-    mat_pow,
     three_site,
 )
 
@@ -130,12 +128,6 @@ class TestMat:
     def test_rank(self):
         m = Mat([[S("1"), S("2")], [S("2"), S("4")]])
         assert m.rank() == 1
-
-    def test_mat_pow(self):
-        m = Mat([[S("1"), S("1")], [S("0"), S("1")]])
-        assert mat_pow(m, 5) == Mat([[S("1"), S("5")], [S("0"), S("1")]])
-        assert mat_pow(m, -1) == Mat([[S("1"), S("-1")], [S("0"), S("1")]])
-        assert mat_pow(m, 0).is_identity
 
     def test_render_parses_back(self):
         m = Mat([[S("p^2 - 1"), S("1/2")], [S("0"), S("1 / p + 1")]])
@@ -931,25 +923,11 @@ class TestIntKeys:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers: linear combination, three-site embedding
+# Shared helpers: stack, three-site embedding
 # ---------------------------------------------------------------------------
 
 
 class TestHelpers:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_linear_combination_matches_scale_and_add(self, seed):
-        rng = random.Random(seed)
-        mats = [random_mat(rng, 3) for _ in range(4)]
-        coeffs = [random_scalar(rng) for _ in range(3)] + [Scalar.zero()]
-        expected = Mat.zeros(3)
-        for c, m in zip(coeffs, mats):
-            expected = expected + m.scale(c)
-        assert linear_combination(coeffs, mats) == expected
-
-    def test_linear_combination_of_zero_coefficients_is_zero(self):
-        mats = [Mat([[S("p"), S("1")]])]
-        assert linear_combination([Scalar.zero()], mats) == Mat.zeros(1, 2)
-
     @pytest.mark.parametrize("seed", range(2))
     def test_three_site_matches_kronecker_embeddings(self, seed):
         rng = random.Random(seed)
@@ -976,6 +954,11 @@ class TestHelpers:
             for (x, y), val in m.to_sparse().items()
         }
         assert tensors.stack([]) == {}
+
+    def test_unstack_inverts_stack(self):
+        rng = random.Random(8)
+        mats = [random_mat(rng, 2) for _ in range(3)] + [Mat.zeros(2)]
+        assert tensors.unstack(tensors.stack(mats), 4, 2) == mats
 
     @pytest.mark.parametrize("seed", range(3))
     def test_commutator_matches_dense_products(self, seed):
