@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from qla.appendix_u import (
@@ -13,11 +15,22 @@ from qla.appendix_u import (
     rep_u,
     rep_u_inverse,
 )
-from qla.rmatrix import sun_r_matrix
+from qla.rmatrix import load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, parse_scalar
-from qla.tensors import BiMat, Mat
+from qla.tensors import BiMat, Mat, contract
 
 S = parse_scalar
+SO3 = Path(__file__).parent / "data" / "so3.json"
+
+
+def _spec(name):
+    return sun_r_matrix(3) if name == "su3" else load_r_matrix(SO3)
+
+
+def _conjugated(R, G):
+    """(G⊗G)·R·(G⊗G)⁻¹: the same R-matrix written in another basis."""
+    g, g_inv = G.to_sparse(), G.inverse().to_sparse()
+    return BiMat(R.N, contract("ia,jb,abcd,ck,dl->ijkl", g, g, R.to4dict(), g_inv, g_inv))
 
 
 class TestRepU:
@@ -88,6 +101,20 @@ class TestBetaConstant:
         with pytest.raises(ValueError):
             beta_constant(bad_D, spec.R)
 
+    def test_asymmetric_D_fails_the_defining_trace(self):
+        D = Mat([[S("1"), S("p")], [S("0"), S("p^2")]])
+        with pytest.raises(ValueError) as info:
+            beta_constant(D, sun_r_matrix(2).R)
+        assert str(info.value) == "tr₁(D₁⁻¹R̂) is not a nonzero multiple of the identity"
+
+    def test_asymmetric_D_fails_the_cross_check(self):
+        # For R = P, tr₁(D₁⁻¹R̂) = tr(D⁻¹)·I for every D, while
+        # tr₂(D₂R̂⁻¹) = D, which is no multiple of I here.
+        D = Mat([[S("1"), S("p")], [S("0"), S("1")]])
+        with pytest.raises(ValueError) as info:
+            beta_constant(D, BiMat.perm(2))
+        assert str(info.value) == "β cross-check failed: tr₂(D₂R̂⁻¹) ≠ β⁻¹·I"
+
 
 class TestDIdentities:
     @pytest.mark.parametrize("N", [2, 3])
@@ -130,6 +157,70 @@ class TestDIdentities:
             "FAIL  u-comm[c]  [at (0, 1): residual 1 - p^-2]",
             "FAIL  u-invariant-trace[d]  [at (0, 0, 0): residual -3/4*p^-1 + 3/4*p^-3]",
         ]
+
+    # Two off-diagonal edits in different rows and columns, so a transposed
+    # index of D in any identity moves or changes its witness.
+    OFFDIAGONAL_LINES = {
+        "su3": [
+            "FAIL  u-trace[a1]  [at (0, 1): residual -p^10]",
+            "FAIL  u-trace[a2]  [at (0, 1): residual p^-14]",
+            "FAIL  u-tilde[b1]  [at (0, 1): residual p^-1 - p^-7]",
+            "FAIL  u-tilde[b2]  [at (0, 1): residual p^-4 - p^-7]",
+            "FAIL  u-comm[c]  [at (0, 1): residual 1 - p^-3]",
+            "FAIL  u-invariant-trace[d]  [at (0, 0, 0): "
+            "residual -1/3*p^-2 + 1/3*p^-5 + 3/8*p^-12 - 3/8*p^-15]",
+        ],
+        "so3": [
+            "FAIL  u-trace[a1]  [at (0, 1): residual -p^5]",
+            "FAIL  u-trace[a2]  [at (0, 1): residual p^-5]",
+            "FAIL  u-tilde[b1]  [at (0, 1): residual p - p^-3]",
+            "FAIL  u-tilde[b2]  [at (0, 1): residual p^-1 - p^-3]",
+            "FAIL  u-comm[c]  [at (0, 1): residual p - p^-1]",
+            "FAIL  u-invariant-trace[d]  [at (0, 0, 0): "
+            "residual -1/3*p + 1/3*p^-1 + 3/8*p^-4 - p^-5 + p^-7 - 3/8*p^-8]",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", ["su3", "so3"])
+    def test_offdiagonal_D_edits_pin_every_line(self, name):
+        spec = _spec(name)
+        data = build_u_data(spec.R, spec.ctx)
+        bad_D = data.D.copy()
+        bad_D[0, 1] = bad_D[0, 1] + S("p")
+        bad_D[2, 0] = bad_D[2, 0] + S("1/2")
+        lines = [r.line() for r in check_D_identities(spec.R, bad_D, data.alpha)]
+        assert lines == self.OFFDIAGONAL_LINES[name]
+
+    @pytest.mark.parametrize("name", ["su3", "so3"])
+    def test_scaled_alpha_fails_only_the_traces(self, name):
+        spec = _spec(name)
+        data = build_u_data(spec.R, spec.ctx)
+        lines = [r.line() for r in check_D_identities(spec.R, data.D, data.alpha * S("p"))]
+        assert lines == [
+            "FAIL  u-trace[a1]  [at (0, 0): residual p - 1]",
+            "FAIL  u-trace[a2]  [at (0, 0): residual -1 + p^-1]",
+            "PASS  u-tilde[b1]",
+            "PASS  u-tilde[b2]",
+            "PASS  u-comm[c]",
+            "PASS  u-invariant-trace[d]",
+        ]
+
+
+    @pytest.mark.parametrize("name", ["su3", "so3"])
+    def test_identities_hold_in_a_non_orthogonal_basis(self, name):
+        # In this basis D is not symmetric, so a transposed index of D in
+        # β's traces or in any identity fails here.
+        spec = _spec(name)
+        n = spec.N
+        G = Mat.identity(n)
+        G[0, 1] = S("1")
+        G[n - 1, 0] = S("2")
+        R = _conjugated(spec.R, G)
+        data = build_u_data(R, spec.ctx)
+        assert data.D != data.D.t()
+        assert data.beta == S("p^2")
+        for result in check_D_identities(R, data.D, data.alpha):
+            assert result.passed, result.line()
 
 
 class TestInvariantTrace:

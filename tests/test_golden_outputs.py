@@ -34,6 +34,10 @@ CASES = {
         "check", "--group", "external", "--r-matrix", str(DATA / "so3.json"),
         "--checks", "ybe,cubic:eps=1,qla",
     ],
+    "check_so3_appendix": [
+        "check", "--group", "external", "--r-matrix", str(DATA / "so3.json"),
+        "--checks", "appendix",
+    ],
 }
 
 
