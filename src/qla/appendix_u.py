@@ -4,7 +4,12 @@ The element u implements the square of the antipode by conjugation; its
 representation image weights every trace in the theory.  This module computes
 ρ(u) directly from a numerical R-matrix, normalizes it into the diagonal
 D-matrix, extracts the scalar constants α and β, and verifies the identity
-family that D satisfies.
+family that D satisfies.  Each trace and each identity residual is one
+:func:`~qla.tensors.contract` or :func:`~qla.tensors.contract_residual` over
+the sparse D, D⁻¹, R, R⁻¹ and R̃.  A factor D₁ = D⊗I or D₂ = I⊗D is D on the
+letters of that tensor factor, R̂ = P·R is R with its row letters swapped,
+R̂⁻¹ = R⁻¹·P is R⁻¹ with its column letters swapped, and a partial trace
+repeats a letter.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reporting import CheckResult, check_composite_zero, check_mats_equal, check_sparse_zero
+from .reporting import CheckResult, check_composite_zero, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import BiMat, Mat, SparseTensor, contract
+from .tensors import BiMat, Mat, contract, contract_residual, delta
 
 __all__ = [
     "UData",
@@ -26,8 +31,6 @@ __all__ = [
     "check_D_identities",
     "invariant_trace",
     "build_u_data",
-    "embed1",
-    "embed2",
 ]
 
 
@@ -45,18 +48,6 @@ class UData:
     alpha: Scalar
     beta: Scalar
     c_scalar: Scalar
-
-
-def embed1(A: Mat) -> BiMat:
-    """A acting on the first tensor factor: A⊗I as a BiMat."""
-    n = A.nrows
-    return BiMat(n, {(i, j, k, j): val for (i, k), val in A.to_sparse().items() for j in range(n)})
-
-
-def embed2(A: Mat) -> BiMat:
-    """A acting on the second tensor factor: I⊗A as a BiMat."""
-    n = A.nrows
-    return BiMat(n, {(i, j, i, l): val for (j, l), val in A.to_sparse().items() for i in range(n)})
 
 
 def rep_u(R: BiMat) -> Mat:
@@ -102,14 +93,12 @@ def beta_constant(D: Mat, R: BiMat) -> Scalar:
     For the unitary series β = q^{1-1/N}.
     """
     n = D.nrows
-    eye = Mat.identity(n)
-    rhat = R.flip()
-    traced = (embed1(D.inverse()) @ rhat).tr1()
-    beta = traced[0, 0]
-    if beta.is_zero or traced != eye.scale(beta):
+    traced = contract("im,jmil->jl", D.inverse().to_sparse(), R.to4dict())
+    beta = traced.get((0, 0), Scalar.zero())
+    if beta.is_zero or traced != {(i, i): beta for i in range(n)}:
         raise ValueError("tr₁(D₁⁻¹R̂) is not a nonzero multiple of the identity")
-    cross = (embed2(D) @ rhat.inverse()).tr2()
-    if cross != eye.scale(beta ** -1):
+    cross = contract("jn,injk->ik", D.to_sparse(), R.inverse().to4dict())
+    if cross != {(i, i): beta ** -1 for i in range(n)}:
         raise ValueError("β cross-check failed: tr₂(D₂R̂⁻¹) ≠ β⁻¹·I")
     return beta
 
@@ -132,39 +121,30 @@ def check_D_identities(
     β's defining traces are validated inside :func:`beta_constant`.
     """
     n = D.nrows
-    eye = Mat.identity(n)
-    d1 = embed1(D)
-    d2 = embed2(D)
-    d1_inv = embed1(D.inverse())
-    d2_inv = embed2(D.inverse())
-    rhat = R.flip()
-    r_inv = R.inverse()
-    til = R.tilde()
+    eye = delta(n)
+    d, d_inv = D.to_sparse(), D.inverse().to_sparse()
+    r, r_inv, til = R.to4dict(), R.inverse().to4dict(), R.tilde().to4dict()
     results = [
-        check_mats_equal(
-            "u-trace[a1]", (d1_inv @ rhat.inverse()).tr1().scale(alpha), eye
+        check_sparse_zero("u-trace[a1]", contract_residual(("im,mjli,->jl", d_inv, r_inv, {(): alpha}), eye)),
+        check_sparse_zero("u-trace[a2]", contract_residual(("jn,nikj,->ik", d, r, {(): alpha ** -1}), eye)),
+        check_composite_zero("u-tilde[b1]", contract_residual(("ia,ajbl,bk->ijkl", d_inv, r_inv, d), til), n),
+        check_composite_zero("u-tilde[b2]", contract_residual(("ja,iakb,bl->ijkl", d, r_inv, d_inv), til), n),
+        check_composite_zero(
+            "u-comm[c]", contract_residual(("ia,jb,abkl->ijkl", d, d, r), ("ijab,ak,bl->ijkl", r, d, d)), n
         ),
-        check_mats_equal(
-            "u-trace[a2]", (d2 @ rhat).tr2().scale(alpha ** -1), eye
-        ),
-        check_composite_zero("u-tilde[b1]", (d1_inv @ r_inv @ d1 - til).to4dict(), n),
-        check_composite_zero("u-tilde[b2]", (d2 @ r_inv @ d2_inv - til).to4dict(), n),
-        check_composite_zero("u-comm[c]", (d1 @ d2 @ R - R @ d1 @ d2).to4dict(), n),
     ]
     rng = random.Random(seed)
-    residual: SparseTensor = {}
+    residual = {}
     for trial in range(3):
-        M = Mat.zeros(n)
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = Scalar.from_rational(
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                )
-        lhs = (d1_inv @ r_inv @ embed1(M) @ R).tr1()
-        rhs = eye.scale(invariant_trace(D, M))
-        residual = {
-            (trial, i, j): val for (i, j), val in (lhs - rhs).to_sparse().items()
+        M = {
+            (i, j): Scalar.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            for i in range(n)
+            for j in range(n)
         }
+        lhs_minus_rhs = contract_residual(
+            ("ia,ajbc,bd,dcil->jl", d_inv, r_inv, M, r), ("xy,yx,jl->jl", d_inv, M, eye)
+        )
+        residual = {(trial, i, j): val for (i, j), val in lhs_minus_rhs.items()}
         if residual:
             break
     results.append(check_sparse_zero("u-invariant-trace[d]", residual))

@@ -137,7 +137,7 @@ def check_metric_identities(
     f_{CA}^D η_{DB} + ℝ^{ED}_{CA} f_{DB}^F η_{EF} = 0.  When a closed-form
     ``reference`` metric is supplied, an entrywise equality check is added.
     """
-    bigR4, f3, metric = Q.bigR.to4dict(), Q.f3(), eta.to_sparse()
+    bigR4, f3, metric = Q.bigR.to4dict(), Q.f, eta.to_sparse()
     results = [
         check_sparse_zero("metric-rsym", contract_residual(("cdab,cd->ab", bigR4, metric), metric)),
         check_sparse_zero(

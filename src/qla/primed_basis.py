@@ -163,7 +163,7 @@ def build_primed(
 
     # f′_{AB}{}^C = (T⁻¹)^C_E f_{XY}{}^E T^X_A T^Y_B, the structure constants in the new basis.
     T4 = T.to_sparse()
-    f_primed = contract("xa,yb,xye,ce->abc", T4, T4, Q.f3(), T_inv.to_sparse())
+    f_primed = contract("xa,yb,xye,ce->abc", T4, T4, Q.f, T_inv.to_sparse())
 
     pb = PrimedBasis(
         d_vec=d_vec,
@@ -287,7 +287,7 @@ def check_comm_prime(
         ("axy,byz->abxz", primed, primed),
         ("cdab,cxy,dyz->abxz", bigR4, primed, primed),
         ("cdab,d,cxz->abxz", bigR4, mu_r, primed),
-        ("abc,cxz->abxz", Q.f3(), primed),
+        ("abc,cxz->abxz", Q.f, primed),
         add=[("a,bxz->abxz", mu_r, primed)],
     )
     return check_sparse_zero(f"comm-prime[{bundle.name}]", residual)

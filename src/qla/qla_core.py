@@ -93,10 +93,6 @@ class QlaStructure:
     F_adj: BiMat
     lam: Scalar
 
-    def f3(self) -> SparseTensor:
-        """f as a sparse 3-index dict keyed (A, B, C) for f_{AB}{}^C."""
-        return dict(self.f)
-
     @cached_property
     def perm_bigR_tilde(self) -> BiMat:
         """tilde(Pℝ), the contraction inverse of the un-braided ℝ that defines 𝔻.
@@ -124,9 +120,8 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
     """
     N = R.N
     lam_inv = ctx.lam() ** -1
-    rhat = R.flip()
     gen = [Mat.zeros(N) for _ in range(N * N)]
-    for (k, i, l, j), val in (rhat @ rhat - BiMat.identity(N)).to4dict().items():
+    for (k, i, l, j), val in (R.hat_squared() - BiMat.identity(N)).to4dict().items():
         gen[k * N + l][i, j] = -lam_inv * val
     R4 = R.to4dict()
     orep = {
@@ -154,7 +149,7 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
     rhat = R.flip()
     rhat4 = rhat.to4dict()
     rhatinv4 = rhat.inverse().to4dict()
-    rhat2_4 = (rhat @ rhat).to4dict()
+    rhat2_4 = R.hat_squared().to4dict()
     lam = ctx.lam()
     lam_inv = lam ** -1
 
@@ -217,7 +212,7 @@ def verify_qla(
     if B.orep is None:
         raise ValueError("bundle does not carry the O-representation")
     bigR4 = Q.bigR.to4dict()
-    f3 = Q.f3()
+    f3 = Q.f
     G3 = stack(B.gen)
     O4 = B.orep
     tag = B.name
@@ -315,7 +310,7 @@ def check_representation(Q: QlaStructure, B: RepBundle) -> CheckResult:
     residual = contract_residual(
         ("axy,byz->abxz", G3, G3),
         ("cdab,cxy,dyz->abxz", Q.bigR.to4dict(), G3, G3),
-        ("abc,cxz->abxz", Q.f3(), G3),
+        ("abc,cxz->abxz", Q.f, G3),
     )
     return check_sparse_zero(f"qla-rel1[{B.name}]", residual)
 
@@ -329,8 +324,7 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
     """
     Ivec = contract("xy,ayx->a", B.u.to_sparse(), stack(B.gen))
     traces = [Ivec.get((A,), _ZERO) for A in range(B.n)]
-    f3 = Q.f3()
-    if contract_residual(("abc,c->ab", f3, Ivec)):
+    if contract_residual(("abc,c->ab", Q.f, Ivec)):
         raise ValueError(f"deformed traces of {B.name} violate the f-sum rule")
     expected: SparseTensor = {}
     for A in range(Q.n):

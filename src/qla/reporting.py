@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from qla.scalars import Scalar
-from qla.tensors import Mat
+from qla.tensors import Mat, contract_residual
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,11 @@ def check_composite_zero(
     )
 
 
-def check_mat_zero(name: str, mat: Mat, detail: str = "") -> CheckResult:
-    return check_sparse_zero(name, mat.to_sparse(), detail)
-
-
 def check_mats_equal(name: str, got: Mat, expected: Mat, detail: str = "") -> CheckResult:
+    """:func:`check_sparse_zero` on ``got − expected``, after a shape check."""
     if got.nrows != expected.nrows or got.ncols != expected.ncols:
         return CheckResult(name, False, f"shape {got.nrows}x{got.ncols} vs {expected.nrows}x{expected.ncols}")
-    return check_mat_zero(name, got - expected, detail)
+    return check_sparse_zero(name, contract_residual(got.to_sparse(), expected.to_sparse()), detail)
 
 
 def check_scalar_equal(name: str, got: Scalar, expected: Scalar, detail: str = "") -> CheckResult:

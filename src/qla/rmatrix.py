@@ -116,7 +116,7 @@ def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -
     if kind == "hecke":
         coeff1 = ctx.q_power(Fraction(-1, N)) * ctx.lam()
         coeff0 = ctx.q_power(Fraction(-2, N))
-        residual = rhat @ rhat - rhat.scale(coeff1) - eye.scale(coeff0)
+        residual = spec.R.hat_squared() - rhat.scale(coeff1) - eye.scale(coeff0)
         return check_composite_zero(f"hecke[{spec.label}]", residual.to4dict(), N)
     if kind == "cubic":
         if eps not in (1, -1):

@@ -4,10 +4,12 @@ Provides :class:`Mat`, the small dense matrix of :class:`~qla.scalars.Scalar`
 entries that representation matrices and metrics are stored, eliminated
 (exact inverse, null space, rank) and rendered in, and :class:`BiMat`, the
 sparse matrix over a composite double index: a ``{(i, j, k, l): Scalar}``
-dict that never holds a zero, with the partial transpose, partial traces and
-the "tilde" contraction inverse used throughout the R-matrix constructions.
-Both inverses run block by block over the connected components of the
-nonzero pattern (:func:`_components`).  :func:`contract` is a sparse einsum
+dict that never holds a zero, with the partial transpose, the partial trace
+ρ(u) is read from and the "tilde" contraction inverse used throughout the
+R-matrix constructions.  Both inverses run block by block over the connected
+components of the nonzero pattern (:func:`_components`), and each block's
+inverse is :meth:`Mat.rref` of ``[block | I]``: one Gauss–Jordan elimination
+serves inverses, null spaces and ranks.  :func:`contract` is a sparse einsum
 over dictionaries keyed by index tuples, and every product in the package is
 one: traces are contractions with a 0- or 1-letter output, and a change of
 basis or a linear combination of matrices is one contraction with the
@@ -238,7 +240,11 @@ class Mat:
         return Mat.from_sparse(_block_inverse(self.to_sparse(), n), n)
 
     def rref(self) -> tuple[Mat, list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
+        """Reduced row echelon form and the list of pivot columns.
+
+        Each pivot is an entry of fewest terms in its column (a monomial is
+        taken at once), which keeps intermediate rational functions small.
+        """
         work = [list(row) for row in self.rows]
         nrows, ncols = self.nrows, self.ncols
         pivots: list[int] = []
@@ -312,49 +318,6 @@ class Mat:
         return "\n".join(lines)
 
 
-def _gauss_jordan_inverse(rows: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Exact inverse of the square ``rows`` by Gauss-Jordan elimination.
-
-    Pivots are chosen to minimize the term count of the pivot entry, which
-    keeps intermediate rational functions small.  Raises ``ValueError`` on
-    a singular matrix.
-    """
-    n = len(rows)
-    work = [list(row) + [_ONE if j == i else _ZERO for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = None
-        pivot_size = None
-        for r in range(col, n):
-            entry = work[r][col]
-            if entry.is_zero:
-                continue
-            if pivot_row is None or entry.size < pivot_size:
-                pivot_row, pivot_size = r, entry.size
-                if pivot_size == 2:  # a monomial pivot cannot be beaten
-                    break
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        if not pivot.is_one:
-            inv_pivot = pivot.inv()
-            work[col] = [val if val.is_zero else val * inv_pivot for val in work[col]]
-        prow = work[col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor.is_zero:
-                continue
-            row = work[r]
-            for j in range(col, 2 * n):
-                pval = prow[j]
-                if not pval.is_zero:
-                    row[j] = row[j] - factor * pval
-    return [row[n:] for row in work]
-
-
 def _components(keys: Iterable[tuple[Hashable, Hashable]]) -> list[tuple[list, list]]:
     """Row and column sets of the connected components of a nonzero pattern.
 
@@ -396,10 +359,12 @@ def _block_inverse(
     component (:func:`_components`) with more rows than columns, or fewer,
     proves the matrix singular; both are found before anything sized by
     ``size`` is built.  A block on rows ``rows`` and columns ``cols`` is
-    inverted by :func:`_gauss_jordan_inverse`, and its inverse fills the
-    entries ``(cols, rows)`` of the result.  The inverse is unique, so the
-    entries are the canonical scalars a whole-matrix elimination gives.
-    Raises ``ValueError`` on a singular matrix.
+    inverted by Gauss–Jordan elimination, as :meth:`Mat.rref` of ``[block |
+    I]``: the block is invertible exactly when the pivots are its first
+    columns, and then the right half is its inverse, which fills the entries
+    ``(cols, rows)`` of the result.  The inverse is unique, so the entries
+    are the canonical scalars a whole-matrix elimination gives.  Raises
+    ``ValueError`` on a singular matrix.
     """
     blocks = _components(key for key, val in entries.items() if val)
     if sum(len(rows) for rows, _ in blocks) < size or sum(len(cols) for _, cols in blocks) < size:
@@ -408,9 +373,15 @@ def _block_inverse(
     for rows, cols in blocks:
         if len(rows) != len(cols):
             raise ValueError("matrix is singular")
-        block = _gauss_jordan_inverse([[entries.get((r, c), _ZERO) for c in cols] for r in rows])
-        for c, block_row in zip(cols, block):
-            for r, val in zip(rows, block_row):
+        n = len(rows)
+        eye = Mat.identity(n).rows
+        reduced, pivots = Mat(
+            [[entries.get((r, c), _ZERO) for c in cols] + eye_row for r, eye_row in zip(rows, eye)]
+        ).rref()
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        for c, block_row in zip(cols, reduced.rows):
+            for r, val in zip(rows, block_row[n:]):
                 if val:
                     out[(c, r)] = val
     return out
@@ -450,9 +421,9 @@ class BiMat:
     ``entries[(i, j, k, l)]``, and a zero is never stored, so the dict is the
     4-index sparse tensor :func:`contract` reads.  This is the natural home
     of R-matrices (operators on a two-fold tensor product) and of structure
-    tensors over doubled labels.  Index maps (``t1``, ``flip``, the partial
-    traces) move keys; products and sums are contractions.  ``derived`` keeps
-    what is formed from the matrix once and shared (its tilde, ρ(u)); callers
+    tensors over doubled labels.  Index maps (``t1``, ``flip``, ``tr2``) move
+    keys; products and sums are contractions.  ``derived`` keeps what is
+    formed from the matrix once and shared (its tilde, R̂², ρ(u)); callers
     must not change those, and ``set4`` forgets them.
     """
 
@@ -541,14 +512,6 @@ class BiMat:
         """Partial transpose in the first factor: ``out[i,j;k,l] = self[k,j;i,l]``."""
         return BiMat(self.N, {(k, j, i, l): val for (i, j, k, l), val in self.entries.items()})
 
-    def tr1(self) -> Mat:
-        """Trace over the first factor: ``out[k,l] = sum_m self[m,k;m,l]``."""
-        out = Mat.zeros(self.N)
-        for (i, j, k, l), val in self.entries.items():
-            if i == k:
-                out.rows[j][l] = out.rows[j][l] + val
-        return out
-
     def tr2(self) -> Mat:
         """Trace over the second factor: ``out[i,j] = sum_m self[i,m;j,m]``."""
         out = Mat.zeros(self.N)
@@ -566,6 +529,13 @@ class BiMat:
         if "tilde" not in self.derived:
             self.derived["tilde"] = self.t1().inverse().t1()
         return self.derived["tilde"]
+
+    def hat_squared(self) -> BiMat:
+        """``(P·M)²``, the square of the braid form R̂ = P·R.  Formed once per matrix."""
+        if "hat2" not in self.derived:
+            hat = self.flip()
+            self.derived["hat2"] = hat @ hat
+        return self.derived["hat2"]
 
     def eval_at(self, p0) -> BiMat:
         return BiMat(

@@ -179,12 +179,10 @@ class TestBiMat:
         rng = random.Random(13)
         dense = random_mat(rng, 4)
         m = bimat_of(2, dense)
-        tr1 = m.tr1()
         tr2 = m.tr2()
         for a, b in itertools.product(range(2), repeat=2):
-            assert tr1[a, b] == m.get4(0, a, 0, b) + m.get4(1, a, 1, b)
             assert tr2[a, b] == m.get4(a, 0, b, 0) + m.get4(a, 1, b, 1)
-        assert m.tr1().trace() == m.tr2().trace() == dense.trace()
+        assert m.tr2().trace() == dense.trace()
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -280,8 +278,12 @@ def dense_perm(N: int) -> Mat:
 
 
 def dense_inverse(dense: Mat) -> Mat:
-    """Whole-matrix Gauss-Jordan elimination, with no block splitting."""
-    return Mat(tensors._gauss_jordan_inverse(dense.rows))
+    """Whole-matrix Gauss-Jordan elimination, ``rref`` of ``[A | I]`` with no block splitting."""
+    n = dense.nrows
+    reduced, pivots = Mat([row + eye for row, eye in zip(dense.rows, Mat.identity(n).rows)]).rref()
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Mat([row[n:] for row in reduced.rows])
 
 
 class TestSparseBiMat:
@@ -314,7 +316,6 @@ class TestSparseBiMat:
         P = BiMat.perm(N)
         assert dense_of(P) == dense_perm(N)
         assert dense_of(M.t1()) == dense_t1(dense, N)
-        assert M.tr1() == dense_partial_trace(dense, N, 0)
         assert M.tr2() == dense_partial_trace(dense, N, 1)
         assert dense_of(M.flip()) == dense_perm(N) @ dense
         assert dense_of(P @ M) == dense_perm(N) @ dense
@@ -538,8 +539,6 @@ class TestContract:
         m = bimat_of(2, random_mat(rng, 4))
         tr2 = contract("imjm->ij", m.to4dict())
         assert Mat.from_sparse(tr2, 2) == m.tr2()
-        tr1 = contract("mkml->kl", m.to4dict())
-        assert Mat.from_sparse(tr1, 2) == m.tr1()
 
     def test_zero_results_dropped(self):
         a = {(0, 0): S("1"), (0, 1): S("-1")}
@@ -646,7 +645,7 @@ class TestContract:
         Q = build_structure(spec.R, spec.ctx)
         bigR4 = Q.bigR.to4dict()
         joins = record_joins(monkeypatch)
-        contract("dfbn,mead,efc->abcmn", bigR4, bigR4, Q.f3())
+        contract("dfbn,mead,efc->abcmn", bigR4, bigR4, Q.f)
         assert len(joins) == 2
         assert "efc" in joins[0]
 
@@ -674,7 +673,7 @@ class TestContract:
     def test_packing_uses_the_common_exponent_step(self):
         spec = sun_r_matrix(4)
         Q = build_structure(spec.R, spec.ctx)
-        operands = [("abcd", Q.bigR.to4dict()), ("abc", Q.f3())]
+        operands = [("abcd", Q.bigR.to4dict()), ("abc", Q.f)]
         _, _, step, _, den, _ = tensors._pack_frame([(1, "abcd", operands)])
         assert step == 4
         assert den == LaurentPoly.one()
