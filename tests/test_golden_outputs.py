@@ -23,11 +23,17 @@ CASES = {
     ],
     "report_n2_text": ["report", "--n", "2"],
     "report_n4_json": ["report", "--n", "4", "--format", "json"],
+    "report_n2_root4_json": ["report", "--n", "2", "--root-order", "4", "--format", "json"],
+    "report_su2_external_json": [
+        "report", "--group", "external", "--r-matrix", str(DATA / "su2_external.json"),
+        "--format", "json",
+    ],
     "report_so3_fn_json": [
         "report", "--group", "external", "--r-matrix", str(DATA / "so3.json"),
         "--rep", "fn", "--format", "json",
     ],
     "check_n2": ["check", "--n", "2"],
+    "check_n2_rep_fn": ["check", "--n", "2", "--rep", "fn"],
     "check_n3": ["check", "--n", "3"],
     "su2_tables": ["su2-tables"],
     "check_so3": [
