@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qla.appendix_u import build_u_data
-from qla.killing import killing_reports
-from qla.primed_basis import adjoint_prime, build_primed
-from qla.qla_core import build_structure, deformed_traces, fundamental_generators
+from qla.pipeline import Pipeline
+from qla.qla_core import deformed_traces
 from qla.rmatrix import sun_r_matrix
-from qla.su2_golden import golden_basis_matrix, golden_suite
+from qla.su2_golden import golden_suite
 from qla.tensors import Mat
 
 
@@ -23,32 +21,32 @@ def heading(text: str) -> None:
 
 
 def main() -> int:
-    spec = sun_r_matrix(2)
+    ppl = Pipeline(sun_r_matrix(2), su_family=True)
+    spec = ppl.spec
     ctx = spec.ctx
     heading(f"R-matrix ({spec.label}, root order {ctx.root_order}, q = p^{ctx.root_order})")
     N = spec.N
     rows = {(i * N + j, k * N + l): val for (i, j, k, l), val in spec.R.to4dict().items()}
     print(Mat.from_sparse(rows, N * N).render())
 
-    Q = build_structure(spec.R, ctx)
+    Q = ppl.structure
     heading(f"structure constants on n = {Q.n} generators (nonzero entries)")
     for (A, B, C), value in sorted(Q.f.items()):
         print(f"  f[{A},{B}]^{C} = {value.render()}")
 
-    B = fundamental_generators(spec.R, ctx)
+    B = ppl.fn
     heading("deformed traces of the fundamental representation")
     for A, value in enumerate(deformed_traces(Q, B)):
         print(f"  I[{A}] = {value.render()}  (at p=1: {value.eval_at(1)})")
 
-    D = build_u_data(spec.R, ctx).D
-    pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
+    pb = ppl.primed
     heading("primed basis")
     print(f"  invariant direction D = {[v.render() for v in pb.d_vec]}")
     print(f"  dropped composite index: {pb.dropped_index}")
     print("  change of basis T:")
     print(pb.T.render())
 
-    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
+    reports = ppl.reports
     for name in ("fn", "ad'"):
         rep = reports[name]
         heading(f"killing data for {name}")
@@ -68,7 +66,7 @@ def main() -> int:
     print(f"  index[ad']  -> {ad_rep.index.eval_at(1)} (expected 2)")
 
     heading("golden table suite")
-    results = golden_suite()
+    results = golden_suite(ppl=ppl)
     for result in results:
         print(f"  {result.line()}")
     failures = [r for r in results if not r.passed]

@@ -9,20 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qla.appendix_u import build_u_data, check_D_identities
-from qla.killing import (
-    fundamental_metric_closed_form,
-    killing_metric,
-    killing_reports,
-    primed_metric_blocks,
-)
-from qla.primed_basis import adjoint_prime, build_primed
+from qla.appendix_u import check_D_identities
+from qla.killing import fundamental_metric_closed_form, killing_metric, primed_metric_blocks
+from qla.pipeline import Pipeline
 from qla.qla_core import (
-    build_structure,
     check_bigD_identities,
     check_square_antipode,
     deformed_traces,
-    fundamental_generators,
     null_space_lemma,
     verify_qla,
 )
@@ -35,14 +28,14 @@ def heading(text: str) -> None:
 
 
 def main() -> int:
-    spec = sun_r_matrix(3)
+    ppl = Pipeline(sun_r_matrix(3), su_family=True)
+    spec, ud = ppl.spec, ppl.udata
     ctx = spec.ctx
     heading("braid-matrix checks")
     for result in (check_ybe(spec), check_characteristic(spec, "hecke")):
         print(f"  {result.line()}")
 
-    Q = build_structure(spec.R, ctx)
-    B = fundamental_generators(spec.R, ctx)
+    Q, B = ppl.structure, ppl.fn
     heading("deformed traces against the closed form")
     closed = ctx.q_power(Fraction(-1, 3)) * (
         ctx.qnum(Fraction(1, 3)) * ctx.qnum(3, inverse=True) - Scalar.one()
@@ -57,15 +50,14 @@ def main() -> int:
 
     heading("killing metric")
     eta = killing_metric(B)
-    print(f"  matches the closed form: {eta == fundamental_metric_closed_form(ctx, build_u_data(spec.R, ctx).D)}")
-    D = build_u_data(spec.R, ctx).D
-    pb = build_primed(Q, B, D)
+    print(f"  matches the closed form: {eta == fundamental_metric_closed_form(ctx, ud.D)}")
+    pb = ppl.primed
     full, eta00, prim = primed_metric_blocks(pb, eta)
     print(f"  eta00 = {eta00.render()}")
     size = len(prim.rows)
     print(f"  traceless block is {size}x{size}, decomposition exact: {full[0, 0] == eta00}")
 
-    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
+    reports = ppl.reports
     for name in ("fn", "ad'"):
         rep = reports[name]
         heading(f"killing data for {name}")
@@ -78,7 +70,6 @@ def main() -> int:
     results.append(null_space_lemma(Q))
     results.extend(check_bigD_identities(Q))
     results.append(check_square_antipode(Q, B))
-    ud = build_u_data(spec.R, ctx)
     results.extend(check_D_identities(spec.R, ud.D, ud.alpha))
     failures = [r for r in results if not r.passed]
     for result in results:

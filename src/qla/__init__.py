@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from qla.killing import KillingReport, killing_reports
+from qla.pipeline import Pipeline
 from qla.qla_core import QlaStructure, RepBundle, build_structure, fundamental_generators
 from qla.rmatrix import RMatrixSpec, load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, LaurentPoly, Scalar, parse_scalar
@@ -15,6 +16,7 @@ __all__ = [
     "KillingReport",
     "LaurentPoly",
     "Mat",
+    "Pipeline",
     "QlaStructure",
     "RMatrixSpec",
     "RepBundle",

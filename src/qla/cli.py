@@ -17,8 +17,9 @@ Three subcommands:
     Rebuild the rank-one theory and diff it against the packaged golden
     tables, printing one line per comparison and a final diff count.
 
-Each command builds its pipeline stages from the R-matrix in memory; nothing
-is kept between commands.
+Each command loads or builds its R-matrix and reads every stage from one
+:class:`~qla.pipeline.Pipeline`; nothing is kept between commands.  Usage
+errors, suite parameters included, are refused before any stage is built.
 """
 
 from __future__ import annotations
@@ -29,31 +30,21 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
-from .appendix_u import build_u_data, check_D_identities
+from .appendix_u import check_D_identities
 from .killing import (
     check_metric_identities,
     fundamental_metric_closed_form,
     killing_metric,
     killing_report_to_dict,
-    killing_reports,
     positivity_sample,
 )
-from .primed_basis import (
-    adjoint_prime,
-    basis_report,
-    build_primed,
-    check_chi0_central,
-    check_comm_prime,
-    check_traceless,
-)
+from .pipeline import Pipeline
+from .primed_basis import basis_report, check_chi0_central, check_comm_prime, check_traceless
 from .qla_core import (
-    build_structure,
     check_bigD_identities,
     check_square_antipode,
-    fundamental_generators,
     null_space_lemma,
     structure_to_dict,
     verify_qla,
@@ -69,7 +60,7 @@ from .rmatrix import (
     sun_r_matrix,
 )
 from .scalars import DeformationContext, Scalar
-from .su2_golden import Su2Stages, golden_basis_matrix, golden_suite, load_su2_tables
+from .su2_golden import golden_suite, load_su2_tables
 from .tensors import Mat
 
 __all__ = ["RunConfig", "ConfigError", "cmd_check", "cmd_report", "cmd_su2_tables", "main"]
@@ -89,7 +80,8 @@ class RunConfig:
     """Validated options shared by the subcommands.
 
     ``checks`` maps suite names to their (string-valued) parameters, e.g.
-    ``{"cubic": {"eps": "1"}}`` from ``--checks cubic:eps=1``.
+    ``{"cubic": {"eps": "1"}}`` from ``--checks cubic:eps=1``; ``cubic:eps``
+    (1 or -1) is the only parameter a suite takes.
     """
 
     group: str = "su"
@@ -130,6 +122,20 @@ class RunConfig:
                 f"unknown check suite(s) {', '.join(sorted(unknown))}; "
                 f"available: {', '.join(SUITES)}"
             )
+        for name, params in self.checks.items():
+            for key in params:
+                if (name, key) != ("cubic", "eps"):
+                    raise ConfigError(f"suite {name!r} takes no parameter {key!r}")
+        if "hecke" in self.checks and self.group != "su":
+            raise ConfigError("suite 'hecke' applies to --group su; use cubic:eps=... instead")
+        if "cubic" in self.checks:
+            raw = self.checks["cubic"].get("eps", "1")
+            try:
+                eps = int(raw)
+            except ValueError:
+                raise ConfigError(f"cubic parameter eps={raw!r} is not an integer") from None
+            if eps not in (1, -1):
+                raise ConfigError("cubic parameter eps must be 1 or -1")
 
 
 def _parse_checks(text: str, group: str, n: int) -> dict[str, dict[str, str]]:
@@ -164,61 +170,19 @@ def _parse_checks(text: str, group: str, n: int) -> dict[str, dict[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-class Pipeline:
-    """Lazily built stages shared by the suites of one invocation."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-
-    @cached_property
-    def spec(self):
-        cfg = self.config
-        if cfg.group == "external":
-            try:
-                return load_r_matrix(cfg.r_matrix_path)
-            except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot load R-matrix {cfg.r_matrix_path}: {exc}") from exc
+def _pipeline(cfg: RunConfig) -> Pipeline:
+    """The pipeline of the configured R-matrix: a loaded file or the built-in su(N)."""
+    if cfg.group == "external":
+        try:
+            spec = load_r_matrix(cfg.r_matrix_path)
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot load R-matrix {cfg.r_matrix_path}: {exc}") from exc
+    else:
         ctx = None
         if cfg.root_order is not None:
             ctx = DeformationContext(N=cfg.n, root_order=cfg.root_order)
-        return sun_r_matrix(cfg.n, ctx)
-
-    @cached_property
-    def structure(self):
-        return build_structure(self.spec.R, self.spec.ctx)
-
-    @cached_property
-    def fn(self):
-        return fundamental_generators(self.spec.R, self.spec.ctx)
-
-    @cached_property
-    def udata(self):
-        return build_u_data(self.spec.R, self.spec.ctx)
-
-    @cached_property
-    def primed(self):
-        Q = self.structure
-        if self.config.group == "su" and Q.n == 4:
-            T = golden_basis_matrix(Q, self.udata.D)
-            return build_primed(Q, self.fn, self.udata.D, dropped_index=3, T_override=T)
-        return build_primed(Q, self.fn, self.udata.D)
-
-    @cached_property
-    def adjoint(self):
-        return adjoint_prime(self.primed, self.structure)
-
-    @cached_property
-    def reports(self):
-        ad = None if self.config.rep == "fn" else self.adjoint
-        return killing_reports(self.structure, self.primed, self.fn, ad)
-
-    def bundles(self):
-        selected = []
-        if self.config.rep in ("fn", "both"):
-            selected.append(self.fn)
-        if self.config.rep in ("ad", "both"):
-            selected.append(self.adjoint)
-        return selected
+        spec = sun_r_matrix(cfg.n, ctx)
+    return Pipeline(spec, rep=cfg.rep, su_family=cfg.group == "su")
 
 
 # ---------------------------------------------------------------------------
@@ -226,37 +190,28 @@ class Pipeline:
 # ---------------------------------------------------------------------------
 
 
-def _suite_ybe(ppl: Pipeline, params: dict) -> list[CheckResult]:
+def _suite_ybe(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
     return [check_ybe(ppl.spec)]
 
 
-def _suite_hecke(ppl: Pipeline, params: dict) -> list[CheckResult]:
-    if ppl.config.group != "su":
-        raise ConfigError("suite 'hecke' applies to --group su; use cubic:eps=... instead")
+def _suite_hecke(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
     return [check_characteristic(ppl.spec, "hecke")]
 
 
-def _suite_cubic(ppl: Pipeline, params: dict) -> list[CheckResult]:
-    raw = params.get("eps", "1")
-    try:
-        eps = int(raw)
-    except ValueError:
-        raise ConfigError(f"cubic parameter eps={raw!r} is not an integer") from None
-    if eps not in (1, -1):
-        raise ConfigError("cubic parameter eps must be 1 or -1")
-    return [check_characteristic(ppl.spec, "cubic", eps)]
+def _suite_cubic(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
+    return [check_characteristic(ppl.spec, "cubic", int(cfg.checks["cubic"].get("eps", "1")))]
 
 
-def _suite_qla(ppl: Pipeline, params: dict) -> list[CheckResult]:
+def _suite_qla(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
     Q, B = ppl.structure, ppl.fn
-    out = verify_qla(Q, B, skip_heavy=ppl.config.skip_heavy)
+    out = verify_qla(Q, B, skip_heavy=cfg.skip_heavy)
     out.append(null_space_lemma(Q))
     out.extend(check_bigD_identities(Q))
     out.append(check_square_antipode(Q, B))
     return out
 
 
-def _suite_appendix(ppl: Pipeline, params: dict) -> list[CheckResult]:
+def _suite_appendix(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
     ud = ppl.udata
     out = check_D_identities(ppl.spec.R, ud.D, ud.alpha)
     lmats = fundamental_L_matrices(ppl.spec)
@@ -265,14 +220,14 @@ def _suite_appendix(ppl: Pipeline, params: dict) -> list[CheckResult]:
     return out
 
 
-def _suite_killing(ppl: Pipeline, params: dict) -> list[CheckResult]:
+def _suite_killing(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
     Q, pb = ppl.structure, ppl.primed
     reports = ppl.reports
     out: list[CheckResult] = []
     for bundle in ppl.bundles():
         eta = killing_metric(bundle)
         reference = None
-        if ppl.config.group == "su" and bundle is ppl.fn:
+        if ppl.su_family and bundle is ppl.fn:
             reference = fundamental_metric_closed_form(ppl.spec.ctx, ppl.udata.D)
         for result in check_metric_identities(Q, eta, reference=reference):
             out.append(replace(result, name=f"{result.name}[{bundle.name}]"))
@@ -307,14 +262,10 @@ def _in_golden_scope(cfg: RunConfig) -> bool:
     return cfg.group == "su" and cfg.n == 2 and cfg.root_order in (None, 2)
 
 
-def _suite_golden(ppl: Pipeline, params: dict) -> list[CheckResult]:
-    if not _in_golden_scope(ppl.config):
+def _suite_golden(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
+    if not _in_golden_scope(cfg):
         return [skipped("golden", f"golden tables cover {_GOLDEN_SCOPE}")]
-    B, pb, ad = ppl.fn, ppl.primed, ppl.adjoint
-    reports = ppl.reports
-    if "ad'" not in reports:  # --rep fn builds no ad' report; the tables need one
-        reports = killing_reports(ppl.structure, pb, B, ad)
-    return golden_suite(stages=Su2Stages(R=ppl.spec.R, B=B, pb=pb, ad=ad, reports=reports))
+    return golden_suite(ppl=ppl)
 
 
 _SUITE_RUNNERS = {
@@ -330,15 +281,13 @@ _SUITE_RUNNERS = {
 
 def run_checks(config: RunConfig) -> list[CheckResult]:
     """Run the configured suites in canonical order."""
-    ppl = Pipeline(config)
+    ppl = _pipeline(config)
     results: list[CheckResult] = []
     for suite in SUITES:
         if suite not in config.checks:
             continue
         try:
-            results.extend(_SUITE_RUNNERS[suite](ppl, config.checks[suite]))
-        except ConfigError:
-            raise
+            results.extend(_SUITE_RUNNERS[suite](ppl, config))
         except ValueError as exc:
             # A structurally unusable input (singular tilde system, metric not
             # block-diagonal, non-central casimir, ...) fails the suite rather
@@ -453,8 +402,7 @@ def _headline_scalars(ppl: Pipeline) -> dict[str, Scalar]:
     return out
 
 
-def _text_report(ppl: Pipeline) -> str:
-    cfg = ppl.config
+def _text_report(ppl: Pipeline, cfg: RunConfig) -> str:
     ctx = ppl.spec.ctx
     Q = ppl.structure
     sections = [
@@ -491,7 +439,7 @@ def cmd_report(config: RunConfig) -> int:
     config.validate()
     if config.skip_heavy:
         raise ConfigError("--skip-heavy applies to check only")
-    ppl = Pipeline(config)
+    ppl = _pipeline(config)
     # Build every stage before rendering: ad′ records its own μ on the primed basis.
     stages = ("structure", "primed") + (() if config.rep == "fn" else ("adjoint",))
     for stage in stages + ("reports",):
@@ -518,7 +466,7 @@ def cmd_report(config: RunConfig) -> int:
         }
         _emit(json.dumps(payload, indent=1), config)
     else:
-        _emit(_text_report(ppl), config)
+        _emit(_text_report(ppl, config), config)
     return 0
 
 
@@ -530,13 +478,13 @@ def cmd_su2_tables(config: RunConfig | None = None) -> int:
     if config.rep != "both" or config.skip_heavy:
         raise ConfigError("su2-tables takes neither --rep nor --skip-heavy")
     config.validate()
-    results = golden_suite()
+    tables = load_su2_tables()
+    results = golden_suite(tables)
     diffs = [r for r in results if not r.passed]
     lines = [r.line() for r in results]
     lines.append(f"{len(diffs)} diffs")
     rows: dict[str, Scalar] = {}
     if config.eval_points:
-        tables = load_su2_tables()
         rows = {
             "index[fn]": tables.fn_index,
             "casimir[fn]": tables.fn_casimir,

@@ -3,9 +3,11 @@
 The structure constants admit a joint null vector 𝒟^A; the combination
 χ₀ = 𝒟^A χ_A is central, and subtracting its trace part from each generator
 yields the primed set χ′_A = χ_A − (I′_A/I′₀)χ₀, which is traceless in every
-representation but linearly dependent (𝒟^A χ′_A ≡ 0).  Dropping one primed
-generator and prepending χ₀ gives an n-element basis in which the adjoint
-action is block-diagonal; its (n−1)-dimensional block ad′ is irreducible.
+representation but linearly dependent (𝒟^A χ′_A ≡ 0).  Dropping the last
+primed generator and prepending χ₀ gives an n-element basis in which the
+adjoint action is block-diagonal; its (n−1)-dimensional block ad′ is
+irreducible.  At rank one the textbook basis χ₀, χ₊, χ₋, χ₃
+(:func:`golden_basis_matrix`) may stand in for those columns.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "PrimedBasis",
     "d_vector",
     "build_primed",
+    "golden_basis_matrix",
     "primed_structure",
     "adjoint_prime",
     "chi0_image",
@@ -99,18 +102,14 @@ def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
 
 
 def build_primed(
-    Q: QlaStructure,
-    B_fn: RepBundle,
-    D: Mat,
-    dropped_index: int | None = None,
-    T_override: Mat | None = None,
+    Q: QlaStructure, B_fn: RepBundle, D: Mat, T_override: Mat | None = None
 ) -> PrimedBasis:
     """Assemble the primed basis from the structure and the fundamental bundle.
 
     The trace ratios are taken in ``B_fn`` (whose χ₀-trace must not vanish).
-    By default the primed generator at the last diagonal composite index is
-    dropped; ``T_override`` may supply the basis columns directly (column 0
-    must be 𝒟), e.g. for a rescaled textbook basis.
+    The primed generator at the last composite index n − 1 is dropped;
+    ``T_override`` may supply the basis columns directly (column 0 must be
+    𝒟), e.g. for the rescaled textbook basis of :func:`golden_basis_matrix`.
     """
     n = Q.n
     d_vec = d_vector(Q, D)
@@ -136,8 +135,6 @@ def build_primed(
         if not acc.is_zero:
             raise ValueError("primed generators fail the dependence relation")
 
-    if dropped_index is None:
-        dropped_index = n - 1
     if T_override is not None:
         T = T_override
         for E in range(n):
@@ -147,19 +144,13 @@ def build_primed(
         T = Mat.zeros(n)
         for E in range(n):
             T[E, 0] = d_vec[E]
-        col = 1
-        for A in range(n):
-            if A == dropped_index:
-                continue
+        for A in range(n - 1):
             for E in range(n):
-                T[E, col] = primed_cols[A][E]
-            col += 1
+                T[E, A + 1] = primed_cols[A][E]
     try:
         T_inv = T.inverse()
     except ValueError as exc:
-        raise ValueError(
-            "basis matrix is singular; drop a different generator"
-        ) from exc
+        raise ValueError("basis matrix is singular") from exc
 
     # f′_{AB}{}^C = (T⁻¹)^C_E f_{XY}{}^E T^X_A T^Y_B, the structure constants in the new basis.
     T4 = T.to_sparse()
@@ -169,7 +160,7 @@ def build_primed(
         d_vec=d_vec,
         ratios=ratios,
         T=T,
-        dropped_index=dropped_index,
+        dropped_index=n - 1,
         f_primed=f_primed,
         traces=traces,
     )
@@ -178,6 +169,27 @@ def build_primed(
     except ValueError:
         pass  # reducible bundle: χ₀ image is not scalar, so no μ is recorded
     return pb
+
+
+def golden_basis_matrix(Q: QlaStructure, D: Mat) -> Mat:
+    """Change of basis from the unprimed generators to ``chi0, chi+, chi-, chi3``.
+
+    Column 0 is the central element (the ``D``-weighted combination fixed by
+    the structure), columns 1 and 2 keep the off-diagonal generators, and
+    column 3 is ``chi3 = (chi_00 - chi_11)/[2]_{1/q}``.
+    """
+    if Q.n != 4:
+        raise ValueError("the golden basis is specific to the rank-one structure")
+    d = d_vector(Q, D)
+    tp_inv = Q.ctx.qnum(2, inverse=True).inv()
+    return Mat(
+        [
+            [d[0], _ZERO, _ZERO, tp_inv],
+            [d[1], _ONE, _ZERO, _ZERO],
+            [d[2], _ZERO, _ONE, _ZERO],
+            [d[3], _ZERO, _ZERO, -tp_inv],
+        ]
+    )
 
 
 def primed_structure(

@@ -53,8 +53,7 @@ class RepBundle:
 
     ``gen[A]`` is ρ(χ_A) with the composite basis order A = (i,j) ↦ i·N + j;
     ``orep``, when present, holds ρ(O_A{}^B) as one sparse dict keyed
-    ``(A, B, row, col)``; ``u`` is ρ(u);
-    ``numerical_R`` is the R-matrix of the pair (ρ, ρ) when known.
+    ``(A, B, row, col)``; ``u`` is ρ(u).
     """
 
     name: str
@@ -62,7 +61,6 @@ class RepBundle:
     gen: list[Mat]
     u: Mat
     orep: SparseTensor | None = None
-    numerical_R: BiMat | None = None
 
     def __post_init__(self) -> None:
         for g in self.gen:
@@ -128,9 +126,7 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
         (i * N + j, k * N + l, x, z): val
         for (i, j, k, l, x, z), val in contract("xiyk,lyjz->ijklxz", R4, R4).items()
     }
-    return RepBundle(
-        name="fn", dim=N, gen=gen, u=rep_u(R), orep=orep, numerical_R=R
-    )
+    return RepBundle(name="fn", dim=N, gen=gen, u=rep_u(R), orep=orep)
 
 
 def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
@@ -342,9 +338,7 @@ def adjoint_rep(Q: QlaStructure) -> RepBundle:
     gen = [Mat.zeros(n) for _ in range(n)]
     for (A, B, C), val in Q.f.items():
         gen[A][C, B] = val
-    return RepBundle(
-        name="ad", dim=n, gen=gen, u=rep_u(Q.F_adj), orep=None, numerical_R=Q.F_adj
-    )
+    return RepBundle(name="ad", dim=n, gen=gen, u=rep_u(Q.F_adj))
 
 
 def null_space_lemma(Q: QlaStructure) -> CheckResult:

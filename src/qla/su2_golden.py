@@ -6,11 +6,13 @@ fundamental representation, the fundamental R-matrix, the golden-basis images
 ``chi_0, chi_+, chi_-, chi_3`` in the fundamental and traceless-adjoint
 bundles, both Killing metrics with their indices and casimirs, and the
 adjoint action table.  ``golden_suite`` rebuilds all of it from the R-matrix
-alone and compares bit-exactly, and adds structural checks that do not reduce
-to table lookups: the Jimbo-Drinfeld relations, the truncation of the
-universal R-matrix in the fundamental square, the rank-one commutation
-relations at representation level, the reordered (orthogonal-style) form of
-the canonical metric, and the classical limit at ``p = 1``.
+alone, through the :class:`~qla.pipeline.Pipeline` of the built-in N = 2
+R-matrix (a caller's, or one of its own), compares bit-exactly, and adds
+structural checks that do not reduce to table lookups: the Jimbo-Drinfeld
+relations, the truncation of the universal R-matrix in the fundamental
+square, the rank-one commutation relations at representation level, the
+reordered (orthogonal-style) form of the canonical metric, and the classical
+limit at ``p = 1``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .appendix_u import build_u_data
 from .killing import KillingReport, killing_metric, killing_reports, primed_metric_blocks
-from .primed_basis import PrimedBasis, adjoint_prime, build_primed, d_vector, primed_images
-from .qla_core import QlaStructure, RepBundle, build_structure, fundamental_generators
+from .pipeline import Pipeline
+from .primed_basis import PrimedBasis, primed_images
 from .reporting import (
     CheckResult,
     check_composite_zero,
@@ -37,10 +38,7 @@ from .tensors import BiMat, Mat, SparseTensor, contract, contract_residual, delt
 
 __all__ = [
     "Su2Tables",
-    "Su2Stages",
     "load_su2_tables",
-    "su2_stages",
-    "golden_basis_matrix",
     "jimbo_drinfeld_check",
     "rosso_term",
     "universal_r_truncation",
@@ -119,28 +117,6 @@ def load_su2_tables() -> Su2Tables:
         ad_casimir=parse_scalar(ad["casimir"]),
         f_primed={(A, B, C): parse_scalar(value) for A, B, C, value in raw["f_primed"]},
         so_metric_pattern=_mat(raw["so_metric_pattern"]),
-    )
-
-
-def golden_basis_matrix(Q: QlaStructure, D: Mat) -> Mat:
-    """Change of basis from the unprimed generators to ``chi0, chi+, chi-, chi3``.
-
-    Column 0 is the central element (the ``D``-weighted combination fixed by
-    the structure), columns 1 and 2 keep the off-diagonal generators, and
-    column 3 is ``chi3 = (chi_00 - chi_11)/[2]_{1/q}``.
-    """
-    if Q.n != 4:
-        raise ValueError("the golden basis is specific to the rank-one structure")
-    d = d_vector(Q, D)
-    tp_inv = Q.ctx.qnum(2, inverse=True).inv()
-    zero, one = Scalar.zero(), Scalar.one()
-    return Mat(
-        [
-            [d[0], zero, zero, tp_inv],
-            [d[1], one, zero, zero],
-            [d[2], zero, one, zero],
-            [d[3], zero, zero, -tp_inv],
-        ]
     )
 
 
@@ -285,7 +261,7 @@ def _matrix_table_check(name: str, got: SparseTensor, tables_side: dict[str, Mat
     )
 
 
-def _reordered_metric_check(tables: Su2Tables) -> CheckResult:
+def _reordered_metric_check() -> CheckResult:
     """Check the orthogonal-style form of the canonical metric at root order 4.
 
     Reordering the golden basis to ``chi-, s*chi3, chi+`` with
@@ -297,12 +273,8 @@ def _reordered_metric_check(tables: Su2Tables) -> CheckResult:
     """
     name = "so-metric-reorder"
     ctx = DeformationContext(N=2, root_order=4)
-    spec = sun_r_matrix(2, ctx)
-    Q = build_structure(spec.R, ctx)
-    B = fundamental_generators(spec.R, ctx)
-    D = build_u_data(spec.R, ctx).D
-    pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
-    _, _, prim = primed_metric_blocks(pb, killing_metric(B))
+    ppl = Pipeline(sun_r_matrix(2, ctx), su_family=True)
+    _, _, prim = primed_metric_blocks(ppl.primed, killing_metric(ppl.fn))
 
     # Entries linear in s pair chi3 with chi+/chi-; they must vanish outright
     # for the reordered metric to exist over the scalar field.
@@ -376,38 +348,7 @@ def _classical_check(pb: PrimedBasis, reports: dict[str, KillingReport]) -> Chec
     )
 
 
-@dataclass
-class Su2Stages:
-    """The rank-one pipeline stages that :func:`golden_suite` compares.
-
-    ``R`` is the standard N = 2 R-matrix, ``B`` its fundamental bundle,
-    ``pb`` the primed basis over the golden basis
-    (:func:`golden_basis_matrix`, primed generator 3 dropped), ``ad`` the
-    traceless adjoint bundle and ``reports`` the Killing reports of ``fn``
-    and ``ad'``.
-    """
-
-    R: BiMat
-    B: RepBundle
-    pb: PrimedBasis
-    ad: RepBundle
-    reports: dict[str, KillingReport]
-
-
-def su2_stages(ctx: DeformationContext) -> Su2Stages:
-    """Build the stages of the standard N = 2 R-matrix at ``ctx``."""
-    spec = sun_r_matrix(2, ctx)
-    Q = build_structure(spec.R, ctx)
-    B = fundamental_generators(spec.R, ctx)
-    D = build_u_data(spec.R, ctx).D
-    pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
-    ad = adjoint_prime(pb, Q)
-    return Su2Stages(R=spec.R, B=B, pb=pb, ad=ad, reports=killing_reports(Q, pb, B, ad))
-
-
-def golden_suite(
-    tables: Su2Tables | None = None, stages: Su2Stages | None = None
-) -> list[CheckResult]:
+def golden_suite(tables: Su2Tables | None = None, ppl: Pipeline | None = None) -> list[CheckResult]:
     """Rebuild the rank-one theory from its R-matrix and compare to the tables.
 
     Every tabulated object is reproduced bit-exactly by the pipeline: the
@@ -415,16 +356,19 @@ def golden_suite(
     both bundles, the metric blocks, canonical metric, indices, and casimirs,
     and the adjoint action table.  Structural checks (defining relations,
     universal R-matrix truncation, commutation relations, reordered metric,
-    classical limit) run alongside.  ``stages`` defaults to
-    ``su2_stages(tables.ctx)``; a caller that already built them passes them
-    in.  Returns one result per check.
+    classical limit) run alongside.  The stages come from ``ppl``, the
+    pipeline of the built-in N = 2 R-matrix, which defaults to one at
+    ``tables.ctx``; a caller that already built it passes it in.  Returns
+    one result per check.
     """
     if tables is None:
         tables = load_su2_tables()
     ctx = tables.ctx
-    if stages is None:
-        stages = su2_stages(ctx)
-    B, pb, ad, reports = stages.B, stages.pb, stages.ad, stages.reports
+    if ppl is None:
+        ppl = Pipeline(sun_r_matrix(2, ctx), su_family=True)
+    B, pb, ad, reports = ppl.fn, ppl.primed, ppl.adjoint, ppl.reports
+    if "ad'" not in reports:  # an fn-only pipeline builds no ad' report; the tables need one
+        reports = killing_reports(ppl.structure, pb, B, ad)
     fn_report = reports["fn"]
     ad_report = reports["ad'"]
 
@@ -442,7 +386,7 @@ def golden_suite(
     results = [
         check_composite_zero(
             "fundamental-r-matrix",
-            (stages.R - tables.R_sl2).to4dict(),
+            (ppl.spec.R - tables.R_sl2).to4dict(),
             ctx.N,
             detail="R-matrix of the standard N = 2 solution",
         ),
@@ -483,6 +427,6 @@ def golden_suite(
             detail="rank-one commutation relations in the traceless adjoint bundle",
         )
     )
-    results.append(_reordered_metric_check(tables))
+    results.append(_reordered_metric_check())
     results.append(_classical_check(pb, reports))
     return results

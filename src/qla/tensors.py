@@ -423,8 +423,8 @@ class BiMat:
     of R-matrices (operators on a two-fold tensor product) and of structure
     tensors over doubled labels.  Index maps (``t1``, ``flip``, ``tr2``) move
     keys; products and sums are contractions.  ``derived`` keeps what is
-    formed from the matrix once and shared (its tilde, R̂², ρ(u)); callers
-    must not change those, and ``set4`` forgets them.
+    formed from the matrix once and shared (its inverse, tilde, R̂², ρ(u));
+    callers must not change those, and ``set4`` forgets them.
     """
 
     __slots__ = ("N", "entries", "derived")
@@ -493,10 +493,15 @@ class BiMat:
         return BiMat(self.N, {key: val * factor for key, val in self.entries.items()})
 
     def inverse(self) -> BiMat:
-        """Exact inverse, block by block (:func:`_block_inverse`) over row and column pairs."""
-        pairs = {((i, j), (k, l)): val for (i, j, k, l), val in self.entries.items()}
-        inverse = _block_inverse(pairs, self.N * self.N)
-        return BiMat(self.N, {row + col: val for (row, col), val in inverse.items()})
+        """Exact inverse over row and column pairs, block by block (:func:`_block_inverse`).
+
+        Formed once per matrix.
+        """
+        if "inverse" not in self.derived:
+            pairs = {((i, j), (k, l)): val for (i, j, k, l), val in self.entries.items()}
+            inverse = _block_inverse(pairs, self.N * self.N)
+            self.derived["inverse"] = BiMat(self.N, {r + c: val for (r, c), val in inverse.items()})
+        return self.derived["inverse"]
 
     @property
     def is_zero(self) -> bool:

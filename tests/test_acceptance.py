@@ -20,7 +20,7 @@ from qla.killing import (
     positivity_sample,
     primed_metric_blocks,
 )
-from qla.primed_basis import adjoint_prime, build_primed
+from qla.primed_basis import adjoint_prime, build_primed, golden_basis_matrix
 from qla.qla_core import (
     build_structure,
     check_bigD_identities,
@@ -40,7 +40,6 @@ from qla.rmatrix import (
 )
 from qla.scalars import Scalar, parse_scalar
 from qla.su2_golden import (
-    golden_basis_matrix,
     golden_suite,
     jimbo_drinfeld_check,
     load_su2_tables,
@@ -59,7 +58,7 @@ def build_pipeline(N: int):
     B = fundamental_generators(spec.R, spec.ctx)
     D = build_u_data(spec.R, spec.ctx).D
     if N == 2:
-        pb = build_primed(Q, B, D, dropped_index=3, T_override=golden_basis_matrix(Q, D))
+        pb = build_primed(Q, B, D, T_override=golden_basis_matrix(Q, D))
     else:
         pb = build_primed(Q, B, D)
     return spec, Q, B, D, pb

@@ -83,6 +83,29 @@ class TestConfig:
             RunConfig(group="external", r_matrix_path="so3.json", root_order=2).validate()
         RunConfig(n=3, root_order=6).validate()
 
+    @pytest.mark.parametrize(
+        "checks, message",
+        [
+            ({"ybe": {"eps": "-1"}}, "suite 'ybe' takes no parameter 'eps'"),
+            ({"hecke": {"bogus": "3"}}, "suite 'hecke' takes no parameter 'bogus'"),
+            ({"cubic": {"eta": "1"}}, "suite 'cubic' takes no parameter 'eta'"),
+            ({"golden": {"eps": "1"}}, "suite 'golden' takes no parameter 'eps'"),
+        ],
+    )
+    def test_suite_parameters_other_than_cubic_eps_refused(self, checks, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(checks=checks).validate()
+
+    def test_suite_refusals_in_validate(self):
+        external = {"group": "external", "r_matrix_path": "so3.json"}
+        with pytest.raises(ConfigError, match="suite 'hecke' applies to --group su"):
+            RunConfig(checks={"hecke": {}}, **external).validate()
+        with pytest.raises(ConfigError, match="eps must be 1 or -1"):
+            RunConfig(checks={"cubic": {"eps": "2"}}, **external).validate()
+        with pytest.raises(ConfigError, match="eps='x' is not an integer"):
+            RunConfig(checks={"cubic": {"eps": "x"}}, **external).validate()
+        RunConfig(checks={"cubic": {"eps": "-1"}}, **external).validate()
+
     def test_parse_checks_all_expands_by_group(self):
         su2 = _parse_checks("all", "su", 2)
         assert list(su2) == ["ybe", "hecke", "qla", "appendix", "killing", "golden"]
@@ -137,6 +160,46 @@ class TestCheckCommand:
         argv = ["check", "--group", "external", "--r-matrix", so3_path, "--checks", "hecke"]
         assert main(argv) == 2
         assert "cubic:eps=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "checks, message",
+        [
+            ("ybe:eps=-1,hecke:bogus=3", "suite 'ybe' takes no parameter 'eps'"),
+            ("hecke:bogus=3", "suite 'hecke' takes no parameter 'bogus'"),
+            ("ybe,cubic:sign=1", "suite 'cubic' takes no parameter 'sign'"),
+        ],
+    )
+    def test_unused_suite_parameter_is_a_usage_error(self, checks, message, capsys):
+        assert main(["check", "--n", "2", "--checks", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "r_matrix, checks, message",
+        [
+            (str(SO3_FILE), "ybe,hecke",
+             "suite 'hecke' applies to --group su; use cubic:eps=... instead"),
+            ("/does/not/exist.json", "hecke",
+             "suite 'hecke' applies to --group su; use cubic:eps=... instead"),
+            (str(SO3_FILE), "ybe,cubic:eps=2", "cubic parameter eps must be 1 or -1"),
+            (str(SO3_FILE), "ybe:eps=1", "suite 'ybe' takes no parameter 'eps'"),
+        ],
+    )
+    def test_suite_usage_errors_build_no_stage(
+        self, r_matrix, checks, message, capsys, monkeypatch
+    ):
+        import qla.cli as cli_mod
+
+        def no_pipeline(config):
+            raise AssertionError("a stage was built before the usage error")
+
+        monkeypatch.setattr(cli_mod, "_pipeline", no_pipeline)
+        argv = ["check", "--group", "external", "--r-matrix", r_matrix, "--checks", checks]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_bad_cubic_eps(self, so3_path, capsys):
         base = ["check", "--group", "external", "--r-matrix", so3_path, "--checks"]
@@ -291,7 +354,7 @@ class TestSu2TablesCommand:
         import qla.cli as cli_mod
 
         broken = [CheckResult("fn-index", False, detail="forced")]
-        monkeypatch.setattr(cli_mod, "golden_suite", lambda: broken)
+        monkeypatch.setattr(cli_mod, "golden_suite", lambda tables: broken)
         assert cmd_su2_tables(RunConfig()) == 1
         assert "1 diffs" in capsys.readouterr().out
 

@@ -54,7 +54,7 @@ def su2():
             [d[3], zero, zero, -tp_inv],
         ]
     )
-    pb = build_primed(Q, bundle, D, dropped_index=3, T_override=T)
+    pb = build_primed(Q, bundle, D, T_override=T)
     return spec, Q, bundle, D, pb
 
 

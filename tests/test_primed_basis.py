@@ -72,7 +72,7 @@ def golden_T(spec, Q, bundle, D):
 @pytest.fixture(scope="module")
 def su2_golden(su2):
     spec, Q, bundle, D = su2
-    pb = build_primed(Q, bundle, D, dropped_index=3, T_override=golden_T(spec, Q, bundle, D))
+    pb = build_primed(Q, bundle, D, T_override=golden_T(spec, Q, bundle, D))
     return spec, Q, bundle, pb
 
 
@@ -155,11 +155,6 @@ class TestBuildPrimed:
         _, Q, bundle, D = su2
         with pytest.raises(ValueError, match="must be 𝒟"):
             build_primed(Q, bundle, D, T_override=Mat.identity(4))
-
-    def test_dropping_off_diagonal_index_is_singular(self, su2):
-        _, Q, bundle, D = su2
-        with pytest.raises(ValueError, match="singular"):
-            build_primed(Q, bundle, D, dropped_index=1)
 
 
 class TestPrimedStructure:

@@ -125,7 +125,6 @@ class TestFundamentalGenerators:
         _, _, bundle = su3
         assert bundle.dim == 3
         assert bundle.n == 9
-        assert bundle.numerical_R is not None
 
     def test_wrong_generator_dimension_rejected(self):
         with pytest.raises(ValueError, match="wrong dimension"):

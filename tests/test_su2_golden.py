@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from qla.appendix_u import build_u_data
+from qla.primed_basis import golden_basis_matrix
 from qla.qla_core import build_structure
 from qla.rmatrix import sun_r_matrix
 from qla.scalars import parse_scalar
 from qla.su2_golden import (
-    golden_basis_matrix,
     golden_suite,
     jimbo_drinfeld_check,
     load_su2_tables,
