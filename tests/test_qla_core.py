@@ -348,6 +348,89 @@ class TestVerifyQla:
         assert [r.line() for r in verify_qla(Q_bad, bundle) if not r.passed] == lines
         assert [r.line() for r in check_bigD_identities(Q_bad)] == bigD_lines
 
+    # The three largest residuals on perturbed ℝ and f at n = 9 and n = 16.
+    # Each residual below is nonzero for several values of its first output
+    # letter, and the qla-rel2 witnesses have x = 2 while residual entries
+    # with x = 0 exist.  "f-row0" drops every f entry with first index 0, so
+    # the aux1 terms whose f carries a have no entry at a = 0.
+    @pytest.mark.parametrize(
+        "fixture_name, edit, lines",
+        [
+            (
+                "so3",
+                ("bigR", (4, 8, 6, 2)),
+                [
+                    "FAIL  qla-rel2[fn]  [at (0, 0, 4, 8, 2, 2): residual -p^9 + 2*p^7 + p^5 - 4*p^3 + p + 2*p^-1 - p^-3]",
+                    "FAIL  aux1  [at (0, 0, 8, 4, 0): residual p - 2*p^-1 + 2*p^-5 - p^-7]",
+                    "FAIL  aux2  [at (0, 8, 0, 2, 2): residual -p^3 + p + 2*p^-1 - 2*p^-3 - p^-5 + p^-7]",
+                ],
+            ),
+            (
+                "so3",
+                ("f", (2, 4, 6)),
+                [
+                    "PASS  qla-rel2[fn]",
+                    "FAIL  aux1  [at (0, 0, 6, 0, 2): residual p^3 - p - 2*p^-1 + 2*p^-3 + 2*p^-9 - 2*p^-11 - p^-13 + p^-15]",
+                    "FAIL  aux2  [at (0, 0, 2, 6, 4): residual p^9 - p^-7]",
+                ],
+            ),
+            (
+                "so3",
+                ("f-row0", None),
+                [
+                    "PASS  qla-rel2[fn]",
+                    "FAIL  aux1  [at (0, 0, 0, 0, 0): residual -p^4 - 3*p^2 + 10 + 4*p^-2 - 23*p^-4"
+                    " + 6*p^-6 + 19*p^-8 - 12*p^-10 - 4*p^-12 + 5*p^-14 - p^-16]",
+                    "FAIL  aux2  [at (0, 1, 0, 0, 1): residual -1 - p^-2 + 3*p^-4 + p^-6 - 3*p^-8 + p^-12]",
+                ],
+            ),
+            (
+                "su4",
+                ("bigR", (1, 11, 11, 1)),
+                [
+                    "FAIL  qla-rel2[fn]  [at (0, 1, 1, 11, 2, 3): residual -p^5 + 2*p^-3 - p^-11]",
+                    "FAIL  aux1  [at (0, 3, 11, 1, 9): residual p^-23 - p^-31]",
+                    "FAIL  aux2  [at (0, 11, 7, 2, 1): residual p^9 - 2*p + p^-7]",
+                ],
+            ),
+            (
+                "su4",
+                ("f", (5, 10, 3)),
+                [
+                    "PASS  qla-rel2[fn]",
+                    "FAIL  aux1  [at (0, 0, 0, 3, 10): residual -p^-7 + 2*p^-15 - p^-23]",
+                    "FAIL  aux2  [at (0, 0, 5, 3, 10): residual -p + p^-7]",
+                ],
+            ),
+            (
+                "su4",
+                ("f-row0", None),
+                [
+                    "PASS  qla-rel2[fn]",
+                    "FAIL  aux1  [at (0, 0, 0, 0, 0): residual -p^4 + 2*p^-4 - p^-12 + p^-20 - 2*p^-28 + p^-36]",
+                    "FAIL  aux2  [at (0, 1, 0, 0, 1): residual -p^-4 + p^-12]",
+                ],
+            ),
+        ],
+        ids=["so3-bigR", "so3-f", "so3-f-row0", "su4-bigR", "su4-f", "su4-f-row0"],
+    )
+    def test_large_residual_witnesses(self, fixture_name, edit, lines, request):
+        _, Q, bundle = request.getfixturevalue(fixture_name)
+        target, key = edit
+        if target == "bigR":
+            bigR = Q.bigR.copy()
+            bigR.set4(*key, bigR.get4(*key) + S("p"))
+            Q_bad = replace(Q, bigR=bigR)
+        elif target == "f":
+            f = dict(Q.f)
+            f[key] = f.get(key, Scalar.from_rational(0)) + S("p")
+            Q_bad = replace(Q, f=f)
+        else:
+            Q_bad = replace(Q, f={k: val for k, val in Q.f.items() if k[0] != 0})
+        names = ("qla-rel2[fn]", "aux1", "aux2")
+        results = verify_qla(Q_bad, bundle, skip_heavy=True)
+        assert [r.line() for r in results if r.name in names] == lines
+
     def test_representation_check_on_orep_free_bundle(self, su2):
         _, Q, bundle = su2
         plain = RepBundle(name="plain", dim=bundle.dim, gen=bundle.gen, u=bundle.u)
