@@ -261,15 +261,28 @@ def _matrix_table_check(name: str, got: SparseTensor, tables_side: dict[str, Mat
     )
 
 
-def _reordered_metric_check() -> CheckResult:
+def _at_root_order(value: Scalar, src: DeformationContext, dst: DeformationContext) -> Scalar:
+    """``value`` at ``src``'s root order r, rewritten at ``dst``'s: each p^k is q^(k/r)."""
+
+    def poly(terms) -> Scalar:
+        total = Scalar.zero()
+        for exp, coef in terms:
+            total = total + Scalar.from_rational(coef) * dst.q_power(Fraction(exp, src.root_order))
+        return total
+
+    return poly(value.num.terms()) / poly(value.den.terms())
+
+
+def _reordered_metric_check(tables: Su2Tables) -> CheckResult:
     """Check the orthogonal-style form of the canonical metric at root order 4.
 
     Reordering the golden basis to ``chi-, s*chi3, chi+`` with
     ``s^2 = [2]_{1/q}/q`` turns the primed fundamental metric into a multiple
-    of ``[[0, 0, 1/q], [0, 1, 0], [q, 0, 0]]``.  The rescaling enters the
-    metric only through ``s^2``, so the comparison stays inside the scalar
-    field; it is run at root order 4, where half-integer powers of ``q`` are
-    themselves representable.
+    of the tabulated ``so_metric_pattern``, ``[[0, 0, 1/q], [0, 1, 0], [q, 0,
+    0]]``.  The rescaling enters the metric only through ``s^2``, so the
+    comparison stays inside the scalar field; it is run at root order 4,
+    where half-integer powers of ``q`` are themselves representable, so each
+    tabulated p^k (root order 2) becomes ``q_power(k/2)`` there.
     """
     name = "so-metric-reorder"
     ctx = DeformationContext(N=2, root_order=4)
@@ -290,11 +303,12 @@ def _reordered_metric_check() -> CheckResult:
             [prim.rows[0][1], Scalar.zero(), prim.rows[0][0]],
         ]
     )
-    pattern = Mat.diagonal([Scalar.one()] * 3)
-    pattern.rows[0][0] = Scalar.zero()
-    pattern.rows[2][2] = Scalar.zero()
-    pattern.rows[0][2] = ctx.q_power(-1)
-    pattern.rows[2][0] = ctx.q_power(1)
+    pattern = Mat(
+        [
+            [_at_root_order(val, tables.ctx, ctx) for val in row]
+            for row in tables.so_metric_pattern.rows
+        ]
+    )
     scale = reordered.rows[1][1]
     return check_mats_equal(
         name,
@@ -427,6 +441,6 @@ def golden_suite(tables: Su2Tables | None = None, ppl: Pipeline | None = None) -
             detail="rank-one commutation relations in the traceless adjoint bundle",
         )
     )
-    results.append(_reordered_metric_check())
+    results.append(_reordered_metric_check(tables))
     results.append(_classical_check(pb, reports))
     return results

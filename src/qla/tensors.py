@@ -40,6 +40,12 @@ of a bound on every coefficient that can arise (see :func:`_pack_frame`), so
 each nonzero entry of the sum is decoded exactly, and dividing by D gives the
 canonical scalar that exact arithmetic on scalars would have given.  Entries
 that cancel are dropped as ints and never decoded, key and value alike.
+
+A large sum is formed one value of one output letter at a time: the slicing
+of Gray & Kourtis ("Hyper-optimized tensor network contraction", Quantum 5,
+410, 2021) on an output letter (see :func:`contract_residual`).  No sum runs
+over an output letter, so every slice adds into one accumulator, partial
+sums cancel inside their slice, and the gathered entries are the whole sum's.
 """
 
 from __future__ import annotations
@@ -642,6 +648,19 @@ def contract_residual(lhs: Term, *subtract: Term, add: Sequence[Term] = ()) -> S
     on int keys: entries that cancel are never decoded, and only the nonzero
     entries of the residual are unpacked, each to the canonical scalar exact
     arithmetic would give.
+
+    A sum of two or more terms is sliced when some term's first join (the
+    planner's cheapest pair on the whole operands) makes more products than
+    all the operands hold; otherwise no intermediate outgrows the inputs.
+    It is sliced on the lowest output position whose letter ℓ takes part in
+    every term's first join.  Each operand that carries ℓ is split once by
+    ℓ's key field, and for each value every term is contracted on the
+    restricted operands into one accumulator.  Each join in a slice iterates
+    an operand that carries ℓ, so no join of two whole operands is repeated
+    slice after slice, and a whole operand's bucket index is built once per
+    call.  The gathered entries are the whole-space residual, so the
+    sorted-first entry a failing check reports is the same.  The frame is
+    packed once, and its slot width bounds every slice (see :func:`_pack_frame`).
     """
     terms = [(1, lhs)] + [(-1, term) for term in subtract] + [(1, term) for term in add]
     normalized = []
@@ -702,36 +721,140 @@ def _packed_sum(
         raise ValueError("terms differ in output arity")
 
     packed_terms, lifts, step, bits, den, width = _pack_frame(parsed)
+    # Each term's first join, chosen once on the whole operands.  A lone
+    # two-operand contraction has only one pair, so it is not scanned.
+    firsts = [
+        _cheapest_pair(prepared, masks)
+        if len(prepared) > 2 or (len(prepared) == 2 and len(parsed) > 1) else None
+        for prepared, masks in packed_terms
+    ]
+    position = _slice_position(parsed, packed_terms, firsts)
+    index: dict = {}
     out: PackedTensor = {}
-    for (_, out_letters, _), (prepared, masks), (lift_offset, lift_value) in zip(
-        parsed, packed_terms, lifts
-    ):
-        letters, term = _contract_packed(prepared, out_letters, masks)
-        if not out and (lift_offset, lift_value) == (0, 1) and len(letters) == arity:
-            out = dict(term)  # the term may be a packed operand itself
-            continue
-        out_mask = sum(masks[ch] for ch in out_letters)  # sums out a lone operand's extra letters
-        for key, (offset, value) in term.items():
-            _accumulate(out, key & out_mask, offset + lift_offset, value * lift_value)
+    for operands in _slices(parsed, packed_terms, position):
+        for (_, out_letters, _), (_, masks), first, (lift_offset, lift_value), prepared in zip(
+            parsed, packed_terms, firsts, lifts, operands
+        ):
+            if prepared is None:  # an operand has no entry in this slice
+                continue
+            carrier = "" if position is None else out_letters[position]
+            letters, term = _contract_packed(
+                prepared, out_letters, masks, first[1] if first else None, carrier, index
+            )
+            if not out and (lift_offset, lift_value) == (0, 1) and len(letters) == arity:
+                out = dict(term)  # the term may be a packed operand itself
+                continue
+            out_mask = sum(masks[ch] for ch in out_letters)  # sums out a lone operand's extra letters
+            for key, (offset, value) in term.items():
+                _accumulate(out, key & out_mask, offset + lift_offset, value * lift_value)
     return out, step, bits, den, width, arity
 
 
+def _slice_position(
+    parsed: Sequence[tuple[int, str, list]],
+    packed_terms: Sequence[tuple[list[tuple[str, PackedTensor]], Mapping[str, int]]],
+    firsts: Sequence[tuple[int, tuple[int, int]] | None],
+) -> int | None:
+    """The output position to slice a sum on, or ``None`` (see :func:`contract_residual`).
+
+    ``firsts`` holds each term's first join as ``(products, (i, j))``, or
+    ``None`` for a lone operand, which has every output letter.
+    """
+    if len(parsed) < 2 or not parsed[0][1]:
+        return None
+    nnz = sum(len(tensor) for prepared, _ in packed_terms for _, tensor in prepared)
+    if max((first[0] for first in firsts if first), default=0) <= nnz:
+        return None
+    for position in range(len(parsed[0][1])):
+        if all(
+            first is None
+            or out_letters[position] in prepared[first[1][0]][0] + prepared[first[1][1]][0]
+            for (_, out_letters, _), (prepared, _), first in zip(parsed, packed_terms, firsts)
+        ):
+            return position
+    return None
+
+
+def _slices(
+    parsed: Sequence[tuple[int, str, list]],
+    packed_terms: Sequence[tuple[list[tuple[str, PackedTensor]], Mapping[str, int]]],
+    position: int | None,
+) -> Iterable[list[list[tuple[str, PackedTensor]] | None]]:
+    """Per slice, every term's operands; ``None`` for a term with an empty operand.
+
+    Unsliced, the one slice is the whole space.  Sliced on an output
+    position, each operand that carries that position's letter is split once
+    by the value of the letter's key field, and the slices follow in
+    increasing value; the other operands are passed whole to every slice.
+    """
+    if position is None:
+        yield [prepared for prepared, _ in packed_terms]
+        return
+    parts: dict[int, dict[int, PackedTensor]] = {}
+    for (_, out_letters, _), (prepared, masks) in zip(parsed, packed_terms):
+        ch, mask = out_letters[position], masks[out_letters[position]]
+        for letters, tensor in prepared:
+            if ch in letters and id(tensor) not in parts:
+                split: dict[int, PackedTensor] = {}
+                for key, value in tensor.items():
+                    split.setdefault(key & mask, {})[key] = value
+                parts[id(tensor)] = split
+    for value in sorted(set().union(*parts.values())):
+        operands = []
+        for (_, out_letters, _), (prepared, _) in zip(parsed, packed_terms):
+            ch = out_letters[position]
+            restricted = [
+                (letters, parts[id(tensor)].get(value) if ch in letters else tensor)
+                for letters, tensor in prepared
+            ]
+            operands.append(None if any(t is None for _, t in restricted) else restricted)
+        yield operands
+
+
+def _cheapest_pair(
+    prepared: Sequence[tuple[str, PackedTensor]], masks: Mapping[str, int], carrier: str = ""
+) -> tuple[int, tuple[int, int]]:
+    """The pair (i, j), i < j, that costs the fewest products, with that count.
+
+    Ties go to the lowest pair.  With ``carrier``, only pairs in which an
+    operand has that letter are considered.
+    """
+    return min(
+        (_join_cost(*prepared[i], *prepared[j], masks), (i, j))
+        for i, j in combinations(range(len(prepared)), 2)
+        if not carrier or carrier in prepared[i][0] + prepared[j][0]
+    )
+
+
 def _contract_packed(
-    prepared: list[tuple[str, PackedTensor]], out_letters: str, masks: Mapping[str, int]
+    prepared: list[tuple[str, PackedTensor]], out_letters: str, masks: Mapping[str, int],
+    first: tuple[int, int] | None = None, carrier: str = "", index: dict | None = None,
 ) -> tuple[str, PackedTensor]:
-    """Join packed operands in the greedy order; a lone operand is returned as it is."""
+    """Join packed operands in the greedy order; a lone operand is returned as it is.
+
+    ``first`` is the pair to join first when the caller has chosen it.  In a
+    slice on the letter ``carrier`` (see :func:`_slices`) every join takes an
+    operand that has the letter and iterates it, and a whole operand on the
+    other side is probed through its bucket index in ``index``, which lives
+    for one :func:`_packed_sum` call.
+    """
     prepared = list(prepared)
     while len(prepared) > 1:
-        # The cheapest pair (i, j), i < j; ties go to the lowest pair.
-        i, j = (0, 1) if len(prepared) == 2 else min(
-            combinations(range(len(prepared)), 2),
-            key=lambda pair: _join_cost(*prepared[pair[0]], *prepared[pair[1]], masks),
-        )
+        if first is not None:
+            (i, j), first = first, None
+        else:
+            i, j = (0, 1) if len(prepared) == 2 else _cheapest_pair(prepared, masks, carrier)[1]
         needed = set(out_letters)
         for pos, (other_letters, _) in enumerate(prepared):
             if pos != i and pos != j:
                 needed.update(other_letters)
-        prepared[i] = _join(*prepared[i], *prepared[j], needed, masks)
+        a, b = prepared[i], prepared[j]
+        if carrier and carrier not in a[0]:
+            a, b = b, a
+        if carrier and carrier not in b[0]:
+            prepared[i] = _join(*a, *b, needed, masks, index)
+        else:
+            prepared[i] = _join(*a, *b, needed, masks)
         del prepared[j]
     return prepared[0]
 
@@ -783,6 +906,12 @@ def _pack_frame(
     such coefficient lies strictly inside ``±2^(bits−1)``, and balanced
     base-``2^bits`` digits decode uniquely (a packed value is zero exactly
     when its polynomial is).
+
+    The bound is taken once, over the whole operands, and it covers a sliced
+    sum too (see :func:`contract_residual`): a slice restricts operands to
+    subsets of their entries, so every coefficient inside a slice is again a
+    sum over a subset of the same expanded products, and an accumulated
+    entry only ever holds a partial sum of its own whole-space value.
     """
     cleared: dict[int, tuple[list[tuple[int, ...]], list[dict[int, int]], LaurentPoly, int]] = {}
     top = 0
@@ -895,8 +1024,13 @@ def _join_cost(
 
 def _join(
     letters_a: str, tensor_a: PackedTensor, letters_b: str, tensor_b: PackedTensor,
-    needed: set[str], masks: Mapping[str, int],
+    needed: set[str], masks: Mapping[str, int], index: dict | None = None,
 ) -> tuple[str, PackedTensor]:
+    """Join two packed operands on their shared letters, keeping the ``needed`` ones.
+
+    ``tensor_a`` is iterated and ``tensor_b`` bucketed; with ``index`` the
+    buckets are kept there by ``id``, so ``tensor_b`` must outlive ``index``.
+    """
     # Fields are disjoint, so a product's key is head + tail; its sum into ``out`` is inlined.
     a_letters = [ch for ch in letters_a if ch in needed]
     b_letters = [ch for ch in letters_b if ch in needed and ch not in letters_a]
@@ -904,9 +1038,14 @@ def _join(
     a_mask = sum(masks[ch] for ch in a_letters)
     b_mask = sum(masks[ch] for ch in b_letters)
 
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
-    for key, (offset, value) in tensor_b.items():
-        buckets.setdefault(key & shared, []).append((key & b_mask, offset, value))
+    slot = (id(tensor_b), shared, b_mask)
+    buckets: dict[int, list[tuple[int, int, int]]] | None = index.get(slot) if index is not None else None
+    if buckets is None:
+        buckets = {}
+        for key, (offset, value) in tensor_b.items():
+            buckets.setdefault(key & shared, []).append((key & b_mask, offset, value))
+        if index is not None:
+            index[slot] = buckets
 
     out: PackedTensor = {}
     for key_a, (offset_a, value_a) in tensor_a.items():

@@ -20,13 +20,13 @@ from qla.killing import (
     positivity_sample,
     primed_metric_blocks,
 )
-from qla.primed_basis import adjoint_prime, build_primed, golden_basis_matrix
+from qla.pipeline import Pipeline
+from qla.primed_basis import adjoint_prime
 from qla.qla_core import (
     build_structure,
     check_bigD_identities,
     check_square_antipode,
     deformed_traces,
-    fundamental_generators,
     null_space_lemma,
     verify_qla,
 )
@@ -53,15 +53,8 @@ POSITIVITY_POINTS = (1, Fraction(3, 2), 2)
 
 
 def build_pipeline(N: int):
-    spec = sun_r_matrix(N)
-    Q = build_structure(spec.R, spec.ctx)
-    B = fundamental_generators(spec.R, spec.ctx)
-    D = build_u_data(spec.R, spec.ctx).D
-    if N == 2:
-        pb = build_primed(Q, B, D, T_override=golden_basis_matrix(Q, D))
-    else:
-        pb = build_primed(Q, B, D)
-    return spec, Q, B, D, pb
+    ppl = Pipeline(sun_r_matrix(N), su_family=True)
+    return ppl.spec, ppl.structure, ppl.fn, ppl.udata.D, ppl.primed
 
 
 def test_criterion_1_su2_golden_suite():

@@ -23,7 +23,8 @@ from qla.killing import (
     positivity_sample,
     primed_metric_blocks,
 )
-from qla.primed_basis import adjoint_prime, build_primed, d_vector, primed_images
+from qla.pipeline import Pipeline
+from qla.primed_basis import adjoint_prime, build_primed, primed_images
 from qla.qla_core import RepBundle, build_structure, fundamental_generators
 from qla.rmatrix import sun_r_matrix
 from qla.scalars import Scalar, parse_scalar
@@ -42,20 +43,8 @@ def build_group(N):
 
 @pytest.fixture(scope="module")
 def su2():
-    spec, Q, bundle, D = build_group(2)
-    d = d_vector(Q, D)
-    tp_inv = spec.ctx.qnum(2, inverse=True).inv()
-    zero, one = S("0"), S("1")
-    T = Mat(
-        [
-            [d[0], zero, zero, tp_inv],
-            [d[1], one, zero, zero],
-            [d[2], zero, one, zero],
-            [d[3], zero, zero, -tp_inv],
-        ]
-    )
-    pb = build_primed(Q, bundle, D, T_override=T)
-    return spec, Q, bundle, D, pb
+    ppl = Pipeline(sun_r_matrix(2), su_family=True)
+    return ppl.spec, ppl.structure, ppl.fn, ppl.udata.D, ppl.primed
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qla.appendix_u import build_u_data
+from qla.pipeline import Pipeline
 from qla.primed_basis import (
     PrimedBasis,
     adjoint_prime,
@@ -18,6 +19,7 @@ from qla.primed_basis import (
     check_traceless,
     chi0_image,
     d_vector,
+    golden_basis_matrix,
     mu_scalar,
     primed_images,
     primed_structure,
@@ -54,32 +56,31 @@ def su3():
     return spec, Q, bundle, D
 
 
-def golden_T(spec, Q, bundle, D):
-    """su(2) basis {χ₀, χ₊, χ₋, χ₃} with χ₃ = (χ₁ − χ₂)/[2]_{q⁻¹}."""
-    d = d_vector(Q, D)
-    tp_inv = spec.ctx.qnum(2, inverse=True).inv()
-    zero, one = S("0"), S("1")
-    return Mat(
-        [
-            [d[0], zero, zero, tp_inv],
-            [d[1], one, zero, zero],
-            [d[2], zero, one, zero],
-            [d[3], zero, zero, -tp_inv],
-        ]
-    )
-
-
 @pytest.fixture(scope="module")
-def su2_golden(su2):
-    spec, Q, bundle, D = su2
-    pb = build_primed(Q, bundle, D, T_override=golden_T(spec, Q, bundle, D))
-    return spec, Q, bundle, pb
+def su2_golden():
+    ppl = Pipeline(sun_r_matrix(2), su_family=True)
+    return ppl.spec, ppl.structure, ppl.fn, ppl.primed
 
 
 class TestDVector:
     def test_su2_golden(self, su2):
         _, Q, _, D = su2
         assert d_vector(Q, D) == [S("1"), S("0"), S("0"), S("p^-4")]
+
+    def test_golden_basis_matrix_is_the_hand_written_basis(self, su2):
+        """su(2) basis {χ₀, χ₊, χ₋, χ₃} with χ₃ = (χ₁ − χ₂)/[2]_{q⁻¹}, written out."""
+        spec, Q, _, D = su2
+        d = d_vector(Q, D)
+        tp_inv = spec.ctx.qnum(2, inverse=True).inv()
+        zero, one = S("0"), S("1")
+        assert golden_basis_matrix(Q, D) == Mat(
+            [
+                [d[0], zero, zero, tp_inv],
+                [d[1], one, zero, zero],
+                [d[2], zero, one, zero],
+                [d[3], zero, zero, -tp_inv],
+            ]
+        )
 
     def test_su3_diagonal_pattern(self, su3):
         _, Q, _, D = su3

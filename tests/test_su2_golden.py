@@ -10,8 +10,9 @@ from qla.appendix_u import build_u_data
 from qla.primed_basis import golden_basis_matrix
 from qla.qla_core import build_structure
 from qla.rmatrix import sun_r_matrix
-from qla.scalars import parse_scalar
+from qla.scalars import DeformationContext, parse_scalar
 from qla.su2_golden import (
+    _at_root_order,
     golden_suite,
     jimbo_drinfeld_check,
     load_su2_tables,
@@ -183,6 +184,26 @@ class TestGoldenSuite:
         results = golden_suite(tables)
         failed = [r.name for r in results if not r.passed]
         assert failed == ["fn-index"]
+
+    def test_stale_metric_pattern_localizes(self, tables):
+        # q^-2 in place of q^-1 at the (0, 2) corner of the tabulated pattern.
+        tables.so_metric_pattern.rows[0][2] = S("p^-4")
+        failed = [r.line() for r in golden_suite(tables) if not r.passed]
+        assert failed == [
+            "FAIL  so-metric-reorder  (basis chi-, s*chi3, chi+ with s^2 = [2]_{1/q}/q at root order 4)"
+            "  [at (0, 2): residual p^-18 - p^-22]"
+        ]
+
+
+class TestRootOrderRewrite:
+    def test_p_powers_become_q_powers(self, tables):
+        # p^k at root order 2 is q^(k/2), which is p^(2k) at root order 4.
+        order4 = DeformationContext(N=2, root_order=4)
+        assert _at_root_order(S("p^-2"), tables.ctx, order4) == order4.q_power(-1)
+        assert _at_root_order(S("p^-2 + 3 / p^2 + 1/2"), tables.ctx, order4) == S("3 + p^-4 / p^4 + 1/2")
+        assert _at_root_order(S("p^2"), order4, tables.ctx) == S("p")
+        with pytest.raises(ValueError, match="root order 2"):
+            _at_root_order(S("p^3"), order4, tables.ctx)
 
 
 class TestGoldenBasisMatrix:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -919,6 +920,151 @@ class TestIntKeys:
         cut = rng.randint(0, len(rest))
         got = contract_residual(lhs, *rest[:cut], add=rest[cut:])
         assert got == dense_residual(lhs, *rest[:cut], add=rest[cut:], dim=dim)
+
+
+# ---------------------------------------------------------------------------
+# Slicing a residual on an output letter
+# ---------------------------------------------------------------------------
+
+
+def sliced_terms(rng: random.Random, step: int) -> list:
+    """Four terms over the output ``ik`` whose sum is sliced, on i or on k.
+
+    A three-operand chain, an outer product whose first join makes more
+    products than every operand of the sum holds, a group with a repeated
+    letter and a literal dict.  The chain's first operand has no entry with
+    i = ``gap``, so in that slice the chain term is empty.  The outer
+    product's operands are full, with monomial entries, which keeps the
+    dense reference quick at 3^6 assignments.
+    """
+
+    def draw(rank: int) -> dict:
+        return random_operand(rng, rank, 3, step)
+
+    def full(rank: int) -> dict:
+        return {
+            key: Scalar(LaurentPoly({step * rng.randint(-3, 3): rng.choice((-2, -1, 1, 2, 3))}))
+            for key in itertools.product(range(3), repeat=rank)
+        }
+
+    gap = rng.randrange(3)
+    first = {key: val for key, val in draw(2).items() if key[0] != gap}
+    return [
+        ("ia,ab,bk->ik", first, draw(2), draw(2)),
+        ("iab,kcd->ik", full(3), full(3)),
+        ("iaa,ak->ik", draw(3), draw(2)),
+        draw(2),
+    ]
+
+
+@contextmanager
+def logged_slices():
+    """Patch ``tensors._slices`` to log the output position of every call."""
+    positions: list = []
+    slices = tensors._slices
+
+    def logged(parsed, packed_terms, position):
+        positions.append(position)
+        return slices(parsed, packed_terms, position)
+
+    tensors._slices = logged
+    try:
+        yield positions
+    finally:
+        tensors._slices = slices
+
+
+class TestSlicedResidual:
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["free", "zero", "one"]))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_dense_reference(self, seed, shape):
+        """A sliced sum against the dense reference, as ``test_matches_the_residual_of_separate_contractions``.
+
+        ``zero`` subtracts every term again with its letters renamed, so
+        the sum cancels to empty slice by slice; ``one`` leaves one literal
+        entry on top of that.
+        """
+        rng = random.Random(seed)
+        step = rng.choice((1, 4))
+        terms = sliced_terms(rng, step)
+        lhs, rest = terms[0], terms[1:]
+        cut = rng.randint(0, len(rest))
+        subtract, add = rest[:cut], rest[cut:]
+        if shape != "free":
+            subtract, add = (
+                subtract + [renamed(lhs, rng)] + [renamed(t, rng) for t in add],
+                add + [renamed(t, rng) for t in subtract],
+            )
+        if shape == "one":
+            add = add + [{(rng.randrange(3), rng.randrange(3)): S("p^-1 + 2")}]
+        with logged_slices() as positions:
+            got = contract_residual(lhs, *subtract, add=add)
+        assert positions in ([0], [1])
+        assert got == dense_residual(lhs, *subtract, add=add, dim=3)
+        if shape == "zero":
+            assert got == {}
+
+    def test_one_term_and_cheap_sums_are_not_sliced(self):
+        rng = random.Random(4)
+        a, b = random_operand(rng, 3, 3, 1), random_operand(rng, 3, 3, 1)
+        with logged_slices() as positions:
+            contract("iab,kcd->ik", a, b)
+            contract_residual(a, b)
+            contract_residual(("iab->ia", a), ("ibc->ib", b))
+        assert positions == [None, None, None]
+
+    def test_one_whole_operand_bucketed_on_different_letters(self):
+        # X is "ab" in the first term and "cd" in the second, so both terms
+        # share its packed form, but it joins on a there and on d here.
+        rng = random.Random(7)
+        full = {
+            rank: [
+                {key: S(f"{rng.choice((-2, 1, 3))}*p^{rng.randint(-2, 2)}")
+                 for key in itertools.product(range(3), repeat=rank)}
+                for _ in range(3)
+            ]
+            for rank in (2, 3)
+        }
+        A, X, C = full[2]
+        U, V, _ = full[3]
+        terms = [("ia,ab,bk->ik", A, X, C), ("cd,id,ck->ik", X, A, C), ("iab,kcd->ik", U, V)]
+        with logged_slices() as positions:
+            got = contract_residual(terms[0], terms[1], add=[terms[2]])
+        assert positions == [0]
+        assert got == dense_residual(terms[0], terms[1], add=[terms[2]], dim=3)
+
+    def test_aux1_slices_join_outward_and_index_whole_operands_once(self, monkeypatch):
+        # su(3)'s aux1 is sliced on a, its output position 0, nine slices.
+        spec = sun_r_matrix(3)
+        Q = build_structure(spec.R, spec.ctx)
+        R4, f3 = Q.bigR.to4dict(), Q.f
+        joins: list = []
+        builds = []
+        join = tensors._join
+
+        def logged(letters_a, tensor_a, letters_b, tensor_b, needed, masks, index=None):
+            joins.append((letters_a, letters_b, index is not None))
+            before = len(index) if index is not None else 0
+            result = join(letters_a, tensor_a, letters_b, tensor_b, needed, masks, index)
+            if index is not None and len(index) > before:
+                builds.append(letters_b)
+            return result
+
+        monkeypatch.setattr(tensors, "_join", logged)
+        with logged_slices() as positions:
+            residual = contract_residual(
+                ("dcbn,adm->abcmn", R4, f3),
+                ("deab,mcdf,enf->abcmn", R4, R4, f3),
+                ("mcdn,abd->abcmn", R4, f3),
+                add=[("dfbn,mead,efc->abcmn", R4, R4, f3)],
+            )
+        assert residual == {}
+        assert positions == [0]
+        # Every join iterates an operand restricted to one value of a.
+        assert all("a" in letters_a for letters_a, _, _ in joins)
+        # Six joins per slice take a whole operand, whose buckets are built once.
+        assert sum(whole for _, _, whole in joins) == 6 * 9
+        assert sorted(builds) == sorted(["dcbn", "enf", "mcdf", "mcdn", "efc", "dfbn"])
 
 
 # ---------------------------------------------------------------------------
