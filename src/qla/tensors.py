@@ -1038,14 +1038,13 @@ def _join(
     a_mask = sum(masks[ch] for ch in a_letters)
     b_mask = sum(masks[ch] for ch in b_letters)
 
+    index = {} if index is None else index
     slot = (id(tensor_b), shared, b_mask)
-    buckets: dict[int, list[tuple[int, int, int]]] | None = index.get(slot) if index is not None else None
+    buckets: dict[int, list[tuple[int, int, int]]] | None = index.get(slot)
     if buckets is None:
-        buckets = {}
+        buckets = index[slot] = {}
         for key, (offset, value) in tensor_b.items():
             buckets.setdefault(key & shared, []).append((key & b_mask, offset, value))
-        if index is not None:
-            index[slot] = buckets
 
     out: PackedTensor = {}
     for key_a, (offset_a, value_a) in tensor_a.items():
