@@ -742,11 +742,13 @@ def _packed_sum(
                 prepared, out_letters, masks, first[1] if first else None, carrier, index
             )
             if not out and (lift_offset, lift_value) == (0, 1) and len(letters) == arity:
-                out = dict(term)  # the term may be a packed operand itself
+                # A join's result is taken as it is; a lone operand is a packed operand itself.
+                out = term if len(prepared) > 1 else dict(term)
                 continue
             out_mask = sum(masks[ch] for ch in out_letters)  # sums out a lone operand's extra letters
             for key, (offset, value) in term.items():
                 _accumulate(out, key & out_mask, offset + lift_offset, value * lift_value)
+            del term  # not kept while the next term is formed
     return out, step, bits, den, width, arity
 
 
