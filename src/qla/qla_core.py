@@ -21,9 +21,7 @@ from .tensors import (
     SparseTensor,
     contract,
     contract_residual,
-    invariant_blocks,
     stack,
-    three_site,
 )
 
 __all__ = [
@@ -199,7 +197,7 @@ def verify_qla(
     Checks, all symbolically exact:
 
     1. the four exchange relations between ρ(χ) and ρ(O) matrices;
-    2. the braid equation ℝ₁₂ℝ₂₃ℝ₁₂ = ℝ₂₃ℝ₁₂ℝ₂₃, block by block
+    2. the braid equation ℝ₁₂ℝ₂₃ℝ₁₂ = ℝ₂₃ℝ₁₂ℝ₂₃, one sliced residual
        (:func:`braid_residual`; heavy for n ≥ 9, skipped when ``skip_heavy``);
     3. the deformed Jacobi identity;
     4. both auxiliary ℝ–f relations;
@@ -280,21 +278,25 @@ def verify_qla(
 def braid_residual(bigR: BiMat) -> SparseTensor:
     """The nonzero entries of ℝ₁₂ℝ₂₃ℝ₁₂ − ℝ₂₃ℝ₁₂ℝ₂₃ on the triple space.
 
-    Both three-site operators are block diagonal over their common invariant
-    blocks (:func:`~qla.tensors.invariant_blocks`), so the residual is too,
-    and each block's residual is formed alone: one ``contract_residual`` per
-    block, whose intermediates are dropped before the next block.  This is
-    the memory-bounding slicing of tensor-network contraction (Gray &
-    Kourtis, "Hyper-optimized tensor network contraction", Quantum 5, 410,
-    2021) with invariant subspaces as slices, so no sum runs across slices
-    and the gathered entries are those of the whole-space residual.
+    One ``contract_residual`` over ℝ's 4-index dict: row (a, b, c) and column
+    (d, e, f) of the triple space, ℝ₁₂ acting on sites 0 and 1 and ℝ₂₃ on
+    sites 1 and 2, so no three-site operator is built.  The terms' first
+    joins make more products than the six operands hold, so the engine forms
+    the sum one value of c at a time (see
+    :func:`~qla.tensors.contract_residual`).  Each entry is keyed by the
+    triple indices ``(a·n² + b·n + c, d·n² + e·n + f)``; with every digit
+    below n they sort as the six digits do, so the witness is the
+    sorted-first entry either way.
     """
-    residual: SparseTensor = {}
-    for _, (b12, b23) in invariant_blocks(bigR.N ** 3, *three_site(bigR, (0, 1), (1, 2))):
-        residual.update(
-            contract_residual(("xy,yz,zw->xw", b12, b23, b12), ("xy,yz,zw->xw", b23, b12, b23))
-        )
-    return residual
+    R4 = bigR.to4dict()
+    n = bigR.N
+    residual = contract_residual(
+        ("abij,jckf,ikde->abcdef", R4, R4, R4), ("bcij,aidl,ljef->abcdef", R4, R4, R4)
+    )
+    return {
+        ((a * n + b) * n + c, (d * n + e) * n + f): val
+        for (a, b, c, d, e, f), val in residual.items()
+    }
 
 
 def check_representation(Q: QlaStructure, B: RepBundle) -> CheckResult:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from qla.reporting import CheckResult, check_composite_zero, check_sparse_zero
 from qla.scalars import DeformationContext, Scalar, parse_ratio
-from qla.tensors import BiMat, Mat, SparseTensor, contract, contract_residual, delta, stack, three_site
+from qla.tensors import BiMat, Mat, SparseTensor, contract, contract_residual, delta, stack
 
 #: Largest magnitude of an exponent of ``p`` that :func:`load_r_matrix`
 #: accepts in an entry's numerator or denominator, as written.  Dense
@@ -85,21 +85,13 @@ def sun_r_matrix(N: int, ctx: DeformationContext | None = None) -> RMatrixSpec:
 def check_ybe(spec: RMatrixSpec) -> CheckResult:
     """Yang–Baxter equation ``R12 R13 R23 = R23 R13 R12`` on the triple space.
 
-    The residual is keyed by the six site indices (a, b, c, d, e, f) of
-    row (a, b, c) and column (d, e, f).
+    One ``contract_residual`` over R's 4-index dict, keyed by the six site
+    indices (a, b, c, d, e, f) of row (a, b, c) and column (d, e, f).
     """
-    r12, r13, r23 = three_site(spec.R, (0, 1), (0, 2), (1, 2))
-    N = spec.N
-
-    def sites(index: int) -> tuple[int, int, int]:
-        return (index // (N * N), index // N % N, index % N)
-
-    residual = {
-        sites(row) + sites(col): val
-        for (row, col), val in contract_residual(
-            ("xy,yz,zw->xw", r12, r13, r23), ("xy,yz,zw->xw", r23, r13, r12)
-        ).items()
-    }
+    R4 = spec.R.to4dict()
+    residual = contract_residual(
+        ("abij,icdl,jlef->abcdef", R4, R4, R4), ("bcij,ajkf,kide->abcdef", R4, R4, R4)
+    )
     return check_sparse_zero(f"ybe[{spec.label}]", residual)
 
 
@@ -238,6 +230,8 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
         label = str(data["label"])
         N, root_order = (_json_int(data, key) for key in ("n", "root_order"))
         raw_entries = data["entries"]
+        if type(raw_entries) is not list:
+            raise ValueError(f"'entries' must be a list, not {raw_entries!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed R-matrix file: {exc}") from exc
     ctx = DeformationContext(N=N, root_order=root_order)

@@ -16,9 +16,8 @@ basis or a linear combination of matrices is one contraction with the
 coefficient matrix.  :func:`contract_residual`, a signed sum of such
 contractions and literal sparse dicts, is how every identity check forms its
 residual.  :func:`stack` turns a list of representation matrices into such a
-dict and :func:`unstack` turns it back, :func:`commutator` is the residual of
-a centrality test, and :func:`invariant_blocks` splits operators into their
-common invariant blocks, so their products are formed block by block.
+dict and :func:`unstack` turns it back, and :func:`commutator` is the residual
+of a centrality test.
 
 Inside both, a key is not a tuple but one int with a bit field of ``width =
 max_index.bit_length()`` bits per letter (the linearized keys of Helal et
@@ -556,50 +555,6 @@ class BiMat:
 
     def __repr__(self) -> str:
         return f"BiMat(N={self.N})"
-
-
-def three_site(M: BiMat, *pairs: tuple[int, int]) -> list[SparseTensor]:
-    """M acting on each site pair ``(s, t)``, s < t, of the triple space, sparse.
-
-    The triple index of ``(x₀, x₁, x₂)`` is ``x₀·N² + x₁·N + x₂``; M's first
-    factor acts on site s, its second on site t, and the third site is a
-    spectator.
-    """
-    N = M.N
-    weight = (N * N, N, 1)
-    entries = M.to4dict()
-    out = []
-    for s, t in pairs:
-        (x_site,) = {0, 1, 2} - {s, t}
-        ws, wt, wx = weight[s], weight[t], weight[x_site]
-        op: SparseTensor = {}
-        for (a, b, c, d), val in entries.items():
-            for x in range(N):
-                op[(a * ws + b * wt + x * wx, c * ws + d * wt + x * wx)] = val
-        out.append(op)
-    return out
-
-
-def invariant_blocks(
-    size: int, *ops: Mapping[tuple[int, int], Scalar]
-) -> list[tuple[list[int], list[SparseTensor]]]:
-    """The common invariant blocks of square operators on ``range(size)``.
-
-    Each operator is a sparse ``(row, col)`` dict.  The blocks are the
-    components (:func:`_components`) of the joint nonzero pattern with every
-    diagonal ``(x, x)`` added, so row x and column x are one node: every
-    entry of every operator has both indices in one block, and the blocks
-    partition ``range(size)``.  Returns each block's sorted indices with the
-    operators restricted to it, in the order of ``ops``.  A product of the
-    operators is then block diagonal too, and is formed block by block.
-    """
-    components = _components(chain(*ops, ((x, x) for x in range(size))))
-    block_of = {x: pos for pos, (indices, _) in enumerate(components) for x in indices}
-    blocks = [(indices, [{} for _ in ops]) for indices, _ in components]
-    for pos, op in enumerate(ops):
-        for key, val in op.items():
-            blocks[block_of[key[0]]][1][pos][key] = val
-    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,17 @@ class TestCheckCommand:
         assert main(argv) == 2
         assert "exist.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "report"])
+    @pytest.mark.parametrize("entries", ["5", "null"])
+    def test_entries_not_a_list_is_a_load_error(self, tmp_path, capsys, command, entries):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"label": "x", "n": 2, "root_order": 1, "entries": {entries}}}')
+        assert main([command, "--group", "external", "--r-matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot load R-matrix {path}: ")
+        assert "'entries' must be a list" in captured.err
+
     def test_json_format(self, capsys):
         argv = ["check", "--group", "su", "--n", "2", "--checks", "ybe,hecke",
                 "--format", "json"]

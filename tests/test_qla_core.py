@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qla import qla_core
+from qla import tensors
 from qla.qla_core import (
     QlaStructure,
     RepBundle,
@@ -29,7 +29,7 @@ from qla.qla_core import (
 from qla.reporting import check_sparse_zero
 from qla.rmatrix import RMatrixSpec, check_ybe, load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat, contract_residual, invariant_blocks, three_site
+from qla.tensors import BiMat, Mat, contract_residual
 
 S = parse_scalar
 DATA_DIR = Path(__file__).parent / "data"
@@ -664,9 +664,22 @@ class TestSerialization:
             structure_from_dict(data)
 
 
+def three_site(M: BiMat, s: int, t: int) -> dict:
+    """M on sites s < t of the triple space as a ``(row, col)`` dict, row (x₀, x₁, x₂) ↦ x₀·N² + x₁·N + x₂."""
+    N = M.N
+    weight = (N * N, N, 1)
+    (spectator,) = {0, 1, 2} - {s, t}
+    ws, wt, wx = weight[s], weight[t], weight[spectator]
+    return {
+        (a * ws + b * wt + x * wx, c * ws + d * wt + x * wx): val
+        for (a, b, c, d), val in M.to4dict().items()
+        for x in range(N)
+    }
+
+
 def whole_space_braid_residual(bigR: BiMat):
-    """ℝ₁₂ℝ₂₃ℝ₁₂ − ℝ₂₃ℝ₁₂ℝ₂₃ as one contract_residual over the whole triple space."""
-    m12, m23 = three_site(bigR, (0, 1), (1, 2))
+    """ℝ₁₂ℝ₂₃ℝ₁₂ − ℝ₂₃ℝ₁₂ℝ₂₃ as products of the two whole-space three-site operators."""
+    m12, m23 = three_site(bigR, 0, 1), three_site(bigR, 1, 2)
     return contract_residual(("xy,yz,zw->xw", m12, m23, m12), ("xy,yz,zw->xw", m23, m12, m23))
 
 
@@ -674,8 +687,10 @@ class TestBraidBlocks:
     @pytest.mark.parametrize("fixture_name", ["su2", "so3"])
     @pytest.mark.parametrize("seed", range(3))
     def test_block_residual_matches_whole_space(self, fixture_name, seed, request):
-        # Edits on present entries keep the pattern; edits on absent ones
-        # merge blocks.  Both must leave the gathered residual exact.
+        # The braid residual, sliced on c inside the engine, against the
+        # whole-space operator products.  Edits on present entries keep ℝ's
+        # pattern and edits on absent ones widen it; both must leave the
+        # gathered residual and its witness exact.
         _, Q, _ = request.getfixturevalue(fixture_name)
         rng = random.Random(seed)
         bigR = Q.bigR.copy()
@@ -695,37 +710,21 @@ class TestBraidBlocks:
             "ybe-qla", whole
         ).line()
 
-    def test_witness_block_is_not_the_first_failing_block(self, su3):
-        # The two-entry edit pinned in TestVerifyQla: the loop meets a nonzero
-        # residual before it reaches the block of the sorted-first key.
-        _, Q, _ = su3
-        bigR = Q.bigR.copy()
-        for key, text in [((2, 1, 1, 2), "p"), ((7, 3, 3, 7), "-1")]:
-            bigR.set4(*key, bigR.get4(*key) + S(text))
-        blocks = invariant_blocks(Q.n**3, *three_site(bigR, (0, 1), (1, 2)))
-        block_of = {x: pos for pos, (block, _) in enumerate(blocks) for x in block}
-        residual = braid_residual(bigR)
-        first_failing = min(block_of[row] for row, _ in residual)
-        assert block_of[min(residual)[0]] != first_failing
+    @pytest.mark.parametrize("fixture_name", ["su3", "so3"])
+    def test_braid_is_sliced_in_the_engine(self, fixture_name, request, monkeypatch):
+        # Its first joins make more products than ℝ holds, so the engine forms
+        # the braid one value of c (output position 2) at a time.
+        _, Q, _ = request.getfixturevalue(fixture_name)
+        positions = []
+        slice_position = tensors._slice_position
 
-    def test_so3_braid_operands_fit_in_the_largest_block(self, so3, monkeypatch):
-        _, Q, bundle = so3
-        rows = []
+        def recording(*args):
+            positions.append(slice_position(*args))
+            return positions[-1]
 
-        def recording(*terms, **kwargs):
-            for term in terms:
-                if isinstance(term, tuple) and term[0] == "xy,yz,zw->xw":
-                    rows.extend(len({key[0] for key in op}) for op in term[1:])
-            return contract_residual(*terms, **kwargs)
-
-        monkeypatch.setattr(qla_core, "contract_residual", recording)
-        results = {r.name: r for r in verify_qla(Q, bundle)}
-        assert results["ybe-qla"].passed
-        blocks = invariant_blocks(Q.n**3, *three_site(Q.bigR, (0, 1), (1, 2)))
-        largest = max(len(block) for block, _ in blocks)
-        assert largest == 141 < Q.n**3
-        assert rows
-        assert max(rows) <= largest
+        monkeypatch.setattr(tensors, "_slice_position", recording)
+        assert braid_residual(Q.bigR) == {}
+        assert positions == [2]
 
 
 class TestSparseDesign:

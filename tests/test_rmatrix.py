@@ -297,6 +297,16 @@ class TestLoadSave:
         with pytest.raises(ValueError, match="malformed"):
             load_r_matrix(path)
 
+    @pytest.mark.parametrize("entries", [5, None, "abc", {"i": 0}])
+    def test_entries_that_are_not_a_list_are_rejected(self, tmp_path, entries):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"label": "x", "n": 2, "root_order": 1, "entries": entries}))
+        with pytest.raises(ValueError) as excinfo:
+            load_r_matrix(path)
+        assert str(excinfo.value) == (
+            f"{path}: malformed R-matrix file: 'entries' must be a list, not {entries!r}"
+        )
+
     def test_duplicate_entry_is_rejected(self, tmp_path):
         entry = {"i": 0, "j": 1, "k": 0, "l": 1, "value": "1"}
         path = tmp_path / "bad.json"

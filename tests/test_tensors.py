@@ -6,7 +6,6 @@ import itertools
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +13,9 @@ from hypothesis import strategies as st
 
 from qla import tensors
 from qla.qla_core import build_structure
-from qla.rmatrix import load_r_matrix, sun_r_matrix
-from qla.scalars import LaurentPoly, Scalar, parse_scalar
+from qla.reporting import check_sparse_zero
+from qla.rmatrix import RMatrixSpec, check_ybe, sun_r_matrix
+from qla.scalars import DeformationContext, LaurentPoly, Scalar, parse_scalar
 from qla.tensors import (
     BiMat,
     Mat,
@@ -23,8 +23,6 @@ from qla.tensors import (
     contract,
     contract_residual,
     delta,
-    invariant_blocks,
-    three_site,
 )
 
 
@@ -1068,23 +1066,40 @@ class TestSlicedResidual:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers: stack, three-site embedding
+# Shared helpers: stack, commutator, the triple-space patterns
 # ---------------------------------------------------------------------------
 
 
 class TestHelpers:
     @pytest.mark.parametrize("seed", range(2))
-    def test_three_site_matches_kronecker_embeddings(self, seed):
+    def test_ybe_patterns_match_kronecker_products(self, seed):
+        # check_ybe's two terms, keyed (a, b, c, d, e, f), against
+        # R₁₂R₁₃R₂₃ and R₂₃R₁₃R₁₂ built from Kronecker embeddings.
         rng = random.Random(seed)
         N = 2
         dense = random_mat(rng, N * N)
-        M = bimat_of(N, dense)
+        R4 = bimat_of(N, dense).to4dict()
         eye = Mat.identity(N)
         p23 = dense_kron(eye, dense_of(BiMat.perm(N)))
-        m12, m13, m23 = three_site(M, (0, 1), (0, 2), (1, 2))
-        assert Mat.from_sparse(m12, N**3) == dense_kron(dense, eye)
-        assert Mat.from_sparse(m23, N**3) == dense_kron(eye, dense)
-        assert Mat.from_sparse(m13, N**3) == p23 @ dense_kron(dense, eye) @ p23
+        r12, r23 = dense_kron(dense, eye), dense_kron(eye, dense)
+        r13 = p23 @ r12 @ p23
+
+        def as_triple(tensor):
+            entries = {
+                ((a * N + b) * N + c, (d * N + e) * N + f): val
+                for (a, b, c, d, e, f), val in tensor.items()
+            }
+            return Mat.from_sparse(entries, N**3)
+
+        lhs = contract("abij,icdl,jlef->abcdef", R4, R4, R4)
+        rhs = contract("bcij,ajkf,kide->abcdef", R4, R4, R4)
+        assert as_triple(lhs) == r12 @ r13 @ r23
+        assert as_triple(rhs) == r23 @ r13 @ r12
+        assert lhs != rhs
+        spec = RMatrixSpec("random", DeformationContext(N=N, root_order=N), bimat_of(N, dense))
+        assert check_ybe(spec).line() == check_sparse_zero(
+            "ybe[random]", contract_residual(lhs, rhs)
+        ).line()
 
     def test_stack_keys_by_nesting_position(self):
         rng = random.Random(7)
@@ -1117,56 +1132,3 @@ class TestHelpers:
         }
         assert tensors.commutator(M.to_sparse(), tensors.stack(gens)) == expected
         assert not any(key[0] == 3 for key in expected)
-
-
-class TestInvariantBlocks:
-    def assert_blocks_split(self, size, ops, blocks):
-        """The blocks partition range(size) and restrict each operator exactly."""
-        indices = [x for block, _ in blocks for x in block]
-        assert sorted(indices) == list(range(size))
-        assert all(block == sorted(block) for block, _ in blocks)
-        for pos, op in enumerate(ops):
-            gathered = {}
-            for block, parts in blocks:
-                members = set(block)
-                assert all(r in members and c in members for r, c in parts[pos])
-                gathered.update(parts[pos])
-            assert gathered == op
-
-    # (blocks, largest block) of the triple space under ℝ₁₂ and ℝ₂₃.
-    @pytest.mark.parametrize(
-        "case, counts", [("su2", (7, 20)), ("su3", (37, 93)), ("so3", (13, 141))]
-    )
-    def test_braid_operators_split_into_invariant_blocks(self, case, counts):
-        if case == "so3":
-            spec = load_r_matrix(Path(__file__).parent / "data" / "so3.json")
-        else:
-            spec = sun_r_matrix(int(case[-1]))
-        Q = build_structure(spec.R, spec.ctx)
-        size = Q.n**3
-        ops = three_site(Q.bigR, (0, 1), (1, 2))
-        blocks = invariant_blocks(size, *ops)
-        self.assert_blocks_split(size, ops, blocks)
-        assert (len(blocks), max(len(block) for block, _ in blocks)) == counts
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_products_form_block_by_block(self, seed):
-        rng = random.Random(seed)
-        size = 12
-        ops = [
-            {(rng.randrange(size), rng.randrange(size)): random_scalar(rng) for _ in range(8)}
-            for _ in range(2)
-        ]
-        ops = [{key: val for key, val in op.items() if val} for op in ops]
-        blocks = invariant_blocks(size, *ops)
-        self.assert_blocks_split(size, ops, blocks)
-        whole = contract("xy,yz,zw->xw", ops[0], ops[1], ops[0])
-        gathered = {}
-        for _, (a, b) in blocks:
-            gathered.update(contract("xy,yz,zw->xw", a, b, a))
-        assert gathered == whole
-
-    def test_untouched_index_is_its_own_block(self):
-        op = {(0, 1): S("p"), (1, 0): S("1")}
-        blocks = invariant_blocks(4, op)
-        assert blocks == [([0, 1], [op]), ([2], [{}]), ([3], [{}])]
