@@ -31,14 +31,16 @@ over its common denominator; each numerator ``Σ c·p^e`` then becomes the
 Python int ``v = Σ c·2^(bits·(e/step − e₀))`` with ``offset = bits·e₀``
 (Kronecker substitution, as in Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 2009).  A product of two entries is
-one int multiply and a sum one aligned add.  The terms of a residual share
-one frame: one ``width``, one ``step``, one denominator D, and per term an
-integer lift D/den_t that each term's packed result is multiplied by, its
-sign folded in, before the terms are added.  ``bits`` exceeds the bit length
-of a bound on every coefficient that can arise (see :func:`_pack_frame`), so
-each nonzero entry of the sum is decoded exactly, and dividing by D gives the
-canonical scalar that exact arithmetic on scalars would have given.  Entries
-that cancel are dropped as ints and never decoded, key and value alike.
+one int multiply and a sum one aligned add, made only in :func:`_join`.  The
+terms of a residual share one frame: one ``width``, one ``step``, one
+denominator D, and per term an integer lift D/den_t, its sign folded in.
+Each term's last join adds its products, times the lift, straight into the
+sum's one accumulator, so no term's result is held apart.  ``bits`` exceeds
+the bit length of a bound on every coefficient that can arise (see
+:func:`_pack_frame`), so each nonzero entry of the sum is decoded exactly,
+and dividing by D gives the canonical scalar that exact arithmetic on
+scalars would have given.  Entries that cancel are dropped as ints and never
+decoded, key and value alike.
 
 A large sum is formed one value of one output letter at a time: the slicing
 of Gray & Kourtis ("Hyper-optimized tensor network contraction", Quantum 5,
@@ -64,6 +66,8 @@ SparseTensor = dict[tuple[int, ...], Scalar]
 # Inside :func:`contract` and :func:`contract_residual`: each key as one int of
 # bit fields (see :func:`_pack_frame`), each value as ``(offset, packed numerator)``.
 PackedTensor = dict[int, tuple[int, int]]
+# The letterless operand 1 (see :func:`_contract_packed`).
+_UNIT: PackedTensor = {0: (0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +603,10 @@ def contract_residual(lhs: Term, *subtract: Term, add: Sequence[Term] = ()) -> S
     Every term is packed into one frame (:func:`_pack_frame`): one key field
     width, one exponent step, one denominator D and, per term, an integer
     lift that takes the term's own denominator to D.  Output position k is
-    key field k in every term, so the signed, lifted terms are summed as ints
-    on int keys: entries that cancel are never decoded, and only the nonzero
-    entries of the residual are unpacked, each to the canonical scalar exact
-    arithmetic would give.
+    key field k in every term, so each term's last join adds its signed,
+    lifted products as ints on int keys into one accumulator: entries that
+    cancel are never decoded, and only the nonzero entries of the residual
+    are unpacked, each to the canonical scalar exact arithmetic would give.
 
     A sum of two or more terms is sliced when some term's first join (the
     planner's cheapest pair on the whole operands) makes more products than
@@ -687,23 +691,15 @@ def _packed_sum(
     index: dict = {}
     out: PackedTensor = {}
     for operands in _slices(parsed, packed_terms, position):
-        for (_, out_letters, _), (_, masks), first, (lift_offset, lift_value), prepared in zip(
+        for (_, out_letters, _), (_, masks), first, lift, prepared in zip(
             parsed, packed_terms, firsts, lifts, operands
         ):
-            if prepared is None:  # an operand has no entry in this slice
-                continue
-            carrier = "" if position is None else out_letters[position]
-            letters, term = _contract_packed(
-                prepared, out_letters, masks, first[1] if first else None, carrier, index
-            )
-            if not out and (lift_offset, lift_value) == (0, 1) and len(letters) == arity:
-                # A join's result is taken as it is; a lone operand is a packed operand itself.
-                out = term if len(prepared) > 1 else dict(term)
-                continue
-            out_mask = sum(masks[ch] for ch in out_letters)  # sums out a lone operand's extra letters
-            for key, (offset, value) in term.items():
-                _accumulate(out, key & out_mask, offset + lift_offset, value * lift_value)
-            del term  # not kept while the next term is formed
+            if prepared is not None:  # None: an operand has no entry in this slice
+                carrier = "" if position is None else out_letters[position]
+                _contract_packed(
+                    prepared, out_letters, masks, first[1] if first else None, carrier, index,
+                    out, lift,
+                )
     return out, step, bits, den, width, arity
 
 
@@ -785,35 +781,38 @@ def _cheapest_pair(
 
 def _contract_packed(
     prepared: list[tuple[str, PackedTensor]], out_letters: str, masks: Mapping[str, int],
-    first: tuple[int, int] | None = None, carrier: str = "", index: dict | None = None,
-) -> tuple[str, PackedTensor]:
-    """Join packed operands in the greedy order; a lone operand is returned as it is.
+    first: tuple[int, int] | None, carrier: str, index: dict, out: PackedTensor,
+    lift: tuple[int, int],
+) -> None:
+    """Join packed operands in the greedy order, the last join adding into ``out``.
 
     ``first`` is the pair to join first when the caller has chosen it.  In a
     slice on the letter ``carrier`` (see :func:`_slices`) every join takes an
     operand that has the letter and iterates it, and a whole operand on the
     other side is probed through its bucket index in ``index``, which lives
-    for one :func:`_packed_sum` call.
+    for one :func:`_packed_sum` call.  The last join keeps the output letters
+    only and adds each product, times the packed ``lift``, into ``out``.  A
+    lone operand is joined against the letterless unit operand, which sums out
+    its letters absent from the output.
     """
-    prepared = list(prepared)
-    while len(prepared) > 1:
+    prepared = list(prepared) if len(prepared) > 1 else [*prepared, ("", _UNIT)]
+    while True:
         if first is not None:
             (i, j), first = first, None
         else:
             i, j = (0, 1) if len(prepared) == 2 else _cheapest_pair(prepared, masks, carrier)[1]
-        needed = set(out_letters)
-        for pos, (other_letters, _) in enumerate(prepared):
-            if pos != i and pos != j:
-                needed.update(other_letters)
+        needed = set(out_letters).union(
+            *(letters for pos, (letters, _) in enumerate(prepared) if pos != i and pos != j)
+        )
         a, b = prepared[i], prepared[j]
         if carrier and carrier not in a[0]:
             a, b = b, a
-        if carrier and carrier not in b[0]:
-            prepared[i] = _join(*a, *b, needed, masks, index)
-        else:
-            prepared[i] = _join(*a, *b, needed, masks)
+        whole = index if carrier and carrier not in b[0] else None
+        if len(prepared) == 2:
+            _join(*a, *b, needed, masks, whole, out, lift)
+            return
+        prepared[i] = _join(*a, *b, needed, masks, whole)
         del prepared[j]
-    return prepared[0]
 
 
 def _collapse_repeats(
@@ -867,8 +866,10 @@ def _pack_frame(
     The bound is taken once, over the whole operands, and it covers a sliced
     sum too (see :func:`contract_residual`): a slice restricts operands to
     subsets of their entries, so every coefficient inside a slice is again a
-    sum over a subset of the same expanded products, and an accumulated
-    entry only ever holds a partial sum of its own whole-space value.
+    sum over a subset of the same expanded products.  It covers the streamed
+    accumulator too: at any moment an entry is Σ_t lift_t·(a partial sum
+    over term t's expanded products), so its coefficients are at most M and
+    every zero test on it is exact.
     """
     cleared: dict[int, tuple[list[tuple[int, ...]], list[dict[int, int]], LaurentPoly, int]] = {}
     top = 0
@@ -945,24 +946,6 @@ def _pack_frame(
     return packed_terms, [pack_terms(lt, step, bits) for lt in lift_terms], step, bits, den, width
 
 
-def _accumulate(out: PackedTensor, key: int, offset: int, value: int) -> None:
-    """Add the packed ``value·2^offset`` into ``out[key]``, dropping a zero sum."""
-    acc = out.get(key)
-    if acc is not None:
-        acc_offset, acc_value = acc
-        if acc_offset == offset:
-            value += acc_value
-        elif acc_offset < offset:
-            value = acc_value + (value << (offset - acc_offset))
-            offset = acc_offset
-        else:
-            value += acc_value << (acc_offset - offset)
-        if not value:
-            del out[key]
-            return
-    out[key] = (offset, value)
-
-
 def _join_cost(
     letters_a: str, tensor_a: PackedTensor, letters_b: str, tensor_b: PackedTensor,
     masks: Mapping[str, int],
@@ -982,13 +965,17 @@ def _join_cost(
 def _join(
     letters_a: str, tensor_a: PackedTensor, letters_b: str, tensor_b: PackedTensor,
     needed: set[str], masks: Mapping[str, int], index: dict | None = None,
+    out: PackedTensor | None = None, lift: tuple[int, int] = (0, 1),
 ) -> tuple[str, PackedTensor]:
     """Join two packed operands on their shared letters, keeping the ``needed`` ones.
 
     ``tensor_a`` is iterated and ``tensor_b`` bucketed; with ``index`` the
     buckets are kept there by ``id``, so ``tensor_b`` must outlive ``index``.
+    Each product, times the packed ``lift``, is added into ``out`` (a new dict
+    if ``None``), and a sum that cancels is dropped.  This is the one place
+    packed values are added.
     """
-    # Fields are disjoint, so a product's key is head + tail; its sum into ``out`` is inlined.
+    # Fields are disjoint, so a product's key is head + tail.
     a_letters = [ch for ch in letters_a if ch in needed]
     b_letters = [ch for ch in letters_b if ch in needed and ch not in letters_a]
     shared = sum(masks[ch] for ch in letters_a if ch in letters_b)
@@ -1003,12 +990,15 @@ def _join(
         for key, (offset, value) in tensor_b.items():
             buckets.setdefault(key & shared, []).append((key & b_mask, offset, value))
 
-    out: PackedTensor = {}
+    out = {} if out is None else out
+    lift_offset, lift_value = lift
     for key_a, (offset_a, value_a) in tensor_a.items():
         matches = buckets.get(key_a & shared)
         if not matches:
             continue
         head = key_a & a_mask
+        offset_a += lift_offset
+        value_a *= lift_value
         for tail, offset_b, value_b in matches:
             key = head + tail
             offset = offset_a + offset_b

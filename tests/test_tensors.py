@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qla import tensors
-from qla.qla_core import build_structure
+from qla.qla_core import braid_residual, build_structure
 from qla.reporting import check_sparse_zero
 from qla.rmatrix import RMatrixSpec, check_ybe, sun_r_matrix
 from qla.scalars import DeformationContext, LaurentPoly, Scalar, parse_scalar
@@ -513,9 +513,9 @@ def record_joins(monkeypatch) -> list[tuple[str, str]]:
     joins: list[tuple[str, str]] = []
     join = tensors._join
 
-    def logged(letters_a, tensor_a, letters_b, tensor_b, needed, masks):
+    def logged(letters_a, tensor_a, letters_b, tensor_b, *rest):
         joins.append((letters_a, letters_b))
-        return join(letters_a, tensor_a, letters_b, tensor_b, needed, masks)
+        return join(letters_a, tensor_a, letters_b, tensor_b, *rest)
 
     monkeypatch.setattr(tensors, "_join", logged)
     return joins
@@ -1040,10 +1040,10 @@ class TestSlicedResidual:
         builds = []
         join = tensors._join
 
-        def logged(letters_a, tensor_a, letters_b, tensor_b, needed, masks, index=None):
+        def logged(letters_a, tensor_a, letters_b, tensor_b, needed, masks, index=None, *rest):
             joins.append((letters_a, letters_b, index is not None))
             before = len(index) if index is not None else 0
-            result = join(letters_a, tensor_a, letters_b, tensor_b, needed, masks, index)
+            result = join(letters_a, tensor_a, letters_b, tensor_b, needed, masks, index, *rest)
             if index is not None and len(index) > before:
                 builds.append(letters_b)
             return result
@@ -1063,6 +1063,27 @@ class TestSlicedResidual:
         # Six joins per slice take a whole operand, whose buckets are built once.
         assert sum(whole for _, _, whole in joins) == 6 * 9
         assert sorted(builds) == sorted(["dcbn", "enf", "mcdf", "mcdn", "efc", "dfbn"])
+
+    def test_su3_braid_streams_every_term_into_one_accumulator(self, monkeypatch):
+        # Sliced on c, nine slices; each term is a three-operand chain, so
+        # half its joins are last joins, and those add into the sum's one dict.
+        spec = sun_r_matrix(3)
+        Q = build_structure(spec.R, spec.ctx)
+        accumulators: list = []
+        join = tensors._join
+
+        def logged(*args):
+            accumulators.append(args[7] if len(args) > 7 else None)
+            return join(*args)
+
+        monkeypatch.setattr(tensors, "_join", logged)
+        with logged_slices() as positions:
+            assert braid_residual(Q.bigR) == {}
+        assert positions == [2]
+        assert len(accumulators) == 2 * 2 * 9
+        streamed = [out for out in accumulators if out is not None]
+        assert len(streamed) == 2 * 9
+        assert all(out is streamed[0] for out in streamed)
 
 
 # ---------------------------------------------------------------------------
