@@ -175,8 +175,10 @@ def _pipeline(cfg: RunConfig) -> Pipeline:
     if cfg.group == "external":
         try:
             spec = load_r_matrix(cfg.r_matrix_path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load R-matrix {cfg.r_matrix_path}: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot load R-matrix {cfg.r_matrix_path}: {exc.strerror}") from exc
+        except ValueError as exc:  # its message starts with the path
+            raise ConfigError(f"cannot load R-matrix {exc}") from exc
     else:
         ctx = None
         if cfg.root_order is not None:

@@ -222,19 +222,23 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
     [{"i": int, "j": int, "k": int, "l": int, "value": scalar-string}, ...]}``
     with 0-based indices; omitted entries are zero and an index quadruple may
     appear only once.  No exponent of ``p`` may exceed :data:`MAX_EXPONENT`
-    in magnitude.  Invertibility is checked on load.
+    in magnitude.  Invertibility is checked on load.  Any fault but an
+    unreadable file (``OSError``) raises ``ValueError`` led by the path.
     """
     path = Path(path)
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ValueError(f"{path}: not a JSON file: {exc}") from exc
     try:
         label = str(data["label"])
         N, root_order = (_json_int(data, key) for key in ("n", "root_order"))
+        ctx = DeformationContext(N=N, root_order=root_order)
         raw_entries = data["entries"]
         if type(raw_entries) is not list:
             raise ValueError(f"'entries' must be a list, not {raw_entries!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed R-matrix file: {exc}") from exc
-    ctx = DeformationContext(N=N, root_order=root_order)
     entries: dict[tuple[int, int, int, int], Scalar] = {}
     for pos, item in enumerate(raw_entries):
         try:
