@@ -801,9 +801,10 @@ def _contract_packed(
             (i, j), first = first, None
         else:
             i, j = (0, 1) if len(prepared) == 2 else _cheapest_pair(prepared, masks, carrier)[1]
-        needed = set(out_letters).union(
-            *(letters for pos, (letters, _) in enumerate(prepared) if pos != i and pos != j)
-        )
+        needed = set(out_letters)
+        for pos, (other_letters, _) in enumerate(prepared):
+            if pos != i and pos != j:
+                needed.update(other_letters)
         a, b = prepared[i], prepared[j]
         if carrier and carrier not in a[0]:
             a, b = b, a
