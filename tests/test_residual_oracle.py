@@ -141,7 +141,7 @@ class Oracle:
         return exact
 
 
-def fixture(name: str):
+def structure_and_bundle(name: str):
     spec = load_r_matrix(DATA_DIR / "so3.json") if name == "so3" else sun_r_matrix(int(name[2:]))
     return build_structure(spec.R, spec.ctx), fundamental_generators(spec.R, spec.ctx)
 
@@ -152,7 +152,7 @@ def fixture(name: str):
     "name, skip_heavy, seed", [("su3", False, 11), ("so3", False, 12), ("su4", True, 13)]
 )
 def test_engine_residuals_agree_with_a_mod_p_evaluation(name, skip_heavy, seed, monkeypatch):
-    Q, bundle = fixture(name)
+    Q, bundle = structure_and_bundle(name)
     oracle = Oracle(seed)
     monkeypatch.setattr(qla_core, "contract_residual", oracle)
     verify_qla(Q, bundle, skip_heavy=skip_heavy)
