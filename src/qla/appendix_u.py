@@ -29,7 +29,6 @@ __all__ = [
     "normalize_D",
     "beta_constant",
     "check_D_identities",
-    "invariant_trace",
     "build_u_data",
 ]
 
@@ -101,11 +100,6 @@ def beta_constant(D: Mat, R: BiMat) -> Scalar:
     if cross != {(i, i): beta ** -1 for i in range(n)}:
         raise ValueError("β cross-check failed: tr₂(D₂R̂⁻¹) ≠ β⁻¹·I")
     return beta
-
-
-def invariant_trace(D: Mat, M: Mat) -> Scalar:
-    """The invariant trace ``tr(D⁻¹M)``."""
-    return contract("xy,yx->", D.inverse().to_sparse(), M.to_sparse()).get((), Scalar.zero())
 
 
 def check_D_identities(

@@ -159,6 +159,8 @@ def _parse_checks(text: str, group: str, n: int) -> dict[str, dict[str, str]]:
             if not sep or not key or not value:
                 raise ConfigError(f"malformed suite parameter {param!r} in {token!r}")
             params[key] = value
+        if name in out:
+            raise ConfigError(f"suite {name!r} selected twice")
         out[name] = params
     if not out:
         raise ConfigError("--checks selected no suites")

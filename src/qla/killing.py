@@ -1,10 +1,11 @@
 """Killing form, canonical metric, index, and quadratic casimir.
 
 For a representation bundle ρ the Killing form is the deformed trace
-η(x, y) = tr(ρ(u)·ρ(x)·ρ(y)).  The metric η_{AB} on the generators is
-block-diagonal in the traceless basis; its traceless block is proportional
-to a canonical metric, the proportionality factor being the index c_ρ, and
-the inverse canonical metric yields the quadratic casimir
+η(x, y) = tr(ρ(u)·ρ(x)·ρ(y)), formed here as its metric η_{AB} on the
+generators (:func:`killing_metric`).  The metric is block-diagonal in the
+traceless basis; its traceless block is proportional to a canonical metric,
+the proportionality factor being the index c_ρ, and the inverse canonical
+metric yields the quadratic casimir
 ρ(Q′) = η^{ab}ρ(χ′_a)ρ(χ′_b), which is central and scalar on irreducible
 bundles.
 """
@@ -20,11 +21,10 @@ from .primed_basis import PrimedBasis
 from .qla_core import QlaStructure, RepBundle
 from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import Mat, SparseTensor, commutator, contract, contract_residual, stack
+from .tensors import Mat, commutator, contract, contract_residual, stack
 
 __all__ = [
     "KillingReport",
-    "killing_form",
     "killing_metric",
     "primed_metric_blocks",
     "fundamental_metric_closed_form",
@@ -32,7 +32,6 @@ __all__ = [
     "fundamental_index",
     "canonical_and_index",
     "casimir",
-    "full_casimir",
     "positivity_sample",
     "killing_reports",
     "killing_report_to_dict",
@@ -66,13 +65,6 @@ class KillingReport:
     casimir_mat: Mat
     casimir_eigen: Scalar | None
     K: Mat
-
-
-def killing_form(B: RepBundle, x_coords: Sequence[Scalar], y_coords: Sequence[Scalar]) -> Scalar:
-    """η(x, y) = tr(ρ(u)·ρ(x)·ρ(y)) for coordinate vectors of length n."""
-    x, y = ({(A,): val for A, val in enumerate(coords) if val} for coords in (x_coords, y_coords))
-    G3 = stack(B.gen)
-    return contract("xy,a,ayz,b,bzx->", B.u.to_sparse(), x, G3, y, G3).get((), _ZERO)
 
 
 def killing_metric(B: RepBundle) -> Mat:
@@ -194,42 +186,24 @@ def canonical_and_index(
     return canonical, ratio * index_fn, K
 
 
-def _central_quadratic(coeffs: SparseTensor, pb: PrimedBasis, B: RepBundle, name: str) -> Mat:
-    """``Σ_{a,b} coeffs[a, b]·ρ(b_a)·ρ(b_b)`` over the traceless basis b = [χ₀, χ′_a, …].
-
-    With ρ(b_a) = T^e_a ρ(χ_e) this is one contraction over the stacked
-    generators.  Raises ValueError, naming the casimir ``name``, if the
-    result fails to commute with every generator.
-    """
-    G3 = stack(B.gen)
-    T = pb.T.to_sparse()
-    out = contract("ab,ea,fb,exy,fyz->xz", coeffs, T, T, G3, G3)
-    if commutator(out, G3):
-        raise ValueError(f"{name} is not central in {B.name}")
-    return Mat.from_sparse(out, B.dim)
-
-
 def casimir(B: RepBundle, inv_canonical: Mat, pb: PrimedBasis) -> tuple[Mat, Scalar | None]:
     """ρ(Q′) = η^{ab}·ρ(χ′_a)·ρ(χ′_b) and its eigenvalue when scalar.
 
-    Raises ValueError if the image fails to commute with every generator.
+    With ρ(χ′_a) = T^e_{a+1} ρ(χ_e) (column 0 of T is χ₀), this is one
+    contraction over the stacked generators.  Raises ValueError if the image
+    fails to commute with every generator.
     """
     coeffs = {(a + 1, b + 1): val for (a, b), val in inv_canonical.to_sparse().items()}
-    out = _central_quadratic(coeffs, pb, B, "quadratic casimir")
+    G3 = stack(B.gen)
+    T = pb.T.to_sparse()
+    image = contract("ab,ea,fb,exy,fyz->xz", coeffs, T, T, G3, G3)
+    if commutator(image, G3):
+        raise ValueError(f"quadratic casimir is not central in {B.name}")
+    out = Mat.from_sparse(image, B.dim)
     eigen = out[0, 0]
     if out == Mat.identity(B.dim).scale(eigen):
         return out, eigen
     return out, None
-
-
-def full_casimir(pb: PrimedBasis, B: RepBundle, eta_full: Mat) -> Mat:
-    """Per-bundle casimir (η_full⁻¹)^{AB}·ρ(b_A)·ρ(b_B) over the whole basis.
-
-    ``eta_full`` is the metric in the traceless basis, b_0 = χ₀ and
-    b_a = χ′_a.  The result is checked to be central; unlike Q′ it is not
-    proportional across bundles because the central block is not canonical.
-    """
-    return _central_quadratic(eta_full.inverse().to_sparse(), pb, B, "full-metric casimir")
 
 
 def positivity_sample(

@@ -26,7 +26,6 @@ __all__ = [
     "d_vector",
     "build_primed",
     "golden_basis_matrix",
-    "primed_structure",
     "adjoint_prime",
     "chi0_image",
     "mu_scalar",
@@ -192,20 +191,6 @@ def golden_basis_matrix(Q: QlaStructure, D: Mat) -> Mat:
     )
 
 
-def primed_structure(
-    pb: PrimedBasis,
-) -> tuple[dict[tuple[int, int, int], Scalar], CheckResult]:
-    """The primed structure constants with their zero-pattern certificate.
-
-    Only ``f′_{Aa}{}^b`` with a, b ≥ 1 may be nonzero: nothing acts on χ₀,
-    and nothing produces a χ₀ component.
-    """
-    touching_chi0 = {
-        (A, B, C): val for (A, B, C), val in pb.f_primed.items() if B == 0 or C == 0
-    }
-    return pb.f_primed, check_sparse_zero("struc-prime", touching_chi0)
-
-
 def chi0_image(pb: PrimedBasis, bundle: RepBundle) -> Mat:
     """ρ(χ₀) = Σ_A 𝒟^A ρ(χ_A)."""
     d = {(A,): val for A, val in enumerate(pb.d_vec) if val}
@@ -235,14 +220,16 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
     carries the images of the *unprimed* generators (obtained through T⁻¹) so
     it composes with every structure-level checker.  Its u-matrix is the
     primed block of the adjoint u; μ(ad′) is recorded on the basis.
-    Raises if the matrices share a null vector (the block must be an irrep)
-    or if the adjoint u fails to be block-diagonal in this basis.
+    Raises if an f′ entry acts on χ₀ or produces a χ₀ component (B or C is
+    0), if the matrices share a null vector (the block must be an irrep) or
+    if the adjoint u fails to be block-diagonal in this basis.
     """
     n = pb.n
     small = [Mat.zeros(n - 1) for _ in range(n)]
     for (A, B, C), val in pb.f_primed.items():
-        if B >= 1 and C >= 1:
-            small[A][C - 1, B - 1] = val
+        if B == 0 or C == 0:
+            raise ValueError(f"primed structure constant at {(A, B, C)} touches χ₀: {val.render()}")
+        small[A][C - 1, B - 1] = val
 
     stacked = Mat.zeros(n * (n - 1), n - 1)
     for A in range(n):

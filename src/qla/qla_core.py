@@ -2,9 +2,10 @@
 
 Given an R-matrix, this module builds the n = N² generator representations,
 the big-ℝ matrix and structure constants f, the 𝔻 matrix, the adjoint
-numerical R-matrix 𝔽, the deformed traces, and the adjoint representation,
-together with checkers for the full family of consistency identities
-(exchange relations, braid equation, deformed Jacobi, sum rules).
+numerical R-matrix 𝔽 and the deformed traces, together with checkers for the
+full family of consistency identities (exchange relations, braid equation,
+deformed Jacobi, sum rules).  The adjoint representation is the traceless
+ad′ of :func:`~qla.primed_basis.adjoint_prime`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "braid_residual",
     "check_representation",
     "deformed_traces",
-    "adjoint_rep",
     "null_space_lemma",
     "check_bigD_identities",
     "check_square_antipode",
@@ -332,15 +332,6 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
     if contract_residual(("dbac,d->bac", Q.bigR.to4dict(), Ivec), expected):
         raise ValueError(f"deformed traces of {B.name} violate the ℝ-sum rule")
     return traces
-
-
-def adjoint_rep(Q: QlaStructure) -> RepBundle:
-    """The adjoint bundle: ``[ad(χ_A)]^C_B = f_{AB}{}^C``, R-matrix 𝔽, u = ρ(u) of 𝔽."""
-    n = Q.n
-    gen = [Mat.zeros(n) for _ in range(n)]
-    for (A, B, C), val in Q.f.items():
-        gen[A][C, B] = val
-    return RepBundle(name="ad", dim=n, gen=gen, u=rep_u(Q.F_adj))
 
 
 def null_space_lemma(Q: QlaStructure) -> CheckResult:

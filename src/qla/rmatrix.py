@@ -231,7 +231,9 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
     except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ValueError(f"{path}: not a JSON file: {exc}") from exc
     try:
-        label = str(data["label"])
+        label = data["label"]
+        if type(label) is not str:
+            raise ValueError(f"'label' must be a string, not {label!r}")
         N, root_order = (_json_int(data, key) for key in ("n", "root_order"))
         ctx = DeformationContext(N=N, root_order=root_order)
         raw_entries = data["entries"]

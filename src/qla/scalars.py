@@ -200,18 +200,6 @@ class LaurentPoly:
             return self
         return LaurentPoly._raw({exp + offset: coef for exp, coef in self._terms.items()})
 
-    def __pow__(self, power: int) -> LaurentPoly:
-        if power < 0:
-            raise ValueError("negative powers are Scalar operations, not LaurentPoly ones")
-        result = _LP_ONE
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
-
     def subs_pinv(self) -> LaurentPoly:
         """Substitute ``p -> 1/p`` (negate every exponent)."""
         return LaurentPoly._raw({-exp: coef for exp, coef in self._terms.items()})
@@ -528,10 +516,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.render()!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> Scalar:
-        return parse_scalar(text)
 
 
 def _coerce_scalar(value):
@@ -879,11 +863,6 @@ class DeformationContext:
             raise ValueError("the defining representation needs dimension >= 2")
         if self.root_order < 1:
             raise ValueError("root_order must be a positive integer")
-
-    @property
-    def n(self) -> int:
-        """Number of generators (N squared)."""
-        return self.N * self.N
 
     def scalar(self, value: RationalLike | Scalar) -> Scalar:
         if isinstance(value, Scalar):

@@ -2,14 +2,14 @@
 
 Provides :class:`Mat`, the small dense matrix of :class:`~qla.scalars.Scalar`
 entries that representation matrices and metrics are stored, eliminated
-(exact inverse, null space, rank) and rendered in, and :class:`BiMat`, the
+(exact inverse, null space) and rendered in, and :class:`BiMat`, the
 sparse matrix over a composite double index: a ``{(i, j, k, l): Scalar}``
 dict that never holds a zero, with the partial transpose, the partial trace
 ρ(u) is read from and the "tilde" contraction inverse used throughout the
 R-matrix constructions.  Both inverses run block by block over the connected
 components of the nonzero pattern (:func:`_components`), and each block's
 inverse is :meth:`Mat.rref` of ``[block | I]``: one Gauss–Jordan elimination
-serves inverses, null spaces and ranks.  :func:`contract` is a sparse einsum
+serves inverses and null spaces.  :func:`contract` is a sparse einsum
 over dictionaries keyed by index tuples, and every product in the package is
 one: traces are contractions with a 0- or 1-letter output, and a change of
 basis or a linear combination of matrices is one contraction with the
@@ -141,9 +141,6 @@ class Mat:
     def __setitem__(self, key: tuple[int, int], value: Scalar) -> None:
         i, j = key
         self.rows[i][j] = value
-
-    def copy(self) -> Mat:
-        return Mat(self.rows)
 
     def to_sparse(self) -> SparseTensor:
         return {
@@ -308,9 +305,6 @@ class Mat:
             basis.append(vec)
         return basis
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols})"
 
@@ -431,9 +425,11 @@ class BiMat:
     4-index sparse tensor :func:`contract` reads.  This is the natural home
     of R-matrices (operators on a two-fold tensor product) and of structure
     tensors over doubled labels.  Index maps (``t1``, ``flip``, ``tr2``) move
-    keys; products and sums are contractions.  ``derived`` keeps what is
-    formed from the matrix once and shared (its inverse, tilde, R̂², ρ(u));
-    callers must not change those, and ``set4`` forgets them.
+    keys; products and sums are contractions.  A BiMat is immutable: no
+    method changes it, and neither may a caller change the dict ``to4dict``
+    returns, so ``derived``, what is formed from the matrix once and shared
+    (its inverse, tilde, R̂², ρ(u)), cannot go stale.  A changed matrix is a
+    new one, ``BiMat(N, {**M.to4dict(), key: value})``.
     """
 
     __slots__ = ("N", "entries", "derived")
@@ -444,10 +440,6 @@ class BiMat:
         self.derived: dict[str, object] = {}
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, N: int) -> BiMat:
-        return cls(N)
 
     @classmethod
     def identity(cls, N: int) -> BiMat:
@@ -463,19 +455,9 @@ class BiMat:
     def get4(self, i: int, j: int, k: int, l: int) -> Scalar:
         return self.entries.get((i, j, k, l), _ZERO)
 
-    def set4(self, i: int, j: int, k: int, l: int, value: Scalar) -> None:
-        self.derived.clear()
-        if value:
-            self.entries[(i, j, k, l)] = value
-        else:
-            self.entries.pop((i, j, k, l), None)
-
     def to4dict(self) -> SparseTensor:
         """The stored ``{(i, j, k, l): value}`` dict itself; callers must not change it."""
         return self.entries
-
-    def copy(self) -> BiMat:
-        return BiMat(self.N, self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiMat):

@@ -1,4 +1,4 @@
-"""Tests for the u-element calculus (ρ(u), D, α, β, invariant trace)."""
+"""Tests for the u-element calculus (ρ(u), D, α, β and the identities of D)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from qla.appendix_u import (
     beta_constant,
     build_u_data,
     check_D_identities,
-    invariant_trace,
     normalize_D,
     rep_u,
     rep_u_inverse,
@@ -127,7 +126,7 @@ class TestDIdentities:
     def test_perturbed_D_fails_tilde_identity(self):
         spec = sun_r_matrix(2)
         data = build_u_data(spec.R, spec.ctx)
-        bad_D = data.D.copy()
+        bad_D = Mat(data.D.rows)
         bad_D[1, 1] = S("p^7")
         results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha)}
         assert not results["u-tilde[b1]"].passed
@@ -145,7 +144,7 @@ class TestDIdentities:
     def test_perturbed_offdiagonal_D_fails_commutation(self):
         spec = sun_r_matrix(2)
         data = build_u_data(spec.R, spec.ctx)
-        bad_D = data.D.copy()
+        bad_D = Mat(data.D.rows)
         bad_D[0, 1] = S("p")
         results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha)}
         assert not results["u-comm[c]"].passed
@@ -185,7 +184,7 @@ class TestDIdentities:
     def test_offdiagonal_D_edits_pin_every_line(self, name):
         spec = _spec(name)
         data = build_u_data(spec.R, spec.ctx)
-        bad_D = data.D.copy()
+        bad_D = Mat(data.D.rows)
         bad_D[0, 1] = bad_D[0, 1] + S("p")
         bad_D[2, 0] = bad_D[2, 0] + S("1/2")
         lines = [r.line() for r in check_D_identities(spec.R, bad_D, data.alpha)]
@@ -221,18 +220,6 @@ class TestDIdentities:
         assert data.beta == S("p^2")
         for result in check_D_identities(R, data.D, data.alpha):
             assert result.passed, result.line()
-
-
-class TestInvariantTrace:
-    def test_trace_of_D_counts_dimension(self):
-        spec = sun_r_matrix(3)
-        data = build_u_data(spec.R, spec.ctx)
-        assert invariant_trace(data.D, data.D) == S("3")
-
-    def test_zero_matrix(self):
-        spec = sun_r_matrix(2)
-        data = build_u_data(spec.R, spec.ctx)
-        assert invariant_trace(data.D, Mat.zeros(2)).is_zero
 
 
 class TestBuildUData:

@@ -123,6 +123,8 @@ class TestConfig:
             _parse_checks("cubic:eps", "external", 3)
         with pytest.raises(ConfigError, match="no suites"):
             _parse_checks(" , ", "su", 2)
+        with pytest.raises(ConfigError, match="^suite 'cubic' selected twice$"):
+            _parse_checks("cubic, ybe, cubic:eps=1", "external", 3)
 
 
 class TestCheckCommand:
@@ -184,6 +186,7 @@ class TestCheckCommand:
              "suite 'hecke' applies to --group su; use cubic:eps=... instead"),
             (str(SO3_FILE), "ybe,cubic:eps=2", "cubic parameter eps must be 1 or -1"),
             (str(SO3_FILE), "ybe:eps=1", "suite 'ybe' takes no parameter 'eps'"),
+            (str(SO3_FILE), "cubic:eps=1,cubic:eps=-1", "suite 'cubic' selected twice"),
         ],
     )
     def test_suite_usage_errors_build_no_stage(
@@ -259,8 +262,10 @@ class TestCheckCommand:
              "R-matrix is singular"),
             ('{"label": ', "not a JSON file: Expecting value: line 1 column 11 (char 10)"),
             (None, "No such file or directory"),
+            ('{"label": null, "n": 2, "root_order": 1, "entries": []}',
+             "malformed R-matrix file: 'label' must be a string, not None"),
         ],
-        ids=["singular", "json", "missing"],
+        ids=["singular", "json", "missing", "label"],
     )
     def test_load_error_names_the_path_once(self, tmp_path, capsys, content, detail):
         path = tmp_path / "r.json"

@@ -22,7 +22,6 @@ from qla.primed_basis import (
     golden_basis_matrix,
     mu_scalar,
     primed_images,
-    primed_structure,
 )
 from qla.qla_core import (
     QlaStructure,
@@ -181,22 +180,23 @@ class TestPrimedStructure:
 
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_zero_pattern(self, fixture_name, request):
+        # Only f′_{Aa}{}^b with a, b ≥ 1 may be nonzero: nothing acts on χ₀,
+        # and nothing produces a χ₀ component.  ad′ is built on that pattern.
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
         pb = build_primed(Q, bundle, D)
-        constants, result = primed_structure(pb)
-        assert constants is pb.f_primed
-        assert result.passed
+        assert pb.f_primed and all(B and C for _, B, C in pb.f_primed)
+        assert adjoint_prime(pb, Q).dim == Q.n - 1
 
     def test_pattern_violation_reported(self, su2_golden):
-        _, _, _, pb = su2_golden
+        _, Q, _, pb = su2_golden
         broken = PrimedBasis(
             d_vec=pb.d_vec, ratios=pb.ratios, T=pb.T,
             dropped_index=pb.dropped_index,
             f_primed={**pb.f_primed, (1, 0, 1): S("p")},
         )
-        _, result = primed_structure(broken)
-        assert not result.passed
-        assert result.line() == "FAIL  struc-prime  [at (1, 0, 1): residual p]"
+        with pytest.raises(ValueError) as excinfo:
+            adjoint_prime(broken, Q)
+        assert str(excinfo.value) == "primed structure constant at (1, 0, 1) touches χ₀: p"
 
     def test_classical_limit_is_classical_su2(self, su2_golden):
         _, _, _, pb = su2_golden

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from qla import tensors
+from qla.appendix_u import rep_u
+from qla.pipeline import Pipeline
+from qla.primed_basis import primed_images
 from qla.qla_core import (
     QlaStructure,
     RepBundle,
-    adjoint_rep,
     braid_residual,
     build_structure,
     check_bigD_identities,
@@ -57,6 +59,12 @@ def su4():
 def so3():
     spec = load_r_matrix(DATA_DIR / "so3.json")
     return spec, build_structure(spec.R, spec.ctx), fundamental_generators(spec.R, spec.ctx)
+
+
+@pytest.fixture(scope="module")
+def pipelines():
+    """The su(2) and su(3) pipelines the commands build; ``.adjoint`` is ad′."""
+    return {f"su{N}": Pipeline(sun_r_matrix(N), su_family=True) for N in (2, 3)}
 
 
 class TestFundamentalGenerators:
@@ -226,8 +234,7 @@ class TestVerifyQla:
 
     def test_perturbed_bigR_fails_exchange_and_braid(self, su2):
         spec, Q, bundle = su2
-        bigR = Q.bigR.copy()
-        bigR.set4(1, 2, 2, 1, bigR.get4(1, 2, 2, 1) + S("p"))
+        bigR = BiMat(Q.bigR.N, {**Q.bigR.to4dict(), (1, 2, 2, 1): Q.bigR.get4(1, 2, 2, 1) + S("p")})
         Q_bad = QlaStructure(
             ctx=Q.ctx, n=Q.n, bigR=bigR, f=Q.f, I_id=Q.I_id,
             bigD=Q.bigD, F_adj=Q.F_adj, lam=Q.lam,
@@ -275,9 +282,10 @@ class TestVerifyQla:
     )
     def test_perturbed_bigR_braid_witness(self, fixture_name, edits, line, request):
         _, Q, bundle = request.getfixturevalue(fixture_name)
-        bigR = Q.bigR.copy()
+        entries = dict(Q.bigR.to4dict())
         for key, text in edits:
-            bigR.set4(*key, bigR.get4(*key) + S(text))
+            entries[key] = entries.get(key, S("0")) + S(text)
+        bigR = BiMat(Q.bigR.N, entries)
         results = {r.name: r for r in verify_qla(replace(Q, bigR=bigR), bundle)}
         assert results["ybe-qla"].line() == line
 
@@ -336,8 +344,7 @@ class TestVerifyQla:
         target, text = edit
         bigR, f = Q.bigR, Q.f
         if target == "bigR":
-            bigR = Q.bigR.copy()
-            bigR.set4(1, 2, 2, 1, bigR.get4(1, 2, 2, 1) + S(text))
+            bigR = BiMat(Q.bigR.N, {**Q.bigR.to4dict(), (1, 2, 2, 1): Q.bigR.get4(1, 2, 2, 1) + S(text)})
         else:
             f = dict(Q.f)
             f[(1, 2, 1)] = f.get((1, 2, 1), Scalar.from_rational(0)) + S(text)
@@ -418,8 +425,7 @@ class TestVerifyQla:
         _, Q, bundle = request.getfixturevalue(fixture_name)
         target, key = edit
         if target == "bigR":
-            bigR = Q.bigR.copy()
-            bigR.set4(*key, bigR.get4(*key) + S("p"))
+            bigR = BiMat(Q.bigR.N, {**Q.bigR.to4dict(), key: Q.bigR.get4(*key) + S("p")})
             Q_bad = replace(Q, bigR=bigR)
         elif target == "f":
             f = dict(Q.f)
@@ -484,9 +490,9 @@ class TestDeformedTraces:
             else:
                 assert traces[A].is_zero
 
-    def test_adjoint_traces_su2(self, su2):
-        _, Q, _ = su2
-        traces = deformed_traces(Q, adjoint_rep(Q))
+    def test_adjoint_traces_su2(self, pipelines):
+        ppl = pipelines["su2"]
+        traces = deformed_traces(ppl.structure, ppl.adjoint)
         expected = S("-p^-2 + p^-14")
         assert traces[0] == expected
         assert traces[3] == expected
@@ -504,19 +510,21 @@ class TestDeformedTraces:
 
 
 class TestAdjointRep:
-    def test_generators_are_structure_constants(self, su2):
-        _, Q, _ = su2
-        ad = adjoint_rep(Q)
-        assert ad.dim == Q.n
-        for (A, B, C), val in Q.f.items():
-            assert ad.gen[A][C, B] == val
-        assert ad.gen[1][0, 0].is_zero
+    def test_generators_are_structure_constants(self, pipelines):
+        # ad′(χ′_A)^a_b = f′_{Ab}{}^a on the kept primed labels a, b ≥ 1.
+        ppl = pipelines["su2"]
+        pb, ad = ppl.primed, ppl.adjoint
+        assert ad.dim == pb.n - 1
+        images = primed_images(pb, ad)
+        for (A, B, C), val in pb.f_primed.items():
+            assert images[A][C - 1, B - 1] == val
+        assert images[1][0, 0].is_zero
 
-    @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
-    def test_adjoint_satisfies_exchange_relation(self, fixture_name, request):
-        _, Q, _ = request.getfixturevalue(fixture_name)
-        ad = adjoint_rep(Q)
-        assert check_representation(Q, ad).passed
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    def test_adjoint_satisfies_exchange_relation(self, name, pipelines):
+        ppl = pipelines[name]
+        result = check_representation(ppl.structure, ppl.adjoint)
+        assert result.line() == "PASS  qla-rel1[ad']"
 
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_adjoint_r_matrix_satisfies_braid_equation(self, fixture_name, request):
@@ -529,6 +537,7 @@ class TestAdjointRep:
         assert check_ybe(adj_spec).passed
 
     def test_su2_adjoint_u_golden(self, su2):
+        # ρ(u) of the adjoint numerical R-matrix 𝔽; ad′'s u is its primed block.
         _, Q, _ = su2
         zero = Scalar.from_rational(0)
         expected = Mat(
@@ -539,13 +548,13 @@ class TestAdjointRep:
                 [S("p^-4 - p^-8"), zero, zero, S("p^-4")],
             ]
         )
-        assert adjoint_rep(Q).u == expected
+        assert rep_u(Q.F_adj) == expected
 
-    @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
-    def test_square_antipode_in_both_reps(self, fixture_name, request):
-        _, Q, bundle = request.getfixturevalue(fixture_name)
-        assert check_square_antipode(Q, bundle).passed
-        assert check_square_antipode(Q, adjoint_rep(Q)).passed
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    def test_square_antipode_in_both_reps(self, name, pipelines):
+        ppl = pipelines[name]
+        assert check_square_antipode(ppl.structure, ppl.fn).passed
+        assert check_square_antipode(ppl.structure, ppl.adjoint).line() == "PASS  square-antipode[ad']"
 
     def test_square_antipode_detects_wrong_u(self, su2):
         _, Q, bundle = su2
@@ -562,7 +571,7 @@ class TestAdjointRep:
 
     def test_square_antipode_detects_off_diagonal_bigD(self, su2):
         _, Q, bundle = su2
-        bigD = Q.bigD.copy()
+        bigD = Mat(Q.bigD.rows)
         bigD[1, 2] = S("p")
         result = check_square_antipode(replace(Q, bigD=bigD), bundle)
         assert result.line() == "FAIL  square-antipode[fn]  [at (2, 1, 0): residual -p^-1]"
@@ -606,7 +615,7 @@ class TestAdjointRep:
     def test_perturbed_bigD_witnesses(self, fixture_name, edits, lines, request):
         # bigD-comm is keyed by the composite (row, column) of 𝔻₁𝔻₂ℝ − ℝ𝔻₁𝔻₂.
         _, Q, _ = request.getfixturevalue(fixture_name)
-        bigD = Q.bigD.copy()
+        bigD = Mat(Q.bigD.rows)
         for (A, B), text in edits:
             bigD[A, B] = bigD[A, B] + S(text)
         Q_bad = QlaStructure(
@@ -693,15 +702,16 @@ class TestBraidBlocks:
         # gathered residual and its witness exact.
         _, Q, _ = request.getfixturevalue(fixture_name)
         rng = random.Random(seed)
-        bigR = Q.bigR.copy()
-        present = sorted(bigR.to4dict())
+        entries = dict(Q.bigR.to4dict())
+        present = sorted(entries)
         for _ in range(rng.randint(1, 3)):
             if rng.random() < 0.5:
                 key = rng.choice(present)
             else:
                 key = tuple(rng.randrange(Q.n) for _ in range(4))
             text = rng.choice(["p", "-2", "p^-1 + 3", "1 / p + 2"])
-            bigR.set4(*key, bigR.get4(*key) + S(text))
+            entries[key] = entries.get(key, S("0")) + S(text)
+        bigR = BiMat(Q.bigR.N, entries)
         gathered = braid_residual(bigR)
         whole = whole_space_braid_residual(bigR)
         assert gathered
@@ -749,7 +759,6 @@ class TestSparseDesign:
         B = fundamental_generators(spec.R, spec.ctx)
         assert all(result.passed for result in verify_qla(Q, B))
         assert all(result.passed for result in check_bigD_identities(Q))
-        adjoint_rep(Q)
         pb = build_primed(Q, B, D)
         killing_reports(Q, pb, B, adjoint_prime(pb, Q))
         n2 = Q.n * Q.n

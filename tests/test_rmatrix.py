@@ -92,8 +92,7 @@ class TestYangBaxterAndCharacteristic:
 
     def test_perturbed_r_fails_ybe_with_witness(self):
         spec = sun_r_matrix(2)
-        bad = spec.R.copy()
-        bad.set4(0, 1, 1, 0, S("p^5"))
+        bad = BiMat(2, {**spec.R.to4dict(), (0, 1, 1, 0): S("p^5")})
         broken = RMatrixSpec(label="bad", ctx=spec.ctx, R=bad)
         result = check_ybe(broken)
         assert not result.passed
@@ -112,8 +111,7 @@ class TestYangBaxterAndCharacteristic:
     )
     def test_ratio_perturbed_r_fails_ybe_with_witness(self, text, line):
         spec = sun_r_matrix(2)
-        bad = spec.R.copy()
-        bad.set4(0, 1, 1, 0, bad.get4(0, 1, 1, 0) + S(text))
+        bad = BiMat(2, {**spec.R.to4dict(), (0, 1, 1, 0): spec.R.get4(0, 1, 1, 0) + S(text)})
         assert check_ybe(RMatrixSpec(label="bad", ctx=spec.ctx, R=bad)).line() == line
 
     def test_cubic_on_synthetic_diagonal_braid(self):
@@ -296,6 +294,17 @@ class TestLoadSave:
         path.write_text('{"label": "x", "entries": []}')
         with pytest.raises(ValueError, match="malformed"):
             load_r_matrix(path)
+
+    @pytest.mark.parametrize("label", [None, ["a"], 5, {"name": "x"}])
+    def test_label_that_is_not_a_string_is_rejected(self, tmp_path, label):
+        # A label names every check line (ybe[<label>]), so it is not coerced.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"label": label, "n": 2, "root_order": 1, "entries": []}))
+        with pytest.raises(ValueError) as excinfo:
+            load_r_matrix(path)
+        assert str(excinfo.value) == (
+            f"{path}: malformed R-matrix file: 'label' must be a string, not {label!r}"
+        )
 
     @pytest.mark.parametrize("entries", [5, None, "abc", {"i": 0}])
     def test_entries_that_are_not_a_list_are_rejected(self, tmp_path, entries):

@@ -61,11 +61,6 @@ class TestLaurentPoly:
         with pytest.raises(ZeroDivisionError):
             poly.eval_at(0)
 
-    def test_pow(self):
-        poly = LaurentPoly({1: 1, 0: -1})
-        assert poly**3 == LaurentPoly({3: 1, 2: -3, 1: 3, 0: -1})
-        assert poly**0 == LaurentPoly.one()
-
     def test_gcd(self):
         # (p^2 - 1) and (p^3 - 1) share exactly (p - 1), returned monic.
         a = LaurentPoly({2: 1, 0: -1})

@@ -126,7 +126,7 @@ class TestMat:
 
     def test_rank(self):
         m = Mat([[S("1"), S("2")], [S("2"), S("4")]])
-        assert m.rank() == 1
+        assert len(m.rref()[1]) == 1
 
     def test_render_parses_back(self):
         m = Mat([[S("p^2 - 1"), S("1/2")], [S("0"), S("1 / p + 1")]])
@@ -153,8 +153,7 @@ class TestMat:
 
 class TestBiMat:
     def test_composite_layout(self):
-        b = BiMat.zeros(2)
-        b.set4(0, 1, 1, 0, S("p"))
+        b = BiMat(2, {(0, 1, 1, 0): S("p")})
         assert b.to4dict() == {(0, 1, 1, 0): S("p")}
         assert dense_of(b)[0 * 2 + 1, 1 * 2 + 0] == S("p")
         assert b.get4(0, 1, 1, 0) == S("p")
@@ -226,19 +225,19 @@ def random_block_bimat(rng: random.Random, N: int) -> tuple[BiMat, Mat]:
 
     Rows and columns of the composite index are shuffled and split into
     blocks of one to three, so the nonzero pattern is block diagonal after
-    permuting rows and columns.  Every slot of every block is written with
-    ``set4``, zeros included (``random_scalar`` draws one about a third of
-    the time), and three more explicit zeros land anywhere, on a stored
-    entry or not.
+    permuting rows and columns.  Every slot of every block is written,
+    zeros included (``random_scalar`` draws one about a third of the time),
+    and three more explicit zeros land anywhere, on a written entry or not;
+    the BiMat is built from the written slots at the end.
     """
     n = N * N
     rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
     dense = Mat.zeros(n)
-    M = BiMat.zeros(N)
+    slots: dict[tuple[int, int, int, int], Scalar] = {}
 
     def put(r: int, c: int, val: Scalar) -> None:
         dense[r, c] = val
-        M.set4(*divmod(r, N), *divmod(c, N), val)
+        slots[(*divmod(r, N), *divmod(c, N))] = val
 
     start = 0
     while start < n:
@@ -249,7 +248,7 @@ def random_block_bimat(rng: random.Random, N: int) -> tuple[BiMat, Mat]:
         start = stop
     for _ in range(3):
         put(rng.randrange(n), rng.randrange(n), Scalar.zero())
-    return M, dense
+    return BiMat(N, slots), dense
 
 
 def dense_t1(dense: Mat, N: int) -> Mat:
@@ -300,10 +299,9 @@ class TestSparseBiMat:
         padded = BiMat(N, every_slot)
         assert padded == M
         assert padded.to4dict() == M.to4dict()
-        copy = M.copy()
-        copy.set4(0, 0, 0, 0, Scalar.zero())
-        assert (0, 0, 0, 0) not in copy.to4dict()
-        assert copy == BiMat(N, {**M.to4dict(), (0, 0, 0, 0): Scalar.zero()})
+        zeroed = BiMat(N, {**M.to4dict(), (0, 0, 0, 0): Scalar.zero()})
+        assert (0, 0, 0, 0) not in zeroed.to4dict()
+        assert zeroed == BiMat(N, {key: val for key, val in M.to4dict().items() if key != (0, 0, 0, 0)})
 
     @pytest.mark.parametrize("N", [2, 3])
     @given(st.integers(min_value=0, max_value=10_000))
