@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .reporting import CheckResult, check_composite_zero, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import BiMat, Mat, contract, contract_residual, delta
+from .tensors import BiMat, Mat, contract, contract_residual, delta, identity_multiple
 
 __all__ = [
     "UData",
@@ -92,9 +92,8 @@ def beta_constant(D: Mat, R: BiMat) -> Scalar:
     For the unitary series β = q^{1-1/N}.
     """
     n = D.nrows
-    traced = contract("im,jmil->jl", D.inverse().to_sparse(), R.to4dict())
-    beta = traced.get((0, 0), Scalar.zero())
-    if beta.is_zero or traced != {(i, i): beta for i in range(n)}:
+    beta = identity_multiple(contract("im,jmil->jl", D.inverse().to_sparse(), R.to4dict()), n)
+    if not beta:
         raise ValueError("tr₁(D₁⁻¹R̂) is not a nonzero multiple of the identity")
     cross = contract("jn,injk->ik", D.to_sparse(), R.inverse().to4dict())
     if cross != {(i, i): beta ** -1 for i in range(n)}:

@@ -21,7 +21,7 @@ from .primed_basis import PrimedBasis
 from .qla_core import QlaStructure, RepBundle
 from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
-from .tensors import Mat, commutator, contract, contract_residual, stack
+from .tensors import Mat, SparseTensor, commutator, contract, contract_residual, identity_multiple
 
 __all__ = [
     "KillingReport",
@@ -69,8 +69,7 @@ class KillingReport:
 
 def killing_metric(B: RepBundle) -> Mat:
     """η_{AB} = tr(ρ(u)·ρ(χ_A)·ρ(χ_B)) over the unprimed generator labels."""
-    G3 = stack(B.gen)
-    return Mat.from_sparse(contract("xy,ayz,bzx->ab", B.u.to_sparse(), G3, G3), len(B.gen))
+    return Mat.from_sparse(contract("xy,ayz,bzx->ab", B.u.to_sparse(), B.gen, B.gen), B.n)
 
 
 def primed_metric_blocks(pb: PrimedBasis, eta: Mat) -> tuple[Mat, Scalar, Mat]:
@@ -163,47 +162,40 @@ def fundamental_index(ctx: DeformationContext) -> Scalar:
 def canonical_and_index(
     fn_primed: Mat,
     rho_primed: Mat,
-    ad_gen: Sequence[Mat],
+    ad_gen: SparseTensor,
     index_fn: Scalar,
 ) -> tuple[Mat, Scalar, Mat]:
     """Canonical metric, index of ρ, and the intertwiner K.
 
     K = (η^{fn}_primed)⁻¹·η^{(ρ)}_primed must commute with every matrix of
-    the traceless adjoint bundle and be a multiple of the identity; the
-    index of ρ is that multiple times the fundamental index.
+    the traceless adjoint bundle (its generator dict ``ad_gen``, ``{}``
+    when there is none) and be a multiple of the identity; the index of ρ is
+    that multiple times the fundamental index.
     """
-    K = Mat.from_sparse(
-        contract("ab,bc->ac", fn_primed.inverse().to_sparse(), rho_primed.to_sparse()),
-        fn_primed.nrows,
-    )
-    if commutator(K.to_sparse(), stack(ad_gen)):
+    K = contract("ab,bc->ac", fn_primed.inverse().to_sparse(), rho_primed.to_sparse())
+    if commutator(K, ad_gen):
         raise ValueError("metric ratio K does not commute with the adjoint action")
-    ratio = K[0, 0]
-    if K != Mat.identity(K.nrows).scale(ratio):
+    ratio = identity_multiple(K, fn_primed.nrows)
+    if ratio is None:
         raise ValueError("metric ratio K is not a multiple of the identity; "
                          "the bundle does not share the canonical metric")
     canonical = fn_primed.scale(index_fn.inv())
-    return canonical, ratio * index_fn, K
+    return canonical, ratio * index_fn, Mat.from_sparse(K, fn_primed.nrows)
 
 
 def casimir(B: RepBundle, inv_canonical: Mat, pb: PrimedBasis) -> tuple[Mat, Scalar | None]:
     """ρ(Q′) = η^{ab}·ρ(χ′_a)·ρ(χ′_b) and its eigenvalue when scalar.
 
     With ρ(χ′_a) = T^e_{a+1} ρ(χ_e) (column 0 of T is χ₀), this is one
-    contraction over the stacked generators.  Raises ValueError if the image
+    contraction over the generator dict.  Raises ValueError if the image
     fails to commute with every generator.
     """
     coeffs = {(a + 1, b + 1): val for (a, b), val in inv_canonical.to_sparse().items()}
-    G3 = stack(B.gen)
     T = pb.T.to_sparse()
-    image = contract("ab,ea,fb,exy,fyz->xz", coeffs, T, T, G3, G3)
-    if commutator(image, G3):
+    image = contract("ab,ea,fb,exy,fyz->xz", coeffs, T, T, B.gen, B.gen)
+    if commutator(image, B.gen):
         raise ValueError(f"quadratic casimir is not central in {B.name}")
-    out = Mat.from_sparse(image, B.dim)
-    eigen = out[0, 0]
-    if out == Mat.identity(B.dim).scale(eigen):
-        return out, eigen
-    return out, None
+    return Mat.from_sparse(image, B.dim), identity_multiple(image, B.dim)
 
 
 def positivity_sample(
@@ -218,7 +210,8 @@ def positivity_sample(
     with coordinates ξ^{(ij)} = Ξ^j_i; its traceless part has coordinates
     (T⁻¹ξ)^a, and the quadratic form η_{ab}ξ^aξ^b must be nonnegative at
     every sample point, vanishing only when the traceless part itself
-    vanishes there (i.e. Ξ ∝ D⁻¹).
+    vanishes there (i.e. Ξ ∝ D⁻¹).  A pole of the form at a sample point
+    fails the check with residual ``undefined``.
     """
     n = pb.n
     N = isqrt(n)
@@ -234,18 +227,19 @@ def positivity_sample(
             for b in range(n - 1):
                 form = form + eta_primed_fn[a, b] * primed[a] * primed[b]
         for p0 in p_samples:
-            value = form.eval_at(p0)
-            if value < 0:
-                return CheckResult(
-                    "positivity", False, f"sample {s} at p={p0}",
-                    Witness((s, str(p0)), str(value)),
-                )
-            if value == 0 and any(c.eval_at(p0) for c in primed):
-                return CheckResult(
-                    "positivity", False,
-                    f"sample {s} at p={p0}: zero without vanishing traceless part",
-                    Witness((s, str(p0)), "0"),
-                )
+            try:
+                value = form.eval_at(p0)
+                if value < 0:
+                    fault, residual = "", str(value)
+                elif value == 0 and any(c.eval_at(p0) for c in primed):
+                    fault, residual = ": zero without vanishing traceless part", "0"
+                else:
+                    continue
+            except ZeroDivisionError:  # a pole at the sample point
+                fault, residual = ": pole", "undefined"
+            return CheckResult(
+                "positivity", False, f"sample {s} at p={p0}{fault}", Witness((s, str(p0)), residual)
+            )
     return CheckResult(
         "positivity", True,
         f"{len(Xi_samples)} matrices x {len(p_samples)} points",
@@ -265,7 +259,7 @@ def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle,
     inv_canonical = canonical.inverse()
 
     reports: dict[str, KillingReport] = {}
-    bundles, ad_gen = ((B_fn,), ()) if ad is None else ((B_fn, ad), ad.gen)
+    bundles, ad_gen = ((B_fn,), {}) if ad is None else ((B_fn, ad), ad.gen)
     for bundle in bundles:
         if bundle is B_fn:
             full, eta00, prim = full_fn, eta00_fn, prim_fn

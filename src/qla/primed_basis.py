@@ -19,7 +19,7 @@ from .appendix_u import rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
 from .reporting import CheckResult, check_sparse_zero
 from .scalars import Scalar
-from .tensors import Mat, commutator, contract, contract_residual, delta, stack, unstack
+from .tensors import Mat, SparseTensor, commutator, contract, contract_residual, delta, identity_multiple
 
 __all__ = [
     "PrimedBasis",
@@ -191,26 +191,25 @@ def golden_basis_matrix(Q: QlaStructure, D: Mat) -> Mat:
     )
 
 
-def chi0_image(pb: PrimedBasis, bundle: RepBundle) -> Mat:
-    """ρ(χ₀) = Σ_A 𝒟^A ρ(χ_A)."""
+def chi0_image(pb: PrimedBasis, bundle: RepBundle) -> SparseTensor:
+    """ρ(χ₀) = Σ_A 𝒟^A ρ(χ_A), keyed ``(row, col)``."""
     d = {(A,): val for A, val in enumerate(pb.d_vec) if val}
-    return Mat.from_sparse(contract("a,axy->xy", d, stack(bundle.gen)), bundle.dim)
+    return contract("a,axy->xy", d, bundle.gen)
 
 
 def mu_scalar(pb: PrimedBasis, bundle: RepBundle) -> Scalar:
     """μ(ρ) with ρ(χ₀) = μ(ρ)·I; raises if the image is not scalar."""
-    image = chi0_image(pb, bundle)
-    mu = image[0, 0]
-    if image != Mat.identity(bundle.dim).scale(mu):
+    mu = identity_multiple(chi0_image(pb, bundle), bundle.dim)
+    if mu is None:
         raise ValueError(
             f"central element image in {bundle.name} is not proportional to I"
         )
     return mu
 
 
-def primed_images(pb: PrimedBasis, bundle: RepBundle) -> list[Mat]:
-    """Images of the new basis [χ₀, χ′_a, …] in a bundle, via the T columns."""
-    return unstack(contract("ea,exy->axy", pb.T.to_sparse(), stack(bundle.gen)), pb.n, bundle.dim)
+def primed_images(pb: PrimedBasis, bundle: RepBundle) -> SparseTensor:
+    """Images of the new basis [χ₀, χ′_a, …] in a bundle, via the T columns, keyed ``(a, row, col)``."""
+    return contract("ea,exy->axy", pb.T.to_sparse(), bundle.gen)
 
 
 def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
@@ -225,22 +224,17 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
     if the adjoint u fails to be block-diagonal in this basis.
     """
     n = pb.n
-    small = [Mat.zeros(n - 1) for _ in range(n)]
+    small: SparseTensor = {}
     for (A, B, C), val in pb.f_primed.items():
         if B == 0 or C == 0:
             raise ValueError(f"primed structure constant at {(A, B, C)} touches χ₀: {val.render()}")
-        small[A][C - 1, B - 1] = val
-
-    stacked = Mat.zeros(n * (n - 1), n - 1)
-    for A in range(n):
-        for a in range(n - 1):
-            for b in range(n - 1):
-                stacked[A * (n - 1) + a, b] = small[A][a, b]
-    if stacked.null_space():
+        small[(A, C - 1, B - 1)] = val
+    stacked = {(A * (n - 1) + a, b): val for (A, a, b), val in small.items()}
+    if Mat.from_sparse(stacked, n * (n - 1), n - 1).null_space():
         raise ValueError("primed adjoint matrices share a null vector")
 
-    mu0 = small[0][0, 0]
-    if small[0] != Mat.identity(n - 1).scale(mu0):
+    mu0 = identity_multiple({(a, b): val for (A, a, b), val in small.items() if A == 0}, n - 1)
+    if mu0 is None:
         raise ValueError("central element image in ad' is not proportional to I")
     pb.mu["ad'"] = mu0
 
@@ -250,19 +244,19 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
         raise ValueError("adjoint u-matrix is not block-diagonal in this basis")
     u_block = Mat.from_sparse({(a - 1, b - 1): val for (a, b), val in u_full.items() if a}, n - 1)
 
-    gen = unstack(contract("ea,exy->axy", T_inv, stack(small)), n, n - 1)
-    return RepBundle(name="ad'", dim=n - 1, gen=gen, u=u_block)
+    gen = contract("ea,exy->axy", T_inv, small)
+    return RepBundle(name="ad'", dim=n - 1, n=n, gen=gen, u=u_block)
 
 
 def check_chi0_central(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
     """ρ(χ₀) commutes with every ρ(χ_A)."""
-    residual = commutator(chi0_image(pb, bundle).to_sparse(), stack(bundle.gen))
+    residual = commutator(chi0_image(pb, bundle), bundle.gen)
     return check_sparse_zero(f"chi0-central[{bundle.name}]", residual)
 
 
 def check_traceless(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
     """tr(ρ(u)ρ(χ′_a)) = 0 for every kept primed generator."""
-    traces = contract("xy,eyx,ea->a", bundle.u.to_sparse(), stack(bundle.gen), pb.T.to_sparse())
+    traces = contract("xy,eyx,ea->a", bundle.u.to_sparse(), bundle.gen, pb.T.to_sparse())
     traces.pop((0,), None)  # column 0 of T is χ₀
     return check_sparse_zero(f"primed-traceless[{bundle.name}]", traces)
 
@@ -280,7 +274,7 @@ def check_comm_prime(
     mu = mu_scalar(pb, bundle)
     mu_r = {(A,): mu * r for A, r in enumerate(pb.ratios)}
     # ρ(χ′_A) = ρ(χ_A) − μ(ρ) r_A I, keyed (A, row, col).
-    primed = contract_residual(stack(bundle.gen), ("a,xy->axy", mu_r, delta(bundle.dim)))
+    primed = contract_residual(bundle.gen, ("a,xy->axy", mu_r, delta(bundle.dim)))
     bigR4 = Q.bigR.to4dict()
     residual = contract_residual(
         ("axy,byz->abxz", primed, primed),

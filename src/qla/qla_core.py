@@ -22,7 +22,6 @@ from .tensors import (
     SparseTensor,
     contract,
     contract_residual,
-    stack,
 )
 
 __all__ = [
@@ -49,25 +48,23 @@ _ONE = Scalar.from_rational(1)
 class RepBundle:
     """A representation of the quantum Lie algebra.
 
-    ``gen[A]`` is ρ(χ_A) with the composite basis order A = (i,j) ↦ i·N + j;
-    ``orep``, when present, holds ρ(O_A{}^B) as one sparse dict keyed
-    ``(A, B, row, col)``; ``u`` is ρ(u).
+    ``gen`` holds ρ(χ_A) for the ``n`` generators as one sparse dict keyed
+    ``(A, row, col)``, the form every contraction reads, with the composite
+    basis order A = (i,j) ↦ i·N + j; ``orep``, when present, holds
+    ρ(O_A{}^B) keyed ``(A, B, row, col)``; ``u`` is ρ(u).
     """
 
     name: str
     dim: int
-    gen: list[Mat]
+    n: int
+    gen: SparseTensor
     u: Mat
     orep: SparseTensor | None = None
 
     def __post_init__(self) -> None:
-        for g in self.gen:
-            if g.nrows != self.dim or g.ncols != self.dim:
-                raise ValueError("generator matrix has wrong dimension")
-
-    @property
-    def n(self) -> int:
-        return len(self.gen)
+        for A, x, y in self.gen:
+            if not (0 <= A < self.n and 0 <= x < self.dim and 0 <= y < self.dim):
+                raise ValueError(f"generator entry {(A, x, y)} is out of range")
 
 
 @dataclass
@@ -108,7 +105,8 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
     """The fundamental (vector) representation bundle.
 
     ``fn(χ_(kl))^i_j = (1/λ)(δ^k_l δ^i_j − (R̂²)^{ki}_{lj})`` — the composite
-    label supplies the first index of each slot of R̂².  The bundle carries
+    label supplies the first index of each slot of R̂², so the generator dict
+    is R̂² − I re-keyed ``((kl), i, j)`` and scaled by −1/λ.  The bundle carries
     ``ρ(O_(ij){}^{(kl)}) = ρ(L⁺ⁱ_k)·ρ(S(L⁻ˡ_j))`` and ρ(u); with the blocks
     ``ρ(L⁺ⁱ_k)^x_y = R^{xi}_{yk}`` and ``ρ(S(L⁻ˡ_j))^y_z = R^{ly}_{jz}``
     (:func:`~qla.rmatrix.fundamental_L_matrices`) that product is one
@@ -116,15 +114,16 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
     """
     N = R.N
     lam_inv = ctx.lam() ** -1
-    gen = [Mat.zeros(N) for _ in range(N * N)]
-    for (k, i, l, j), val in (R.hat_squared() - BiMat.identity(N)).to4dict().items():
-        gen[k * N + l][i, j] = -lam_inv * val
+    gen = {
+        (k * N + l, i, j): -lam_inv * val
+        for (k, i, l, j), val in (R.hat_squared() - BiMat.identity(N)).to4dict().items()
+    }
     R4 = R.to4dict()
     orep = {
         (i * N + j, k * N + l, x, z): val
         for (i, j, k, l, x, z), val in contract("xiyk,lyjz->ijklxz", R4, R4).items()
     }
-    return RepBundle(name="fn", dim=N, gen=gen, u=rep_u(R), orep=orep)
+    return RepBundle(name="fn", dim=N, n=N * N, gen=gen, u=rep_u(R), orep=orep)
 
 
 def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
@@ -207,7 +206,7 @@ def verify_qla(
         raise ValueError("bundle does not carry the O-representation")
     bigR4 = Q.bigR.to4dict()
     f3 = Q.f
-    G3 = stack(B.gen)
+    G3 = B.gen
     O4 = B.orep
     tag = B.name
     results = [check_representation(Q, B)]
@@ -304,11 +303,10 @@ def check_representation(Q: QlaStructure, B: RepBundle) -> CheckResult:
 
     ``ρ(χ_A)ρ(χ_B) − ℝ^{CD}_{AB} ρ(χ_C)ρ(χ_D) = f_{AB}{}^C ρ(χ_C)``.
     """
-    G3 = stack(B.gen)
     residual = contract_residual(
-        ("axy,byz->abxz", G3, G3),
-        ("cdab,cxy,dyz->abxz", Q.bigR.to4dict(), G3, G3),
-        ("abc,cxz->abxz", Q.f, G3),
+        ("axy,byz->abxz", B.gen, B.gen),
+        ("cdab,cxy,dyz->abxz", Q.bigR.to4dict(), B.gen, B.gen),
+        ("abc,cxz->abxz", Q.f, B.gen),
     )
     return check_sparse_zero(f"qla-rel1[{B.name}]", residual)
 
@@ -320,7 +318,7 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
     ``ℝ^{DB}_{AC} I^ρ_D = δ^B_A I^ρ_C`` fail (they hold for every
     consistently built bundle).
     """
-    Ivec = contract("xy,ayx->a", B.u.to_sparse(), stack(B.gen))
+    Ivec = contract("xy,ayx->a", B.u.to_sparse(), B.gen)
     traces = [Ivec.get((A,), _ZERO) for A in range(B.n)]
     if contract_residual(("abc,c->ab", Q.f, Ivec)):
         raise ValueError(f"deformed traces of {B.name} violate the f-sum rule")
@@ -388,10 +386,9 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
 
 def check_square_antipode(Q: QlaStructure, B: RepBundle) -> CheckResult:
     """``Σ_B 𝔻^B_A ρ(χ_B) = ρ(u) ρ(χ_A) ρ(u)⁻¹`` for every A."""
-    G3 = stack(B.gen)
     residual = contract_residual(
-        ("ba,bxy->axy", Q.bigD.to_sparse(), G3),
-        ("xw,awv,vy->axy", B.u.to_sparse(), G3, B.u.inverse().to_sparse()),
+        ("ba,bxy->axy", Q.bigD.to_sparse(), B.gen),
+        ("xw,awv,vy->axy", B.u.to_sparse(), B.gen, B.u.inverse().to_sparse()),
     )
     return check_sparse_zero(f"square-antipode[{B.name}]", residual)
 

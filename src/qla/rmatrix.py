@@ -15,7 +15,7 @@ from pathlib import Path
 
 from qla.reporting import CheckResult, check_composite_zero, check_sparse_zero
 from qla.scalars import DeformationContext, Scalar, parse_ratio
-from qla.tensors import BiMat, Mat, SparseTensor, contract, contract_residual, delta, stack
+from qla.tensors import BiMat, SparseTensor, contract, contract_residual, delta
 
 #: Largest magnitude of an exponent of ``p`` that :func:`load_r_matrix`
 #: accepts in an entry's numerator or denominator, as written.  Dense
@@ -128,33 +128,29 @@ def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -
 
 @dataclass(frozen=True)
 class LMatrices:
-    """Representation images of the L-matrix entries.
+    """Representation images of the L-matrix entries, each family one sparse dict.
 
-    ``lplus[k][l]`` is the image of the (k,l) entry of L⁺, and similarly for
-    ``lminus``; ``s_lminus`` holds the images of the antipoded L⁻ entries.
+    ``lplus`` is keyed ``(k, l, row, col)``: entry (row, col) of the image of
+    the (k,l) entry of L⁺, and similarly for ``lminus``; ``s_lminus`` holds
+    the images of the antipoded L⁻ entries.
     """
 
     N: int
-    lplus: list[list[Mat]]
-    lminus: list[list[Mat]]
-    s_lminus: list[list[Mat]]
+    lplus: SparseTensor
+    lminus: SparseTensor
+    s_lminus: SparseTensor
 
 
 def fundamental_L_matrices(spec: RMatrixSpec) -> LMatrices:
     """Blocks ``ρ(L⁺ᵏ_ℓ)^i_j = R^{ik}_{jℓ}``, ``ρ(L⁻ᵏ_ℓ)^i_j = (R₂₁⁻¹)^{ik}_{jℓ}``,
-    and ``ρ(S(L⁻ᵏ_ℓ))^i_j = R^{ki}_{ℓj}``."""
-    N = spec.N
-    R = spec.R
-    r21_inv = spec.r21().inverse()
-    lplus = [[Mat.zeros(N) for _ in range(N)] for _ in range(N)]
-    lminus = [[Mat.zeros(N) for _ in range(N)] for _ in range(N)]
-    s_lminus = [[Mat.zeros(N) for _ in range(N)] for _ in range(N)]
-    for (a, b, c, d), val in R.to4dict().items():
-        lplus[b][d][a, c] = val
-        s_lminus[a][c][b, d] = val
-    for (a, b, c, d), val in r21_inv.to4dict().items():
-        lminus[b][d][a, c] = val
-    return LMatrices(N=N, lplus=lplus, lminus=lminus, s_lminus=s_lminus)
+    and ``ρ(S(L⁻ᵏ_ℓ))^i_j = R^{ki}_{ℓj}``: R's and R₂₁⁻¹'s 4-index dicts re-keyed."""
+    R4 = spec.R.to4dict()
+    return LMatrices(
+        N=spec.N,
+        lplus={(b, d, a, c): val for (a, b, c, d), val in R4.items()},
+        lminus={(b, d, a, c): val for (a, b, c, d), val in spec.r21().inverse().to4dict().items()},
+        s_lminus={(a, c, b, d): val for (a, b, c, d), val in R4.items()},
+    )
 
 
 def _first_block_zero(name: str, residual: SparseTensor) -> CheckResult:
@@ -180,7 +176,7 @@ def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckRe
     if lmats is None:
         lmats = fundamental_L_matrices(spec)
     R4 = spec.R.to4dict()
-    lp, lm = stack(lmats.lplus), stack(lmats.lminus)
+    lp, lm = lmats.lplus, lmats.lminus
     return [
         _first_block_zero(
             f"rll[{spec.label},{tag}]",
@@ -196,7 +192,7 @@ def check_antipode_inverse(lmats: LMatrices) -> CheckResult:
     """``S(L⁻)`` blocks invert the ``L⁻`` blocks: Σ_a ρ(L⁻ᵏ_a)ρ(S(L⁻ᵃ_ℓ)) = δᵏ_ℓ I."""
     eye = delta(lmats.N)
     residual = contract_residual(
-        ("kaxy,alyz->klxz", stack(lmats.lminus), stack(lmats.s_lminus)),
+        ("kaxy,alyz->klxz", lmats.lminus, lmats.s_lminus),
         ("kl,xz->klxz", eye, eye),
     )
     return _first_block_zero("antipode-inverse", residual)
@@ -207,11 +203,14 @@ def check_antipode_inverse(lmats: LMatrices) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _json_int(item: dict, key: str) -> int:
-    """``item[key]`` if it is a JSON integer; floats, strings and booleans are rejected."""
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _json_field(item: dict, key: str, kind: type = int):
+    """``item[key]`` if its JSON type is ``kind``; nothing is coerced (no float or bool is an int)."""
     value = item[key]
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be {_JSON_KINDS[kind]}, not {value!r}")
     return value
 
 
@@ -231,22 +230,22 @@ def load_r_matrix(path: str | Path) -> RMatrixSpec:
     except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ValueError(f"{path}: not a JSON file: {exc}") from exc
     try:
-        label = data["label"]
-        if type(label) is not str:
-            raise ValueError(f"'label' must be a string, not {label!r}")
-        N, root_order = (_json_int(data, key) for key in ("n", "root_order"))
+        if type(data) is not dict:
+            raise ValueError("must be a JSON object")
+        label = _json_field(data, "label", str)
+        N, root_order = (_json_field(data, key) for key in ("n", "root_order"))
         ctx = DeformationContext(N=N, root_order=root_order)
-        raw_entries = data["entries"]
-        if type(raw_entries) is not list:
-            raise ValueError(f"'entries' must be a list, not {raw_entries!r}")
+        raw_entries = _json_field(data, "entries", list)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed R-matrix file: {exc}") from exc
     entries: dict[tuple[int, int, int, int], Scalar] = {}
     for pos, item in enumerate(raw_entries):
         try:
-            key = tuple(_json_int(item, name) for name in ("i", "j", "k", "l"))
-            num, den = parse_ratio(str(item["value"]))
-        except (KeyError, TypeError) as exc:
+            if type(item) is not dict:
+                raise ValueError(f"must be an object, not {item!r}")
+            key = tuple(_json_field(item, name) for name in ("i", "j", "k", "l"))
+            num, den = parse_ratio(_json_field(item, "value", str))
+        except KeyError as exc:
             raise ValueError(f"{path}: entry {pos}: missing field: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: entry {pos}: {exc}") from exc

@@ -225,10 +225,10 @@ def universal_r_truncation(tables: Su2Tables) -> CheckResult:
     )
 
 
-def _commutation_residuals(ctx: DeformationContext, images: list[Mat]) -> dict:
+def _commutation_residuals(ctx: DeformationContext, images: SparseTensor) -> dict:
     """Residuals of the rank-one commutation relations for golden images.
 
-    With ``m_a`` the image of ``chi_a``:
+    With ``m_a`` the image of ``chi_a`` (``images`` keyed ``(a, row, col)``):
     ``q^{-1} m3 m+ - q m+ m3 = (1 - lam/[2]_{1/q} m0) m+``,
     ``q m3 m- - q^{-1} m- m3 = -(1 - lam/[2]_{1/q} m0) m-`` and
     ``m+ m- - m- m+ = [2]_{1/q}/q (1 - lam/[2]_{1/q} m0) m3
@@ -248,7 +248,7 @@ def _commutation_residuals(ctx: DeformationContext, images: list[Mat]) -> dict:
         (2, 3, 3): -(ctx.lam() * tp / q),
     }
     lin = {(0, 1): -one, (1, 2): one, (2, 3): -(tp / q)}
-    return _relation_residuals(labels, quad, lin, stack(images), {})
+    return _relation_residuals(labels, quad, lin, images, {})
 
 
 def _matrix_table_check(name: str, got: SparseTensor, tables_side: dict[str, Mat]) -> CheckResult:
@@ -394,8 +394,9 @@ def golden_suite(tables: Su2Tables | None = None, ppl: Pipeline | None = None) -
     tp = ctx.qnum(2, inverse=True)
     frame = {(0, 0): Scalar.one(), (1, 1): Scalar.one(), (2, 2): tp.inv()}
     frame_inv = {(0, 0): Scalar.one(), (1, 1): Scalar.one(), (2, 2): tp}
-    fn_got = stack(fn_images + [B.u])
-    ad_got = contract("xy,ayz,zw->axw", frame, stack(ad_images + [ad.u]), frame_inv)
+    fn_got = {**fn_images, **{(4, x, y): val for (x, y), val in B.u.to_sparse().items()}}
+    ad_u = {(4, x, y): val for (x, y), val in ad.u.to_sparse().items()}
+    ad_got = contract("xy,ayz,zw->axw", frame, {**ad_images, **ad_u}, frame_inv)
 
     results = [
         check_composite_zero(

@@ -15,9 +15,10 @@ one: traces are contractions with a 0- or 1-letter output, and a change of
 basis or a linear combination of matrices is one contraction with the
 coefficient matrix.  :func:`contract_residual`, a signed sum of such
 contractions and literal sparse dicts, is how every identity check forms its
-residual.  :func:`stack` turns a list of representation matrices into such a
-dict and :func:`unstack` turns it back, and :func:`commutator` is the residual
-of a centrality test.
+residual.  A family of representation matrices, such as a bundle's
+generators, is stored as one such dict keyed ``(A, row, col)``; :func:`stack`
+turns a list of matrices into it, :func:`commutator` is the residual of a
+centrality test and :func:`identity_multiple` reads s off a matrix s·I.
 
 Inside both, a key is not a tuple but one int with a bit field of ``width =
 max_index.bit_length()`` bits per letter (the linearized keys of Helal et
@@ -390,26 +391,15 @@ def _block_inverse(
     return out
 
 
-def stack(mats: Sequence) -> SparseTensor:
-    """Matrices, or nested sequences of them, as one sparse dict.
-
-    A key is the position at each level of nesting, then ``(row, col)``:
-    ``stack([M₀, M₁])`` is ``{(A, x, y): M_A[x, y]}`` and a list of lists
-    of matrices is keyed ``(A, B, x, y)``.
-    """
-    out: SparseTensor = {}
-    for A, item in enumerate(mats):
-        for key, val in (item.to_sparse() if isinstance(item, Mat) else stack(item)).items():
-            out[(A, *key)] = val
-    return out
+def stack(mats: Sequence[Mat]) -> SparseTensor:
+    """Matrices as one sparse dict: ``stack([M₀, M₁])`` is ``{(A, x, y): M_A[x, y]}``."""
+    return {(A, *key): val for A, M in enumerate(mats) for key, val in M.to_sparse().items()}
 
 
-def unstack(tensor: Mapping[tuple[int, int, int], Scalar], count: int, dim: int) -> list[Mat]:
-    """The ``count`` dim×dim matrices of a one-level :func:`stack` ``{(A, x, y): val}``."""
-    out = [Mat.zeros(dim) for _ in range(count)]
-    for (A, x, y), val in tensor.items():
-        out[A].rows[x][y] = val
-    return out
+def identity_multiple(M: Mapping[tuple[int, int], Scalar], dim: int) -> Scalar | None:
+    """s with ``M = s·I`` for a dim×dim matrix given as a sparse ``(row, col)`` dict, else None."""
+    s = M.get((0, 0), _ZERO)
+    return s if M == {(i, i): s for i in range(dim) if s} else None
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from qla.cli import (
 )
 from qla.qla_core import structure_from_dict
 from qla.reporting import CheckResult
-from qla.rmatrix import RMatrixSpec, save_r_matrix
+from qla.rmatrix import RMatrixSpec, save_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
 from qla.su2_golden import rosso_term
-from qla.tensors import Mat
+from qla.tensors import BiMat, Mat
 
 S = parse_scalar
 SO3_FILE = Path(__file__).parent / "data" / "so3.json"
@@ -149,14 +149,56 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "ybe[so3]" in out and "cubic[so3,eps=+1]" in out
 
-    def test_external_full_pipeline_reports_reducible_adjoint(self, so3_path, capsys):
+    def test_external_full_pipeline_reports_reducible_adjoint(self, capsys):
         # The orthogonal-series adjoint is smaller than n - 1, so the
         # traceless-adjoint bundle is reducible and the killing suite must
-        # fail as a check, not crash.
-        assert main(["check", "--group", "external", "--r-matrix", so3_path]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL  killing-pipeline" in out
-        assert "qla-rel1[fn]" in out  # the QLA suite itself passes
+        # fail as a check, not crash; every other suite passes.
+        assert main(["check", "--group", "external", "--r-matrix", str(SO3_FILE)]) == 1
+        passing = [
+            "ybe[so3]", "qla-rel1[fn]", "qla-rel2[fn]", "qla-rel3[fn]", "qla-rel4[fn]",
+            "ybe-qla", "jacobi", "aux1", "aux2", "qla-i[fI]", "qla-i[RI1]", "qla-i[RI2]",
+            "null-space-lemma", "bigD-comm", "bigD-tilde", "square-antipode[fn]",
+            "u-trace[a1]", "u-trace[a2]", "u-tilde[b1]", "u-tilde[b2]", "u-comm[c]",
+            "u-invariant-trace[d]", "rll[so3,++]", "rll[so3,--]", "rll[so3,-+]",
+            "antipode-inverse",
+        ]
+        assert capsys.readouterr().out == "".join(
+            [f"PASS  {name}\n" for name in passing]
+            + [
+                "FAIL  killing-pipeline  (central element image in ad' is not proportional to I)\n",
+                "passed 26/27\n",
+            ]
+        )
+
+    def test_metric_pole_at_a_positivity_point_fails_the_check(self, tmp_path, capsys):
+        # su(2)'s R over p - 1 passes every identity, but its fundamental
+        # metric has a pole at the sample point p = 1: a failed check, not a crash.
+        spec = sun_r_matrix(2)
+        scale = parse_scalar("1 / p - 1")
+        R = BiMat(2, {key: val * scale for key, val in spec.R.to4dict().items()})
+        path = tmp_path / "pole1.json"
+        save_r_matrix(RMatrixSpec(label=spec.label, ctx=spec.ctx, R=R), path)
+        assert main(["check", "--group", "external", "--r-matrix", str(path)]) == 1
+        passing = [
+            "ybe[su2]", "qla-rel1[fn]", "qla-rel2[fn]", "qla-rel3[fn]", "qla-rel4[fn]",
+            "ybe-qla", "jacobi", "aux1", "aux2", "qla-i[fI]", "qla-i[RI1]", "qla-i[RI2]",
+            "null-space-lemma", "bigD-comm", "bigD-tilde", "square-antipode[fn]",
+            "u-trace[a1]", "u-trace[a2]", "u-tilde[b1]", "u-tilde[b2]", "u-comm[c]",
+            "u-invariant-trace[d]", "rll[su2,++]", "rll[su2,--]", "rll[su2,-+]",
+            "antipode-inverse",
+        ] + [
+            f"{check}[{rep}]"
+            for rep in ("fn", "ad'")
+            for check in ("metric-rsym", "metric-dsym", "metric-asym", "chi0-central",
+                          "primed-traceless", "comm-prime")
+        ]
+        assert capsys.readouterr().out == "".join(
+            [f"PASS  {name}\n" for name in passing]
+            + [
+                "FAIL  positivity  (sample 0 at p=1: pole)  [at (0, '1'): residual undefined]\n",
+                "passed 38/39\n",
+            ]
+        )
 
     def test_hecke_refused_for_external(self, so3_path, capsys):
         argv = ["check", "--group", "external", "--r-matrix", so3_path, "--checks", "hecke"]
@@ -264,8 +306,17 @@ class TestCheckCommand:
             (None, "No such file or directory"),
             ('{"label": null, "n": 2, "root_order": 1, "entries": []}',
              "malformed R-matrix file: 'label' must be a string, not None"),
+            ("[]", "malformed R-matrix file: must be a JSON object"),
+            ('{"label": "x", "n": 2, "root_order": 1, "entries": [5]}',
+             "entry 0: must be an object, not 5"),
+            ('{"label": "x", "n": 2, "root_order": 1,'
+             ' "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "value": null}]}',
+             "entry 0: 'value' must be a string, not None"),
+            ('{"label": "x", "n": 2, "root_order": 1,'
+             ' "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "value": 3}]}',
+             "entry 0: 'value' must be a string, not 3"),
         ],
-        ids=["singular", "json", "missing", "label"],
+        ids=["singular", "json", "missing", "label", "list-file", "entry", "null-value", "int-value"],
     )
     def test_load_error_names_the_path_once(self, tmp_path, capsys, content, detail):
         path = tmp_path / "r.json"

@@ -266,7 +266,7 @@ class TestCanonicalAndIndex:
         perturbed = Mat(fn_primed.rows)
         perturbed[2, 2] = perturbed[2, 2] + perturbed[2, 2]
         with pytest.raises(ValueError, match="multiple of the identity"):
-            canonical_and_index(fn_primed, perturbed, [], S("1"))
+            canonical_and_index(fn_primed, perturbed, {}, S("1"))
 
 
 class TestCasimir:
@@ -319,9 +319,9 @@ class TestCasimir:
 
     def test_centrality_enforced(self, su2, su2_reports):
         _, _, bundle, _, pb = su2
-        doctored = list(bundle.gen)
-        doctored[1] = doctored[1].scale(S("2"))
-        bad = RepBundle(name="bad", dim=2, gen=doctored, u=bundle.u)
+        # ρ(χ_1) doubled.
+        doctored = {key: S("2") * val if key[0] == 1 else val for key, val in bundle.gen.items()}
+        bad = RepBundle(name="bad", dim=2, n=4, gen=doctored, u=bundle.u)
         with pytest.raises(ValueError, match="^quadratic casimir is not central in bad$"):
             casimir(bad, su2_reports["fn"].inv_canonical, pb)
 

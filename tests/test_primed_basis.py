@@ -32,9 +32,14 @@ from qla.qla_core import (
 )
 from qla.rmatrix import sun_r_matrix
 from qla.scalars import Scalar, parse_scalar
-from qla.tensors import Mat
+from qla.tensors import Mat, stack
 
 S = parse_scalar
+
+
+def image(gen, A, dim):
+    """The dim×dim matrix of generator A in a generator dict keyed ``(A, row, col)``."""
+    return Mat.from_sparse({(x, y): val for (B, x, y), val in gen.items() if B == A}, dim)
 
 
 @pytest.fixture(scope="module")
@@ -143,11 +148,11 @@ class TestBuildPrimed:
             ctx.lam() * ctx.qnum(Fraction(1, 2)) * ctx.qnum(Fraction(3, 2), inverse=True)
         )
         assert pb.mu["fn"] == expected
-        assert chi0_image(pb, bundle) == Mat.identity(2).scale(expected)
+        assert chi0_image(pb, bundle) == Mat.identity(2).scale(expected).to_sparse()
 
     def test_zero_trace_bundle_rejected(self, su2):
         _, Q, bundle, D = su2
-        flat = RepBundle(name="flat", dim=2, gen=bundle.gen, u=Mat.zeros(2))
+        flat = RepBundle(name="flat", dim=2, n=4, gen=bundle.gen, u=Mat.zeros(2))
         with pytest.raises(ValueError, match="vanishes"):
             build_primed(Q, flat, D)
 
@@ -228,11 +233,10 @@ class TestMu:
     def test_non_scalar_image_rejected(self, su2):
         _, Q, bundle, D = su2
         pb = build_primed(Q, bundle, D)
-        lopsided = RepBundle(
-            name="lopsided", dim=2,
-            gen=[bundle.gen[0], bundle.gen[1], bundle.gen[2], bundle.gen[1]],
-            u=bundle.u,
-        )
+        # ρ(χ_3) replaced by ρ(χ_1).
+        gen = {key: val for key, val in bundle.gen.items() if key[0] != 3}
+        gen.update({(3, x, y): val for (A, x, y), val in bundle.gen.items() if A == 1})
+        lopsided = RepBundle(name="lopsided", dim=2, n=4, gen=gen, u=bundle.u)
         with pytest.raises(ValueError, match="not proportional"):
             mu_scalar(pb, lopsided)
 
@@ -253,14 +257,12 @@ class TestAdjointPrime:
         q, qi = ctx.q_power(1), ctx.q_power(-1)
         lam = ctx.lam()
         tp = ctx.qnum(2, inverse=True)
-        assert images[0] == Mat.identity(3).scale(-(lam * tp))
-        assert images[1] == Mat(
-            [[zero, zero, -q], [zero, zero, zero], [zero, tp * qi, zero]]
-        )
-        assert images[2] == Mat(
-            [[zero, zero, zero], [zero, zero, qi], [-(tp * qi), zero, zero]]
-        )
-        assert images[3] == Mat.diagonal([qi, -q, -lam])
+        assert images == stack([
+            Mat.identity(3).scale(-(lam * tp)),
+            Mat([[zero, zero, -q], [zero, zero, zero], [zero, tp * qi, zero]]),
+            Mat([[zero, zero, zero], [zero, zero, qi], [-(tp * qi), zero, zero]]),
+            Mat.diagonal([qi, -q, -lam]),
+        ])
 
     def test_su2_rescaled_frame_matches_table(self, su2_golden):
         # Conjugating the third basis direction by [2]_{q⁻¹} reproduces the
@@ -274,10 +276,10 @@ class TestAdjointPrime:
         tp = ctx.qnum(2, inverse=True)
         frame = Mat.diagonal([one, one, tp.inv()])
         frame_inv = frame.inverse()
-        assert frame @ images[1] @ frame_inv == Mat(
+        assert frame @ image(images, 1, 3) @ frame_inv == Mat(
             [[zero, zero, -(q * tp)], [zero, zero, zero], [zero, qi, zero]]
         )
-        assert frame @ images[2] @ frame_inv == Mat(
+        assert frame @ image(images, 2, 3) @ frame_inv == Mat(
             [[zero, zero, zero], [zero, zero, qi * tp], [-qi, zero, zero]]
         )
 
@@ -329,7 +331,7 @@ class TestRepresentationLevelChecks:
         pb = build_primed(Q, bundle, D)
         two = Scalar.from_rational(2)
         rescaled = RepBundle(
-            name="rescaled", dim=2, gen=[g.scale(two) for g in bundle.gen], u=bundle.u
+            name="rescaled", dim=2, n=4, gen={key: two * val for key, val in bundle.gen.items()}, u=bundle.u
         )
         result = check_comm_prime(Q, pb, rescaled)
         assert not result.passed
@@ -352,9 +354,8 @@ class TestRepresentationLevelChecks:
     def test_chi0_central_detects_perturbed_generator(self, su2):
         _, Q, bundle, D = su2
         pb = build_primed(Q, bundle, D)
-        gen = list(bundle.gen)
-        gen[0] = gen[0] + Mat([[S("0"), S("p")], [S("0"), S("0")]])
-        bent = RepBundle(name="bent", dim=2, gen=gen, u=bundle.u)
+        assert (0, 0, 1) not in bundle.gen
+        bent = RepBundle(name="bent", dim=2, n=4, gen={**bundle.gen, (0, 0, 1): S("p")}, u=bundle.u)
         assert check_chi0_central(pb, bent).line() == "FAIL  chi0-central[bent]  [at (0, 0, 1): residual p^-3]"
 
 

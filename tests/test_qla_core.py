@@ -31,10 +31,15 @@ from qla.qla_core import (
 from qla.reporting import check_sparse_zero
 from qla.rmatrix import RMatrixSpec, check_ybe, load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat, contract_residual
+from qla.tensors import BiMat, Mat, contract, contract_residual
 
 S = parse_scalar
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def image(gen, A, dim):
+    """The dim×dim matrix of generator A in a generator dict keyed ``(A, row, col)``."""
+    return Mat.from_sparse({(x, y): val for (B, x, y), val in gen.items() if B == A}, dim)
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +77,15 @@ class TestFundamentalGenerators:
         _, _, bundle = su2
         zero = Scalar.from_rational(0)
         # ρ(χ_(01)) = −q⁻¹·E_{10} and ρ(χ_(10)) = −q⁻¹·E_{01} with q = p².
-        assert bundle.gen[1] == Mat([[zero, zero], [S("-p^-2"), zero]])
-        assert bundle.gen[2] == Mat([[zero, S("-p^-2")], [zero, zero]])
+        assert image(bundle.gen, 1, 2) == Mat([[zero, zero], [S("-p^-2"), zero]])
+        assert image(bundle.gen, 2, 2) == Mat([[zero, S("-p^-2")], [zero, zero]])
 
     def test_su2_invariant_combination_is_scalar(self, su2):
         spec, _, bundle = su2
         ctx = spec.ctx
-        combo = bundle.gen[0] + bundle.gen[3].scale(ctx.q_power(-2))
+        combo = contract("a,axy->xy", {(0,): Scalar.one(), (3,): ctx.q_power(-2)}, bundle.gen)
         mu = -(ctx.lam() * ctx.qnum(Fraction(1, 2)) * ctx.qnum(Fraction(3, 2), inverse=True))
-        assert combo == Mat.identity(2).scale(mu)
+        assert combo == Mat.identity(2).scale(mu).to_sparse()
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_braid_square_recovered_from_generators(self, N):
@@ -93,7 +98,7 @@ class TestFundamentalGenerators:
             for l in range(N):
                 for i in range(N):
                     for j in range(N):
-                        val = -lam * bundle.gen[k * N + l][i, j]
+                        val = -lam * bundle.gen.get((k * N + l, i, j), Scalar.zero())
                         if k == l and i == j:
                             val = val + one
                         assert val == rhat2.get4(k, i, l, j)
@@ -109,7 +114,7 @@ class TestFundamentalGenerators:
                     for i in range(N):
                         expected[i, i] = Scalar.from_rational(Fraction(1, N))
                 expected[l, k] = expected[l, k] - Scalar.from_rational(1)
-                assert bundle.gen[k * N + l].eval_at(1) == expected
+                assert image(bundle.gen, k * N + l, N).eval_at(1) == expected
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_classical_limit_of_orep_is_identity_pattern(self, N):
@@ -135,8 +140,11 @@ class TestFundamentalGenerators:
         assert bundle.n == 9
 
     def test_wrong_generator_dimension_rejected(self):
-        with pytest.raises(ValueError, match="wrong dimension"):
-            RepBundle(name="bad", dim=3, gen=[Mat.zeros(2)], u=Mat.identity(3))
+        # Every key (A, row, col) of the generator dict must lie in range(n) × range(dim)².
+        for key in [(0, 0, 3), (0, 3, 0), (1, 0, 0), (-1, 0, 0)]:
+            with pytest.raises(ValueError) as excinfo:
+                RepBundle(name="bad", dim=3, n=1, gen={key: S("1")}, u=Mat.identity(3))
+            assert str(excinfo.value) == f"generator entry {key} is out of range"
 
 
 class TestBuildStructure:
@@ -151,7 +159,7 @@ class TestBuildStructure:
         spec = sun_r_matrix(N)
         Q = build_structure(spec.R, spec.ctx)
         bundle = fundamental_generators(spec.R, spec.ctx)
-        gens = [g.eval_at(1) for g in bundle.gen]
+        gens = [image(bundle.gen, A, N).eval_at(1) for A in range(N * N)]
         n = N * N
         for A in range(n):
             for B in range(n):
@@ -439,7 +447,7 @@ class TestVerifyQla:
 
     def test_representation_check_on_orep_free_bundle(self, su2):
         _, Q, bundle = su2
-        plain = RepBundle(name="plain", dim=bundle.dim, gen=bundle.gen, u=bundle.u)
+        plain = RepBundle(name="plain", dim=bundle.dim, n=bundle.n, gen=bundle.gen, u=bundle.u)
         assert check_representation(Q, plain).passed
         with pytest.raises(ValueError, match="O-representation"):
             verify_qla(Q, plain)
@@ -503,7 +511,7 @@ class TestDeformedTraces:
         one = Scalar.from_rational(1)
         two = Scalar.from_rational(2)
         skewed = RepBundle(
-            name="skewed", dim=2, gen=bundle.gen, u=Mat.diagonal([one, two])
+            name="skewed", dim=2, n=4, gen=bundle.gen, u=Mat.diagonal([one, two])
         )
         with pytest.raises(ValueError, match="sum rule"):
             deformed_traces(Q, skewed)
@@ -517,8 +525,8 @@ class TestAdjointRep:
         assert ad.dim == pb.n - 1
         images = primed_images(pb, ad)
         for (A, B, C), val in pb.f_primed.items():
-            assert images[A][C - 1, B - 1] == val
-        assert images[1][0, 0].is_zero
+            assert images[(A, C - 1, B - 1)] == val
+        assert (1, 0, 0) not in images
 
     @pytest.mark.parametrize("name", ["su2", "su3"])
     def test_adjoint_satisfies_exchange_relation(self, name, pipelines):
@@ -562,6 +570,7 @@ class TestAdjointRep:
         warped = RepBundle(
             name="warped",
             dim=2,
+            n=4,
             gen=bundle.gen,
             u=Mat([[bundle.u[0, 0], two], [Scalar.from_rational(0), bundle.u[1, 1]]]),
         )

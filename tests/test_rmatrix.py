@@ -136,33 +136,38 @@ class TestYangBaxterAndCharacteristic:
             check_characteristic(sun_r_matrix(2), kind="cubic", eps=0)
 
 
+def block(family, k, l, N):
+    """The N×N image of entry (k, l) of an L-matrix family keyed ``(k, l, row, col)``."""
+    return Mat.from_sparse({(x, y): val for (a, b, x, y), val in family.items() if (a, b) == (k, l)}, N)
+
+
 class TestLMatrices:
     def test_su2_lplus_blocks(self):
         lmats = fundamental_L_matrices(sun_r_matrix(2))
-        assert lmats.lplus[0][0] == Mat.diagonal([S("p"), S("p^-1")])
-        assert lmats.lplus[1][1] == Mat.diagonal([S("p^-1"), S("p")])
-        assert lmats.lplus[1][0].is_zero
+        assert block(lmats.lplus, 0, 0, 2) == Mat.diagonal([S("p"), S("p^-1")])
+        assert block(lmats.lplus, 1, 1, 2) == Mat.diagonal([S("p^-1"), S("p")])
+        assert block(lmats.lplus, 1, 0, 2).is_zero
         expected = Mat.zeros(2)
         expected[1, 0] = S("p - p^-3")
-        assert lmats.lplus[0][1] == expected
+        assert block(lmats.lplus, 0, 1, 2) == expected
 
     def test_su2_lminus_blocks_are_lower_triangular(self):
         lmats = fundamental_L_matrices(sun_r_matrix(2))
-        assert lmats.lminus[0][1].is_zero
-        assert not lmats.lminus[1][0].is_zero
-        assert lmats.lminus[0][0] == Mat.diagonal([S("p^-1"), S("p")])
+        assert block(lmats.lminus, 0, 1, 2).is_zero
+        assert not block(lmats.lminus, 1, 0, 2).is_zero
+        assert block(lmats.lminus, 0, 0, 2) == Mat.diagonal([S("p^-1"), S("p")])
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_classical_limit_blocks_are_identity_pattern(self, N):
         lmats = fundamental_L_matrices(sun_r_matrix(N))
         for k in range(N):
             for l in range(N):
-                for blocks in (lmats.lplus, lmats.lminus, lmats.s_lminus):
-                    block = blocks[k][l].eval_at(1)
+                for family in (lmats.lplus, lmats.lminus, lmats.s_lminus):
+                    image = block(family, k, l, N).eval_at(1)
                     if k == l:
-                        assert block.is_identity
+                        assert image.is_identity
                     else:
-                        assert block.is_zero
+                        assert image.is_zero
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_exchange_relations(self, N):
@@ -178,7 +183,7 @@ class TestLMatrices:
 
     def test_broken_antipode_blocks_fail(self):
         lmats = fundamental_L_matrices(sun_r_matrix(2))
-        lmats.s_lminus[0][0][0, 0] = S("p^9")
+        lmats.s_lminus[(0, 0, 0, 0)] = S("p^9")
         result = check_antipode_inverse(lmats)
         assert not result.passed
         assert result.line() == "FAIL  antipode-inverse  [at (0, 0): residual p^8 - 1]"
@@ -186,7 +191,8 @@ class TestLMatrices:
     def test_broken_lplus_blocks_fail_exchange(self):
         spec = sun_r_matrix(2)
         lmats = fundamental_L_matrices(spec)
-        lmats.lplus[0][1][0, 0] = S("p^9")
+        assert (0, 1, 0, 0) not in lmats.lplus
+        lmats.lplus[(0, 1, 0, 0)] = S("p^9")
         assert [r.line() for r in check_rll(spec, lmats)] == [
             "FAIL  rll[su2,++]  [at (0, 0): residual p^9 - p^7]",
             "PASS  rll[su2,--]",
@@ -196,7 +202,7 @@ class TestLMatrices:
     def test_broken_lminus_blocks_fail_exchange(self):
         spec = sun_r_matrix(3)
         lmats = fundamental_L_matrices(spec)
-        lmats.lminus[2][1][0, 0] = lmats.lminus[2][1][0, 0] + S("p")
+        lmats.lminus[(2, 1, 0, 0)] = lmats.lminus.get((2, 1, 0, 0), S("0")) + S("p")
         assert [r.line() for r in check_rll(spec, lmats)] == [
             "PASS  rll[su3,++]",
             "FAIL  rll[su3,--]  [at (0, 1): residual p^4 - p^-2]",
@@ -315,6 +321,32 @@ class TestLoadSave:
         assert str(excinfo.value) == (
             f"{path}: malformed R-matrix file: 'entries' must be a list, not {entries!r}"
         )
+
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            ("[1, 2]", "malformed R-matrix file: must be a JSON object"),
+            ('"su2"', "malformed R-matrix file: must be a JSON object"),
+            ('{"label": "x", "n": 2, "root_order": 1, "entries": [5]}',
+             "entry 0: must be an object, not 5"),
+            ('{"label": "x", "n": 2, "root_order": 1, "entries": [["i", 0]]}',
+             "entry 0: must be an object, not ['i', 0]"),
+            ('{"label": "x", "n": 2, "root_order": 1,'
+             ' "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "value": null}]}',
+             "entry 0: 'value' must be a string, not None"),
+            ('{"label": "x", "n": 2, "root_order": 1,'
+             ' "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "value": 3}]}',
+             "entry 0: 'value' must be a string, not 3"),
+        ],
+        ids=["list-file", "string-file", "number-entry", "list-entry", "null-value", "int-value"],
+    )
+    def test_file_or_entry_of_the_wrong_json_type_is_rejected(self, tmp_path, content, detail):
+        # Nothing is coerced: a number is not scalar text, and null is not "None".
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        with pytest.raises(ValueError) as excinfo:
+            load_r_matrix(path)
+        assert str(excinfo.value) == f"{path}: {detail}"
 
     def test_duplicate_entry_is_rejected(self, tmp_path):
         entry = {"i": 0, "j": 1, "k": 0, "l": 1, "value": "1"}

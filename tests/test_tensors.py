@@ -1085,7 +1085,7 @@ class TestSlicedResidual:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers: stack, commutator, the triple-space patterns
+# Shared helpers: stack, identity_multiple, commutator, the triple-space patterns
 # ---------------------------------------------------------------------------
 
 
@@ -1122,22 +1122,20 @@ class TestHelpers:
 
     def test_stack_keys_by_nesting_position(self):
         rng = random.Random(7)
-        mats = [[random_mat(rng, 2) for _ in range(3)] for _ in range(2)]
-        assert tensors.stack(mats[0]) == {
-            (A, x, y): val for A, m in enumerate(mats[0]) for (x, y), val in m.to_sparse().items()
-        }
+        mats = [random_mat(rng, 2) for _ in range(3)]
         assert tensors.stack(mats) == {
-            (A, B, x, y): val
-            for A, row in enumerate(mats)
-            for B, m in enumerate(row)
-            for (x, y), val in m.to_sparse().items()
+            (A, x, y): val for A, m in enumerate(mats) for (x, y), val in m.to_sparse().items()
         }
         assert tensors.stack([]) == {}
 
-    def test_unstack_inverts_stack(self):
-        rng = random.Random(8)
-        mats = [random_mat(rng, 2) for _ in range(3)] + [Mat.zeros(2)]
-        assert tensors.unstack(tensors.stack(mats), 4, 2) == mats
+    def test_identity_multiple_reads_s_off_s_times_identity(self):
+        s = S("p + 2")
+        assert tensors.identity_multiple(Mat.identity(3).scale(s).to_sparse(), 3) == s
+        assert tensors.identity_multiple({}, 3) == S("0")  # the zero matrix is 0·I
+        assert tensors.identity_multiple({(0, 0): s, (1, 1): s}, 3) is None  # a diagonal entry missing
+        assert tensors.identity_multiple({(0, 0): s, (1, 1): s, (2, 2): S("p")}, 3) is None
+        assert tensors.identity_multiple({(0, 0): s, (1, 1): s, (0, 1): s}, 2) is None
+        assert tensors.identity_multiple({(1, 1): s}, 2) is None  # zero at (0, 0), not elsewhere
 
     @pytest.mark.parametrize("seed", range(3))
     def test_commutator_matches_dense_products(self, seed):
