@@ -30,7 +30,7 @@ __all__ = [
     "fundamental_metric_closed_form",
     "check_metric_identities",
     "fundamental_index",
-    "canonical_and_index",
+    "index_and_intertwiner",
     "casimir",
     "positivity_sample",
     "killing_reports",
@@ -159,28 +159,27 @@ def fundamental_index(ctx: DeformationContext) -> Scalar:
     return _ONE
 
 
-def canonical_and_index(
-    fn_primed: Mat,
+def index_and_intertwiner(
+    fn_primed_inv: Mat,
     rho_primed: Mat,
     ad_gen: SparseTensor,
     index_fn: Scalar,
-) -> tuple[Mat, Scalar, Mat]:
-    """Canonical metric, index of ρ, and the intertwiner K.
+) -> tuple[Scalar, Mat]:
+    """Index of ρ and the intertwiner K, given (η^{fn}_primed)⁻¹.
 
     K = (η^{fn}_primed)⁻¹·η^{(ρ)}_primed must commute with every matrix of
     the traceless adjoint bundle (its generator dict ``ad_gen``, ``{}``
     when there is none) and be a multiple of the identity; the index of ρ is
     that multiple times the fundamental index.
     """
-    K = contract("ab,bc->ac", fn_primed.inverse().to_sparse(), rho_primed.to_sparse())
+    K = contract("ab,bc->ac", fn_primed_inv.to_sparse(), rho_primed.to_sparse())
     if commutator(K, ad_gen):
         raise ValueError("metric ratio K does not commute with the adjoint action")
-    ratio = identity_multiple(K, fn_primed.nrows)
+    ratio = identity_multiple(K, fn_primed_inv.nrows)
     if ratio is None:
         raise ValueError("metric ratio K is not a multiple of the identity; "
                          "the bundle does not share the canonical metric")
-    canonical = fn_primed.scale(index_fn.inv())
-    return canonical, ratio * index_fn, Mat.from_sparse(K, fn_primed.nrows)
+    return ratio * index_fn, Mat.from_sparse(K, fn_primed_inv.nrows)
 
 
 def casimir(B: RepBundle, inv_canonical: Mat, pb: PrimedBasis) -> tuple[Mat, Scalar | None]:
@@ -215,7 +214,7 @@ def positivity_sample(
     """
     n = pb.n
     N = isqrt(n)
-    T_inv = pb.T.inverse()
+    T_inv = pb.T_inv
     for s, Xi in enumerate(Xi_samples):
         xi = [Xi[j, i] for i in range(N) for j in range(N)]
         primed = [
@@ -256,7 +255,8 @@ def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle,
     eta_fn = killing_metric(B_fn)
     full_fn, eta00_fn, prim_fn = primed_metric_blocks(pb, eta_fn)
     canonical = prim_fn.scale(index_fn.inv())
-    inv_canonical = canonical.inverse()
+    prim_fn_inv = prim_fn.inverse()
+    inv_canonical = prim_fn_inv.scale(index_fn)
 
     reports: dict[str, KillingReport] = {}
     bundles, ad_gen = ((B_fn,), {}) if ad is None else ((B_fn, ad), ad.gen)
@@ -265,7 +265,7 @@ def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle,
             full, eta00, prim = full_fn, eta00_fn, prim_fn
         else:
             full, eta00, prim = primed_metric_blocks(pb, killing_metric(bundle))
-        _, index, K = canonical_and_index(prim_fn, prim, ad_gen, index_fn)
+        index, K = index_and_intertwiner(prim_fn_inv, prim, ad_gen, index_fn)
         cas_mat, cas_eigen = casimir(bundle, inv_canonical, pb)
         reports[bundle.name] = KillingReport(
             rep_name=bundle.name,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .appendix_u import rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
@@ -67,6 +68,11 @@ class PrimedBasis:
     @property
     def n(self) -> int:
         return len(self.d_vec)
+
+    @cached_property
+    def T_inv(self) -> Mat:
+        """T⁻¹, formed on first use; :func:`build_primed` fills it with the one it formed."""
+        return self.T.inverse()
 
 
 def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
@@ -163,6 +169,7 @@ def build_primed(
         f_primed=f_primed,
         traces=traces,
     )
+    pb.T_inv = T_inv
     try:
         pb.mu[B_fn.name] = mu_scalar(pb, B_fn)
     except ValueError:
@@ -238,7 +245,7 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
         raise ValueError("central element image in ad' is not proportional to I")
     pb.mu["ad'"] = mu0
 
-    T_inv = pb.T.inverse().to_sparse()
+    T_inv = pb.T_inv.to_sparse()
     u_full = contract("ae,ef,fb->ab", T_inv, rep_u(Q.F_adj).to_sparse(), pb.T.to_sparse())
     if any((a == 0) != (b == 0) for a, b in u_full):
         raise ValueError("adjoint u-matrix is not block-diagonal in this basis")

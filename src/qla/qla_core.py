@@ -22,6 +22,7 @@ from .tensors import (
     SparseTensor,
     contract,
     contract_residual,
+    delta,
 )
 
 __all__ = [
@@ -173,7 +174,7 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
     # solves the exchange system Σ_{C,B} T^{AB}_{CD} ℝ^{FC}_{EB} = δ^A_E δ^F_D
     # coming from the antipode axioms.
     til_big = bigR.flip().tilde()
-    bigD = Mat.from_sparse(contract("cabc->ab", til_big.to4dict()), n)
+    bigD = Mat.from_sparse(contract("cabd,dc->ab", til_big.to4dict(), delta(n)), n)
 
     I_id = [_ONE if A // N == A % N else _ZERO for A in range(n)]
     Q = QlaStructure(

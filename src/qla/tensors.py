@@ -13,12 +13,14 @@ serves inverses and null spaces.  :func:`contract` is a sparse einsum
 over dictionaries keyed by index tuples, and every product in the package is
 one: traces are contractions with a 0- or 1-letter output, and a change of
 basis or a linear combination of matrices is one contraction with the
-coefficient matrix.  :func:`contract_residual`, a signed sum of such
-contractions and literal sparse dicts, is how every identity check forms its
-residual.  A family of representation matrices, such as a bundle's
-generators, is stored as one such dict keyed ``(A, row, col)``; :func:`stack`
-turns a list of matrices into it, :func:`commutator` is the residual of a
-centrality test and :func:`identity_multiple` reads s off a matrix s·I.
+coefficient matrix.  A letter may not repeat within one operand's group
+(``ValueError``); a diagonal is a contraction with :func:`delta`.
+:func:`contract_residual`, a signed sum of such contractions and literal
+sparse dicts, is how every identity check forms its residual.  A family of
+representation matrices, such as a bundle's generators, is stored as one
+such dict keyed ``(A, row, col)``; :func:`stack` turns a list of matrices
+into it, :func:`commutator` is the residual of a centrality test and
+:func:`identity_multiple` reads s off a matrix s·I.
 
 Inside both, a key is not a tuple but one int with a bit field of ``width =
 max_index.bit_length()`` bits per letter (the linearized keys of Helal et
@@ -55,7 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, combinations, repeat
 from math import gcd, lcm
-from operator import and_, eq, lshift, rshift
+from operator import and_, lshift, rshift
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from qla.scalars import LaurentPoly, Scalar, cleared_numerators, pack_terms, unpack_scalar
@@ -157,19 +159,6 @@ class Mat:
     def is_zero(self) -> bool:
         return all(val.is_zero for row in self.rows for val in row)
 
-    @property
-    def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        for i, row in enumerate(self.rows):
-            for j, val in enumerate(row):
-                if i == j:
-                    if not val.is_one:
-                        return False
-                elif not val.is_zero:
-                    return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
@@ -184,12 +173,6 @@ class Mat:
         self._check_same_shape(other)
         return Mat(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: Mat) -> Mat:
-        self._check_same_shape(other)
-        return Mat(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
     def scale(self, factor: Scalar | int) -> Mat:
@@ -215,20 +198,6 @@ class Mat:
 
     def t(self) -> Mat:
         return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def trace(self) -> Scalar:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        total = _ZERO
-        for i in range(self.nrows):
-            total = total + self.rows[i][i]
-        return total
-
-    def eval_at(self, p0) -> Mat:
-        """Entrywise evaluation at a rational point, as a matrix of constants."""
-        return Mat(
-            [[Scalar.from_rational(a.eval_at(p0)) for a in row] for row in self.rows]
-        )
 
     def _check_same_shape(self, other: Mat) -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -435,15 +404,7 @@ class BiMat:
     def identity(cls, N: int) -> BiMat:
         return cls(N, {(i, j, i, j): _ONE for i in range(N) for j in range(N)})
 
-    @classmethod
-    def perm(cls, N: int) -> BiMat:
-        """The flip operator: ``P[i,j ; k,l] = delta(i,l) delta(j,k)``."""
-        return cls(N, {(i, j, j, i): _ONE for i in range(N) for j in range(N)})
-
     # -- access ----------------------------------------------------------------
-
-    def get4(self, i: int, j: int, k: int, l: int) -> Scalar:
-        return self.entries.get((i, j, k, l), _ZERO)
 
     def to4dict(self) -> SparseTensor:
         """The stored ``{(i, j, k, l): value}`` dict itself; callers must not change it."""
@@ -523,12 +484,6 @@ class BiMat:
             self.derived["hat2"] = hat @ hat
         return self.derived["hat2"]
 
-    def eval_at(self, p0) -> BiMat:
-        return BiMat(
-            self.N,
-            {key: Scalar.from_rational(val.eval_at(p0)) for key, val in self.entries.items()},
-        )
-
     def __repr__(self) -> str:
         return f"BiMat(N={self.N})"
 
@@ -542,8 +497,10 @@ def contract(pattern: str, *operands: Mapping[tuple[int, ...], Scalar]) -> Spars
     """Sparse einsum over dictionaries keyed by tuples of non-negative ints.
 
     ``pattern`` reads like ``"mkjn,sdml->kjsdnl"``: single-letter indices, one
-    group per operand, and an explicit output.  Repeated letters inside one
-    group take the diagonal; letters absent from the output are summed over.
+    group per operand, and an explicit output.  A letter repeated within one
+    group is refused with ``ValueError``; a diagonal is a contraction with
+    :func:`delta`, so Σ_i T[i, i, j, k] is ``contract("imjk,mi->jk", T,
+    delta(N))``.  Letters absent from the output are summed over.
     Operands are joined pairwise with hash joins on the shared letters, in a
     greedy order: each step joins the pair that costs the fewest products
     (see :func:`_join_cost`), ties going to the lowest operand positions, and
@@ -645,8 +602,9 @@ def _packed_sum(
             raise ValueError("output uses a letter absent from the inputs")
         if len(set(out_letters)) != len(out_letters):
             raise ValueError("output letters must be distinct")
-        prepared = [_collapse_repeats(letters, tensor) for letters, tensor in zip(groups, operands)]
-        parsed.append((sign, out_letters, prepared))
+        if any(len(set(letters)) != len(letters) for letters in groups):
+            raise ValueError("a letter repeats within one group; contract with delta for a diagonal")
+        parsed.append((sign, out_letters, list(zip(groups, operands))))
     arity = len(parsed[0][1]) if parsed else 0
     if any(len(out_letters) != arity for _, out_letters, _ in parsed):
         raise ValueError("terms differ in output arity")
@@ -786,22 +744,6 @@ def _contract_packed(
             return
         prepared[i] = _join(*a, *b, needed, masks, whole)
         del prepared[j]
-
-
-def _collapse_repeats(
-    letters: str, tensor: Mapping[tuple[int, ...], Scalar]
-) -> tuple[str, Mapping[tuple[int, ...], Scalar]]:
-    """The diagonal of a group with a repeated letter, keyed by its distinct letters."""
-    if len(set(letters)) == len(letters):
-        return letters, tensor
-    first = [letters.index(ch) for ch in letters]
-    keep = sorted(set(first))
-    diagonal = {
-        tuple(map(key.__getitem__, keep)): val
-        for key, val in tensor.items()
-        if all(map(eq, key, map(key.__getitem__, first)))
-    }
-    return "".join(letters[pos] for pos in keep), diagonal
 
 
 def _pack_frame(

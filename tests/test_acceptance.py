@@ -230,12 +230,13 @@ def test_criterion_5_property_suites():
             except ValueError:
                 continue
             produced += 1
+            m4, mt4 = m.to4dict(), mt.to4dict()
             for i, j, k, l in itertools.product(range(N), repeat=4):
                 first = zero
                 second = zero
                 for a, b in itertools.product(range(N), repeat=2):
-                    first = first + m.get4(i, a, b, l) * mt.get4(b, k, j, a)
-                    second = second + m.get4(a, i, l, b) * mt.get4(k, b, a, j)
+                    first = first + m4.get((i, a, b, l), zero) * mt4.get((b, k, j, a), zero)
+                    second = second + m4.get((a, i, l, b), zero) * mt4.get((k, b, a, j), zero)
                 want = one if (i == j and k == l) else zero
                 assert first == want and second == want
 

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qla.appendix_u import build_u_data
+from qla.cli import main
 from qla.killing import (
-    canonical_and_index,
     casimir,
     check_metric_identities,
     fundamental_index,
     fundamental_metric_closed_form,
+    index_and_intertwiner,
     killing_metric,
     killing_report_to_dict,
     killing_reports,
@@ -259,14 +261,14 @@ class TestCanonicalAndIndex:
         perturbed = Mat(fn_primed.rows)
         perturbed[2, 2] = perturbed[2, 2] + perturbed[2, 2]
         with pytest.raises(ValueError, match="^metric ratio K does not commute with the adjoint action$"):
-            canonical_and_index(fn_primed, perturbed, ad.gen, S("1"))
+            index_and_intertwiner(fn_primed.inverse(), perturbed, ad.gen, S("1"))
 
     def test_non_scalar_ratio_rejected(self, su2_reports):
         fn_primed = su2_reports["fn"].eta_primed
         perturbed = Mat(fn_primed.rows)
         perturbed[2, 2] = perturbed[2, 2] + perturbed[2, 2]
         with pytest.raises(ValueError, match="multiple of the identity"):
-            canonical_and_index(fn_primed, perturbed, {}, S("1"))
+            index_and_intertwiner(fn_primed.inverse(), perturbed, {}, S("1"))
 
 
 class TestCasimir:
@@ -382,9 +384,12 @@ class TestPositivity:
         for a in range(3):
             for b in range(3):
                 form = form + eta_primed[a, b] * primed[a] * primed[b]
-        trDinv = D.inverse().trace()
+
+        def trace(M):
+            return sum((M[i, i] for i in range(2)), S("0"))
+
         closed = ctx.q_power(Fraction(-9, 2)) * (
-            (D @ Xi @ Xi).trace() - Xi.trace() ** 2 * trDinv.inv()
+            trace(D @ Xi @ Xi) - trace(Xi) ** 2 * trace(D.inverse()).inv()
         )
         assert form == closed
 
@@ -404,3 +409,17 @@ class TestReports:
         assert S(data["casimir_eigen"]) == report.casimir_eigen
         assert [[S(v) for v in row] for row in data["canonical"]] == list(report.canonical.rows)
         assert [[S(v) for v in row] for row in data["eta_full"]] == list(report.eta_full.rows)
+
+    def test_basis_and_fn_metric_block_are_inverted_once_per_pipeline(self, monkeypatch, capsys):
+        inverted: list[Mat] = []
+        inverse = Mat.inverse
+
+        def logged(M: Mat) -> Mat:
+            inverted.append(M)
+            return inverse(M)
+
+        monkeypatch.setattr(Mat, "inverse", logged)
+        assert main(["check", "--n", "3"]) == 0
+        sizes = Counter(M.nrows for M in inverted)
+        # The 9×9 inverses are T and 𝔻; the one 8×8 is the fn metric's traceless block.
+        assert (sizes[9], sizes[8]) == (2, 1)

@@ -101,7 +101,7 @@ class TestDVector:
                 for B in range(4):
                     acc = zero
                     for E in range(4):
-                        acc = acc + Q.bigR.get4(C, A, B, E) * d[E]
+                        acc = acc + Q.bigR.to4dict().get((C, A, B, E), zero) * d[E]
                     expected = d[C] if A == B else zero
                     assert acc == expected
 

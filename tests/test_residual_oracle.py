@@ -1,6 +1,7 @@
 """An oracle for the identity residuals that does not go through the engine.
 
-Every identity of :func:`~qla.qla_core.verify_qla` is one signed sum of
+Every identity of :func:`~qla.qla_core.verify_qla`, and the Yang–Baxter
+equation of :func:`~qla.rmatrix.check_ybe`, is one signed sum of
 contractions, formed exactly by :func:`~qla.tensors.contract_residual`.  The
 test wraps that function while the real suites run.  For each call it
 evaluates every operand entry at a random point p₀ modulo the prime P, forms
@@ -23,10 +24,11 @@ from typing import Mapping
 
 import pytest
 
-from qla import qla_core
+from qla import qla_core, rmatrix
 from qla.qla_core import build_structure, fundamental_generators, verify_qla
-from qla.rmatrix import load_r_matrix, sun_r_matrix
-from qla.tensors import contract_residual
+from qla.rmatrix import RMatrixSpec, check_ybe, load_r_matrix, sun_r_matrix
+from qla.scalars import Scalar, parse_scalar
+from qla.tensors import BiMat, contract_residual
 
 P = (1 << 61) - 1
 DATA_DIR = Path(__file__).parent / "data"
@@ -54,19 +56,6 @@ def eval_scalar(value, p0: int) -> int:
     return eval_poly(value.num, p0) * inverse_mod(eval_poly(value.den, p0)) % P
 
 
-def diagonal(letters: str, tensor: dict) -> tuple[str, dict]:
-    """The entries of a group with a repeated letter whose repeated positions agree."""
-    distinct = "".join(dict.fromkeys(letters))
-    first = [letters.index(ch) for ch in letters]
-    keep = [letters.index(ch) for ch in distinct]
-    out = {
-        tuple(key[i] for i in keep): val
-        for key, val in tensor.items()
-        if all(key[i] == key[j] for i, j in enumerate(first))
-    }
-    return distinct, out
-
-
 def join(a: tuple[str, dict], b: tuple[str, dict], keep: set[str]) -> tuple[str, dict]:
     """Hash join of two factors mod P; letters outside ``keep`` are summed out."""
     (la, ta), (lb, tb) = a, b
@@ -92,7 +81,7 @@ def term_mod(term, p0: int) -> dict:
     pattern, *operands = term
     lhs, out_letters = pattern.split("->")
     factors = [
-        diagonal(letters, {key: eval_scalar(val, p0) for key, val in tensor.items()})
+        (letters, {key: eval_scalar(val, p0) for key, val in tensor.items()})
         for letters, tensor in zip(lhs.split(","), operands)
     ]
     # A leading letterless factor makes a lone operand a join too, which sums
@@ -141,8 +130,12 @@ class Oracle:
         return exact
 
 
+def r_matrix(name: str) -> RMatrixSpec:
+    return load_r_matrix(DATA_DIR / "so3.json") if name == "so3" else sun_r_matrix(int(name[2:]))
+
+
 def structure_and_bundle(name: str):
-    spec = load_r_matrix(DATA_DIR / "so3.json") if name == "so3" else sun_r_matrix(int(name[2:]))
+    spec = r_matrix(name)
     return build_structure(spec.R, spec.ctx), fundamental_generators(spec.R, spec.ctx)
 
 
@@ -159,4 +152,19 @@ def test_engine_residuals_agree_with_a_mod_p_evaluation(name, skip_heavy, seed, 
     # check_representation, three exchange relations, Jacobi, aux1, aux2
     # and three sum rules, plus the braid unless it is skipped.
     assert oracle.calls == 10 + (not skip_heavy)
+    assert oracle.mismatches == []
+
+
+# The shifted so3 R fails the YBE, so its nonzero residual is compared entry by entry.
+@pytest.mark.parametrize("name, shifted, seed", [("su3", False, 21), ("so3", False, 22), ("so3", True, 23)])
+def test_ybe_residual_agrees_with_a_mod_p_evaluation(name, shifted, seed, monkeypatch):
+    spec = r_matrix(name)
+    if shifted:
+        R4, key = spec.R.to4dict(), (0, 1, 1, 0)
+        R = BiMat(spec.N, {**R4, key: R4.get(key, Scalar.zero()) + parse_scalar("p")})
+        spec = RMatrixSpec(label=spec.label, ctx=spec.ctx, R=R)
+    oracle = Oracle(seed)
+    monkeypatch.setattr(rmatrix, "contract_residual", oracle)
+    assert check_ybe(spec).passed is not shifted
+    assert oracle.calls == 1
     assert oracle.mismatches == []
