@@ -13,6 +13,7 @@ from qla.scalars import (
     LaurentPoly,
     Scalar,
     parse_poly,
+    parse_ratio,
     parse_scalar,
     poly_exact_div,
     poly_gcd,
@@ -277,6 +278,59 @@ class TestGrammar:
         for bad in ["q + 1", "p^", "2*", "p 2", "* p", ""]:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
+
+    @pytest.mark.parametrize(
+        "text, num, den",
+        [
+            ("1/2/3", {0: Fraction(1, 2)}, {0: 3}),
+            ("2/3/4/5", {0: Fraction(2, 3)}, {0: Fraction(4, 5)}),
+            ("p^-3/4", {-3: 1}, {0: 4}),
+            ("p^2/3/4", {2: 1}, {0: Fraction(3, 4)}),
+            ("p/2/3", {1: 1}, {0: Fraction(2, 3)}),
+            ("1/-2", {0: 1}, {0: -2}),
+            ("1 + 2 / 3", {0: Fraction(5, 3)}, {0: 1}),
+            ("p^2 / 3*p", {2: 1}, {1: 3}),
+            ("1/2*p^2/3", {2: Fraction(1, 2)}, {0: 3}),
+            ("2/4*p - 1/2 / p + 1", {1: Fraction(1, 2), 0: Fraction(-1, 2)}, {1: 1, 0: 1}),
+            ("  -p^-2 + 4/2*p  ", {1: 2, -2: -1}, {0: 1}),
+            ("p^ - 3", {-3: 1}, {0: 1}),
+            ("p^-0", {0: 1}, {0: 1}),
+            ("0*p + 3/6", {0: Fraction(1, 2)}, {0: 1}),
+            ("٣", {0: 3}, {0: 1}),
+            ("1\xa0+\xa0p", {1: 1, 0: 1}, {0: 1}),
+            ("0/5", {}, {0: 1}),
+            ("-0", {}, {0: 1}),
+            ("1 2", None, None),
+            ("2p", None, None),
+            ("1/2 p", None, None),
+            ("p^2 p", None, None),
+            ("p*2", None, None),
+            ("3/2^2", None, None),
+            ("2*3/4", None, None),
+            ("p^+2", None, None),
+            ("--1", None, None),
+            ("p +", None, None),
+            ("p +* 1", None, None),
+            ("", None, None),
+            ("   ", None, None),
+            ("p/", None, None),
+            ("p / p / p", None, None),
+            ("1/2/3/4/5", None, None),
+            ("1/0", None, None),
+            ("p / 0", None, None),
+            ("²", None, None),
+        ],
+    )
+    def test_edge_cases(self, text, num, den):
+        # Exact terms as written (before normalization), coefficient types included.
+        if num is None:
+            with pytest.raises(ValueError):
+                parse_ratio(text)
+            return
+        terms = [{exp: (coef, type(coef)) for exp, coef in poly.terms()}
+                 for poly in parse_ratio(text)]
+        assert terms == [{exp: (coef, type(coef)) for exp, coef in want.items()}
+                         for want in (num, den)]
 
     def test_render_guards_numerator_tail(self):
         # A ratio whose numerator has a constant term must not end the
