@@ -70,7 +70,7 @@ def main() -> int:
     results.append(null_space_lemma(Q))
     results.extend(check_bigD_identities(Q))
     results.append(check_square_antipode(Q, B))
-    results.extend(check_D_identities(spec.R, ud.D, ud.alpha))
+    results.extend(check_D_identities(spec.R, ud))
     failures = [r for r in results if not r.passed]
     for result in results:
         print(f"  {result.line()}")

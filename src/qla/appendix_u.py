@@ -39,11 +39,14 @@ class UData:
 
     ``D = alpha·rep_u`` with ``D[0,0] = 1``; ``beta`` is the scalar of the
     partial trace ``tr₁(D₁⁻¹R̂)``; ``c_scalar`` is the value of the central
-    element ρ(u·S(u)) = (αβ)⁻¹ on an irreducible bundle.
+    element ρ(u·S(u)) = (αβ)⁻¹ on an irreducible bundle.  ``D_inv`` is
+    ``alpha⁻¹·ρ(u)⁻¹``, with ρ(u)⁻¹ from :func:`rep_u_inverse`, so no matrix
+    is inverted.
     """
 
     rep_u: Mat
     D: Mat
+    D_inv: Mat
     alpha: Scalar
     beta: Scalar
     c_scalar: Scalar
@@ -64,9 +67,8 @@ def rep_u(R: BiMat) -> Mat:
 def rep_u_inverse(R: BiMat) -> Mat:
     """``ρ(u)⁻¹ = tr₂(P·tilde(R⁻¹))``.
 
-    This is an independent route to the inverse (no matrix inversion); it
-    agrees exactly with ``rep_u(R).inverse()``, which is asserted by
-    :func:`build_u_data`.
+    This is an independent route to the inverse (no matrix inversion);
+    :func:`build_u_data` asserts ``ρ(u)·ρ(u)⁻¹ = I``.
     """
     return R.inverse().tilde().flip().tr2()
 
@@ -85,14 +87,14 @@ def normalize_D(u_mat: Mat, ctx: DeformationContext) -> tuple[Mat, Scalar]:
     return D, alpha
 
 
-def beta_constant(D: Mat, R: BiMat) -> Scalar:
+def beta_constant(D: Mat, D_inv: Mat, R: BiMat) -> Scalar:
     """The scalar β with ``tr₁(D₁⁻¹R̂) = β·I``.
 
     Cross-checked against the companion identity ``tr₂(D₂R̂⁻¹) = β⁻¹·I``.
     For the unitary series β = q^{1-1/N}.
     """
     n = D.nrows
-    beta = identity_multiple(contract("im,jmil->jl", D.inverse().to_sparse(), R.to4dict()), n)
+    beta = identity_multiple(contract("im,jmil->jl", D_inv.to_sparse(), R.to4dict()), n)
     if not beta:
         raise ValueError("tr₁(D₁⁻¹R̂) is not a nonzero multiple of the identity")
     cross = contract("jn,injk->ik", D.to_sparse(), R.inverse().to4dict())
@@ -101,10 +103,8 @@ def beta_constant(D: Mat, R: BiMat) -> Scalar:
     return beta
 
 
-def check_D_identities(
-    R: BiMat, D: Mat, alpha: Scalar, seed: int = 0
-) -> list[CheckResult]:
-    """The identity family satisfied by the D-matrix.
+def check_D_identities(R: BiMat, ud: UData, seed: int = 0) -> list[CheckResult]:
+    """The identity family satisfied by the D-matrix of ``ud``.
 
     (a) ``α·tr₁(D₁⁻¹R̂⁻¹) = I`` and ``α⁻¹·tr₂(D₂R̂) = I``;
     (b) ``R̃ = D₁⁻¹R⁻¹D₁ = D₂R⁻¹D₂⁻¹``;
@@ -113,9 +113,9 @@ def check_D_identities(
 
     β's defining traces are validated inside :func:`beta_constant`.
     """
-    n = D.nrows
+    n, alpha = ud.D.nrows, ud.alpha
     eye = delta(n)
-    d, d_inv = D.to_sparse(), D.inverse().to_sparse()
+    d, d_inv = ud.D.to_sparse(), ud.D_inv.to_sparse()
     r, r_inv, til = R.to4dict(), R.inverse().to4dict(), R.tilde().to4dict()
     results = [
         check_sparse_zero("u-trace[a1]", contract_residual(("im,mjli,->jl", d_inv, r_inv, {(): alpha}), eye)),
@@ -147,17 +147,19 @@ def check_D_identities(
 def build_u_data(R: BiMat, ctx: DeformationContext) -> UData:
     """Assemble the full u-calculus for one R-matrix.
 
-    Asserts the exact-inverse identity ``tr₂(P·tilde(R⁻¹)) = ρ(u)⁻¹`` and
+    Asserts that ``tr₂(P·tilde(R⁻¹))`` is ρ(u)⁻¹ (their product is I) and
     returns the constants; ``c_scalar = (αβ)⁻¹``.
     """
-    u_mat = rep_u(R)
-    if rep_u_inverse(R) != u_mat.inverse():
+    u_mat, u_inv = rep_u(R), rep_u_inverse(R)
+    if contract("ij,jk->ik", u_mat.to_sparse(), u_inv.to_sparse()) != delta(R.N):
         raise ValueError("u-inverse consistency failed: tr₂(P·tilde(R⁻¹)) ≠ ρ(u)⁻¹")
     D, alpha = normalize_D(u_mat, ctx)
-    beta = beta_constant(D, R)
+    D_inv = u_inv.scale(alpha ** -1)
+    beta = beta_constant(D, D_inv, R)
     return UData(
         rep_u=u_mat,
         D=D,
+        D_inv=D_inv,
         alpha=alpha,
         beta=beta,
         c_scalar=(alpha * beta) ** -1,

@@ -216,8 +216,7 @@ def _suite_qla(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
 
 
 def _suite_appendix(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
-    ud = ppl.udata
-    out = check_D_identities(ppl.spec.R, ud.D, ud.alpha)
+    out = check_D_identities(ppl.spec.R, ppl.udata)
     lmats = fundamental_L_matrices(ppl.spec)
     out.extend(check_rll(ppl.spec, lmats))
     out.append(check_antipode_inverse(lmats))

@@ -80,7 +80,9 @@ def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
 
     Solves ``f_{AB}{}^C 𝒟^B = 0`` for all A, C; the kernel must be
     one-dimensional and proportional to ``𝒟^{(ij)} = (D⁻¹)^j_i``, which is
-    the normalization returned (so that 𝒟⁰ = 1 in the primed basis).
+    the normalization returned (so that 𝒟⁰ = 1 in the primed basis).  That
+    holds exactly when ``D^i_j 𝒟^{(kj)} = s·δ^i_k`` with s ≠ 0, so D is not
+    inverted: the vector is divided by s.
     """
     n = Q.n
     N = math.isqrt(n)
@@ -94,16 +96,11 @@ def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
             f"{len(kernel)}, expected 1"
         )
     vec = kernel[0]
-    D_inv = D.inverse()
-    target = [D_inv[j, i] for i in range(N) for j in range(N)]
-    pivot = next(i for i, v in enumerate(vec) if not v.is_zero)
-    if target[pivot].is_zero:
+    pattern = {divmod(A, N): v for A, v in enumerate(vec) if v}
+    scale = identity_multiple(contract("ij,kj->ik", D.to_sparse(), pattern), N)
+    if not scale:
         raise ValueError("null vector is not proportional to the inverse D pattern")
-    scale = target[pivot] * vec[pivot].inv()
-    scaled = [v * scale for v in vec]
-    if scaled != target:
-        raise ValueError("null vector is not proportional to the inverse D pattern")
-    return scaled
+    return [v / scale for v in vec]
 
 
 def build_primed(

@@ -15,19 +15,20 @@ and the Kronecker codec (:func:`cleared_numerators`, :func:`pack_terms`,
 A small text grammar serializes scalars::
 
     scalar := poly | poly "/" poly
-    poly   := term (("+" | "-") term)*
+    poly   := ["+" | "-"] term (("+" | "-") term)*
     term   := coeff | coeff "*" mono | mono
-    mono   := "p" | "p^" int
+    mono   := "p" | "p^" ["-"] int
     coeff  := int | int "/" posint
 
-Whitespace is insignificant.  A ``/`` sitting between two bare integers binds
-as a rational coefficient, unless the left integer is an exponent (it follows
-``^``); any other ``/`` separates numerator and denominator.
+Whitespace is insignificant.  A coefficient stands at the start of a term, so
+``int "/" int`` there is one rational coefficient; any other ``/`` separates
+numerator and denominator (``p^-3/4`` is ``p^-3`` over 4).
 :meth:`Scalar.render` only emits strings that parse back to the same value.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -668,147 +669,34 @@ def render_poly(poly: LaurentPoly, guard_tail: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "int" | "frac" | "op" | "p"
-    value: object
+# One term: an optional sign, then a coefficient (``int`` or ``int/int``), a
+# monomial (``p``, ``p^int`` or ``p^-int``), or both joined by ``*``.
+_TERM = re.compile(
+    r"\s*([+-]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?)?(\s*\*)?\s*(p(?:\s*\^\s*(-?)\s*(\d+))?)?"
+)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j])))
-            i = j
-            continue
-        if ch in "+-*/^":
-            toks.append(_Tok("op", ch))
-            i += 1
-            continue
-        if ch == "p":
-            toks.append(_Tok("p", "p"))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} in scalar text")
-    # Fuse int "/" posint into rational-coefficient tokens (left to right),
-    # except when the left integer is an exponent (it follows "^" or "^-").
-    fused: list[_Tok] = []
-    i = 0
-    while i < len(toks):
-        if (
-            i + 2 < len(toks)
-            and toks[i].kind == "int"
-            and toks[i + 1].kind == "op"
-            and toks[i + 1].value == "/"
-            and toks[i + 2].kind == "int"
-            and not _exponent_position(toks, i)
-        ):
-            if not toks[i + 2].value:
-                raise ValueError("zero denominator in a rational coefficient")
-            fused.append(_Tok("frac", _as_coef(toks[i].value, toks[i + 2].value)))
-            i += 3
-        else:
-            fused.append(toks[i])
-            i += 1
-    return fused
+def _unexpected(text: str, pos: int) -> ValueError:
+    rest = text[pos:].strip()
+    return ValueError(f"unexpected {repr(rest) if rest else 'end'} in scalar text {text!r}")
 
 
-def _exponent_position(toks: list[_Tok], i: int) -> bool:
-    if i >= 1 and toks[i - 1].kind == "op" and toks[i - 1].value == "^":
-        return True
-    return (
-        i >= 2
-        and toks[i - 1].kind == "op"
-        and toks[i - 1].value == "-"
-        and toks[i - 2].kind == "op"
-        and toks[i - 2].value == "^"
-    )
-
-
-class _PolyParser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of scalar text")
-        self.pos += 1
-        return tok
-
-    def parse_poly(self) -> LaurentPoly:
-        total = LaurentPoly.zero()
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.value in "+-":
-            self.take()
-            sign = -1 if tok.value == "-" else 1
-        total = total + self.parse_term().scale(sign)
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return total
-            if tok.kind == "op" and tok.value in "+-":
-                self.take()
-                sign = -1 if tok.value == "-" else 1
-                total = total + self.parse_term().scale(sign)
-            else:
-                raise ValueError(f"unexpected token {tok.value!r} in polynomial")
-
-    def parse_term(self) -> LaurentPoly:
-        tok = self.take()
-        if tok.kind in ("int", "frac"):
-            coef = tok.value
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.value == "*":
-                self.take()
-                exp = self.parse_mono()
-                return LaurentPoly.monomial(exp, coef)
-            return LaurentPoly.const(coef)
-        if tok.kind == "p":
-            self.pos -= 1
-            exp = self.parse_mono()
-            return LaurentPoly.monomial(exp, 1)
-        raise ValueError(f"unexpected token {tok.value!r} at start of term")
-
-    def parse_mono(self) -> int:
-        tok = self.take()
-        if tok.kind != "p":
-            raise ValueError(f"expected 'p', found {tok.value!r}")
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "op" and nxt.value == "^":
-            self.take()
-            sign = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.value == "-":
-                self.take()
-                sign = -1
-            exp_tok = self.take()
-            if exp_tok.kind != "int":
-                raise ValueError("expected integer exponent after '^'")
-            return sign * int(exp_tok.value)
-        return 1
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    parser = _PolyParser(_tokenize(text))
-    poly = parser.parse_poly()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in polynomial text {text!r}")
-    return poly
+def _poly_at(text: str, pos: int) -> tuple[LaurentPoly, int]:
+    """The polynomial that starts at ``text[pos]``, and the position where it stops."""
+    terms: dict[int, object] = {}
+    while True:
+        match = _TERM.match(text, pos)
+        sign, num, den, star, mono, neg, exp = match.groups()
+        if not ((sign or not terms) and (num or mono) and bool(star) == bool(num and mono)):
+            if not terms:
+                raise _unexpected(text, pos)
+            return LaurentPoly(terms), pos
+        if den is not None and not int(den):
+            raise ValueError("zero denominator in a rational coefficient")
+        coef = 1 if num is None else _as_coef(int(num), int(den or 1))
+        power = 0 if mono is None else int(exp or 1) * (-1 if neg else 1)
+        terms[power] = terms.get(power, 0) + (-coef if sign == "-" else coef)
+        pos = match.end()
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -817,25 +705,12 @@ def parse_scalar(text: str) -> Scalar:
 
 def parse_ratio(text: str) -> tuple[LaurentPoly, LaurentPoly]:
     """Numerator and denominator of scalar text, as written (not yet normalized)."""
-    toks = _tokenize(text)
-    splits = [i for i, tok in enumerate(toks) if tok.kind == "op" and tok.value == "/"]
-    if not splits:
-        parser = _PolyParser(toks)
-        poly = parser.parse_poly()
-        if parser.peek() is not None:
-            raise ValueError(f"trailing tokens in scalar text {text!r}")
-        return poly, _LP_ONE
-    if len(splits) > 1:
-        raise ValueError("at most one top-level '/' is allowed in scalar text")
-    split = splits[0]
-    num_parser = _PolyParser(toks[:split])
-    num = num_parser.parse_poly()
-    if num_parser.peek() is not None:
-        raise ValueError("numerator did not parse cleanly")
-    den_parser = _PolyParser(toks[split + 1 :])
-    den = den_parser.parse_poly()
-    if den_parser.peek() is not None:
-        raise ValueError("denominator did not parse cleanly")
+    num, pos = _poly_at(text, 0)
+    den = _LP_ONE
+    if text[pos:].lstrip().startswith("/"):
+        den, pos = _poly_at(text, text.index("/", pos) + 1)
+    if text[pos:].strip():
+        raise _unexpected(text, pos)
     if den.is_zero:
         raise ValueError("zero denominator")
     return num, den

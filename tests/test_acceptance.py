@@ -163,7 +163,7 @@ def test_criterion_3_su3_suite():
     results.extend(check_bigD_identities(Q))
     results.append(check_square_antipode(Q, B))
     ud = build_u_data(spec.R, ctx)
-    results.extend(check_D_identities(spec.R, ud.D, ud.alpha))
+    results.extend(check_D_identities(spec.R, ud))
     lmats = fundamental_L_matrices(spec)
     results.extend(check_rll(spec, lmats))
     results.append(check_antipode_inverse(lmats))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,11 @@ SO3 = Path(__file__).parent / "data" / "so3.json"
 
 def _spec(name):
     return sun_r_matrix(3) if name == "su3" else load_r_matrix(SO3)
+
+
+def _with_D(data, D):
+    """``data`` with its D-matrix (and D⁻¹) replaced by ``D``."""
+    return replace(data, D=D, D_inv=D.inverse())
 
 
 def _conjugated(R, G):
@@ -88,23 +94,23 @@ class TestBetaConstant:
     def test_sun_beta(self, N, beta_exp):
         spec = sun_r_matrix(N)
         D, _ = normalize_D(rep_u(spec.R), spec.ctx)
-        assert beta_constant(D, spec.R) == S(beta_exp)
+        assert beta_constant(D, D.inverse(), spec.R) == S(beta_exp)
 
     def test_classical_limit_is_one(self):
         spec = sun_r_matrix(2)
         D, _ = normalize_D(rep_u(spec.R), spec.ctx)
-        assert beta_constant(D, spec.R).eval_at(1) == S("1").eval_at(1)
+        assert beta_constant(D, D.inverse(), spec.R).eval_at(1) == S("1").eval_at(1)
 
     def test_inconsistent_D_rejected(self):
         spec = sun_r_matrix(2)
         bad_D = Mat.diagonal([S("1"), S("p^9")])
         with pytest.raises(ValueError):
-            beta_constant(bad_D, spec.R)
+            beta_constant(bad_D, bad_D.inverse(), spec.R)
 
     def test_asymmetric_D_fails_the_defining_trace(self):
         D = Mat([[S("1"), S("p")], [S("0"), S("p^2")]])
         with pytest.raises(ValueError) as info:
-            beta_constant(D, sun_r_matrix(2).R)
+            beta_constant(D, D.inverse(), sun_r_matrix(2).R)
         assert str(info.value) == "tr₁(D₁⁻¹R̂) is not a nonzero multiple of the identity"
 
     def test_asymmetric_D_fails_the_cross_check(self):
@@ -112,7 +118,7 @@ class TestBetaConstant:
         # tr₂(D₂R̂⁻¹) = D, which is no multiple of I here.
         D = Mat([[S("1"), S("p")], [S("0"), S("1")]])
         with pytest.raises(ValueError) as info:
-            beta_constant(D, BiMat.identity(2).flip())
+            beta_constant(D, D.inverse(), BiMat.identity(2).flip())
         assert str(info.value) == "β cross-check failed: tr₂(D₂R̂⁻¹) ≠ β⁻¹·I"
 
 
@@ -121,7 +127,7 @@ class TestDIdentities:
     def test_all_identities_pass(self, N):
         spec = sun_r_matrix(N)
         data = build_u_data(spec.R, spec.ctx)
-        for result in check_D_identities(spec.R, data.D, data.alpha):
+        for result in check_D_identities(spec.R, data):
             assert result.passed, result.line()
 
     def test_perturbed_D_fails_tilde_identity(self):
@@ -129,7 +135,7 @@ class TestDIdentities:
         data = build_u_data(spec.R, spec.ctx)
         bad_D = Mat(data.D.rows)
         bad_D[1, 1] = S("p^7")
-        results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha)}
+        results = {r.name: r for r in check_D_identities(spec.R, _with_D(data, bad_D))}
         assert not results["u-tilde[b1]"].passed
         assert not results["u-trace[a1]"].passed
         assert [r.line() for r in results.values()] == [
@@ -147,7 +153,7 @@ class TestDIdentities:
         data = build_u_data(spec.R, spec.ctx)
         bad_D = Mat(data.D.rows)
         bad_D[0, 1] = S("p")
-        results = {r.name: r for r in check_D_identities(spec.R, bad_D, data.alpha)}
+        results = {r.name: r for r in check_D_identities(spec.R, _with_D(data, bad_D))}
         assert not results["u-comm[c]"].passed
         assert [r.line() for r in results.values()] == [
             "FAIL  u-trace[a1]  [at (0, 1): residual -p^3]",
@@ -188,14 +194,14 @@ class TestDIdentities:
         bad_D = Mat(data.D.rows)
         bad_D[0, 1] = bad_D[0, 1] + S("p")
         bad_D[2, 0] = bad_D[2, 0] + S("1/2")
-        lines = [r.line() for r in check_D_identities(spec.R, bad_D, data.alpha)]
+        lines = [r.line() for r in check_D_identities(spec.R, _with_D(data, bad_D))]
         assert lines == self.OFFDIAGONAL_LINES[name]
 
     @pytest.mark.parametrize("name", ["su3", "so3"])
     def test_scaled_alpha_fails_only_the_traces(self, name):
         spec = _spec(name)
         data = build_u_data(spec.R, spec.ctx)
-        lines = [r.line() for r in check_D_identities(spec.R, data.D, data.alpha * S("p"))]
+        lines = [r.line() for r in check_D_identities(spec.R, replace(data, alpha=data.alpha * S("p")))]
         assert lines == [
             "FAIL  u-trace[a1]  [at (0, 0): residual p - 1]",
             "FAIL  u-trace[a2]  [at (0, 0): residual -1 + p^-1]",
@@ -219,7 +225,7 @@ class TestDIdentities:
         data = build_u_data(R, spec.ctx)
         assert data.D != data.D.t()
         assert data.beta == S("p^2")
-        for result in check_D_identities(R, data.D, data.alpha):
+        for result in check_D_identities(R, data):
             assert result.passed, result.line()
 
 
@@ -230,6 +236,7 @@ class TestBuildUData:
         data = build_u_data(spec.R, spec.ctx)
         assert data.c_scalar == (data.alpha * data.beta) ** -1
         assert data.D == data.rep_u.scale(data.alpha)
+        assert data.D_inv == data.D.inverse()
 
     def test_su2_c_scalar_value(self):
         spec = sun_r_matrix(2)

@@ -315,8 +315,12 @@ class TestCheckCommand:
             ('{"label": "x", "n": 2, "root_order": 1,'
              ' "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "value": 3}]}',
              "entry 0: 'value' must be a string, not 3"),
+            ('{"label": "x", "n": 2, "root_order": 1,'
+             ' "entries": [{"i": 0, "j": 0, "k": 0, "l": 0, "value": "p +* 1"}]}',
+             "entry 0: unexpected '+* 1' in scalar text 'p +* 1'"),
         ],
-        ids=["singular", "json", "missing", "label", "list-file", "entry", "null-value", "int-value"],
+        ids=["singular", "json", "missing", "label", "list-file", "entry", "null-value", "int-value",
+             "bad-scalar"],
     )
     def test_load_error_names_the_path_once(self, tmp_path, capsys, content, detail):
         path = tmp_path / "r.json"

@@ -423,3 +423,5 @@ class TestReports:
         sizes = Counter(M.nrows for M in inverted)
         # The 9×9 inverses are T and 𝔻; the one 8×8 is the fn metric's traceless block.
         assert (sizes[9], sizes[8]) == (2, 1)
+        # D⁻¹ and ρ(u)⁻¹ come from the u-data, so only the square-antipode check inverts ρ(u).
+        assert sizes[3] <= 1
