@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qla import tensors
 from qla.cli import (
     ConfigError,
     RunConfig,
@@ -346,6 +347,24 @@ class TestCheckCommand:
         argv = ["check", "--group", "su", "--n", "2", "--checks", "ybe", "--out", str(target)]
         assert main(argv) == 0
         assert "ybe[su2]" in target.read_text()
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["check", "--n", "3"], 12),
+        (["check", "--group", "external", "--r-matrix", str(SO3_FILE),
+          "--checks", "ybe,cubic:eps=1,qla,appendix"], 9),
+    ])
+    def test_no_matrix_is_inverted_twice(self, argv, calls, monkeypatch, capsys):
+        inverted = []
+        block_inverse = tensors._block_inverse
+
+        def recording(entries, size):
+            inverted.append((dict(entries), size))
+            return block_inverse(entries, size)
+
+        monkeypatch.setattr(tensors, "_block_inverse", recording)
+        assert main(argv) == 0
+        assert len(inverted) == calls
+        assert all(a != b for i, a in enumerate(inverted) for b in inverted[:i])
 
     def test_failure_exit_code(self, so3_path, capsys):
         argv = ["check", "--group", "external", "--r-matrix", so3_path,

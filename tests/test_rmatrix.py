@@ -116,6 +116,16 @@ class TestYangBaxterAndCharacteristic:
         bad = BiMat(2, {**R4, (0, 1, 1, 0): R4.get((0, 1, 1, 0), Scalar.zero()) + S(text)})
         assert check_ybe(RMatrixSpec(label="bad", ctx=spec.ctx, R=bad)).line() == line
 
+    @pytest.mark.parametrize("N, line", [
+        (2, "FAIL  hecke[bad]  [at (1, 2): residual 1]"),
+        (3, "FAIL  hecke[bad]  [at (1, 3): residual 1]"),
+    ])
+    def test_perturbed_r_fails_hecke_with_witness(self, N, line):
+        spec = sun_r_matrix(N)
+        R4 = spec.R.to4dict()
+        bad = BiMat(N, {**R4, (0, 1, 1, 0): R4.get((0, 1, 1, 0), Scalar.zero()) + S("p")})
+        assert check_characteristic(RMatrixSpec(label="bad", ctx=spec.ctx, R=bad), "hecke").line() == line
+
     def test_cubic_on_synthetic_diagonal_braid(self):
         # Build R so that the braid matrix is diagonal with exactly the three
         # admissible eigenvalues for eps = -1: q, -1/q, -q^{eps-N}.

@@ -151,6 +151,16 @@ class TestRossoTruncation:
         assert result.passed
         assert result.name == "r-truncation"
 
+    def test_scaled_lambda_entry_fails_both_r_matrix_checks(self, tables):
+        R4 = tables.R_sl2.to4dict()
+        tables.R_sl2 = BiMat(2, {**R4, (1, 0, 0, 1): R4[(1, 0, 0, 1)] * S("p")})
+        failing = [result.line() for result in golden_suite(tables) if not result.passed]
+        witness = "[at (2, 1): residual -p^2 + p + p^-2 - p^-3]"
+        assert failing == [
+            f"FAIL  fundamental-r-matrix  (R-matrix of the standard N = 2 solution)  {witness}",
+            f"FAIL  r-truncation  (n = 0 and n = 1 terms of the universal R-matrix)  {witness}",
+        ]
+
     def test_zeroth_term_alone_misses_lambda_entry(self, tables):
         from qla.reporting import check_composite_zero
 
