@@ -19,7 +19,7 @@ from qla.cli import main as qla_main
 from qla.rmatrix import RMatrixSpec, save_r_matrix
 from qla.scalars import DeformationContext, parse_scalar
 from qla.su2_golden import rosso_term
-from qla.tensors import Mat
+from qla.tensors import BiMat, Mat, contract_residual
 
 S = parse_scalar
 
@@ -35,7 +35,8 @@ def spin1_r_matrix() -> RMatrixSpec:
         X_plus=Mat([[zero, one, zero], [zero, zero, two], [zero, zero, zero]]),
         X_minus=Mat([[zero, zero, zero], [two, zero, zero], [zero, one, zero]]),
     )
-    total = rosso_term(rep, 0) + rosso_term(rep, 1) + rosso_term(rep, 2)
+    t0, t1, t2 = (rosso_term(rep, n).to4dict() for n in range(3))
+    total = BiMat(3, contract_residual(t0, add=[t1, t2]))
     # The braid matrix has eigenvalues Q, -1/Q, 1/Q^2 with Q = q^2, so the
     # saved context declares root order 2: the cubic characteristic
     # equation then holds verbatim with eps = +1.

@@ -4,12 +4,13 @@ The element u implements the square of the antipode by conjugation; its
 representation image weights every trace in the theory.  This module computes
 ρ(u) directly from a numerical R-matrix, normalizes it into the diagonal
 D-matrix, extracts the scalar constants α and β, and verifies the identity
-family that D satisfies.  Each trace and each identity residual is one
-:func:`~qla.tensors.contract` or :func:`~qla.tensors.contract_residual` over
-the sparse D, D⁻¹, R, R⁻¹ and R̃.  A factor D₁ = D⊗I or D₂ = I⊗D is D on the
-letters of that tensor factor, R̂ = P·R is R with its row letters swapped,
-R̂⁻¹ = R⁻¹·P is R⁻¹ with its column letters swapped, and a partial trace
-repeats a letter.
+family that D satisfies.  ρ(u), ρ(u)⁻¹, each trace and each identity residual
+is one :func:`~qla.tensors.contract` or :func:`~qla.tensors.contract_residual`
+over the sparse D, D⁻¹, R, R⁻¹, R̃ and tilde(R⁻¹), the last three formed once
+on R.  A factor D₁ = D⊗I or D₂ = I⊗D is D on the letters of that tensor
+factor, R̂ = P·R is R with its row letters swapped, R̂⁻¹ = R⁻¹·P is R⁻¹ with
+its column letters swapped, a partial trace sums a letter shared by the two
+factors, and tr₂ of P·X is a contraction with :func:`~qla.tensors.delta`.
 """
 
 from __future__ import annotations
@@ -57,20 +58,19 @@ def rep_u(R: BiMat) -> Mat:
 
     The normalization is fixed so that no further scalar appears: for the
     unitary-series fundamental R-matrix at N = 2 this evaluates to
-    ``q^{-5/2}·diag(1, q²)``.  Formed once per R.
+    ``q^{-5/2}·diag(1, q²)``.  One contraction of the cached R̃:
+    ``ρ(u)^i_k = Σ_m R̃^{mi}_{km}``.
     """
-    if "u" not in R.derived:
-        R.derived["u"] = R.tilde().flip().tr2()
-    return R.derived["u"]
+    return Mat.from_sparse(contract("mikn,mn->ik", R.tilde().to4dict(), delta(R.N)), R.N)
 
 
 def rep_u_inverse(R: BiMat) -> Mat:
-    """``ρ(u)⁻¹ = tr₂(P·tilde(R⁻¹))``.
+    """``ρ(u)⁻¹ = tr₂(P·tilde(R⁻¹))``, the same contraction of tilde(R⁻¹).
 
     This is an independent route to the inverse (no matrix inversion);
     :func:`build_u_data` asserts ``ρ(u)·ρ(u)⁻¹ = I``.
     """
-    return R.inverse().tilde().flip().tr2()
+    return Mat.from_sparse(contract("mikn,mn->ik", R.inverse().tilde().to4dict(), delta(R.N)), R.N)
 
 
 def normalize_D(u_mat: Mat, ctx: DeformationContext) -> tuple[Mat, Scalar]:

@@ -123,32 +123,18 @@ def build_primed(
         raise ValueError("the trace of the central element vanishes in this bundle")
     ratios = [traces[A] * I0.inv() for A in range(n)]
 
-    # Full primed coordinate columns χ′_A = e_A − (I_A/I₀)·𝒟; they satisfy
-    # Σ_A 𝒟^A χ′_A = 0, so exactly one may be dropped.
-    primed_cols = []
-    for A in range(n):
-        col = [-(ratios[A] * d_vec[E]) for E in range(n)]
-        col[A] = col[A] + _ONE
-        primed_cols.append(col)
-    for E in range(n):
-        acc = _ZERO
-        for A in range(n):
-            acc = acc + d_vec[A] * primed_cols[A][E]
-        if not acc.is_zero:
-            raise ValueError("primed generators fail the dependence relation")
-
+    # Column A + 1 of T is the primed generator χ′_A = e_A − (I_A/I₀)·𝒟.  They
+    # satisfy Σ_A 𝒟^A χ′_A = 0 (Σ_A 𝒟^A I_A = I₀), so the last one is dropped.
     if T_override is not None:
         T = T_override
         for E in range(n):
             if T[E, 0] != d_vec[E]:
                 raise ValueError("column 0 of the basis override must be 𝒟")
     else:
-        T = Mat.zeros(n)
-        for E in range(n):
-            T[E, 0] = d_vec[E]
-        for A in range(n - 1):
-            for E in range(n):
-                T[E, A + 1] = primed_cols[A][E]
+        T = Mat(
+            [[d_vec[E]] + [(_ONE if E == A else _ZERO) - ratios[A] * d_vec[E] for A in range(n - 1)]
+             for E in range(n)]
+        )
     try:
         T_inv = T.inverse()
     except ValueError as exc:

@@ -11,10 +11,9 @@ ad′ of :func:`~qla.primed_basis.adjoint_prime`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .appendix_u import rep_u
-from .reporting import CheckResult, check_composite_zero, check_sparse_zero
+from .reporting import CheckResult, check_composite_zero, check_sparse_zero, skipped
 from .scalars import DeformationContext, Scalar, parse_scalar
 from .tensors import (
     BiMat,
@@ -87,15 +86,6 @@ class QlaStructure:
     F_adj: BiMat
     lam: Scalar
 
-    @cached_property
-    def perm_bigR_tilde(self) -> BiMat:
-        """tilde(Pℝ), the contraction inverse of the un-braided ℝ that defines 𝔻.
-
-        Derived from ``bigR`` on first use; :func:`build_structure` fills it
-        with the one it formed, so it is inverted once per structure.
-        """
-        return self.bigR.flip().tilde()
-
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -115,10 +105,9 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
     """
     N = R.N
     lam_inv = ctx.lam() ** -1
-    gen = {
-        (k * N + l, i, j): -lam_inv * val
-        for (k, i, l, j), val in (R.hat_squared() - BiMat.identity(N)).to4dict().items()
-    }
+    eye = delta(N)
+    hat2_minus_eye = contract_residual(R.hat_squared().to4dict(), ("ik,jl->ijkl", eye, eye))
+    gen = {(k * N + l, i, j): -lam_inv * val for (k, i, l, j), val in hat2_minus_eye.items()}
     R4 = R.to4dict()
     orep = {
         (i * N + j, k * N + l, x, z): val
@@ -173,15 +162,13 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
     # tilde operation applies to its un-braided companion P·ℝ.  The result
     # solves the exchange system Σ_{C,B} T^{AB}_{CD} ℝ^{FC}_{EB} = δ^A_E δ^F_D
     # coming from the antipode axioms.
-    til_big = bigR.flip().tilde()
-    bigD = Mat.from_sparse(contract("cabd,dc->ab", til_big.to4dict(), delta(n)), n)
+    til_big = bigR.flip().tilde().to4dict()
+    bigD = Mat.from_sparse(contract("cabd,dc->ab", til_big, delta(n)), n)
 
     I_id = [_ONE if A // N == A % N else _ZERO for A in range(n)]
-    Q = QlaStructure(
+    return QlaStructure(
         ctx=ctx, n=n, bigR=bigR, f=f, I_id=I_id, bigD=bigD, F_adj=F_adj, lam=lam
     )
-    Q.perm_bigR_tilde = til_big
-    return Q
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +221,7 @@ def verify_qla(
     )
 
     if skip_heavy and Q.n >= 9:
-        results.append(
-            CheckResult("ybe-qla", True, detail="skipped (heavy)", skipped=True)
-        )
+        results.append(skipped("ybe-qla", "skipped (heavy)"))
     else:
         results.append(check_sparse_zero("ybe-qla", braid_residual(Q.bigR)))
 
@@ -378,7 +363,7 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
     )
     results = [check_composite_zero("bigD-comm", comm, Q.n)]
     residual = contract_residual(
-        Q.perm_bigR_tilde.to4dict(),
+        Q.bigR.flip().tilde().to4dict(),
         ("ae,ebcf,fd->abdc", Q.bigD.inverse().to_sparse(), Q.bigR.inverse().to4dict(), bigD),
     )
     results.append(check_sparse_zero("bigD-tilde", residual))

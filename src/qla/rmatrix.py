@@ -103,19 +103,23 @@ def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -
     with ``eps`` ∈ {+1, −1}.
     """
     ctx, N = spec.ctx, spec.N
-    rhat = spec.hat()
-    eye = BiMat.identity(N)
+    rhat = spec.hat().to4dict()
+    eye = delta(N)
     if kind == "hecke":
         coeff1 = ctx.q_power(Fraction(-1, N)) * ctx.lam()
         coeff0 = ctx.q_power(Fraction(-2, N))
-        residual = spec.R.hat_squared() - rhat.scale(coeff1) - eye.scale(coeff0)
-        return check_composite_zero(f"hecke[{spec.label}]", residual.to4dict(), N)
+        residual = contract_residual(
+            spec.R.hat_squared().to4dict(),
+            ("ijkl,->ijkl", rhat, {(): coeff1}),
+            ("ik,jl,->ijkl", eye, eye, {(): coeff0}),
+        )
+        return check_composite_zero(f"hecke[{spec.label}]", residual, N)
     if kind == "cubic":
         if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
         q = ctx.q_power(1)
         roots = [q, -ctx.q_power(-1), ctx.scalar(eps) * ctx.q_power(eps - N)]
-        factors = [(rhat - eye.scale(root)).to4dict() for root in roots]
+        factors = [contract_residual(rhat, ("ik,jl,->ijkl", eye, eye, {(): root})) for root in roots]
         residual = contract("ijab,abcd,cdkl->ijkl", *factors)
         return check_composite_zero(f"cubic[{spec.label},eps={eps:+d}]", residual, N)
     raise ValueError(f"unknown characteristic kind {kind!r}")

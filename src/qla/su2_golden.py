@@ -214,13 +214,13 @@ def universal_r_truncation(tables: Su2Tables) -> CheckResult:
     the tabulated R-matrix.
     """
     name = "r-truncation"
-    if not rosso_term(tables, 2).is_zero:
+    if rosso_term(tables, 2).to4dict():
         return CheckResult(name, False, detail="series does not terminate at n = 2")
-    total = rosso_term(tables, 0) + rosso_term(tables, 1)
+    zeroth, first = (rosso_term(tables, n).to4dict() for n in (0, 1))
     return check_composite_zero(
         name,
-        (total - tables.R_sl2).to4dict(),
-        total.N,
+        contract_residual(zeroth, tables.R_sl2.to4dict(), add=[first]),
+        tables.R_sl2.N,
         detail="n = 0 and n = 1 terms of the universal R-matrix",
     )
 
@@ -401,7 +401,7 @@ def golden_suite(tables: Su2Tables | None = None, ppl: Pipeline | None = None) -
     results = [
         check_composite_zero(
             "fundamental-r-matrix",
-            (ppl.spec.R - tables.R_sl2).to4dict(),
+            contract_residual(ppl.spec.R.to4dict(), tables.R_sl2.to4dict()),
             ctx.N,
             detail="R-matrix of the standard N = 2 solution",
         ),

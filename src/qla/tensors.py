@@ -2,11 +2,11 @@
 
 Provides :class:`Mat`, the small dense matrix of :class:`~qla.scalars.Scalar`
 entries that representation matrices and metrics are stored, eliminated
-(exact inverse, null space) and rendered in, and :class:`BiMat`, the
-sparse matrix over a composite double index: a ``{(i, j, k, l): Scalar}``
-dict that never holds a zero, with the partial transpose, the partial trace
-ρ(u) is read from and the "tilde" contraction inverse used throughout the
-R-matrix constructions.  Both inverses run block by block over the connected
+(exact inverse, null space) and rendered in, and :class:`BiMat`, an R-matrix
+(or ℝ, 𝔽 over doubled labels) as a ``{(i, j, k, l): Scalar}`` dict that never
+holds a zero, together with what is formed from it once: its inverse, its
+flip P·M, its "tilde" contraction inverse (the inverse of its partial
+transpose) and R̂².  Both inverses run block by block over the connected
 components of the nonzero pattern (:func:`_components`), and each block's
 inverse is :meth:`Mat.rref` of ``[block | I]``: one Gauss–Jordan elimination
 serves inverses and null spaces.  :func:`contract` is a sparse einsum
@@ -383,12 +383,12 @@ class BiMat:
     ``entries[(i, j, k, l)]``, and a zero is never stored, so the dict is the
     4-index sparse tensor :func:`contract` reads.  This is the natural home
     of R-matrices (operators on a two-fold tensor product) and of structure
-    tensors over doubled labels.  Index maps (``t1``, ``flip``, ``tr2``) move
-    keys; products and sums are contractions.  A BiMat is immutable: no
-    method changes it, and neither may a caller change the dict ``to4dict``
-    returns, so ``derived``, what is formed from the matrix once and shared
-    (its inverse, tilde, R̂², ρ(u)), cannot go stale.  A changed matrix is a
-    new one, ``BiMat(N, {**M.to4dict(), key: value})``.
+    tensors over doubled labels; products, sums and traces of them are
+    contractions.  A BiMat is immutable: no method changes it, and neither
+    may a caller change the dict ``to4dict`` returns, so ``derived``, what is
+    formed from the matrix once and shared (its inverse, flip, tilde and R̂²),
+    cannot go stale.  A changed matrix is a new one, ``BiMat(N,
+    {**M.to4dict(), key: value})``.
     """
 
     __slots__ = ("N", "entries", "derived")
@@ -396,15 +396,11 @@ class BiMat:
     def __init__(self, N: int, entries: Mapping[tuple[int, int, int, int], Scalar] | None = None):
         self.N = N
         self.entries: SparseTensor = {key: val for key, val in (entries or {}).items() if val}
-        self.derived: dict[str, object] = {}
-
-    # -- constructors --------------------------------------------------------
+        self.derived: dict[str, BiMat] = {}
 
     @classmethod
     def identity(cls, N: int) -> BiMat:
         return cls(N, {(i, j, i, j): _ONE for i in range(N) for j in range(N)})
-
-    # -- access ----------------------------------------------------------------
 
     def to4dict(self) -> SparseTensor:
         """The stored ``{(i, j, k, l): value}`` dict itself; callers must not change it."""
@@ -418,22 +414,6 @@ class BiMat:
     def __hash__(self):
         raise TypeError("BiMat is unhashable")
 
-    # -- arithmetic ----------------------------------------------------------------
-
-    def __matmul__(self, other: BiMat) -> BiMat:
-        return BiMat(self.N, contract("ijmn,mnkl->ijkl", self.entries, other.entries))
-
-    def __add__(self, other: BiMat) -> BiMat:
-        return BiMat(self.N, contract_residual(self.entries, add=[other.entries]))
-
-    def __sub__(self, other: BiMat) -> BiMat:
-        return BiMat(self.N, contract_residual(self.entries, other.entries))
-
-    def scale(self, factor: Scalar | int) -> BiMat:
-        if isinstance(factor, int):
-            factor = Scalar.from_rational(factor)
-        return BiMat(self.N, {key: val * factor for key, val in self.entries.items()})
-
     def inverse(self) -> BiMat:
         """Exact inverse over row and column pairs, block by block (:func:`_block_inverse`).
 
@@ -445,43 +425,36 @@ class BiMat:
             self.derived["inverse"] = BiMat(self.N, {r + c: val for (r, c), val in inverse.items()})
         return self.derived["inverse"]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    # -- index gymnastics ------------------------------------------------------------
-
     def flip(self) -> BiMat:
-        """The flip applied on the left, P·M: ``out[i,j;k,l] = self[j,i;k,l]``."""
-        return BiMat(self.N, {(j, i, k, l): val for (i, j, k, l), val in self.entries.items()})
+        """The flip applied on the left, P·M: ``out[i,j;k,l] = self[j,i;k,l]``.
 
-    def t1(self) -> BiMat:
-        """Partial transpose in the first factor: ``out[i,j;k,l] = self[k,j;i,l]``."""
-        return BiMat(self.N, {(k, j, i, l): val for (i, j, k, l), val in self.entries.items()})
-
-    def tr2(self) -> Mat:
-        """Trace over the second factor: ``out[i,j] = sum_m self[i,m;j,m]``."""
-        out = Mat.zeros(self.N)
-        for (i, j, k, l), val in self.entries.items():
-            if j == l:
-                out.rows[i][k] = out.rows[i][k] + val
-        return out
+        Formed once per matrix.
+        """
+        if "flip" not in self.derived:
+            flipped = {(j, i, k, l): val for (i, j, k, l), val in self.entries.items()}
+            self.derived["flip"] = BiMat(self.N, flipped)
+        return self.derived["flip"]
 
     def tilde(self) -> BiMat:
-        """The contraction inverse: partial transpose, invert, transpose back.
+        """The contraction inverse: the inverse of the partial transpose, transposed back.
 
-        Satisfies ``sum_{m,n} M[i,m;n,l] tilde(M)[n,k;j,m] = delta(i,j) delta(k,l)``
-        whenever the partial transpose is invertible.  Formed once per matrix.
+        Entry ``M[i,j;k,l]`` sits at row ``(k, j)``, column ``(i, l)`` of the
+        partial transpose T, and ``tilde[i,j;k,l] = T⁻¹[k,j;i,l]``.  Satisfies
+        ``sum_{m,n} M[i,m;n,l] tilde(M)[n,k;j,m] = delta(i,j) delta(k,l)``
+        whenever T is invertible.  Formed once per matrix.
         """
         if "tilde" not in self.derived:
-            self.derived["tilde"] = self.t1().inverse().t1()
+            pairs = {((k, j), (i, l)): val for (i, j, k, l), val in self.entries.items()}
+            inverse = _block_inverse(pairs, self.N * self.N)
+            back = {(i, j, k, l): val for ((k, j), (i, l)), val in inverse.items()}
+            self.derived["tilde"] = BiMat(self.N, back)
         return self.derived["tilde"]
 
     def hat_squared(self) -> BiMat:
         """``(P·M)²``, the square of the braid form R̂ = P·R.  Formed once per matrix."""
         if "hat2" not in self.derived:
-            hat = self.flip()
-            self.derived["hat2"] = hat @ hat
+            hat = self.flip().entries
+            self.derived["hat2"] = BiMat(self.N, contract("ijmn,mnkl->ijkl", hat, hat))
         return self.derived["hat2"]
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ from qla.reporting import CheckResult
 from qla.rmatrix import RMatrixSpec, save_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
 from qla.su2_golden import rosso_term
-from qla.tensors import BiMat, Mat
+from qla.tensors import BiMat, Mat, contract_residual
 
 S = parse_scalar
 SO3_FILE = Path(__file__).parent / "data" / "so3.json"
@@ -45,7 +45,8 @@ def spin1_spec() -> RMatrixSpec:
         X_plus=Mat([[zero, one, zero], [zero, zero, two], [zero, zero, zero]]),
         X_minus=Mat([[zero, zero, zero], [two, zero, zero], [zero, one, zero]]),
     )
-    total = rosso_term(rep, 0) + rosso_term(rep, 1) + rosso_term(rep, 2)
+    t0, t1, t2 = (rosso_term(rep, n).to4dict() for n in range(3))
+    total = BiMat(3, contract_residual(t0, add=[t1, t2]))
     return RMatrixSpec(label="so3", ctx=DeformationContext(N=3, root_order=2), R=total)
 
 

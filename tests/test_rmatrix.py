@@ -24,7 +24,7 @@ from qla.rmatrix import (
     sun_r_matrix,
 )
 from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat
+from qla.tensors import BiMat, Mat, contract
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -68,7 +68,8 @@ class TestSunRMatrix:
 
     def test_hat_is_perm_times_r(self):
         spec = sun_r_matrix(2)
-        assert spec.hat() == BiMat.identity(2).flip() @ spec.R
+        P4 = BiMat.identity(2).flip().to4dict()
+        assert spec.hat() == BiMat(2, contract("ijmn,mnkl->ijkl", P4, spec.R.to4dict()))
 
     def test_r21_swaps_both_factors(self):
         spec = sun_r_matrix(3)
@@ -133,7 +134,9 @@ class TestYangBaxterAndCharacteristic:
         q = ctx.q_power(1)
         eigs = [q, -ctx.q_power(-1), -ctx.q_power(-1), -ctx.q_power(-3)]
         rhat = BiMat(2, {(*divmod(r, 2), *divmod(r, 2)): eig for r, eig in enumerate(eigs)})
-        spec = RMatrixSpec(label="synthetic", ctx=ctx, R=BiMat.identity(2).flip() @ rhat)
+        P4 = BiMat.identity(2).flip().to4dict()
+        R = BiMat(2, contract("ijmn,mnkl->ijkl", P4, rhat.to4dict()))
+        spec = RMatrixSpec(label="synthetic", ctx=ctx, R=R)
         assert spec.hat() == rhat
         result = check_characteristic(spec, kind="cubic", eps=-1)
         assert result.passed, result.line()

@@ -169,27 +169,22 @@ class TestBiMat:
 
     def test_perm(self):
         p = BiMat.identity(3).flip()
-        assert dense_of(p @ p) == Mat.identity(9)
+        assert dense_of(BiMat(3, contract("ijmn,mnkl->ijkl", p.to4dict(), p.to4dict()))) == Mat.identity(9)
         for i, j, k, l in itertools.product(range(3), repeat=4):
             expected = Scalar.one() if (i == l and j == k) else Scalar.zero()
             assert entry(p, i, j, k, l) == expected
 
-    def test_t1_involution_and_layout(self):
-        rng = random.Random(11)
-        m = bimat_of(2, random_mat(rng, 4))
-        t = m.t1()
-        for i, j, k, l in itertools.product(range(2), repeat=4):
-            assert entry(t, i, j, k, l) == entry(m, k, j, i, l)
-        assert t.t1() == m
-
     def test_partial_traces(self):
+        # tr₂(M), and tr₂(P·M) as ρ(u) reads it off R̃, each a contraction with delta.
         rng = random.Random(13)
         dense = random_mat(rng, 4)
         m = bimat_of(2, dense)
-        tr2 = m.tr2()
+        tr2 = Mat.from_sparse(contract("ambn,mn->ab", m.to4dict(), delta(2)), 2)
         for a, b in itertools.product(range(2), repeat=2):
             assert tr2[a, b] == entry(m, a, 0, b, 0) + entry(m, a, 1, b, 1)
-        assert trace(m.tr2()) == trace(dense)
+        assert trace(tr2) == trace(dense)
+        flipped = Mat.from_sparse(contract("mikn,mn->ik", m.to4dict(), delta(2)), 2)
+        assert flipped == dense_partial_trace(dense_perm(2) @ dense, 2, 1)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -320,17 +315,22 @@ class TestSparseBiMat:
         M, dense = random_block_bimat(rng, N)
         other, other_dense = random_block_bimat(rng, N)
         P = BiMat.identity(N).flip()
+        m4, other4, p4 = M.to4dict(), other.to4dict(), P.to4dict()
+        product = "ijmn,mnkl->ijkl"
         assert dense_of(P) == dense_perm(N)
-        assert dense_of(M.t1()) == dense_t1(dense, N)
-        assert M.tr2() == dense_partial_trace(dense, N, 1)
+        assert Mat.from_sparse(contract("ambn,mn->ab", m4, delta(N)), N) == dense_partial_trace(dense, N, 1)
         assert dense_of(M.flip()) == dense_perm(N) @ dense
-        assert dense_of(P @ M) == dense_perm(N) @ dense
-        assert dense_of(M @ P) == dense @ dense_perm(N)
-        assert dense_of(M @ other) == dense @ other_dense
-        assert dense_of(M + other) == dense + other_dense
-        assert dense_of(M - other) == dense + other_dense.scale(-1)
-        assert dense_of(M.scale(S("p - 2"))) == dense.scale(S("p - 2"))
-        assert (M - M).is_zero and not (M - M).to4dict()
+        assert M.flip() is M.flip()
+        hat = dense_perm(N) @ dense
+        assert dense_of(M.hat_squared()) == hat @ hat
+        assert dense_of(BiMat(N, contract(product, p4, m4))) == dense_perm(N) @ dense
+        assert dense_of(BiMat(N, contract(product, m4, p4))) == dense @ dense_perm(N)
+        assert dense_of(BiMat(N, contract(product, m4, other4))) == dense @ other_dense
+        assert dense_of(BiMat(N, contract_residual(m4, add=[other4]))) == dense + other_dense
+        assert dense_of(BiMat(N, contract_residual(m4, other4))) == dense + other_dense.scale(-1)
+        scaled = contract("ijkl,->ijkl", m4, {(): S("p - 2")})
+        assert dense_of(BiMat(N, scaled)) == dense.scale(S("p - 2"))
+        assert contract_residual(m4, m4) == {}
 
     @pytest.mark.parametrize("N", [2, 3])
     @given(st.integers(min_value=0, max_value=10_000))
@@ -542,7 +542,7 @@ class TestContract:
         rng = random.Random(3)
         m = bimat_of(2, random_mat(rng, 4))
         tr2 = contract("imjn,nm->ij", m.to4dict(), delta(2))
-        assert Mat.from_sparse(tr2, 2) == m.tr2()
+        assert Mat.from_sparse(tr2, 2) == dense_partial_trace(dense_of(m), 2, 1)
 
     def test_zero_results_dropped(self):
         a = {(0, 0): S("1"), (0, 1): S("-1")}
