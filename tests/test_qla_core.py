@@ -246,6 +246,31 @@ class TestVerifyQla:
             "FAIL  qla-i[RI2]  [at (1, 1, 2): residual p^3 - p^-1]",
         ]
 
+    # The sum rules' δ-terms are pinned at entries off the first block: a
+    # perturbed f feeds qla-i[fI] and qla-i[RI2]'s λf term, a perturbed ℝ
+    # column feeds qla-i[RI1] and qla-i[RI2]'s δ terms.
+    # The sum rules' δ-terms are pinned at entries off the first block: a
+    # perturbed f feeds qla-i[fI] and qla-i[RI2]'s λf term, a perturbed ℝ
+    # column feeds qla-i[RI1] and qla-i[RI2]'s δ terms.
+    @pytest.mark.parametrize("field, key, lines", [
+        ("f", (1, 2, 0), [
+            "FAIL  qla-i[fI]  [at (1, 2): residual p]",
+            "FAIL  qla-i[RI2]  [at (0, 1, 2): residual p^3 - p^-1]",
+        ]),
+        ("bigR", (0, 1, 0, 1), ["FAIL  qla-i[RI1]  [at (1, 0, 1): residual p]"]),
+        ("bigR", (3, 0, 0, 3), [
+            "FAIL  qla-i[RI1]  [at (0, 0, 3): residual p]",
+            "FAIL  qla-i[RI2]  [at (3, 0, 3): residual p]",
+        ]),
+    ])
+    def test_perturbed_structure_fails_sum_rules(self, su2, field, key, lines):
+        _, Q, bundle = su2
+        entries = dict(Q.f if field == "f" else Q.bigR.to4dict())
+        entries[key] = entries.get(key, Scalar.from_rational(0)) + S("p")
+        Q_bad = replace(Q, **{field: entries if field == "f" else BiMat(Q.n, entries)})
+        failed = [r.line() for r in verify_qla(Q_bad, bundle) if not r.passed]
+        assert [line for line in failed if line.startswith("FAIL  qla-i[")] == lines
+
     def test_perturbed_bigR_fails_exchange_and_braid(self, su2):
         spec, Q, bundle = su2
         R4 = Q.bigR.to4dict()
@@ -522,8 +547,17 @@ class TestDeformedTraces:
         skewed = RepBundle(
             name="skewed", dim=2, n=4, gen=bundle.gen, u=Mat.diagonal([one, two])
         )
-        with pytest.raises(ValueError, match="sum rule"):
+        with pytest.raises(ValueError, match="^deformed traces of skewed violate the f-sum rule$"):
             deformed_traces(Q, skewed)
+
+    def test_bundle_breaking_the_bigR_sum_rule_is_named(self, su2):
+        # Traces in span{I} satisfy the f-sum rule (the null-space lemma), and
+        # the ℝ-sum rule too while ℝ is unperturbed; so ℝ carries the fault.
+        _, Q, bundle = su2
+        R4 = Q.bigR.to4dict()
+        Q_bad = replace(Q, bigR=BiMat(Q.n, {**R4, (3, 0, 0, 3): R4[(3, 0, 0, 3)] + S("p")}))
+        with pytest.raises(ValueError, match="^deformed traces of fn violate the ℝ-sum rule$"):
+            deformed_traces(Q_bad, bundle)
 
 
 class TestAdjointRep:

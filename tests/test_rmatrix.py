@@ -181,6 +181,13 @@ class TestLMatrices:
                     image = [[val.eval_at(1) for val in row] for row in block(family, k, l, N).rows]
                     assert image == [[int(k == l and x == y) for y in range(N)] for x in range(N)]
 
+    @pytest.mark.parametrize("source", ["su2", "su3", "so3.json"])
+    def test_lminus_blocks_are_the_inverse_of_r21(self, source):
+        spec = sun_r_matrix(int(source[2])) if source.startswith("su") else load_r_matrix(DATA_DIR / source)
+        r21 = BiMat(spec.N, {(j, i, l, k): val for (i, j, k, l), val in spec.R.to4dict().items()})
+        expected = {(b, d, a, c): val for (a, b, c, d), val in r21.inverse().to4dict().items()}
+        assert fundamental_L_matrices(spec).lminus == expected
+
     @pytest.mark.parametrize("N", [2, 3])
     def test_exchange_relations(self, N):
         spec = sun_r_matrix(N)
