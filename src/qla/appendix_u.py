@@ -109,7 +109,9 @@ def check_D_identities(R: BiMat, ud: UData, seed: int = 0) -> list[CheckResult]:
     (a) ``α·tr₁(D₁⁻¹R̂⁻¹) = I`` and ``α⁻¹·tr₂(D₂R̂) = I``;
     (b) ``R̃ = D₁⁻¹R⁻¹D₁ = D₂R⁻¹D₂⁻¹``;
     (c) ``D₁D₂R = R·D₁D₂``;
-    (d) ``tr₁(D₁⁻¹R⁻¹M₁R) = tr(D⁻¹M)·I`` for seeded random matrices M.
+    (d) ``tr₁(D₁⁻¹R⁻¹M₁R) = tr(D⁻¹M)·I`` for three seeded random matrices M,
+        one residual keyed ``(trial, i, j)``, so the witness lies in the
+        first failing trial.
 
     β's defining traces are validated inside :func:`beta_constant`.
     """
@@ -127,19 +129,15 @@ def check_D_identities(R: BiMat, ud: UData, seed: int = 0) -> list[CheckResult]:
         ),
     ]
     rng = random.Random(seed)
-    residual = {}
-    for trial in range(3):
-        M = {
-            (i, j): Scalar.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-            for i in range(n)
-            for j in range(n)
-        }
-        lhs_minus_rhs = contract_residual(
-            ("ia,ajbc,bd,dcil->jl", d_inv, r_inv, M, r), ("xy,yx,jl->jl", d_inv, M, eye)
-        )
-        residual = {(trial, i, j): val for (i, j), val in lhs_minus_rhs.items()}
-        if residual:
-            break
+    M = {
+        (t, i, j): Scalar.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        for t in range(3)
+        for i in range(n)
+        for j in range(n)
+    }
+    residual = contract_residual(
+        ("ia,ajbc,tbd,dcil->tjl", d_inv, r_inv, M, r), ("xy,tyx,jl->tjl", d_inv, M, eye)
+    )
     results.append(check_sparse_zero("u-invariant-trace[d]", residual))
     return results
 

@@ -473,9 +473,7 @@ def cmd_report(config: RunConfig) -> int:
     return 0
 
 
-def cmd_su2_tables(config: RunConfig | None = None) -> int:
-    if config is None:
-        config = RunConfig(checks={"golden": {}})
+def cmd_su2_tables(config: RunConfig) -> int:
     if not _in_golden_scope(config):
         raise ConfigError(f"su2-tables covers {_GOLDEN_SCOPE}")
     if config.rep != "both" or config.skip_heavy:

@@ -23,10 +23,10 @@ class Pipeline:
 
     ``rep`` selects the bundles the reports cover: ``"fn"``, ``"ad"`` (ad′)
     or ``"both"``; ``fn`` alone builds no ad′.  ``su_family`` marks the
-    built-in su(N) R-matrix, whose N = 2 primed basis is the golden basis
-    χ₀, χ₊, χ₋, χ₃ of the packaged tables (:func:`golden_basis_matrix`);
-    any other R-matrix, an external N = 2 file included, gets the default
-    basis of :func:`~qla.primed_basis.build_primed`.
+    built-in su(N) R-matrix, whose N = 2 primed basis is the golden basis of
+    the packaged tables: χ₀ = 𝒟, then the columns χ₊, χ₋, χ₃ of
+    :func:`golden_basis_matrix`.  Any other R-matrix, an external N = 2 file
+    included, gets the default basis of :func:`~qla.primed_basis.build_primed`.
     """
 
     def __init__(self, spec: RMatrixSpec, rep: str = "both", su_family: bool = False):
@@ -48,9 +48,8 @@ class Pipeline:
 
     @cached_property
     def primed(self) -> PrimedBasis:
-        Q, D = self.structure, self.udata.D
-        T = golden_basis_matrix(Q, D) if self.su_family and self.spec.N == 2 else None
-        return build_primed(Q, self.fn, D, T_override=T)
+        columns = golden_basis_matrix(self.structure) if self.su_family and self.spec.N == 2 else None
+        return build_primed(self.structure, self.fn, self.udata.D, columns)
 
     @cached_property
     def adjoint(self) -> RepBundle:

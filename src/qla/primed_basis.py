@@ -6,15 +6,15 @@ yields the primed set χ′_A = χ_A − (I′_A/I′₀)χ₀, which is tracele
 representation but linearly dependent (𝒟^A χ′_A ≡ 0).  Dropping the last
 primed generator and prepending χ₀ gives an n-element basis in which the
 adjoint action is block-diagonal; its (n−1)-dimensional block ad′ is
-irreducible.  At rank one the textbook basis χ₀, χ₊, χ₋, χ₃
-(:func:`golden_basis_matrix`) may stand in for those columns.
+irreducible.  At rank one the textbook columns χ₊, χ₋, χ₃
+(:func:`golden_basis_matrix`) may stand in for the kept primed generators;
+column 0 is always the 𝒟 that :func:`build_primed` solves for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .appendix_u import rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
@@ -48,18 +48,19 @@ class PrimedBasis:
     ``d_vec`` is 𝒟^A, the coordinates of χ₀ in the unprimed basis;
     ``ratios`` the trace ratios r_A = I′_A/I′₀ taken in the fundamental
     bundle; ``T`` the change-of-basis matrix whose column 0 is
-    χ₀ and whose remaining columns are the kept primed generators;
-    ``dropped_index`` the composite index whose primed generator was removed;
-    ``f_primed`` the structure constants in the new basis (index 0 = χ₀);
-    ``mu`` maps a bundle name to μ(ρ) where ρ(χ₀) = μ(ρ)·I;
-    ``traces`` holds the fundamental bundle's deformed traces I′_A
-    (:func:`~qla.qla_core.deformed_traces`) when :func:`build_primed` made
-    the basis.
+    χ₀ and whose remaining columns are the kept primed generators, and
+    ``T_inv`` its inverse; ``dropped_index`` the composite index whose
+    primed generator was removed; ``f_primed`` the structure constants in
+    the new basis (index 0 = χ₀); ``mu`` maps a bundle name to μ(ρ) where
+    ρ(χ₀) = μ(ρ)·I; ``traces`` holds the fundamental bundle's deformed
+    traces I′_A (:func:`~qla.qla_core.deformed_traces`) when
+    :func:`build_primed` made the basis.
     """
 
     d_vec: list[Scalar]
     ratios: list[Scalar]
     T: Mat
+    T_inv: Mat
     dropped_index: int
     f_primed: dict[tuple[int, int, int], Scalar]
     mu: dict[str, Scalar] = field(default_factory=dict)
@@ -68,11 +69,6 @@ class PrimedBasis:
     @property
     def n(self) -> int:
         return len(self.d_vec)
-
-    @cached_property
-    def T_inv(self) -> Mat:
-        """T⁻¹, formed on first use; :func:`build_primed` fills it with the one it formed."""
-        return self.T.inverse()
 
 
 def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
@@ -104,14 +100,15 @@ def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
 
 
 def build_primed(
-    Q: QlaStructure, B_fn: RepBundle, D: Mat, T_override: Mat | None = None
+    Q: QlaStructure, B_fn: RepBundle, D: Mat, columns: Mat | None = None
 ) -> PrimedBasis:
     """Assemble the primed basis from the structure and the fundamental bundle.
 
     The trace ratios are taken in ``B_fn`` (whose χ₀-trace must not vanish).
-    The primed generator at the last composite index n − 1 is dropped;
-    ``T_override`` may supply the basis columns directly (column 0 must be
-    𝒟), e.g. for the rescaled textbook basis of :func:`golden_basis_matrix`.
+    Column 0 of T is 𝒟, solved for here (:func:`d_vector`).  The other n − 1
+    columns are the primed generators with the one at the last composite
+    index n − 1 dropped, or ``columns``, an n×(n−1) matrix that supplies them
+    directly, e.g. the rescaled textbook basis of :func:`golden_basis_matrix`.
     """
     n = Q.n
     d_vec = d_vector(Q, D)
@@ -125,16 +122,11 @@ def build_primed(
 
     # Column A + 1 of T is the primed generator χ′_A = e_A − (I_A/I₀)·𝒟.  They
     # satisfy Σ_A 𝒟^A χ′_A = 0 (Σ_A 𝒟^A I_A = I₀), so the last one is dropped.
-    if T_override is not None:
-        T = T_override
-        for E in range(n):
-            if T[E, 0] != d_vec[E]:
-                raise ValueError("column 0 of the basis override must be 𝒟")
-    else:
-        T = Mat(
-            [[d_vec[E]] + [(_ONE if E == A else _ZERO) - ratios[A] * d_vec[E] for A in range(n - 1)]
-             for E in range(n)]
+    if columns is None:
+        columns = Mat(
+            [[(_ONE if E == A else _ZERO) - ratios[A] * d_vec[E] for A in range(n - 1)] for E in range(n)]
         )
+    T = Mat([[d_vec[E], *columns.rows[E]] for E in range(n)])
     try:
         T_inv = T.inverse()
     except ValueError as exc:
@@ -148,11 +140,11 @@ def build_primed(
         d_vec=d_vec,
         ratios=ratios,
         T=T,
+        T_inv=T_inv,
         dropped_index=n - 1,
         f_primed=f_primed,
         traces=traces,
     )
-    pb.T_inv = T_inv
     try:
         pb.mu[B_fn.name] = mu_scalar(pb, B_fn)
     except ValueError:
@@ -160,23 +152,22 @@ def build_primed(
     return pb
 
 
-def golden_basis_matrix(Q: QlaStructure, D: Mat) -> Mat:
-    """Change of basis from the unprimed generators to ``chi0, chi+, chi-, chi3``.
+def golden_basis_matrix(Q: QlaStructure) -> Mat:
+    """The kept columns ``chi+, chi-, chi3`` of the rank-one textbook basis.
 
-    Column 0 is the central element (the ``D``-weighted combination fixed by
-    the structure), columns 1 and 2 keep the off-diagonal generators, and
-    column 3 is ``chi3 = (chi_00 - chi_11)/[2]_{1/q}``.
+    Columns 0 and 1 keep the off-diagonal generators and column 2 is
+    ``chi3 = (chi_00 - chi_11)/[2]_{1/q}``; :func:`build_primed` puts the
+    central element chi0 = 𝒟 before them.
     """
     if Q.n != 4:
         raise ValueError("the golden basis is specific to the rank-one structure")
-    d = d_vector(Q, D)
     tp_inv = Q.ctx.qnum(2, inverse=True).inv()
     return Mat(
         [
-            [d[0], _ZERO, _ZERO, tp_inv],
-            [d[1], _ONE, _ZERO, _ZERO],
-            [d[2], _ZERO, _ONE, _ZERO],
-            [d[3], _ZERO, _ZERO, -tp_inv],
+            [_ZERO, _ZERO, tp_inv],
+            [_ONE, _ZERO, _ZERO],
+            [_ZERO, _ONE, _ZERO],
+            [_ZERO, _ZERO, -tp_inv],
         ]
     )
 

@@ -148,11 +148,11 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
 
     bigR = composite(contract("mkjn,sdml,nira,rbsc->abcdijkl", til4, rhat4, rhatinv4, rhat4))
 
-    deltas = {(i, i, k, l, k, l): _ONE for i in range(N) for k in range(N) for l in range(N)}
+    eye = delta(N)
     f = {
         (i * N + j, k * N + l, r * N + s): lam_inv * val
         for (i, j, k, l, r, s), val in contract_residual(
-            deltas, ("mkjn,nitr,tsml->ijklrs", til4, rhatinv4, rhat2_4)
+            ("ij,kr,ls->ijklrs", eye, eye, eye), ("mkjn,nitr,tsml->ijklrs", til4, rhatinv4, rhat2_4)
         ).items()
     }
 
@@ -240,23 +240,16 @@ def verify_qla(
     )
     check("aux2", ("mbad,cnd->abcmn", bigR4, f3), ("deac,fben,dfm->abcmn", bigR4, bigR4, f3))
 
-    Ivec: SparseTensor = {
-        (A,): val for A, val in enumerate(Q.I_id) if not val.is_zero
-    }
+    Ivec: SparseTensor = {(A,): val for A, val in enumerate(Q.I_id) if not val.is_zero}
+    eye = delta(Q.n)
     check("qla-i[fI]", ("abc,c->ab", f3, Ivec))
-    delta1: SparseTensor = {}
-    for A in range(Q.n):
-        for B, val in enumerate(Q.I_id):
-            if not val.is_zero:
-                delta1[(A, A, B)] = val
-    check("qla-i[RI1]", ("cdab,c->dab", bigR4, Ivec), delta1)
-    delta2: SparseTensor = {}
-    for key, val in Ivec.items():
-        (A,) = key
-        for C in range(Q.n):
-            delta2[(C, A, C)] = val
-    lam_f3: SparseTensor = {(c, a, b): Q.lam * v for (a, b, c), v in f3.items()}
-    check("qla-i[RI2]", ("cdab,d->cab", bigR4, Ivec), delta2, add=[lam_f3])
+    check("qla-i[RI1]", ("cdab,c->dab", bigR4, Ivec), ("da,b->dab", eye, Ivec))
+    check(
+        "qla-i[RI2]",
+        ("cdab,d->cab", bigR4, Ivec),
+        ("cb,a->cab", eye, Ivec),
+        add=[("abc,->cab", f3, {(): Q.lam})],
+    )
     return results
 
 
@@ -308,12 +301,7 @@ def deformed_traces(Q: QlaStructure, B: RepBundle) -> list[Scalar]:
     traces = [Ivec.get((A,), _ZERO) for A in range(B.n)]
     if contract_residual(("abc,c->ab", Q.f, Ivec)):
         raise ValueError(f"deformed traces of {B.name} violate the f-sum rule")
-    expected: SparseTensor = {}
-    for A in range(Q.n):
-        for C, val in enumerate(traces):
-            if not val.is_zero:
-                expected[(A, A, C)] = val
-    if contract_residual(("dbac,d->bac", Q.bigR.to4dict(), Ivec), expected):
+    if contract_residual(("dbac,d->bac", Q.bigR.to4dict(), Ivec), ("ba,c->bac", delta(Q.n), Ivec)):
         raise ValueError(f"deformed traces of {B.name} violate the ℝ-sum rule")
     return traces
 

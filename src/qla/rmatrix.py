@@ -24,7 +24,7 @@ from qla.tensors import BiMat, SparseTensor, contract, contract_residual, delta
 MAX_EXPONENT = 1024
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RMatrixSpec:
     """An N²×N² numerical R-matrix together with its deformation context."""
 
@@ -36,22 +36,9 @@ class RMatrixSpec:
         if self.R.N != self.ctx.N:
             raise ValueError("R-matrix size does not match the context dimension")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RMatrixSpec):
-            return NotImplemented
-        return self.label == other.label and self.ctx == other.ctx and self.R == other.R
-
     @property
     def N(self) -> int:
         return self.ctx.N
-
-    def hat(self) -> BiMat:
-        """The braid form: the flip composed with R."""
-        return self.R.flip()
-
-    def r21(self) -> BiMat:
-        """R with both tensor factors swapped: P·R·P."""
-        return BiMat(self.N, {(j, i, l, k): val for (i, j, k, l), val in self.R.to4dict().items()})
 
 
 def sun_r_matrix(N: int, ctx: DeformationContext | None = None) -> RMatrixSpec:
@@ -103,7 +90,7 @@ def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -
     with ``eps`` ∈ {+1, −1}.
     """
     ctx, N = spec.ctx, spec.N
-    rhat = spec.hat().to4dict()
+    rhat = spec.R.flip().to4dict()
     eye = delta(N)
     if kind == "hecke":
         coeff1 = ctx.q_power(Fraction(-1, N)) * ctx.lam()
@@ -147,12 +134,13 @@ class LMatrices:
 
 def fundamental_L_matrices(spec: RMatrixSpec) -> LMatrices:
     """Blocks ``ρ(L⁺ᵏ_ℓ)^i_j = R^{ik}_{jℓ}``, ``ρ(L⁻ᵏ_ℓ)^i_j = (R₂₁⁻¹)^{ik}_{jℓ}``,
-    and ``ρ(S(L⁻ᵏ_ℓ))^i_j = R^{ki}_{ℓj}``: R's and R₂₁⁻¹'s 4-index dicts re-keyed."""
+    and ``ρ(S(L⁻ᵏ_ℓ))^i_j = R^{ki}_{ℓj}``: R's and R⁻¹'s 4-index dicts re-keyed,
+    since ``R₂₁⁻¹ = (P·R·P)⁻¹ = P·R⁻¹·P`` and R⁻¹ is cached on R."""
     R4 = spec.R.to4dict()
     return LMatrices(
         N=spec.N,
         lplus={(b, d, a, c): val for (a, b, c, d), val in R4.items()},
-        lminus={(b, d, a, c): val for (a, b, c, d), val in spec.r21().inverse().to4dict().items()},
+        lminus={(a, c, b, d): val for (a, b, c, d), val in spec.R.inverse().to4dict().items()},
         s_lminus={(a, c, b, d): val for (a, b, c, d), val in R4.items()},
     )
 
@@ -168,7 +156,7 @@ def _first_block_zero(name: str, residual: SparseTensor) -> CheckResult:
     return check_sparse_zero(name, {} if first is None else {first[-2:]: residual[first]})
 
 
-def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckResult]:
+def check_rll(spec: RMatrixSpec, lmats: LMatrices) -> list[CheckResult]:
     """The three exchange relations among L-blocks:
 
     ``L⁺₁L⁺₂R = RL⁺₂L⁺₁``, ``L⁻₁L⁻₂R = RL⁻₂L⁻₁``, ``L⁻₁L⁺₂R = RL⁺₂L⁻₁``.
@@ -177,8 +165,6 @@ def check_rll(spec: RMatrixSpec, lmats: LMatrices | None = None) -> list[CheckRe
     − Σ_{a,b} R^{ij}_{ab} ρ(Bᵇ_l)ρ(Aᵃ_k)``; the witness is taken in the first
     nonzero block, in (i, j, k, l) order.
     """
-    if lmats is None:
-        lmats = fundamental_L_matrices(spec)
     R4 = spec.R.to4dict()
     lp, lm = lmats.lplus, lmats.lminus
     return [

@@ -398,10 +398,6 @@ class BiMat:
         self.entries: SparseTensor = {key: val for key, val in (entries or {}).items() if val}
         self.derived: dict[str, BiMat] = {}
 
-    @classmethod
-    def identity(cls, N: int) -> BiMat:
-        return cls(N, {(i, j, i, j): _ONE for i in range(N) for j in range(N)})
-
     def to4dict(self) -> SparseTensor:
         """The stored ``{(i, j, k, l): value}`` dict itself; callers must not change it."""
         return self.entries

@@ -17,7 +17,7 @@ from qla.appendix_u import (
 )
 from qla.rmatrix import load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, parse_scalar
-from qla.tensors import BiMat, Mat, contract
+from qla.tensors import BiMat, Mat, contract, delta
 
 S = parse_scalar
 SO3 = Path(__file__).parent / "data" / "so3.json"
@@ -117,8 +117,9 @@ class TestBetaConstant:
         # For R = P, tr₁(D₁⁻¹R̂) = tr(D⁻¹)·I for every D, while
         # tr₂(D₂R̂⁻¹) = D, which is no multiple of I here.
         D = Mat([[S("1"), S("p")], [S("0"), S("1")]])
+        P = BiMat(2, contract("ik,jl->ijkl", delta(2), delta(2))).flip()
         with pytest.raises(ValueError) as info:
-            beta_constant(D, D.inverse(), BiMat.identity(2).flip())
+            beta_constant(D, D.inverse(), P)
         assert str(info.value) == "β cross-check failed: tr₂(D₂R̂⁻¹) ≠ β⁻¹·I"
 
 
@@ -246,7 +247,7 @@ class TestBuildUData:
     def test_singular_tilde_rejected(self):
         # The flip matrix P has a singular first partial transpose, so the
         # tilde operation (hence ρ(u)) does not exist for it.
-        P = BiMat.identity(2).flip()
+        P = BiMat(2, contract("ik,jl->ijkl", delta(2), delta(2))).flip()
         ctx = DeformationContext(N=2, root_order=1)
         with pytest.raises(ValueError):
             build_u_data(P, ctx)

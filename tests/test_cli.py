@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qla import tensors
+from qla import primed_basis, tensors
 from qla.cli import (
     ConfigError,
     RunConfig,
@@ -349,10 +349,13 @@ class TestCheckCommand:
         assert main(argv) == 0
         assert "ybe[su2]" in target.read_text()
 
+    # L⁻ reads R's cached inverse, so R₂₁ is never inverted; check --n 2 builds
+    # a second su(2) pipeline for the reordered metric, hence its count.
     @pytest.mark.parametrize("argv, calls", [
-        (["check", "--n", "3"], 12),
+        (["check", "--n", "3"], 11),
         (["check", "--group", "external", "--r-matrix", str(SO3_FILE),
-          "--checks", "ybe,cubic:eps=1,qla,appendix"], 9),
+          "--checks", "ybe,cubic:eps=1,qla,appendix"], 8),
+        (["check", "--n", "2"], 17),
     ])
     def test_no_matrix_is_inverted_twice(self, argv, calls, monkeypatch, capsys):
         inverted = []
@@ -366,6 +369,21 @@ class TestCheckCommand:
         assert main(argv) == 0
         assert len(inverted) == calls
         assert all(a != b for i, a in enumerate(inverted) for b in inverted[:i])
+
+    # 𝒟 is solved for once per pipeline, in build_primed; check --n 2 and
+    # su2-tables each build two su(2) pipelines (one at the tables' context).
+    @pytest.mark.parametrize("argv", [["check", "--n", "2"], ["su2-tables"]])
+    def test_d_vector_is_solved_once_per_pipeline(self, argv, monkeypatch, capsys):
+        calls = []
+        d_vector = primed_basis.d_vector
+
+        def recording(Q, D):
+            calls.append(Q.n)
+            return d_vector(Q, D)
+
+        monkeypatch.setattr(primed_basis, "d_vector", recording)
+        assert main(argv) == 0
+        assert calls == [4, 4]
 
     def test_failure_exit_code(self, so3_path, capsys):
         argv = ["check", "--group", "external", "--r-matrix", so3_path,

@@ -72,17 +72,16 @@ class TestDVector:
         assert d_vector(Q, D) == [S("1"), S("0"), S("0"), S("p^-4")]
 
     def test_golden_basis_matrix_is_the_hand_written_basis(self, su2):
-        """su(2) basis {χ₀, χ₊, χ₋, χ₃} with χ₃ = (χ₁ − χ₂)/[2]_{q⁻¹}, written out."""
-        spec, Q, _, D = su2
-        d = d_vector(Q, D)
+        """su(2) columns {χ₊, χ₋, χ₃} with χ₃ = (χ₁ − χ₂)/[2]_{q⁻¹}, written out."""
+        spec, Q, _, _ = su2
         tp_inv = spec.ctx.qnum(2, inverse=True).inv()
         zero, one = S("0"), S("1")
-        assert golden_basis_matrix(Q, D) == Mat(
+        assert golden_basis_matrix(Q) == Mat(
             [
-                [d[0], zero, zero, tp_inv],
-                [d[1], one, zero, zero],
-                [d[2], zero, one, zero],
-                [d[3], zero, zero, -tp_inv],
+                [zero, zero, tp_inv],
+                [one, zero, zero],
+                [zero, one, zero],
+                [zero, zero, -tp_inv],
             ]
         )
 
@@ -156,11 +155,6 @@ class TestBuildPrimed:
         with pytest.raises(ValueError, match="vanishes"):
             build_primed(Q, flat, D)
 
-    def test_override_must_start_with_d(self, su2):
-        _, Q, bundle, D = su2
-        with pytest.raises(ValueError, match="must be 𝒟"):
-            build_primed(Q, bundle, D, T_override=Mat.identity(4))
-
 
 class TestPrimedStructure:
     def test_su2_golden_structure_constants(self, su2_golden):
@@ -195,7 +189,7 @@ class TestPrimedStructure:
     def test_pattern_violation_reported(self, su2_golden):
         _, Q, _, pb = su2_golden
         broken = PrimedBasis(
-            d_vec=pb.d_vec, ratios=pb.ratios, T=pb.T,
+            d_vec=pb.d_vec, ratios=pb.ratios, T=pb.T, T_inv=pb.T_inv,
             dropped_index=pb.dropped_index,
             f_primed={**pb.f_primed, (1, 0, 1): S("p")},
         )
@@ -294,7 +288,7 @@ class TestAdjointPrime:
     def test_reducible_constants_rejected(self, su2_golden):
         _, Q, _, pb = su2_golden
         hollow = PrimedBasis(
-            d_vec=pb.d_vec, ratios=pb.ratios, T=pb.T,
+            d_vec=pb.d_vec, ratios=pb.ratios, T=pb.T, T_inv=pb.T_inv,
             dropped_index=pb.dropped_index, f_primed={},
         )
         with pytest.raises(ValueError, match="null vector"):

@@ -31,7 +31,7 @@ from qla.qla_core import (
 from qla.reporting import check_sparse_zero
 from qla.rmatrix import RMatrixSpec, check_ybe, load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat, contract, contract_residual
+from qla.tensors import BiMat, Mat, contract, contract_residual, delta
 
 S = parse_scalar
 DATA_DIR = Path(__file__).parent / "data"
@@ -96,7 +96,8 @@ class TestFundamentalGenerators:
     def test_braid_square_recovered_from_generators(self, N):
         spec = sun_r_matrix(N)
         bundle = fundamental_generators(spec.R, spec.ctx)
-        rhat2 = contract("ijmn,mnkl->ijkl", spec.hat().to4dict(), spec.hat().to4dict())
+        rhat = spec.R.flip().to4dict()
+        rhat2 = contract("ijmn,mnkl->ijkl", rhat, rhat)
         lam = spec.ctx.lam()
         one = Scalar.from_rational(1)
         for k in range(N):
@@ -158,7 +159,8 @@ class TestBuildStructure:
         spec = sun_r_matrix(N)
         Q = build_structure(spec.R, spec.ctx)
         values = {key: Scalar.from_rational(val.eval_at(1)) for key, val in Q.bigR.to4dict().items()}
-        assert BiMat(N * N, values) == BiMat.identity(N * N).flip()
+        eye = delta(N * N)
+        assert BiMat(N * N, values) == BiMat(N * N, contract("ik,jl->ijkl", eye, eye)).flip()
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_classical_limit_of_f_is_the_commutator(self, N):
@@ -246,9 +248,6 @@ class TestVerifyQla:
             "FAIL  qla-i[RI2]  [at (1, 1, 2): residual p^3 - p^-1]",
         ]
 
-    # The sum rules' δ-terms are pinned at entries off the first block: a
-    # perturbed f feeds qla-i[fI] and qla-i[RI2]'s λf term, a perturbed ℝ
-    # column feeds qla-i[RI1] and qla-i[RI2]'s δ terms.
     # The sum rules' δ-terms are pinned at entries off the first block: a
     # perturbed f feeds qla-i[fI] and qla-i[RI2]'s λf term, a perturbed ℝ
     # column feeds qla-i[RI1] and qla-i[RI2]'s δ terms.

@@ -24,7 +24,7 @@ from qla.rmatrix import (
     sun_r_matrix,
 )
 from qla.scalars import DeformationContext, Scalar, parse_scalar
-from qla.tensors import BiMat, Mat, contract
+from qla.tensors import BiMat, Mat, contract, delta
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -64,21 +64,12 @@ class TestSunRMatrix:
         for N in (2, 3):
             spec = sun_r_matrix(N)
             values = {key: Scalar.from_rational(val.eval_at(1)) for key, val in spec.R.to4dict().items()}
-            assert BiMat(N, values) == BiMat.identity(N)
+            assert BiMat(N, values) == BiMat(N, contract("ik,jl->ijkl", delta(N), delta(N)))
 
     def test_hat_is_perm_times_r(self):
         spec = sun_r_matrix(2)
-        P4 = BiMat.identity(2).flip().to4dict()
-        assert spec.hat() == BiMat(2, contract("ijmn,mnkl->ijkl", P4, spec.R.to4dict()))
-
-    def test_r21_swaps_both_factors(self):
-        spec = sun_r_matrix(3)
-        r21, R4, zero = spec.r21().to4dict(), spec.R.to4dict(), Scalar.zero()
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        assert r21.get((i, j, k, l), zero) == R4.get((j, i, l, k), zero)
+        P4 = contract("il,jk->ijkl", delta(2), delta(2))
+        assert spec.R.flip() == BiMat(2, contract("ijmn,mnkl->ijkl", P4, spec.R.to4dict()))
 
 
 class TestYangBaxterAndCharacteristic:
@@ -134,10 +125,10 @@ class TestYangBaxterAndCharacteristic:
         q = ctx.q_power(1)
         eigs = [q, -ctx.q_power(-1), -ctx.q_power(-1), -ctx.q_power(-3)]
         rhat = BiMat(2, {(*divmod(r, 2), *divmod(r, 2)): eig for r, eig in enumerate(eigs)})
-        P4 = BiMat.identity(2).flip().to4dict()
+        P4 = contract("il,jk->ijkl", delta(2), delta(2))
         R = BiMat(2, contract("ijmn,mnkl->ijkl", P4, rhat.to4dict()))
         spec = RMatrixSpec(label="synthetic", ctx=ctx, R=R)
-        assert spec.hat() == rhat
+        assert spec.R.flip() == rhat
         result = check_characteristic(spec, kind="cubic", eps=-1)
         assert result.passed, result.line()
         # With eps = +1 the third root is wrong and the residual is nonzero.
@@ -191,7 +182,7 @@ class TestLMatrices:
     @pytest.mark.parametrize("N", [2, 3])
     def test_exchange_relations(self, N):
         spec = sun_r_matrix(N)
-        for result in check_rll(spec):
+        for result in check_rll(spec, fundamental_L_matrices(spec)):
             assert result.passed, result.line()
 
     @pytest.mark.parametrize("N", [2, 3])

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from qla.appendix_u import build_u_data
 from qla.primed_basis import golden_basis_matrix
 from qla.qla_core import build_structure
 from qla.rmatrix import sun_r_matrix
@@ -219,18 +218,14 @@ class TestRootOrderRewrite:
 class TestGoldenBasisMatrix:
     def test_round_trip_against_tables(self, tables):
         spec = sun_r_matrix(2, tables.ctx)
-        Q = build_structure(spec.R, tables.ctx)
-        D = build_u_data(spec.R, tables.ctx).D
-        T = golden_basis_matrix(Q, D)
+        T = golden_basis_matrix(build_structure(spec.R, tables.ctx))
         tp_inv = tables.ctx.qnum(2, inverse=True).inv()
-        assert T.rows[0][3] == tp_inv
-        assert T.rows[3][3] == -tp_inv
-        assert T.rows[1][1] == S("1")
-        assert T.rows[2][2] == S("1")
+        assert T.rows[0][2] == tp_inv
+        assert T.rows[3][2] == -tp_inv
+        assert T.rows[1][0] == S("1")
+        assert T.rows[2][1] == S("1")
 
     def test_rejects_other_ranks(self):
         spec = sun_r_matrix(3)
-        Q = build_structure(spec.R, spec.ctx)
-        D = build_u_data(spec.R, spec.ctx).D
         with pytest.raises(ValueError, match="rank-one"):
-            golden_basis_matrix(Q, D)
+            golden_basis_matrix(build_structure(spec.R, spec.ctx))

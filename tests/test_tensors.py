@@ -168,7 +168,7 @@ class TestBiMat:
         assert entry(b, 0, 1, 1, 0) == S("p")
 
     def test_perm(self):
-        p = BiMat.identity(3).flip()
+        p = BiMat(3, contract("ik,jl->ijkl", delta(3), delta(3))).flip()
         assert dense_of(BiMat(3, contract("ijmn,mnkl->ijkl", p.to4dict(), p.to4dict()))) == Mat.identity(9)
         for i, j, k, l in itertools.product(range(3), repeat=4):
             expected = Scalar.one() if (i == l and j == k) else Scalar.zero()
@@ -314,7 +314,7 @@ class TestSparseBiMat:
         rng = random.Random(seed)
         M, dense = random_block_bimat(rng, N)
         other, other_dense = random_block_bimat(rng, N)
-        P = BiMat.identity(N).flip()
+        P = BiMat(N, contract("ik,jl->ijkl", delta(N), delta(N))).flip()
         m4, other4, p4 = M.to4dict(), other.to4dict(), P.to4dict()
         product = "ijmn,mnkl->ijkl"
         assert dense_of(P) == dense_perm(N)
@@ -1120,7 +1120,7 @@ class TestHelpers:
         dense = random_mat(rng, N * N)
         R4 = bimat_of(N, dense).to4dict()
         eye = Mat.identity(N)
-        p23 = dense_kron(eye, dense_of(BiMat.identity(N).flip()))
+        p23 = dense_kron(eye, dense_of(BiMat(N, contract("ik,jl->ijkl", delta(N), delta(N))).flip()))
         r12, r23 = dense_kron(dense, eye), dense_kron(eye, dense)
         r13 = p23 @ r12 @ p23
 
