@@ -28,6 +28,9 @@ CASES = {
         "report", "--group", "external", "--r-matrix", str(DATA / "su2_external.json"),
         "--format", "json",
     ],
+    "report_so3_fn_text": [
+        "report", "--group", "external", "--r-matrix", str(DATA / "so3.json"), "--rep", "fn",
+    ],
     "report_so3_fn_json": [
         "report", "--group", "external", "--r-matrix", str(DATA / "so3.json"),
         "--rep", "fn", "--format", "json",
@@ -35,6 +38,7 @@ CASES = {
     "check_n2": ["check", "--n", "2"],
     "check_n2_rep_fn": ["check", "--n", "2", "--rep", "fn"],
     "check_n3": ["check", "--n", "3"],
+    "check_n4_skip_heavy": ["check", "--n", "4", "--skip-heavy", "--checks", "ybe,hecke,qla"],
     "su2_tables": ["su2-tables"],
     "check_so3": [
         "check", "--group", "external", "--r-matrix", str(DATA / "so3.json"),

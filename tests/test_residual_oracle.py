@@ -1,7 +1,8 @@
 """An oracle for the identity residuals that does not go through the engine.
 
-Every identity of :func:`~qla.qla_core.verify_qla`, and the Yang–Baxter
-equation of :func:`~qla.rmatrix.check_ybe`, is one signed sum of
+Every identity of :func:`~qla.qla_core.verify_qla` and
+:func:`~qla.qla_core.check_bigD_identities`, and the Yang–Baxter equation of
+:func:`~qla.rmatrix.check_ybe`, is one signed sum of
 contractions, formed exactly by :func:`~qla.tensors.contract_residual`.  The
 test wraps that function while the real suites run.  For each call it
 evaluates every operand entry at a random point p₀ modulo the prime P, forms
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -25,7 +27,7 @@ from typing import Mapping
 import pytest
 
 from qla import qla_core, rmatrix
-from qla.qla_core import build_structure, fundamental_generators, verify_qla
+from qla.qla_core import build_structure, check_bigD_identities, fundamental_generators, verify_qla
 from qla.rmatrix import RMatrixSpec, check_ybe, load_r_matrix, sun_r_matrix
 from qla.scalars import Scalar, parse_scalar
 from qla.tensors import BiMat, contract_residual
@@ -167,4 +169,21 @@ def test_ybe_residual_agrees_with_a_mod_p_evaluation(name, shifted, seed, monkey
     monkeypatch.setattr(rmatrix, "contract_residual", oracle)
     assert check_ybe(spec).passed is not shifted
     assert oracle.calls == 1
+    assert oracle.mismatches == []
+
+
+# The perturbed su(3) ℝ keeps the unperturbed 𝔻, so bigD-tilde's nonzero
+# residual is compared entry by entry.
+@pytest.mark.parametrize("name, perturbed, seed", [("su3", False, 31), ("so3", False, 32), ("su3", True, 33)])
+def test_bigD_residuals_agree_with_a_mod_p_evaluation(name, perturbed, seed, monkeypatch):
+    spec = r_matrix(name)
+    Q = build_structure(spec.R, spec.ctx)
+    if perturbed:
+        R4, key = Q.bigR.to4dict(), (0, 4, 1, 3)
+        Q = replace(Q, bigR=BiMat(Q.n, {**R4, key: R4.get(key, Scalar.zero()) + parse_scalar("p")}))
+    oracle = Oracle(seed)
+    monkeypatch.setattr(qla_core, "contract_residual", oracle)
+    results = {r.name: r.passed for r in check_bigD_identities(Q)}
+    assert results["bigD-tilde"] is not perturbed
+    assert oracle.calls == 2
     assert oracle.mismatches == []
