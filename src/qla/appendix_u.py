@@ -4,12 +4,13 @@ The element u implements the square of the antipode by conjugation; its
 representation image weights every trace in the theory.  This module computes
 ρ(u) directly from a numerical R-matrix, normalizes it into the diagonal
 D-matrix, extracts the scalar constants α and β, and verifies the identity
-family that D satisfies.  ρ(u), ρ(u)⁻¹, each trace and each identity residual
-is one :func:`~qla.tensors.contract` or :func:`~qla.tensors.contract_residual`
-over the sparse D, D⁻¹, R, R⁻¹, R̃ and tilde(R⁻¹), the last three formed once
-on R.  A factor D₁ = D⊗I or D₂ = I⊗D is D on the letters of that tensor
-factor, R̂ = P·R is R with its row letters swapped, R̂⁻¹ = R⁻¹·P is R⁻¹ with
-its column letters swapped, a partial trace sums a letter shared by the two
+family that D satisfies.  ρ(u) is :func:`rep_u` of R, and ρ(u)⁻¹ is the same
+:func:`rep_u` of R⁻¹; each trace and each identity residual is one
+:func:`~qla.tensors.contract` or :func:`~qla.tensors.contract_residual` over
+the sparse D, D⁻¹, R, R⁻¹, R̃ and tilde(R⁻¹), the last three formed once on
+R.  A factor D₁ = D⊗I or D₂ = I⊗D is D on the letters of that tensor factor,
+R̂ = P·R is R with its row letters swapped, R̂⁻¹ = R⁻¹·P is R⁻¹ with its
+column letters swapped, a partial trace sums a letter shared by the two
 factors, and tr₂ of P·X is a contraction with :func:`~qla.tensors.delta`.
 """
 
@@ -26,7 +27,6 @@ from .tensors import BiMat, Mat, contract, contract_residual, delta, identity_mu
 __all__ = [
     "UData",
     "rep_u",
-    "rep_u_inverse",
     "normalize_D",
     "beta_constant",
     "check_D_identities",
@@ -41,8 +41,8 @@ class UData:
     ``D = alpha·rep_u`` with ``D[0,0] = 1``; ``beta`` is the scalar of the
     partial trace ``tr₁(D₁⁻¹R̂)``; ``c_scalar`` is the value of the central
     element ρ(u·S(u)) = (αβ)⁻¹ on an irreducible bundle.  ``D_inv`` is
-    ``alpha⁻¹·ρ(u)⁻¹``, with ρ(u)⁻¹ from :func:`rep_u_inverse`, so no matrix
-    is inverted.
+    ``alpha⁻¹·ρ(u)⁻¹``, with ρ(u)⁻¹ the :func:`rep_u` of R⁻¹, so ρ(u) itself
+    is never inverted.
     """
 
     rep_u: Mat
@@ -62,15 +62,6 @@ def rep_u(R: BiMat) -> Mat:
     ``ρ(u)^i_k = Σ_m R̃^{mi}_{km}``.
     """
     return Mat.from_sparse(contract("mikn,mn->ik", R.tilde().to4dict(), delta(R.N)), R.N)
-
-
-def rep_u_inverse(R: BiMat) -> Mat:
-    """``ρ(u)⁻¹ = tr₂(P·tilde(R⁻¹))``, the same contraction of tilde(R⁻¹).
-
-    This is an independent route to the inverse (no matrix inversion);
-    :func:`build_u_data` asserts ``ρ(u)·ρ(u)⁻¹ = I``.
-    """
-    return Mat.from_sparse(contract("mikn,mn->ik", R.inverse().tilde().to4dict(), delta(R.N)), R.N)
 
 
 def normalize_D(u_mat: Mat, ctx: DeformationContext) -> tuple[Mat, Scalar]:
@@ -145,10 +136,10 @@ def check_D_identities(R: BiMat, ud: UData, seed: int = 0) -> list[CheckResult]:
 def build_u_data(R: BiMat, ctx: DeformationContext) -> UData:
     """Assemble the full u-calculus for one R-matrix.
 
-    Asserts that ``tr₂(P·tilde(R⁻¹))`` is ρ(u)⁻¹ (their product is I) and
-    returns the constants; ``c_scalar = (αβ)⁻¹``.
+    Asserts that ``rep_u(R⁻¹)`` is ρ(u)⁻¹ (their product is I) and returns
+    the constants; ``c_scalar = (αβ)⁻¹``.
     """
-    u_mat, u_inv = rep_u(R), rep_u_inverse(R)
+    u_mat, u_inv = rep_u(R), rep_u(R.inverse())
     if contract("ij,jk->ik", u_mat.to_sparse(), u_inv.to_sparse()) != delta(R.N):
         raise ValueError("u-inverse consistency failed: tr₂(P·tilde(R⁻¹)) ≠ ρ(u)⁻¹")
     D, alpha = normalize_D(u_mat, ctx)

@@ -73,7 +73,7 @@ class QlaStructure:
 
     ``bigR`` is ℝ^{AB}_{CD} as a BiMat over composite indices, ``f`` the
     sparse structure constants f_{AB}{}^C, ``I_id`` the invariant vector
-    I_{(ij)} = δ^i_j, ``bigD`` the matrix 𝔻^A_B = tilde(ℝ)^{CA}_{BC}, and
+    I_{(ij)} = δ^i_j, ``bigD`` the matrix 𝔻^A_B = tilde(Pℝ)^{CA}_{BC}, and
     ``F_adj`` the numerical R-matrix 𝔽 of the adjoint representation.
     """
 
@@ -119,19 +119,20 @@ def fundamental_generators(R: BiMat, ctx: DeformationContext) -> RepBundle:
 def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
     """Assemble ℝ, f, I, 𝔻 and 𝔽 from one numerical R-matrix.
 
-    All four objects are single contractions of R̃, R̂, R̂⁻¹ and R̂²:
+    ℝ, f and 𝔽 are single contractions of R̃, R̂, R̂⁻¹ and R̂², where
+    R̂⁻¹ = R⁻¹·P is R's one inverse with its column letters swapped:
 
     - ℝ^{(ab)(cd)}_{(ij)(kl)} = R̃^{mk}_{jn} R̂^{sd}_{ml} (R̂⁻¹)^{ni}_{ra} R̂^{rb}_{sc}
     - f_{(ij)(kl)}{}^{(rs)} = (1/λ)[δ^i_j δ^k_r δ^s_l − R̃^{mk}_{jn} (R̂⁻¹)^{ni}_{tr} (R̂²)^{ts}_{ml}]
-    - 𝔻^A_B = tilde(ℝ)^{CA}_{BC}
     - 𝔽^{(ab)(cd)}_{(ij)(kl)} = R̃^{mk}_{jn} R̂^{sb}_{ml} R̂^{ni}_{rc} (R̂⁻¹)^{rd}_{sa}
+
+    𝔻^A_B = tilde(Pℝ)^{CA}_{BC} is :func:`~qla.appendix_u.rep_u` of the un-braided Pℝ.
     """
     N = R.N
     n = N * N
     til4 = R.tilde().to4dict()
-    rhat = R.flip()
-    rhat4 = rhat.to4dict()
-    rhatinv4 = rhat.inverse().to4dict()
+    rhat4 = R.flip().to4dict()
+    rhatinv4 = {(i, j, l, k): val for (i, j, k, l), val in R.inverse().to4dict().items()}
     rhat2_4 = R.hat_squared().to4dict()
     lam = ctx.lam()
     lam_inv = lam ** -1
@@ -158,12 +159,7 @@ def build_structure(R: BiMat, ctx: DeformationContext) -> QlaStructure:
 
     F_adj = composite(contract("mkjn,sbml,nirc,rdsa->abcdijkl", til4, rhat4, rhat4, rhatinv4))
 
-    # ℝ is braid-form (it tends to the composite flip classically), so the
-    # tilde operation applies to its un-braided companion P·ℝ.  The result
-    # solves the exchange system Σ_{C,B} T^{AB}_{CD} ℝ^{FC}_{EB} = δ^A_E δ^F_D
-    # coming from the antipode axioms.
-    til_big = bigR.flip().tilde().to4dict()
-    bigD = Mat.from_sparse(contract("cabd,dc->ab", til_big, delta(n)), n)
+    bigD = rep_u(bigR.flip())
 
     I_id = [_ONE if A // N == A % N else _ZERO for A in range(n)]
     return QlaStructure(
@@ -343,6 +339,9 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
     """𝔻 satisfies the same identity family as the small D-matrix:
 
     ``𝔻₁𝔻₂ℝ = ℝ𝔻₁𝔻₂`` and ``tilde(Pℝ)^{AB}_{CD} = (𝔻₁⁻¹ℝ⁻¹𝔻₂)^{AB}_{DC}``.
+    The second says Y^{GB}_{CH} = 𝔻^G_A tilde(Pℝ)^{AB}_{DC} (𝔻⁻¹)^D_H is ℝ⁻¹;
+    ℝ is square, so the one-sided ``ℝ·Y = I`` holds exactly when Y = ℝ⁻¹, and
+    ℝ is never inverted.
     """
     bigR4 = Q.bigR.to4dict()
     bigD = Q.bigD.to_sparse()
@@ -350,9 +349,9 @@ def check_bigD_identities(Q: QlaStructure) -> list[CheckResult]:
         ("ae,bf,efcd->abcd", bigD, bigD, bigR4), ("abef,ec,fd->abcd", bigR4, bigD, bigD)
     )
     results = [check_composite_zero("bigD-comm", comm, Q.n)]
+    T, eye = Q.bigR.flip().tilde().to4dict(), delta(Q.n)
     residual = contract_residual(
-        Q.bigR.flip().tilde().to4dict(),
-        ("ae,ebcf,fd->abdc", Q.bigD.inverse().to_sparse(), Q.bigR.inverse().to4dict(), bigD),
+        ("ijgb,ga,abdc,dh->ijch", bigR4, bigD, T, Q.bigD.inverse().to_sparse()), ("ic,jh->ijch", eye, eye)
     )
     results.append(check_sparse_zero("bigD-tilde", residual))
     return results

@@ -13,7 +13,6 @@ from qla.appendix_u import (
     check_D_identities,
     normalize_D,
     rep_u,
-    rep_u_inverse,
 )
 from qla.rmatrix import load_r_matrix, sun_r_matrix
 from qla.scalars import DeformationContext, parse_scalar
@@ -60,7 +59,7 @@ class TestRepU:
     @pytest.mark.parametrize("N", [2, 3])
     def test_inverse_route_matches_exactly(self, N):
         R = sun_r_matrix(N).R
-        assert rep_u_inverse(R) == rep_u(R).inverse()
+        assert rep_u(R.inverse()) == rep_u(R).inverse()
 
 
 class TestNormalizeD:

@@ -17,6 +17,7 @@ from qla.cli import (
     cmd_su2_tables,
     main,
 )
+from qla.pipeline import Pipeline
 from qla.qla_core import structure_from_dict
 from qla.reporting import CheckResult
 from qla.rmatrix import RMatrixSpec, save_r_matrix, sun_r_matrix
@@ -349,15 +350,19 @@ class TestCheckCommand:
         assert main(argv) == 0
         assert "ybe[su2]" in target.read_text()
 
-    # L⁻ reads R's cached inverse, so R₂₁ is never inverted; check --n 2 builds
-    # a second su(2) pipeline for the reordered metric, hence its count.
-    @pytest.mark.parametrize("argv, calls", [
-        (["check", "--n", "3"], 11),
+    # L⁻ and R̂⁻¹ read R's cached inverse, so neither R₂₁ nor R̂ is inverted,
+    # and ℝ never is; check --n 2 builds a second su(2) pipeline for the
+    # reordered metric, hence its count.  The last column counts the solves
+    # of the largest size, n² = N⁴: tilde(Pℝ) for 𝔻, and tilde(𝔽) when the
+    # suites reach ad′.
+    @pytest.mark.parametrize("argv, calls, largest", [
+        (["check", "--n", "3"], 9, 2),
         (["check", "--group", "external", "--r-matrix", str(SO3_FILE),
-          "--checks", "ybe,cubic:eps=1,qla,appendix"], 8),
-        (["check", "--n", "2"], 17),
+          "--checks", "ybe,cubic:eps=1,qla,appendix"], 6, 1),
+        (["check", "--n", "2"], 14, 3),
+        (["check", "--n", "4", "--skip-heavy", "--checks", "ybe,hecke,qla"], 5, 1),
     ])
-    def test_no_matrix_is_inverted_twice(self, argv, calls, monkeypatch, capsys):
+    def test_no_matrix_is_inverted_twice(self, argv, calls, largest, monkeypatch, capsys):
         inverted = []
         block_inverse = tensors._block_inverse
 
@@ -369,6 +374,34 @@ class TestCheckCommand:
         assert main(argv) == 0
         assert len(inverted) == calls
         assert all(a != b for i, a in enumerate(inverted) for b in inverted[:i])
+        sizes = [size for _, size in inverted]
+        assert sizes.count(max(sizes)) == largest
+
+    # BiMat.inverse runs only on the R-matrix's own R, which load_r_matrix
+    # already inverts on load; R̂⁻¹, ρ(u)⁻¹ and the L⁻ blocks re-key or
+    # contract that one inverse, and bigD-tilde is checked through ℝ itself.
+    @pytest.mark.parametrize("argv", [
+        ["check", "--n", "3"],
+        ["check", "--group", "external", "--r-matrix", str(SO3_FILE),
+         "--checks", "ybe,cubic:eps=1,qla,appendix"],
+    ])
+    def test_only_the_r_matrix_is_inverted(self, argv, monkeypatch, capsys):
+        specs, receivers = [], []
+        init, inverse = Pipeline.__init__, BiMat.inverse
+
+        def recording_init(self, spec, *args, **kwargs):
+            specs.append(spec)
+            init(self, spec, *args, **kwargs)
+
+        def recording_inverse(self):
+            receivers.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(Pipeline, "__init__", recording_init)
+        monkeypatch.setattr(BiMat, "inverse", recording_inverse)
+        assert main(argv) == 0
+        assert len(specs) == 1 and receivers
+        assert all(M is specs[0].R for M in receivers)
 
     # 𝒟 is solved for once per pipeline, in build_primed; check --n 2 and
     # su2-tables each build two su(2) pipelines (one at the tables' context).
