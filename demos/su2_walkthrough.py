@@ -57,7 +57,7 @@ def main() -> int:
         print(f"  eta00     = {rep.eta00.render()}")
         print(f"  index     = {rep.index.render()}  (at p=1: {rep.index.eval_at(1)})")
         print(f"  casimir   = {rep.casimir_eigen.render()}  (at p=1: {rep.casimir_eigen.eval_at(1)})")
-        print(f"  mu        = {pb.mu[name].render()}")
+        print(f"  mu        = {rep.mu.render()}")
 
     heading("classical limit p = 1")
     fn_rep, ad_rep = reports["fn"], reports["ad'"]

@@ -36,7 +36,6 @@ from .appendix_u import check_D_identities
 from .killing import (
     check_metric_identities,
     fundamental_metric_closed_form,
-    killing_metric,
     killing_report_to_dict,
     positivity_sample,
 )
@@ -228,15 +227,15 @@ def _suite_killing(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
     reports = ppl.reports
     out: list[CheckResult] = []
     for bundle in ppl.bundles():
-        eta = killing_metric(bundle)
+        report = reports[bundle.name]
         reference = None
         if ppl.su_family and bundle is ppl.fn:
             reference = fundamental_metric_closed_form(ppl.spec.ctx, ppl.udata.D)
-        for result in check_metric_identities(Q, eta, reference=reference):
+        for result in check_metric_identities(Q, report.eta, reference=reference):
             out.append(replace(result, name=f"{result.name}[{bundle.name}]"))
         out.append(check_chi0_central(pb, bundle))
         out.append(check_traceless(pb, bundle))
-        out.append(check_comm_prime(Q, pb, bundle))
+        out.append(check_comm_prime(Q, pb, bundle, report.mu))
     rng = random.Random(0)
     N = ppl.spec.N
     samples = []
@@ -401,7 +400,7 @@ def _headline_scalars(ppl: Pipeline) -> dict[str, Scalar]:
         out[f"eta00[{name}]"] = report.eta00
         if report.casimir_eigen is not None:
             out[f"casimir[{name}]"] = report.casimir_eigen
-        out[f"mu[{name}]"] = ppl.primed.mu[name]
+        out[f"mu[{name}]"] = report.mu
     return out
 
 
@@ -431,7 +430,7 @@ def _text_report(ppl: Pipeline, cfg: RunConfig) -> str:
         ]
         if report.casimir_eigen is not None:
             sections.append(f"casimir[{name}] = {report.casimir_eigen.render()}")
-        sections.append(f"mu[{name}] = {ppl.primed.mu[name].render()}")
+        sections.append(f"mu[{name}] = {report.mu.render()}")
     if cfg.eval_points:
         sections += ["", "## evaluations"]
         sections.extend(_eval_table(_headline_scalars(ppl), cfg.eval_points))
@@ -443,7 +442,6 @@ def cmd_report(config: RunConfig) -> int:
     if config.skip_heavy:
         raise ConfigError("--skip-heavy applies to check only")
     ppl = _pipeline(config)
-    # Build every stage before rendering: ad′ records its own μ on the primed basis.
     stages = ("structure", "primed") + (() if config.rep == "fn" else ("adjoint",))
     for stage in stages + ("reports",):
         try:
@@ -458,7 +456,9 @@ def cmd_report(config: RunConfig) -> int:
             "N": ppl.spec.ctx.N,
             "root_order": ppl.spec.ctx.root_order,
             "structure": structure_to_dict(ppl.structure),
-            "primed_basis": basis_report(ppl.primed),
+            "primed_basis": basis_report(
+                ppl.primed, {name: report.mu for name, report in ppl.reports.items()}
+            ),
             "killing": {
                 name: killing_report_to_dict(ppl.reports[name])
                 for name in (b.name for b in ppl.bundles())

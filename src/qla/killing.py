@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .primed_basis import PrimedBasis
+from .primed_basis import PrimedBasis, mu_scalar
 from .qla_core import QlaStructure, RepBundle
 from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
@@ -53,9 +53,14 @@ class KillingReport:
     (η^{fn}_primed)⁻¹·η^{(ρ)}_primed (a multiple of the identity), and
     ``casimir_mat``/``casimir_eigen`` the image of the quadratic casimir
     together with its eigenvalue (None when the image is not scalar).
+    ``eta`` is the metric η_{AB} on the unprimed generators
+    (:func:`killing_metric`) and ``mu`` the scalar μ(ρ) with ρ(χ₀) = μ(ρ)·I
+    (:func:`~qla.primed_basis.mu_scalar`); the report is their one owner.
     """
 
     rep_name: str
+    eta: Mat
+    mu: Scalar
     eta_full: Mat
     eta_primed: Mat
     eta00: Scalar
@@ -249,26 +254,27 @@ def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle,
                     ad: RepBundle | None = None) -> dict[str, KillingReport]:
     """Killing reports for the fundamental bundle and, if given, the traceless adjoint ``ad``.
 
-    Without ``ad`` only the fundamental report is built; its K is the identity.
+    Each bundle's η and μ are formed once, here, fn first: its traceless
+    block fixes the canonical metric that ad′ is measured against.  Without
+    ``ad`` only the fundamental report is built; its K is the identity.
+    Raises if a bundle's χ₀ image is not scalar.
     """
     index_fn = fundamental_index(Q.ctx)
-    eta_fn = killing_metric(B_fn)
-    full_fn, eta00_fn, prim_fn = primed_metric_blocks(pb, eta_fn)
-    canonical = prim_fn.scale(index_fn.inv())
-    prim_fn_inv = prim_fn.inverse()
-    inv_canonical = prim_fn_inv.scale(index_fn)
-
     reports: dict[str, KillingReport] = {}
     bundles, ad_gen = ((B_fn,), {}) if ad is None else ((B_fn, ad), ad.gen)
     for bundle in bundles:
+        eta = killing_metric(bundle)
+        full, eta00, prim = primed_metric_blocks(pb, eta)
         if bundle is B_fn:
-            full, eta00, prim = full_fn, eta00_fn, prim_fn
-        else:
-            full, eta00, prim = primed_metric_blocks(pb, killing_metric(bundle))
+            prim_fn_inv = prim.inverse()
+            canonical = prim.scale(index_fn.inv())
+            inv_canonical = prim_fn_inv.scale(index_fn)
         index, K = index_and_intertwiner(prim_fn_inv, prim, ad_gen, index_fn)
         cas_mat, cas_eigen = casimir(bundle, inv_canonical, pb)
         reports[bundle.name] = KillingReport(
             rep_name=bundle.name,
+            eta=eta,
+            mu=mu_scalar(pb, bundle),
             eta_full=full,
             eta_primed=prim,
             eta00=eta00,

@@ -41,7 +41,7 @@ _ZERO = Scalar.from_rational(0)
 _ONE = Scalar.from_rational(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimedBasis:
     """The primed basis data over one structure.
 
@@ -51,10 +51,10 @@ class PrimedBasis:
     χ₀ and whose remaining columns are the kept primed generators, and
     ``T_inv`` its inverse; ``dropped_index`` the composite index whose
     primed generator was removed; ``f_primed`` the structure constants in
-    the new basis (index 0 = χ₀); ``mu`` maps a bundle name to μ(ρ) where
-    ρ(χ₀) = μ(ρ)·I; ``traces`` holds the fundamental bundle's deformed
-    traces I′_A (:func:`~qla.qla_core.deformed_traces`) when
-    :func:`build_primed` made the basis.
+    the new basis (index 0 = χ₀); ``traces`` holds the fundamental bundle's
+    deformed traces I′_A (:func:`~qla.qla_core.deformed_traces`) when
+    :func:`build_primed` made the basis.  The basis is frozen: μ(ρ) of each
+    bundle (:func:`mu_scalar`) lives on its Killing report.
     """
 
     d_vec: list[Scalar]
@@ -63,7 +63,6 @@ class PrimedBasis:
     T_inv: Mat
     dropped_index: int
     f_primed: dict[tuple[int, int, int], Scalar]
-    mu: dict[str, Scalar] = field(default_factory=dict)
     traces: list[Scalar] = field(default_factory=list)
 
     @property
@@ -136,7 +135,7 @@ def build_primed(
     T4 = T.to_sparse()
     f_primed = contract("xa,yb,xye,ce->abc", T4, T4, Q.f, T_inv.to_sparse())
 
-    pb = PrimedBasis(
+    return PrimedBasis(
         d_vec=d_vec,
         ratios=ratios,
         T=T,
@@ -145,11 +144,6 @@ def build_primed(
         f_primed=f_primed,
         traces=traces,
     )
-    try:
-        pb.mu[B_fn.name] = mu_scalar(pb, B_fn)
-    except ValueError:
-        pass  # reducible bundle: χ₀ image is not scalar, so no μ is recorded
-    return pb
 
 
 def golden_basis_matrix(Q: QlaStructure) -> Mat:
@@ -199,10 +193,10 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
     ``ad′(χ′_A)^a_b = f′_{Ab}{}^a`` on the primed labels; the returned bundle
     carries the images of the *unprimed* generators (obtained through T⁻¹) so
     it composes with every structure-level checker.  Its u-matrix is the
-    primed block of the adjoint u; μ(ad′) is recorded on the basis.
-    Raises if an f′ entry acts on χ₀ or produces a χ₀ component (B or C is
-    0), if the matrices share a null vector (the block must be an irrep) or
-    if the adjoint u fails to be block-diagonal in this basis.
+    primed block of the adjoint u.  Raises if an f′ entry acts on χ₀ or
+    produces a χ₀ component (B or C is 0), if the matrices share a null
+    vector (the block must be an irrep), if χ₀ does not act as a multiple of
+    I or if the adjoint u fails to be block-diagonal in this basis.
     """
     n = pb.n
     small: SparseTensor = {}
@@ -214,10 +208,8 @@ def adjoint_prime(pb: PrimedBasis, Q: QlaStructure) -> RepBundle:
     if Mat.from_sparse(stacked, n * (n - 1), n - 1).null_space():
         raise ValueError("primed adjoint matrices share a null vector")
 
-    mu0 = identity_multiple({(a, b): val for (A, a, b), val in small.items() if A == 0}, n - 1)
-    if mu0 is None:
+    if identity_multiple({(a, b): val for (A, a, b), val in small.items() if A == 0}, n - 1) is None:
         raise ValueError("central element image in ad' is not proportional to I")
-    pb.mu["ad'"] = mu0
 
     T_inv = pb.T_inv.to_sparse()
     u_full = contract("ae,ef,fb->ab", T_inv, rep_u(Q.F_adj).to_sparse(), pb.T.to_sparse())
@@ -243,16 +235,16 @@ def check_traceless(pb: PrimedBasis, bundle: RepBundle) -> CheckResult:
 
 
 def check_comm_prime(
-    Q: QlaStructure, pb: PrimedBasis, bundle: RepBundle
+    Q: QlaStructure, pb: PrimedBasis, bundle: RepBundle, mu: Scalar
 ) -> CheckResult:
     """The primed commutation relation at representation level.
 
-    With ρ(χ₀) = μ(ρ)I and r_D = I′_D/I′₀ the trace ratios of the basis,
+    With ρ(χ₀) = μ(ρ)I (``mu``, the bundle's :func:`mu_scalar`) and
+    r_D = I′_D/I′₀ the trace ratios of the basis,
 
     ``ρ(χ′_A)ρ(χ′_B) − ℝ^{CD}_{AB} ρ(χ′_C)ρ(χ′_D)
         = Σ_C [f_{AB}{}^C − μ(ρ)(r_A δ^C_B − ℝ^{CD}_{AB} r_D)] ρ(χ′_C)``.
     """
-    mu = mu_scalar(pb, bundle)
     mu_r = {(A,): mu * r for A, r in enumerate(pb.ratios)}
     # ρ(χ′_A) = ρ(χ_A) − μ(ρ) r_A I, keyed (A, row, col).
     primed = contract_residual(bundle.gen, ("a,xy->axy", mu_r, delta(bundle.dim)))
@@ -267,8 +259,8 @@ def check_comm_prime(
     return check_sparse_zero(f"comm-prime[{bundle.name}]", residual)
 
 
-def basis_report(pb: PrimedBasis) -> dict:
-    """JSON-ready summary: 𝒟, T, dropped index, f′ nonzeros, μ values."""
+def basis_report(pb: PrimedBasis, mu: dict[str, Scalar]) -> dict:
+    """JSON-ready summary: 𝒟, T, dropped index, f′ nonzeros, and ``mu``, μ by bundle name."""
     return {
         "d_vec": [v.render() for v in pb.d_vec],
         "T": [[v.render() for v in row] for row in pb.T.rows],
@@ -276,5 +268,5 @@ def basis_report(pb: PrimedBasis) -> dict:
         "f_primed": [
             [a, b, c, val.render()] for (a, b, c), val in sorted(pb.f_primed.items())
         ],
-        "mu": {name: val.render() for name, val in sorted(pb.mu.items())},
+        "mu": {name: val.render() for name, val in sorted(mu.items())},
     }

@@ -306,12 +306,11 @@ def null_space_lemma(Q: QlaStructure) -> CheckResult:
     """Joint kernel of the transposed adjoint matrices is span{I}.
 
     The kernel of the stacked system ``Σ_C f_{AB}{}^C v_C = 0`` (all A, B)
-    must be exactly 1-dimensional and proportional to I_A = δ^i_j.
+    must be exactly 1-dimensional and proportional to I_A = δ^i_j: the kernel
+    vector must be I rescaled to match it at I's first nonzero position.
     """
     n = Q.n
-    stacked = Mat.zeros(n * n, n)
-    for (A, B, C), val in Q.f.items():
-        stacked[A * n + B, C] = val
+    stacked = Mat.from_sparse({(A * n + B, C): val for (A, B, C), val in Q.f.items()}, n * n, n)
     basis = stacked.null_space()
     if len(basis) != 1:
         return CheckResult(
@@ -320,13 +319,9 @@ def null_space_lemma(Q: QlaStructure) -> CheckResult:
             detail=f"kernel dimension {len(basis)}, expected 1",
         )
     vec = basis[0]
-    pivot = next((v for v in vec if not v.is_zero), None)
-    if pivot is None:
-        return CheckResult("null-space-lemma", False, detail="kernel vector is zero")
-    scaled = [v * pivot.inv() for v in vec]
-    ref_pivot = next(v for v in Q.I_id if not v.is_zero)
-    reference = [v * ref_pivot.inv() for v in Q.I_id]
-    if scaled != reference:
+    head = next(A for A, v in enumerate(Q.I_id) if not v.is_zero)
+    ratio = vec[head] / Q.I_id[head]
+    if vec != [ratio * v for v in Q.I_id]:
         return CheckResult(
             "null-space-lemma",
             False,

@@ -105,7 +105,7 @@ def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -
         if eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
         q = ctx.q_power(1)
-        roots = [q, -ctx.q_power(-1), ctx.scalar(eps) * ctx.q_power(eps - N)]
+        roots = [q, -ctx.q_power(-1), Scalar.from_rational(eps) * ctx.q_power(eps - N)]
         factors = [contract_residual(rhat, ("ik,jl,->ijkl", eye, eye, {(): root})) for root in roots]
         residual = contract("ijab,abcd,cdkl->ijkl", *factors)
         return check_composite_zero(f"cubic[{spec.label},eps={eps:+d}]", residual, N)

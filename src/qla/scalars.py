@@ -739,13 +739,6 @@ class DeformationContext:
         if self.root_order < 1:
             raise ValueError("root_order must be a positive integer")
 
-    def scalar(self, value: RationalLike | Scalar) -> Scalar:
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, str):
-            return parse_scalar(value)
-        return Scalar.from_rational(value)
-
     def q_power(self, r: int | Fraction) -> Scalar:
         """The exact monomial ``q**r`` (requires ``r * root_order`` integral)."""
         exp = Fraction(r) * self.root_order
@@ -766,11 +759,11 @@ class DeformationContext:
         denominator = self.q_power(sign * 2) - Scalar.one()
         return numerator / denominator
 
-    def qfact(self, n: int, inverse: bool = False) -> Scalar:
+    def qfact(self, n: int) -> Scalar:
         """Quantum factorial: 1 for ``n == 0``, else the product of ``[1]..[n]``."""
         if n < 0:
             raise ValueError("quantum factorial of a negative integer")
         result = Scalar.one()
         for m in range(1, n + 1):
-            result = result * self.qnum(m, inverse=inverse)
+            result = result * self.qnum(m)
         return result

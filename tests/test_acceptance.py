@@ -314,8 +314,8 @@ def test_criterion_7_conjecture_spot_checks():
             / (ctx.qnum(2) * ctx.qnum(2, inverse=True))
         )
 
-    assert pb.mu["fn"] == mu_formula(Fraction(1, 2))
-    assert pb.mu["ad'"] == mu_formula(Fraction(1, 1))
+    assert reports["fn"].mu == mu_formula(Fraction(1, 2))
+    assert reports["ad'"].mu == mu_formula(Fraction(1, 1))
     assert reports["fn"].casimir_eigen == casimir_formula(Fraction(1, 2))
     assert reports["ad'"].casimir_eigen == casimir_formula(Fraction(1, 1))
     print("ACCEPTANCE 7: PASS - spin-j conjecture at j = 1/2 and j = 1")

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from qla import primed_basis, tensors
+from qla import killing, primed_basis, tensors
 from qla.cli import (
     ConfigError,
     RunConfig,
@@ -417,6 +419,24 @@ class TestCheckCommand:
         monkeypatch.setattr(primed_basis, "d_vector", recording)
         assert main(argv) == 0
         assert calls == [4, 4]
+
+    # Each bundle's η and μ are formed once, by killing_reports, which owns them:
+    # two bundles, fn and ad′, so two of each.
+    @pytest.mark.parametrize("argv", [["check", "--n", "3"], ["report", "--n", "3"]])
+    def test_killing_data_is_formed_once_per_bundle(self, argv, monkeypatch, capsys):
+        calls: Counter[str] = Counter()
+        modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "qla"]
+        for original in (killing.killing_metric, primed_basis.mu_scalar):
+
+            def counting(*args, _original=original):
+                calls[_original.__name__] += 1
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, counting)
+        assert main(argv) == 0
+        assert (calls["killing_metric"], calls["mu_scalar"]) == (2, 2)
 
     def test_failure_exit_code(self, so3_path, capsys):
         argv = ["check", "--group", "external", "--r-matrix", so3_path,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +24,7 @@ from qla.killing import (
     primed_metric_blocks,
 )
 from qla.pipeline import Pipeline
-from qla.primed_basis import adjoint_prime, build_primed
+from qla.primed_basis import adjoint_prime, build_primed, mu_scalar
 from qla.qla_core import RepBundle, build_structure, fundamental_generators
 from qla.rmatrix import sun_r_matrix
 from qla.scalars import Scalar, parse_scalar
@@ -395,10 +395,17 @@ class TestPositivity:
 
 
 class TestReports:
-    def test_keys_and_mu_side_effect(self, su2, su2_reports):
-        _, _, _, _, pb = su2
+    def test_keys_and_mu(self, su2, su2_reports):
+        spec, _, bundle, _, pb = su2
         assert set(su2_reports) == {"fn", "ad'"}
-        assert "ad'" in pb.mu
+        assert su2_reports["fn"].mu == mu_scalar(pb, bundle)
+        assert su2_reports["ad'"].mu == -(spec.ctx.lam() * spec.ctx.qnum(2, inverse=True))
+
+    def test_primed_basis_is_frozen(self, su2):
+        # μ and η live on the reports, so nothing may write to the shared basis.
+        pb = su2[4]
+        with pytest.raises(FrozenInstanceError):
+            pb.dropped_index = 0
 
     def test_json_export(self, su2_reports):
         report = su2_reports["fn"]

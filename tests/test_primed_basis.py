@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qla.appendix_u import build_u_data
+from qla.killing import killing_reports
 from qla.pipeline import Pipeline
 from qla.primed_basis import (
     PrimedBasis,
@@ -146,7 +147,7 @@ class TestBuildPrimed:
         expected = -(
             ctx.lam() * ctx.qnum(Fraction(1, 2)) * ctx.qnum(Fraction(3, 2), inverse=True)
         )
-        assert pb.mu["fn"] == expected
+        assert killing_reports(Q, pb, bundle)["fn"].mu == expected
         assert chi0_image(pb, bundle) == Mat.identity(2).scale(expected).to_sparse()
 
     def test_zero_trace_bundle_rejected(self, su2):
@@ -211,18 +212,18 @@ class TestPrimedStructure:
 
 class TestMu:
     def test_su2_conjecture_values(self, su2_golden):
-        spec, Q, _, pb = su2_golden
+        spec, Q, bundle, pb = su2_golden
         ctx = spec.ctx
-        adjoint_prime(pb, Q)
+        reports = killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
 
         def conjecture(j):
             return -(
                 ctx.lam() * ctx.qnum(j) * ctx.qnum(j + 1, inverse=True)
             )
 
-        assert pb.mu["fn"] == conjecture(Fraction(1, 2))
-        assert pb.mu["ad'"] == conjecture(Fraction(1, 1))
-        assert pb.mu["ad'"] == -(ctx.lam() * ctx.qnum(2, inverse=True))
+        assert reports["fn"].mu == conjecture(Fraction(1, 2))
+        assert reports["ad'"].mu == conjecture(Fraction(1, 1))
+        assert reports["ad'"].mu == -(ctx.lam() * ctx.qnum(2, inverse=True))
 
     def test_non_scalar_image_rejected(self, su2):
         _, Q, bundle, D = su2
@@ -317,8 +318,8 @@ class TestRepresentationLevelChecks:
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
         pb = build_primed(Q, bundle, D)
         adp = adjoint_prime(pb, Q)
-        assert check_comm_prime(Q, pb, bundle).passed
-        assert check_comm_prime(Q, pb, adp).passed
+        assert check_comm_prime(Q, pb, bundle, mu_scalar(pb, bundle)).passed
+        assert check_comm_prime(Q, pb, adp, mu_scalar(pb, adp)).passed
 
     def test_comm_prime_detects_rescaled_generators(self, su2):
         _, Q, bundle, D = su2
@@ -327,7 +328,7 @@ class TestRepresentationLevelChecks:
         rescaled = RepBundle(
             name="rescaled", dim=2, n=4, gen={key: two * val for key, val in bundle.gen.items()}, u=bundle.u
         )
-        result = check_comm_prime(Q, pb, rescaled)
+        result = check_comm_prime(Q, pb, rescaled, mu_scalar(pb, rescaled))
         assert not result.passed
         assert result.line() == "FAIL  comm-prime[rescaled]  [at (0, 0, 0, 0): residual 2*p^-2 - 2*p^-6]"
 
@@ -338,10 +339,10 @@ class TestRepresentationLevelChecks:
         f = dict(Q.f)
         f[(1, 0, 1)] = f[(1, 0, 1)] + S("p")
         bent = replace(Q, f=f)
-        assert check_comm_prime(bent, pb, adp).line() == (
+        assert check_comm_prime(bent, pb, adp, mu_scalar(pb, adp)).line() == (
             "FAIL  comm-prime[ad']  [at (1, 0, 0, 2): residual -p^3 - p^-1]"
         )
-        assert check_comm_prime(bent, pb, bundle).line() == (
+        assert check_comm_prime(bent, pb, bundle, mu_scalar(pb, bundle)).line() == (
             "FAIL  comm-prime[fn]  [at (1, 0, 1, 0): residual p^-1]"
         )
 
@@ -355,13 +356,13 @@ class TestRepresentationLevelChecks:
 
 class TestBasisReport:
     def test_report_round_trips_scalars(self, su2_golden):
-        _, Q, _, pb = su2_golden
-        adjoint_prime(pb, Q)
-        report = basis_report(pb)
+        _, Q, bundle, pb = su2_golden
+        reports = killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
+        report = basis_report(pb, {name: r.mu for name, r in reports.items()})
         assert sorted(report) == ["T", "d_vec", "dropped_index", "f_primed", "mu"]
         assert report["dropped_index"] == 3
         assert [S(text) for text in report["d_vec"]] == pb.d_vec
         assert {
             (a, b, c): S(text) for a, b, c, text in report["f_primed"]
         } == pb.f_primed
-        assert S(report["mu"]["ad'"]) == pb.mu["ad'"]
+        assert S(report["mu"]["ad'"]) == reports["ad'"].mu

@@ -704,6 +704,15 @@ class TestNullSpaceLemma:
         assert not result.passed
         assert "not proportional" in result.detail
 
+    def test_bent_invariant_vector_fails(self, su3):
+        # The kernel is still the line of δ^i_j, but I now has a 1 at (0, 1) too.
+        _, Q, _ = su3
+        one = Scalar.from_rational(1)
+        bent = replace(Q, I_id=[Q.I_id[0], one, *Q.I_id[2:]])
+        assert null_space_lemma(bent).line() == (
+            "FAIL  null-space-lemma  (kernel vector is not proportional to the invariant vector)"
+        )
+
 
 class TestSerialization:
     def test_dict_round_trip(self, su2):

@@ -381,13 +381,6 @@ class TestDeformationContext:
         ctx = DeformationContext(N=2, root_order=1)
         assert ctx.qfact(0).is_one
         assert ctx.qfact(3) == ctx.qnum(2) * ctx.qnum(3)
-        assert ctx.qfact(2, inverse=True) == S("p^-2 + 1")
-
-    def test_scalar_coercion(self):
-        ctx = DeformationContext(N=2, root_order=2)
-        assert ctx.scalar("p^2 - 1") == S("p^2 - 1")
-        assert ctx.scalar(Fraction(1, 2)) == S("1/2")
-        assert ctx.scalar(5) == S("5")
 
     def test_validation(self):
         with pytest.raises(ValueError):
