@@ -21,6 +21,7 @@ CASES = {
     "report_n3_json_eval2": [
         "report", "--n", "3", "--format", "json", "--eval-at", "3/2", "--eval-at", "7/4",
     ],
+    "report_n3_rep_ad_json": ["report", "--n", "3", "--rep", "ad", "--format", "json"],
     "report_n2_text": ["report", "--n", "2"],
     "report_n4_json": ["report", "--n", "4", "--format", "json"],
     "report_n2_root4_json": ["report", "--n", "2", "--root-order", "4", "--format", "json"],
