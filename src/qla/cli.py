@@ -99,6 +99,8 @@ class RunConfig:
             raise ConfigError("--group must be 'su' or 'external'")
         if self.group == "external" and not self.r_matrix_path:
             raise ConfigError("--group external requires --r-matrix FILE")
+        if self.group == "su" and self.r_matrix_path:
+            raise ConfigError("--r-matrix applies to --group external")
         if self.group == "su" and self.n < 2:
             raise ConfigError("--group su requires --n >= 2")
         if self.root_order is not None:

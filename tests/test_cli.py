@@ -274,6 +274,19 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    # Under --group su the built-in R-matrix is used, so a --r-matrix file
+    # would never be read.
+    @pytest.mark.parametrize("argv", [
+        ["check", "--n", "2", "--r-matrix", str(SO3_FILE), "--checks", "ybe"],
+        ["report", "--r-matrix", str(SO3_FILE)],
+        ["su2-tables", "--r-matrix", str(SO3_FILE)],
+    ])
+    def test_r_matrix_without_external_group_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --r-matrix applies to --group external\n"
+
     @pytest.mark.parametrize("options", [[], ["--checks", "ybe", "--format", "json"]])
     def test_eval_at_is_a_usage_error(self, options, capsys):
         # check renders no scalar table for --eval-at to evaluate.
