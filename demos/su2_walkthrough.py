@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qla.pipeline import Pipeline
-from qla.qla_core import deformed_traces
 from qla.rmatrix import sun_r_matrix
 from qla.su2_golden import golden_suite
 from qla.tensors import Mat
@@ -34,12 +33,11 @@ def main() -> int:
     for (A, B, C), value in sorted(Q.f.items()):
         print(f"  f[{A},{B}]^{C} = {value.render()}")
 
-    B = ppl.fn
+    pb = ppl.primed
     heading("deformed traces of the fundamental representation")
-    for A, value in enumerate(deformed_traces(Q, B)):
+    for A, value in enumerate(pb.traces):
         print(f"  I[{A}] = {value.render()}  (at p=1: {value.eval_at(1)})")
 
-    pb = ppl.primed
     heading("primed basis")
     print(f"  invariant direction D = {[v.render() for v in pb.d_vec]}")
     print(f"  dropped composite index: {pb.dropped_index}")

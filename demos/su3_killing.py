@@ -10,12 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qla.appendix_u import check_D_identities
-from qla.killing import fundamental_metric_closed_form, killing_metric, primed_metric_blocks
+from qla.killing import fundamental_metric_closed_form
 from qla.pipeline import Pipeline
 from qla.qla_core import (
     check_bigD_identities,
     check_square_antipode,
-    deformed_traces,
     null_space_lemma,
     verify_qla,
 )
@@ -41,7 +40,7 @@ def main() -> int:
         ctx.qnum(Fraction(1, 3)) * ctx.qnum(3, inverse=True) - Scalar.one()
     )
     print(f"  diagonal value: {closed.render()}")
-    traces = deformed_traces(Q, B)
+    traces = ppl.primed.traces
     agree = all(
         value == (closed if A // 3 == A % 3 else Scalar.zero())
         for A, value in enumerate(traces)
@@ -49,15 +48,14 @@ def main() -> int:
     print(f"  all {len(traces)} entries match: {agree}")
 
     heading("killing metric")
-    eta = killing_metric(B)
+    reports = ppl.reports
+    fn_rep = reports["fn"]
+    eta, full, eta00, prim = fn_rep.eta, fn_rep.eta_full, fn_rep.eta00, fn_rep.eta_primed
     print(f"  matches the closed form: {eta == fundamental_metric_closed_form(ctx, ud.D)}")
-    pb = ppl.primed
-    full, eta00, prim = primed_metric_blocks(pb, eta)
     print(f"  eta00 = {eta00.render()}")
     size = len(prim.rows)
     print(f"  traceless block is {size}x{size}, decomposition exact: {full[0, 0] == eta00}")
 
-    reports = ppl.reports
     for name in ("fn", "ad'"):
         rep = reports[name]
         heading(f"killing data for {name}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from qla.killing import KillingReport, killing_reports
+from qla.killing import KillingReport, killing_report
 from qla.pipeline import Pipeline
 from qla.qla_core import QlaStructure, RepBundle, build_structure, fundamental_generators
 from qla.rmatrix import RMatrixSpec, load_r_matrix, sun_r_matrix
@@ -25,7 +25,7 @@ __all__ = [
     "build_structure",
     "fundamental_generators",
     "golden_suite",
-    "killing_reports",
+    "killing_report",
     "load_r_matrix",
     "load_su2_tables",
     "parse_scalar",

@@ -33,7 +33,7 @@ __all__ = [
     "index_and_intertwiner",
     "casimir",
     "positivity_sample",
-    "killing_reports",
+    "killing_report",
     "killing_report_to_dict",
 ]
 
@@ -165,26 +165,25 @@ def fundamental_index(ctx: DeformationContext) -> Scalar:
 
 
 def index_and_intertwiner(
-    fn_primed_inv: Mat,
+    inv_canonical: Mat,
     rho_primed: Mat,
-    ad_gen: SparseTensor,
+    gen: SparseTensor,
     index_fn: Scalar,
 ) -> tuple[Scalar, Mat]:
-    """Index of ρ and the intertwiner K, given (η^{fn}_primed)⁻¹.
+    """Index c_ρ of ρ and the intertwiner K, given the inverse canonical metric.
 
-    K = (η^{fn}_primed)⁻¹·η^{(ρ)}_primed must commute with every matrix of
-    the traceless adjoint bundle (its generator dict ``ad_gen``, ``{}``
-    when there is none) and be a multiple of the identity; the index of ρ is
-    that multiple times the fundamental index.
+    M = (inverse canonical)·η^{(ρ)}_primed must commute with every matrix of
+    the bundle (its generator dict ``gen``) and be c_ρ·I; then
+    K = M/c_fn = (η^{fn}_primed)⁻¹·η^{(ρ)}_primed, with c_fn = ``index_fn``.
     """
-    K = contract("ab,bc->ac", fn_primed_inv.to_sparse(), rho_primed.to_sparse())
-    if commutator(K, ad_gen):
+    M = contract("ab,bc->ac", inv_canonical.to_sparse(), rho_primed.to_sparse())
+    if commutator(M, gen):
         raise ValueError("metric ratio K does not commute with the adjoint action")
-    ratio = identity_multiple(K, fn_primed_inv.nrows)
-    if ratio is None:
+    index = identity_multiple(M, inv_canonical.nrows)
+    if index is None:
         raise ValueError("metric ratio K is not a multiple of the identity; "
                          "the bundle does not share the canonical metric")
-    return ratio * index_fn, Mat.from_sparse(K, fn_primed_inv.nrows)
+    return index, Mat.from_sparse(M, inv_canonical.nrows).scale(index_fn.inv())
 
 
 def casimir(B: RepBundle, inv_canonical: Mat, pb: PrimedBasis) -> tuple[Mat, Scalar | None]:
@@ -250,42 +249,31 @@ def positivity_sample(
     )
 
 
-def killing_reports(Q: QlaStructure, pb: PrimedBasis, B_fn: RepBundle,
-                    ad: RepBundle | None = None) -> dict[str, KillingReport]:
-    """Killing reports for the fundamental bundle and, if given, the traceless adjoint ``ad``.
+def killing_report(Q: QlaStructure, pb: PrimedBasis, bundle: RepBundle,
+                   fn: KillingReport | None = None) -> KillingReport:
+    """The Killing report of ``bundle``, with η and μ, measured against ``fn``'s report.
 
-    Each bundle's η and μ are formed once, here, fn first: its traceless
-    block fixes the canonical metric that ad′ is measured against.  Without
-    ``ad`` only the fundamental report is built; its K is the identity.
-    Raises if a bundle's χ₀ image is not scalar.
+    With ``fn`` None the bundle is the fundamental one: its traceless block
+    η′ fixes the canonical metric η′/c_fn and its inverse (η′)⁻¹·c_fn, the
+    bundle's one inverse, and K = I.  Otherwise both metrics are ``fn``'s and
+    :func:`index_and_intertwiner` gives the index and K.  Raises if a stage
+    fails (see :func:`primed_metric_blocks`, :func:`casimir`, :func:`mu_scalar`).
     """
     index_fn = fundamental_index(Q.ctx)
-    reports: dict[str, KillingReport] = {}
-    bundles, ad_gen = ((B_fn,), {}) if ad is None else ((B_fn, ad), ad.gen)
-    for bundle in bundles:
-        eta = killing_metric(bundle)
-        full, eta00, prim = primed_metric_blocks(pb, eta)
-        if bundle is B_fn:
-            prim_fn_inv = prim.inverse()
-            canonical = prim.scale(index_fn.inv())
-            inv_canonical = prim_fn_inv.scale(index_fn)
-        index, K = index_and_intertwiner(prim_fn_inv, prim, ad_gen, index_fn)
-        cas_mat, cas_eigen = casimir(bundle, inv_canonical, pb)
-        reports[bundle.name] = KillingReport(
-            rep_name=bundle.name,
-            eta=eta,
-            mu=mu_scalar(pb, bundle),
-            eta_full=full,
-            eta_primed=prim,
-            eta00=eta00,
-            canonical=canonical,
-            index=index,
-            inv_canonical=inv_canonical,
-            casimir_mat=cas_mat,
-            casimir_eigen=cas_eigen,
-            K=K,
-        )
-    return reports
+    eta = killing_metric(bundle)
+    full, eta00, prim = primed_metric_blocks(pb, eta)
+    if fn is None:
+        canonical, inv_canonical = prim.scale(index_fn.inv()), prim.inverse().scale(index_fn)
+        index, K = index_fn, Mat.identity(pb.n - 1)
+    else:
+        canonical, inv_canonical = fn.canonical, fn.inv_canonical
+        index, K = index_and_intertwiner(inv_canonical, prim, bundle.gen, index_fn)
+    cas_mat, cas_eigen = casimir(bundle, inv_canonical, pb)
+    return KillingReport(
+        rep_name=bundle.name, eta=eta, mu=mu_scalar(pb, bundle), eta_full=full, eta_primed=prim,
+        eta00=eta00, canonical=canonical, index=index, inv_canonical=inv_canonical,
+        casimir_mat=cas_mat, casimir_eigen=cas_eigen, K=K,
+    )
 
 
 def _mat_entries(mat: Mat) -> list[list[str]]:

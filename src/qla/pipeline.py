@@ -1,8 +1,9 @@
 """The stage pipeline of one R-matrix, shared by the commands, the golden suite and the demos.
 
-R → structure (ℝ, f, 𝔻) and the fundamental bundle → ρ(u) and D → primed
-basis → ad′ → Killing reports.  Each stage is built on first use and kept, so
-every check and report of one R-matrix reads the same objects.
+R → structure (ℝ, f, 𝔻) and the fundamental bundle with its ρ(u) → primed
+basis → ad′ → one Killing report per bundle, fn's first.  Each stage is built
+on first use, from only the stages it reads, and kept, so every check and
+report of one R-matrix reads the same objects.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .appendix_u import UData, build_u_data
-from .killing import KillingReport, killing_reports
+from .killing import KillingReport, killing_report
 from .primed_basis import PrimedBasis, adjoint_prime, build_primed, golden_basis_matrix
 from .qla_core import QlaStructure, RepBundle, build_structure, fundamental_generators
 from .rmatrix import RMatrixSpec
@@ -44,21 +45,32 @@ class Pipeline:
 
     @cached_property
     def udata(self) -> UData:
+        """The u-calculus (D, D⁻¹, α, β); only the appendix and killing checks read it."""
         return build_u_data(self.spec.R, self.spec.ctx)
 
     @cached_property
     def primed(self) -> PrimedBasis:
         columns = golden_basis_matrix(self.structure) if self.su_family and self.spec.N == 2 else None
-        return build_primed(self.structure, self.fn, self.udata.D, columns)
+        return build_primed(self.structure, self.fn, columns)
 
     @cached_property
     def adjoint(self) -> RepBundle:
         return adjoint_prime(self.primed, self.structure)
 
     @cached_property
+    def fn_report(self) -> KillingReport:
+        return killing_report(self.structure, self.primed, self.fn)
+
+    @cached_property
+    def ad_report(self) -> KillingReport:
+        return killing_report(self.structure, self.primed, self.adjoint, self.fn_report)
+
+    @cached_property
     def reports(self) -> dict[str, KillingReport]:
-        ad = None if self.rep == "fn" else self.adjoint
-        return killing_reports(self.structure, self.primed, self.fn, ad)
+        """fn's report, and ad′'s unless ``rep`` is ``"fn"``."""
+        if self.rep == "fn":
+            return {"fn": self.fn_report}
+        return {"fn": self.fn_report, "ad'": self.ad_report}
 
     def bundles(self) -> list[RepBundle]:
         """The bundles ``rep`` selects, fundamental first."""

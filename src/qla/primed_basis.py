@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .appendix_u import rep_u
+from .appendix_u import normalize_D, rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
 from .reporting import CheckResult, check_sparse_zero
 from .scalars import Scalar
@@ -98,19 +98,19 @@ def d_vector(Q: QlaStructure, D: Mat) -> list[Scalar]:
     return [v / scale for v in vec]
 
 
-def build_primed(
-    Q: QlaStructure, B_fn: RepBundle, D: Mat, columns: Mat | None = None
-) -> PrimedBasis:
+def build_primed(Q: QlaStructure, B_fn: RepBundle, columns: Mat | None = None) -> PrimedBasis:
     """Assemble the primed basis from the structure and the fundamental bundle.
 
     The trace ratios are taken in ``B_fn`` (whose χ₀-trace must not vanish).
-    Column 0 of T is 𝒟, solved for here (:func:`d_vector`).  The other n − 1
-    columns are the primed generators with the one at the last composite
-    index n − 1 dropped, or ``columns``, an n×(n−1) matrix that supplies them
-    directly, e.g. the rescaled textbook basis of :func:`golden_basis_matrix`.
+    Column 0 of T is 𝒟, solved for here (:func:`d_vector`) against D, the
+    bundle's own ρ(u) rescaled to D₀₀ = 1 by :func:`~qla.appendix_u.normalize_D`.
+    The other n − 1 columns are the primed generators with the one at the
+    last composite index n − 1 dropped, or ``columns``, an n×(n−1) matrix
+    that supplies them directly, e.g. the rescaled textbook basis of
+    :func:`golden_basis_matrix`.
     """
     n = Q.n
-    d_vec = d_vector(Q, D)
+    d_vec = d_vector(Q, normalize_D(B_fn.u, Q.ctx)[0])
     traces = deformed_traces(Q, B_fn)
     I0 = _ZERO
     for A in range(n):

@@ -16,7 +16,7 @@ from qla.appendix_u import build_u_data, check_D_identities
 from qla.killing import (
     fundamental_metric_closed_form,
     killing_metric,
-    killing_reports,
+    killing_report,
     positivity_sample,
     primed_metric_blocks,
 )
@@ -57,6 +57,12 @@ def build_pipeline(N: int):
     return ppl.spec, ppl.structure, ppl.fn, ppl.udata.D, ppl.primed
 
 
+def both_reports(Q, pb, fn_bundle, ad):
+    """The Killing reports of fn and ad′, keyed by bundle name."""
+    fn = killing_report(Q, pb, fn_bundle)
+    return {"fn": fn, "ad'": killing_report(Q, pb, ad, fn)}
+
+
 def test_criterion_1_su2_golden_suite():
     """Every displayed rank-one object is reproduced bit-exactly."""
     start = time.monotonic()
@@ -64,7 +70,7 @@ def test_criterion_1_su2_golden_suite():
     ctx = spec.ctx
     q = ctx.q_power
     ad = adjoint_prime(pb, Q)
-    reports = killing_reports(Q, pb, B, ad)
+    reports = both_reports(Q, pb, B, ad)
 
     # Deformed trace matrices of both bundles.
     assert B.u == Mat.diagonal([q(Fraction(-5, 2)), q(Fraction(-1, 2))])
@@ -101,7 +107,7 @@ def test_criterion_2_classical_limits():
     """At p = 1 every deformed quantity takes its classical value."""
     start = time.monotonic()
     spec, Q, B, D, pb = build_pipeline(2)
-    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
+    reports = both_reports(Q, pb, B, adjoint_prime(pb, Q))
 
     assert reports["fn"].index.eval_at(1) == Fraction(1, 2)
     assert reports["fn"].casimir_eigen.eval_at(1) == Fraction(3, 4)
@@ -152,7 +158,7 @@ def test_criterion_3_su3_suite():
     assert full[0, 0] == eta00
 
     # The metric ratio between the bundles is a scalar matrix.
-    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
+    reports = both_reports(Q, pb, B, adjoint_prime(pb, Q))
     m = Q.n - 1
     assert reports["ad'"].K == Mat.identity(m).scale(reports["ad'"].index)
 
@@ -302,7 +308,7 @@ def test_criterion_7_conjecture_spot_checks():
     """mu and casimir eigenvalues match the spin-j formulas at j = 1/2, 1."""
     spec, Q, B, D, pb = build_pipeline(2)
     ctx = spec.ctx
-    reports = killing_reports(Q, pb, B, adjoint_prime(pb, Q))
+    reports = both_reports(Q, pb, B, adjoint_prime(pb, Q))
 
     def mu_formula(j):
         return -(ctx.lam() * ctx.qnum(j) * ctx.qnum(j + 1, inverse=True))

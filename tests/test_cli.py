@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qla import killing, primed_basis, tensors
+from qla import appendix_u, killing, primed_basis, tensors
 from qla.cli import (
     ConfigError,
     RunConfig,
@@ -367,15 +367,17 @@ class TestCheckCommand:
 
     # L⁻ and R̂⁻¹ read R's cached inverse, so neither R₂₁ nor R̂ is inverted,
     # and ℝ never is; check --n 2 builds a second su(2) pipeline for the
-    # reordered metric, hence its count.  The last column counts the solves
+    # reordered metric, hence its count, and that pipeline's primed basis
+    # builds no u-calculus (no tilde(R⁻¹)).  The last column counts the solves
     # of the largest size, n² = N⁴: tilde(Pℝ) for 𝔻, and tilde(𝔽) when the
     # suites reach ad′.
     @pytest.mark.parametrize("argv, calls, largest", [
         (["check", "--n", "3"], 9, 2),
         (["check", "--group", "external", "--r-matrix", str(SO3_FILE),
           "--checks", "ybe,cubic:eps=1,qla,appendix"], 6, 1),
-        (["check", "--n", "2"], 14, 3),
+        (["check", "--n", "2"], 13, 3),
         (["check", "--n", "4", "--skip-heavy", "--checks", "ybe,hecke,qla"], 5, 1),
+        (["report", "--n", "3"], 6, 2),
     ])
     def test_no_matrix_is_inverted_twice(self, argv, calls, largest, monkeypatch, capsys):
         inverted = []
@@ -433,13 +435,12 @@ class TestCheckCommand:
         assert main(argv) == 0
         assert calls == [4, 4]
 
-    # Each bundle's η and μ are formed once, by killing_reports, which owns them:
-    # two bundles, fn and ad′, so two of each.
-    @pytest.mark.parametrize("argv", [["check", "--n", "3"], ["report", "--n", "3"]])
-    def test_killing_data_is_formed_once_per_bundle(self, argv, monkeypatch, capsys):
+    @staticmethod
+    def _count_calls(monkeypatch, *originals) -> Counter[str]:
+        """Count each function's calls, wrapped in every qla namespace that binds it."""
         calls: Counter[str] = Counter()
         modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "qla"]
-        for original in (killing.killing_metric, primed_basis.mu_scalar):
+        for original in originals:
 
             def counting(*args, _original=original):
                 calls[_original.__name__] += 1
@@ -448,8 +449,33 @@ class TestCheckCommand:
             for module in modules:
                 if getattr(module, original.__name__, None) is original:
                     monkeypatch.setattr(module, original.__name__, counting)
+        return calls
+
+    # Each bundle's η and μ are formed once, by its killing_report, which owns
+    # them: two bundles, fn and ad′, so two of each.  An fn-only check builds
+    # ad′ for the golden suite, whose reordered-metric pipeline forms one more η.
+    _FORMATIONS = {
+        ("check", "--n", "3"): (2, 2),
+        ("report", "--n", "3"): (2, 2),
+        ("check", "--n", "2", "--rep", "fn"): (3, 2),
+    }
+
+    @pytest.mark.parametrize("argv", [list(argv) for argv in _FORMATIONS])
+    def test_killing_data_is_formed_once_per_bundle(self, argv, monkeypatch, capsys):
+        calls = self._count_calls(monkeypatch, killing.killing_metric, primed_basis.mu_scalar)
         assert main(argv) == 0
-        assert (calls["killing_metric"], calls["mu_scalar"]) == (2, 2)
+        assert (calls["killing_metric"], calls["mu_scalar"]) == self._FORMATIONS[tuple(argv)]
+
+    # A report reads D off the fundamental bundle's own ρ(u); only the
+    # appendix and killing checks build the u-calculus.
+    @pytest.mark.parametrize("argv", [
+        ["report", "--n", "3"],
+        ["report", "--group", "external", "--r-matrix", str(SO3_FILE), "--rep", "fn"],
+    ])
+    def test_a_report_builds_no_u_calculus(self, argv, monkeypatch, capsys):
+        calls = self._count_calls(monkeypatch, appendix_u.build_u_data)
+        assert main(argv) == 0
+        assert calls["build_u_data"] == 0
 
     def test_failure_exit_code(self, so3_path, capsys):
         argv = ["check", "--group", "external", "--r-matrix", so3_path,

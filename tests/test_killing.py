@@ -18,8 +18,8 @@ from qla.killing import (
     fundamental_metric_closed_form,
     index_and_intertwiner,
     killing_metric,
+    killing_report,
     killing_report_to_dict,
-    killing_reports,
     positivity_sample,
     primed_metric_blocks,
 )
@@ -41,6 +41,12 @@ def build_group(N):
     return spec, Q, bundle, D
 
 
+def both_reports(Q, pb, fn_bundle, ad):
+    """The Killing reports of fn and ad′, keyed by bundle name."""
+    fn = killing_report(Q, pb, fn_bundle)
+    return {"fn": fn, "ad'": killing_report(Q, pb, ad, fn)}
+
+
 @pytest.fixture(scope="module")
 def su2():
     ppl = Pipeline(sun_r_matrix(2), su_family=True)
@@ -50,20 +56,20 @@ def su2():
 @pytest.fixture(scope="module")
 def su3():
     spec, Q, bundle, D = build_group(3)
-    pb = build_primed(Q, bundle, D)
+    pb = build_primed(Q, bundle)
     return spec, Q, bundle, D, pb
 
 
 @pytest.fixture(scope="module")
 def su2_reports(su2):
     _, Q, bundle, _, pb = su2
-    return killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
+    return both_reports(Q, pb, bundle, adjoint_prime(pb, Q))
 
 
 @pytest.fixture(scope="module")
 def su3_reports(su3):
     _, Q, bundle, _, pb = su3
-    return killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
+    return both_reports(Q, pb, bundle, adjoint_prime(pb, Q))
 
 
 def metric_pattern(ctx):

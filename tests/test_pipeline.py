@@ -29,7 +29,7 @@ def test_su2_family_gets_the_golden_basis(su2):
 def test_other_r_matrices_get_the_default_basis(su2):
     # The same R-matrix read as an external file: the default primed columns.
     other = Pipeline(sun_r_matrix(2))
-    default = build_primed(other.structure, other.fn, other.udata.D)
+    default = build_primed(other.structure, other.fn)
     assert other.primed.T == default.T
     assert other.primed.T != su2.primed.T
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qla.appendix_u import build_u_data
-from qla.killing import killing_reports
+from qla.killing import killing_report
 from qla.pipeline import Pipeline
 from qla.primed_basis import (
     PrimedBasis,
@@ -41,6 +41,12 @@ S = parse_scalar
 def image(gen, A, dim):
     """The dim×dim matrix of generator A in a generator dict keyed ``(A, row, col)``."""
     return Mat.from_sparse({(x, y): val for (B, x, y), val in gen.items() if B == A}, dim)
+
+
+def both_reports(Q, pb, fn_bundle, ad):
+    """The Killing reports of fn and ad′, keyed by bundle name."""
+    fn = killing_report(Q, pb, fn_bundle)
+    return {"fn": fn, "ad'": killing_report(Q, pb, ad, fn)}
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +135,13 @@ class TestDVector:
 class TestBuildPrimed:
     def test_default_basis_shape(self, su2):
         _, Q, bundle, D = su2
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         assert pb.dropped_index == 3
         assert [pb.T[E, 0] for E in range(4)] == pb.d_vec
 
     def test_d_is_first_unit_vector_in_primed_basis(self, su2):
         _, Q, bundle, D = su2
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         coords = pb.T.inverse() @ Mat([[v] for v in pb.d_vec])
         assert coords[0, 0].is_one
         assert all(coords[a, 0].is_zero for a in range(1, 4))
@@ -143,18 +149,23 @@ class TestBuildPrimed:
     def test_mu_fn_golden(self, su2):
         spec, Q, bundle, D = su2
         ctx = spec.ctx
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         expected = -(
             ctx.lam() * ctx.qnum(Fraction(1, 2)) * ctx.qnum(Fraction(3, 2), inverse=True)
         )
-        assert killing_reports(Q, pb, bundle)["fn"].mu == expected
+        assert killing_report(Q, pb, bundle).mu == expected
         assert chi0_image(pb, bundle) == Mat.identity(2).scale(expected).to_sparse()
 
     def test_zero_trace_bundle_rejected(self, su2):
-        _, Q, bundle, D = su2
-        flat = RepBundle(name="flat", dim=2, n=4, gen=bundle.gen, u=Mat.zeros(2))
+        _, Q, bundle, _ = su2
+        # Zero generators under the fundamental ρ(u): every trace I′_A vanishes.
+        flat = RepBundle(name="flat", dim=2, n=4, gen={}, u=bundle.u)
         with pytest.raises(ValueError, match="vanishes"):
-            build_primed(Q, flat, D)
+            build_primed(Q, flat)
+        # D is the bundle's own ρ(u) rescaled, so a zero ρ(u) is refused first.
+        unweighted = RepBundle(name="flat", dim=2, n=4, gen=bundle.gen, u=Mat.zeros(2))
+        with pytest.raises(ValueError, match=r"^cannot normalize: ρ\(u\) has a zero \(0,0\) entry$"):
+            build_primed(Q, unweighted)
 
 
 class TestPrimedStructure:
@@ -183,7 +194,7 @@ class TestPrimedStructure:
         # Only f′_{Aa}{}^b with a, b ≥ 1 may be nonzero: nothing acts on χ₀,
         # and nothing produces a χ₀ component.  ad′ is built on that pattern.
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         assert pb.f_primed and all(B and C for _, B, C in pb.f_primed)
         assert adjoint_prime(pb, Q).dim == Q.n - 1
 
@@ -214,7 +225,7 @@ class TestMu:
     def test_su2_conjecture_values(self, su2_golden):
         spec, Q, bundle, pb = su2_golden
         ctx = spec.ctx
-        reports = killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
+        reports = both_reports(Q, pb, bundle, adjoint_prime(pb, Q))
 
         def conjecture(j):
             return -(
@@ -227,7 +238,7 @@ class TestMu:
 
     def test_non_scalar_image_rejected(self, su2):
         _, Q, bundle, D = su2
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         # ρ(χ_3) replaced by ρ(χ_1).
         gen = {key: val for key, val in bundle.gen.items() if key[0] != 3}
         gen.update({(3, x, y): val for (A, x, y), val in bundle.gen.items() if A == 1})
@@ -281,7 +292,7 @@ class TestAdjointPrime:
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_is_a_representation(self, fixture_name, request):
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         adp = adjoint_prime(pb, Q)
         assert adp.dim == Q.n - 1
         assert check_representation(Q, adp).passed
@@ -300,7 +311,7 @@ class TestRepresentationLevelChecks:
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_chi0_is_central(self, fixture_name, request):
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         adp = adjoint_prime(pb, Q)
         assert check_chi0_central(pb, bundle).passed
         assert check_chi0_central(pb, adp).passed
@@ -308,7 +319,7 @@ class TestRepresentationLevelChecks:
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_primed_generators_are_traceless(self, fixture_name, request):
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         adp = adjoint_prime(pb, Q)
         assert check_traceless(pb, bundle).passed
         assert check_traceless(pb, adp).passed
@@ -316,14 +327,14 @@ class TestRepresentationLevelChecks:
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
     def test_comm_prime_holds(self, fixture_name, request):
         _, Q, bundle, D = request.getfixturevalue(fixture_name)
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         adp = adjoint_prime(pb, Q)
         assert check_comm_prime(Q, pb, bundle, mu_scalar(pb, bundle)).passed
         assert check_comm_prime(Q, pb, adp, mu_scalar(pb, adp)).passed
 
     def test_comm_prime_detects_rescaled_generators(self, su2):
         _, Q, bundle, D = su2
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         two = Scalar.from_rational(2)
         rescaled = RepBundle(
             name="rescaled", dim=2, n=4, gen={key: two * val for key, val in bundle.gen.items()}, u=bundle.u
@@ -334,7 +345,7 @@ class TestRepresentationLevelChecks:
 
     def test_comm_prime_detects_perturbed_structure_constant(self, su2):
         _, Q, bundle, D = su2
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         adp = adjoint_prime(pb, Q)
         f = dict(Q.f)
         f[(1, 0, 1)] = f[(1, 0, 1)] + S("p")
@@ -348,7 +359,7 @@ class TestRepresentationLevelChecks:
 
     def test_chi0_central_detects_perturbed_generator(self, su2):
         _, Q, bundle, D = su2
-        pb = build_primed(Q, bundle, D)
+        pb = build_primed(Q, bundle)
         assert (0, 0, 1) not in bundle.gen
         bent = RepBundle(name="bent", dim=2, n=4, gen={**bundle.gen, (0, 0, 1): S("p")}, u=bundle.u)
         assert check_chi0_central(pb, bent).line() == "FAIL  chi0-central[bent]  [at (0, 0, 1): residual p^-3]"
@@ -357,7 +368,7 @@ class TestRepresentationLevelChecks:
 class TestBasisReport:
     def test_report_round_trips_scalars(self, su2_golden):
         _, Q, bundle, pb = su2_golden
-        reports = killing_reports(Q, pb, bundle, adjoint_prime(pb, Q))
+        reports = both_reports(Q, pb, bundle, adjoint_prime(pb, Q))
         report = basis_report(pb, {name: r.mu for name, r in reports.items()})
         assert sorted(report) == ["T", "d_vec", "dropped_index", "f_primed", "mu"]
         assert report["dropped_index"] == 3

@@ -801,8 +801,7 @@ class TestSparseDesign:
     def test_su3_builds_no_dense_matrix_over_generator_pairs(self, monkeypatch):
         # ℝ, 𝔽, their inverses and tildes live in the sparse BiMat: no stage
         # of the su(3) pipeline makes an n²×n² Mat (n = 9, so 81×81).
-        from qla.appendix_u import build_u_data
-        from qla.killing import killing_reports
+        from qla.killing import killing_report
         from qla.primed_basis import adjoint_prime, build_primed
 
         sizes = []
@@ -813,14 +812,13 @@ class TestSparseDesign:
             sizes.append((self.nrows, self.ncols))
 
         spec = sun_r_matrix(3)
-        D = build_u_data(spec.R, spec.ctx).D
         monkeypatch.setattr(Mat, "__init__", recording)
         Q = build_structure(spec.R, spec.ctx)
         B = fundamental_generators(spec.R, spec.ctx)
         assert all(result.passed for result in verify_qla(Q, B))
         assert all(result.passed for result in check_bigD_identities(Q))
-        pb = build_primed(Q, B, D)
-        killing_reports(Q, pb, B, adjoint_prime(pb, Q))
+        pb = build_primed(Q, B)
+        killing_report(Q, pb, adjoint_prime(pb, Q), killing_report(Q, pb, B))
         n2 = Q.n * Q.n
         assert sizes
         assert [size for size in sizes if size[0] >= n2 and size[1] >= n2] == []
