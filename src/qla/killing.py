@@ -256,8 +256,8 @@ def killing_report(Q: QlaStructure, pb: PrimedBasis, bundle: RepBundle,
     With ``fn`` None the bundle is the fundamental one: its traceless block
     η′ fixes the canonical metric η′/c_fn and its inverse (η′)⁻¹·c_fn, the
     bundle's one inverse, and K = I.  Otherwise both metrics are ``fn``'s and
-    :func:`index_and_intertwiner` gives the index and K.  Raises if a stage
-    fails (see :func:`primed_metric_blocks`, :func:`casimir`, :func:`mu_scalar`).
+    :func:`index_and_intertwiner` gives the index and K.  A failing step
+    (:func:`primed_metric_blocks`, the intertwiner, :func:`casimir`, μ) raises ValueError.
     """
     index_fn = fundamental_index(Q.ctx)
     eta = killing_metric(bundle)

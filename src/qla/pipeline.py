@@ -45,7 +45,7 @@ class Pipeline:
 
     @cached_property
     def udata(self) -> UData:
-        """The u-calculus (D, D⁻¹, α, β); only the appendix and killing checks read it."""
+        """The u-calculus (D, D⁻¹, α, β), for the checks; no other stage reads it."""
         return build_u_data(self.spec.R, self.spec.ctx)
 
     @cached_property
