@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qla.appendix_u import check_D_identities
+from qla.appendix_u import build_u_data, check_D_identities
 from qla.killing import fundamental_metric_closed_form
 from qla.pipeline import Pipeline
 from qla.qla_core import (
@@ -28,7 +28,7 @@ def heading(text: str) -> None:
 
 def main() -> int:
     ppl = Pipeline(sun_r_matrix(3), su_family=True)
-    spec, ud = ppl.spec, ppl.udata
+    spec = ppl.spec
     ctx = spec.ctx
     heading("braid-matrix checks")
     for result in (check_ybe(spec), check_characteristic(spec, "hecke")):
@@ -51,7 +51,7 @@ def main() -> int:
     reports = ppl.reports
     fn_rep = reports["fn"]
     eta, full, eta00, prim = fn_rep.eta, fn_rep.eta_full, fn_rep.eta00, fn_rep.eta_primed
-    print(f"  matches the closed form: {eta == fundamental_metric_closed_form(ctx, ud.D)}")
+    print(f"  matches the closed form: {eta == fundamental_metric_closed_form(ctx)}")
     print(f"  eta00 = {eta00.render()}")
     size = len(prim.rows)
     print(f"  traceless block is {size}x{size}, decomposition exact: {full[0, 0] == eta00}")
@@ -68,7 +68,7 @@ def main() -> int:
     results.append(null_space_lemma(Q))
     results.extend(check_bigD_identities(Q))
     results.append(check_square_antipode(Q, B))
-    results.extend(check_D_identities(spec.R, ud))
+    results.extend(check_D_identities(spec.R, build_u_data(spec.R, ctx)))
     failures = [r for r in results if not r.passed]
     for result in results:
         print(f"  {result.line()}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .appendix_u import check_D_identities
+from .appendix_u import build_u_data, check_D_identities
 from .killing import (
     check_metric_identities,
     fundamental_metric_closed_form,
@@ -217,7 +217,7 @@ def _suite_qla(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
 
 
 def _suite_appendix(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
-    out = check_D_identities(ppl.spec.R, ppl.udata)
+    out = check_D_identities(ppl.spec.R, build_u_data(ppl.spec.R, ppl.spec.ctx))
     lmats = fundamental_L_matrices(ppl.spec)
     out.extend(check_rll(ppl.spec, lmats))
     out.append(check_antipode_inverse(lmats))
@@ -232,7 +232,7 @@ def _suite_killing(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
         report = reports[bundle.name]
         reference = None
         if ppl.su_family and bundle is ppl.fn:
-            reference = fundamental_metric_closed_form(ppl.spec.ctx, ppl.udata.D)
+            reference = fundamental_metric_closed_form(ppl.spec.ctx)
         for result in check_metric_identities(Q, report.eta, reference=reference):
             out.append(replace(result, name=f"{result.name}[{bundle.name}]"))
         out.append(check_chi0_central(pb, bundle))

@@ -92,12 +92,15 @@ def primed_metric_blocks(pb: PrimedBasis, eta: Mat) -> tuple[Mat, Scalar, Mat]:
     return Mat.from_sparse(full, n), full.get((0, 0), _ZERO), Mat.from_sparse(primed, n - 1)
 
 
-def fundamental_metric_closed_form(ctx: DeformationContext, D: Mat) -> Mat:
+def fundamental_metric_closed_form(ctx: DeformationContext) -> Mat:
     """Closed form of the fundamental metric for the standard A-series R-matrix.
 
     η_{(ij)(kℓ)} = q^{-1/N}(q[1-1/N]_q - q⁻¹[1+1/N]_{q⁻¹}
                    + q^{2/N-3}[1/N]²_{q⁻¹}[N]_{q⁻¹})·δ^i_j δ^k_ℓ
-                   + q^{1-3/N-2N}·δ^i_ℓ D^k_j.
+                   + q^{1-3/N-2N}·δ^i_ℓ D^k_j,
+    with D = diag(1, q², …, q^{2(N-1)}) the su(N) D-matrix, so the second
+    term is q^{1-3/N-2N+2k} at i = ℓ, k = j.  Nothing computed from an
+    R-matrix enters.
     """
     N = ctx.N
     c1 = ctx.q_power(Fraction(-1, N)) * (
@@ -116,8 +119,8 @@ def fundamental_metric_closed_form(ctx: DeformationContext, D: Mat) -> Mat:
                     val = _ZERO
                     if i == j and k == l:
                         val = val + c1
-                    if i == l:
-                        val = val + c2 * D[k, j]
+                    if i == l and k == j:
+                        val = val + c2 * ctx.q_power(2 * k)
                     eta[i * N + j, k * N + l] = val
     return eta
 

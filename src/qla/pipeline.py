@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .appendix_u import UData, build_u_data
 from .killing import KillingReport, killing_report
 from .primed_basis import PrimedBasis, adjoint_prime, build_primed, golden_basis_matrix
 from .qla_core import QlaStructure, RepBundle, build_structure, fundamental_generators
@@ -42,11 +41,6 @@ class Pipeline:
     @cached_property
     def fn(self) -> RepBundle:
         return fundamental_generators(self.spec.R, self.spec.ctx)
-
-    @cached_property
-    def udata(self) -> UData:
-        """The u-calculus (D, D⁻¹, α, β), for the checks; no other stage reads it."""
-        return build_u_data(self.spec.R, self.spec.ctx)
 
     @cached_property
     def primed(self) -> PrimedBasis:

@@ -201,10 +201,6 @@ class LaurentPoly:
             return self
         return LaurentPoly._raw({exp + offset: coef for exp, coef in self._terms.items()})
 
-    def subs_pinv(self) -> LaurentPoly:
-        """Substitute ``p -> 1/p`` (negate every exponent)."""
-        return LaurentPoly._raw({-exp: coef for exp, coef in self._terms.items()})
-
     def eval_at(self, p0):
         """Evaluate at a rational ``p0`` (nonzero if negative exponents occur); always a ``Fraction``."""
         p0 = Fraction(p0)
@@ -481,10 +477,6 @@ class Scalar:
             base = base * base
             power >>= 1
         return result
-
-    def subs_pinv(self) -> Scalar:
-        """Substitute ``p -> 1/p``."""
-        return Scalar(self.num.subs_pinv(), self.den.subs_pinv())
 
     def eval_at(self, p0):
         """Evaluate at an exact rational ``p0``; raises on a pole or at 0 with negative exponents."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .killing import KillingReport, killing_metric, primed_metric_blocks
+from .killing import KillingReport
 from .pipeline import Pipeline
 from .primed_basis import PrimedBasis, primed_images
 from .reporting import (
@@ -273,21 +273,27 @@ def _at_root_order(value: Scalar, src: DeformationContext, dst: DeformationConte
     return poly(value.num.terms()) / poly(value.den.terms())
 
 
-def _reordered_metric_check(tables: Su2Tables) -> CheckResult:
+def _reordered_metric_check(tables: Su2Tables, eta_primed: Mat) -> CheckResult:
     """Check the orthogonal-style form of the canonical metric at root order 4.
 
     Reordering the golden basis to ``chi-, s*chi3, chi+`` with
-    ``s^2 = [2]_{1/q}/q`` turns the primed fundamental metric into a multiple
-    of the tabulated ``so_metric_pattern``, ``[[0, 0, 1/q], [0, 1, 0], [q, 0,
-    0]]``.  The rescaling enters the metric only through ``s^2``, so the
-    comparison stays inside the scalar field; it is run at root order 4,
-    where half-integer powers of ``q`` are themselves representable, so each
-    tabulated p^k (root order 2) becomes ``q_power(k/2)`` there.
+    ``s^2 = [2]_{1/q}/q`` turns the primed fundamental metric ``eta_primed``
+    (at ``tables.ctx``) into a multiple of the tabulated
+    ``so_metric_pattern``, ``[[0, 0, 1/q], [0, 1, 0], [q, 0, 0]]``.  The
+    rescaling enters the metric only through ``s^2``, so the comparison stays
+    inside the scalar field; it is run at root order 4, where half-integer
+    powers of ``q`` are themselves representable, so every entry, metric and
+    pattern alike, is rewritten there by :func:`_at_root_order`.  That is the
+    metric the root-order-4 pipeline would form: its R-matrix is this one
+    with p ↦ p², an injective ring map that every stage commutes with.
     """
     name = "so-metric-reorder"
     ctx = DeformationContext(N=2, root_order=4)
-    ppl = Pipeline(sun_r_matrix(2, ctx), su_family=True)
-    _, _, prim = primed_metric_blocks(ppl.primed, killing_metric(ppl.fn))
+
+    def at_order4(mat: Mat) -> Mat:
+        return Mat([[_at_root_order(val, tables.ctx, ctx) for val in row] for row in mat.rows])
+
+    prim = at_order4(eta_primed)
 
     # Entries linear in s pair chi3 with chi+/chi-; they must vanish outright
     # for the reordered metric to exist over the scalar field.
@@ -303,12 +309,7 @@ def _reordered_metric_check(tables: Su2Tables) -> CheckResult:
             [prim.rows[0][1], Scalar.zero(), prim.rows[0][0]],
         ]
     )
-    pattern = Mat(
-        [
-            [_at_root_order(val, tables.ctx, ctx) for val in row]
-            for row in tables.so_metric_pattern.rows
-        ]
-    )
+    pattern = at_order4(tables.so_metric_pattern)
     scale = reordered.rows[1][1]
     return check_mats_equal(
         name,
@@ -439,6 +440,6 @@ def golden_suite(tables: Su2Tables | None = None, ppl: Pipeline | None = None) -
             detail="rank-one commutation relations in the traceless adjoint bundle",
         )
     )
-    results.append(_reordered_metric_check(tables))
+    results.append(_reordered_metric_check(tables, fn_report.eta_primed))
     results.append(_classical_check(pb, fn_report, ad_report))
     return results

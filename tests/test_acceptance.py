@@ -54,7 +54,8 @@ POSITIVITY_POINTS = (1, Fraction(3, 2), 2)
 
 def build_pipeline(N: int):
     ppl = Pipeline(sun_r_matrix(N), su_family=True)
-    return ppl.spec, ppl.structure, ppl.fn, ppl.udata.D, ppl.primed
+    D = build_u_data(ppl.spec.R, ppl.spec.ctx).D
+    return ppl.spec, ppl.structure, ppl.fn, D, ppl.primed
 
 
 def both_reports(Q, pb, fn_bundle, ad):
@@ -153,7 +154,7 @@ def test_criterion_3_su3_suite():
     # Killing metric: direct trace against the closed form, then the primed
     # block decomposition (raises if any cross block survives).
     eta = killing_metric(B)
-    assert eta == fundamental_metric_closed_form(ctx, D)
+    assert eta == fundamental_metric_closed_form(ctx)
     full, eta00, prim = primed_metric_blocks(pb, eta)
     assert full[0, 0] == eta00
 

@@ -366,18 +366,20 @@ class TestCheckCommand:
         assert "ybe[su2]" in target.read_text()
 
     # L⁻ and R̂⁻¹ read R's cached inverse, so neither R₂₁ nor R̂ is inverted,
-    # and ℝ never is; check --n 2 builds a second su(2) pipeline for the
-    # reordered metric, hence its count, and that pipeline's primed basis
-    # builds no u-calculus (no tilde(R⁻¹)).  The last column counts the solves
-    # of the largest size, n² = N⁴: tilde(Pℝ) for 𝔻, and tilde(𝔽) when the
-    # suites reach ad′.
+    # and ℝ never is; each command builds one pipeline, the golden suite's
+    # reordered metric included, and only the appendix suite builds the
+    # u-calculus (tilde(R⁻¹)).  The last column counts the solves of the
+    # largest size, n² = N⁴: tilde(Pℝ) for 𝔻, and tilde(𝔽) when the suites
+    # reach ad′.
     @pytest.mark.parametrize("argv, calls, largest", [
         (["check", "--n", "3"], 9, 2),
         (["check", "--group", "external", "--r-matrix", str(SO3_FILE),
           "--checks", "ybe,cubic:eps=1,qla,appendix"], 6, 1),
-        (["check", "--n", "2"], 13, 3),
+        (["check", "--n", "2"], 9, 2),
         (["check", "--n", "4", "--skip-heavy", "--checks", "ybe,hecke,qla"], 5, 1),
         (["report", "--n", "3"], 6, 2),
+        (["su2-tables"], 6, 2),
+        (["check", "--n", "3", "--checks", "killing"], 6, 2),
     ])
     def test_no_matrix_is_inverted_twice(self, argv, calls, largest, monkeypatch, capsys):
         inverted = []
@@ -421,7 +423,7 @@ class TestCheckCommand:
         assert all(M is specs[0].R for M in receivers)
 
     # 𝒟 is solved for once per pipeline, in build_primed; check --n 2 and
-    # su2-tables each build two su(2) pipelines (one at the tables' context).
+    # su2-tables each build one su(2) pipeline, at the tables' context.
     @pytest.mark.parametrize("argv", [["check", "--n", "2"], ["su2-tables"]])
     def test_d_vector_is_solved_once_per_pipeline(self, argv, monkeypatch, capsys):
         calls = []
@@ -433,7 +435,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(primed_basis, "d_vector", recording)
         assert main(argv) == 0
-        assert calls == [4, 4]
+        assert calls == [4]
 
     @staticmethod
     def _count_calls(monkeypatch, *originals) -> Counter[str]:
@@ -453,11 +455,11 @@ class TestCheckCommand:
 
     # Each bundle's η and μ are formed once, by its killing_report, which owns
     # them: two bundles, fn and ad′, so two of each.  An fn-only check builds
-    # ad′ for the golden suite, whose reordered-metric pipeline forms one more η.
+    # ad′ for the golden suite, whose reordered metric reads fn's report.
     _FORMATIONS = {
         ("check", "--n", "3"): (2, 2),
         ("report", "--n", "3"): (2, 2),
-        ("check", "--n", "2", "--rep", "fn"): (3, 2),
+        ("check", "--n", "2", "--rep", "fn"): (2, 2),
     }
 
     @pytest.mark.parametrize("argv", [list(argv) for argv in _FORMATIONS])
@@ -466,11 +468,13 @@ class TestCheckCommand:
         assert main(argv) == 0
         assert (calls["killing_metric"], calls["mu_scalar"]) == self._FORMATIONS[tuple(argv)]
 
-    # A report reads D off the fundamental bundle's own ρ(u); only the
-    # appendix and killing checks build the u-calculus.
+    # A report reads D off the fundamental bundle's own ρ(u), and the su
+    # closed-form metric needs no D from the R-matrix; only the appendix
+    # check builds the u-calculus.
     @pytest.mark.parametrize("argv", [
         ["report", "--n", "3"],
         ["report", "--group", "external", "--r-matrix", str(SO3_FILE), "--rep", "fn"],
+        ["check", "--n", "3", "--checks", "killing"],
     ])
     def test_a_report_builds_no_u_calculus(self, argv, monkeypatch, capsys):
         calls = self._count_calls(monkeypatch, appendix_u.build_u_data)

@@ -27,7 +27,7 @@ from qla.pipeline import Pipeline
 from qla.primed_basis import adjoint_prime, build_primed, mu_scalar
 from qla.qla_core import RepBundle, build_structure, fundamental_generators
 from qla.rmatrix import sun_r_matrix
-from qla.scalars import Scalar, parse_scalar
+from qla.scalars import DeformationContext, Scalar, parse_scalar
 from qla.tensors import Mat
 
 S = parse_scalar
@@ -50,7 +50,8 @@ def both_reports(Q, pb, fn_bundle, ad):
 @pytest.fixture(scope="module")
 def su2():
     ppl = Pipeline(sun_r_matrix(2), su_family=True)
-    return ppl.spec, ppl.structure, ppl.fn, ppl.udata.D, ppl.primed
+    D = build_u_data(ppl.spec.R, ppl.spec.ctx).D
+    return ppl.spec, ppl.structure, ppl.fn, D, ppl.primed
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +115,19 @@ class TestKillingForm:
 class TestKillingMetric:
     def test_su2_closed_form(self, su2):
         spec, _, bundle, D, _ = su2
-        assert killing_metric(bundle) == fundamental_metric_closed_form(spec.ctx, D)
+        assert killing_metric(bundle) == fundamental_metric_closed_form(spec.ctx)
 
     def test_su3_closed_form(self, su3):
         spec, _, bundle, D, _ = su3
-        assert killing_metric(bundle) == fundamental_metric_closed_form(spec.ctx, D)
+        assert killing_metric(bundle) == fundamental_metric_closed_form(spec.ctx)
+
+    # The closed form reads only the context, D = diag(1, q², …) included, so
+    # it holds at every root order; the default ones are checked above.
+    @pytest.mark.parametrize("N, root_order", [(2, 4), (3, 6)])
+    def test_closed_form_needs_no_r_matrix_data(self, N, root_order):
+        ctx = DeformationContext(N=N, root_order=root_order)
+        bundle = fundamental_generators(sun_r_matrix(N, ctx).R, ctx)
+        assert fundamental_metric_closed_form(ctx) == killing_metric(bundle)
 
     def test_su2_fundamental_blocks(self, su2, su2_reports):
         spec, _, _, _, _ = su2
@@ -164,7 +173,7 @@ class TestMetricIdentities:
         spec, Q, bundle, D, _ = su2
         eta = killing_metric(bundle)
         results = check_metric_identities(
-            Q, eta, reference=fundamental_metric_closed_form(spec.ctx, D)
+            Q, eta, reference=fundamental_metric_closed_form(spec.ctx)
         )
         assert [r.name for r in results] == [
             "metric-rsym", "metric-dsym", "metric-asym", "metric-closed-form",
@@ -179,7 +188,7 @@ class TestMetricIdentities:
     def test_su3_fundamental(self, su3):
         spec, Q, bundle, D, _ = su3
         results = check_metric_identities(
-            Q, killing_metric(bundle), reference=fundamental_metric_closed_form(spec.ctx, D)
+            Q, killing_metric(bundle), reference=fundamental_metric_closed_form(spec.ctx)
         )
         assert all(r.passed for r in results)
 

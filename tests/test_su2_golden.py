@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qla.pipeline import Pipeline
 from qla.primed_basis import golden_basis_matrix
 from qla.qla_core import build_structure
 from qla.rmatrix import sun_r_matrix
@@ -213,6 +214,15 @@ class TestRootOrderRewrite:
         assert _at_root_order(S("p^2"), order4, tables.ctx) == S("p")
         with pytest.raises(ValueError, match="root order 2"):
             _at_root_order(S("p^3"), order4, tables.ctx)
+
+    def test_rewritten_metric_is_the_root_order_4_metric(self, tables):
+        # The reordered-metric check reads the root-order-2 fn metric rewritten
+        # at root order 4; that is the metric of the root-order-4 pipeline.
+        order4 = DeformationContext(N=2, root_order=4)
+        metric2 = Pipeline(sun_r_matrix(2, tables.ctx), su_family=True).fn_report.eta_primed
+        metric4 = Pipeline(sun_r_matrix(2, order4), su_family=True).fn_report.eta_primed
+        rewritten = [[_at_root_order(val, tables.ctx, order4) for val in row] for row in metric2.rows]
+        assert Mat(rewritten) == metric4
 
 
 class TestGoldenBasisMatrix:
