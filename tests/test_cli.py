@@ -175,15 +175,21 @@ class TestCheckCommand:
             ]
         )
 
-    def test_metric_pole_at_a_positivity_point_fails_the_check(self, tmp_path, capsys):
+    @staticmethod
+    def _pole_r_matrix(tmp_path) -> str:
         # su(2)'s R over p - 1 passes every identity, but its fundamental
-        # metric has a pole at the sample point p = 1: a failed check, not a crash.
+        # metric has a pole at the sample point p = 1.
         spec = sun_r_matrix(2)
         scale = parse_scalar("1 / p - 1")
         R = BiMat(2, {key: val * scale for key, val in spec.R.to4dict().items()})
         path = tmp_path / "pole1.json"
         save_r_matrix(RMatrixSpec(label=spec.label, ctx=spec.ctx, R=R), path)
-        assert main(["check", "--group", "external", "--r-matrix", str(path)]) == 1
+        return str(path)
+
+    def test_metric_pole_at_a_positivity_point_fails_the_check(self, tmp_path, capsys):
+        # A pole at a positivity sample point is a failed check, not a crash.
+        path = self._pole_r_matrix(tmp_path)
+        assert main(["check", "--group", "external", "--r-matrix", path]) == 1
         passing = [
             "ybe[su2]", "qla-rel1[fn]", "qla-rel2[fn]", "qla-rel3[fn]", "qla-rel4[fn]",
             "ybe-qla", "jacobi", "aux1", "aux2", "qla-i[fI]", "qla-i[RI1]", "qla-i[RI2]",
@@ -358,6 +364,77 @@ class TestCheckCommand:
         assert payload["passed"] is True
         assert [r["name"] for r in payload["results"]] == ["ybe[su2]", "hecke[su2]"]
         assert payload["results"][0]["witness"] is None
+
+    def test_json_witness_of_the_metric_pole(self, tmp_path, capsys):
+        # The positivity witness key mixes a sample index and a rendered point.
+        path = self._pole_r_matrix(tmp_path)
+        assert main(["check", "--group", "external", "--r-matrix", path, "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        failed = [r for r in payload["results"] if not r["passed"]]
+        assert failed == [
+            {
+                "name": "positivity",
+                "passed": False,
+                "skipped": False,
+                "detail": "sample 0 at p=1: pole",
+                "witness": {"key": [0, "1"], "residual": "undefined"},
+            }
+        ]
+        assert all(r["witness"] is None for r in payload["results"] if r["passed"])
+
+    def test_json_witnesses_of_a_perturbed_so3_entry(self, tmp_path, capsys):
+        # One so3 entry gains p^3: every identity it reaches fails with the
+        # sorted-first entry of its residual, each key a list of ints.
+        data = json.loads(SO3_FILE.read_text())
+        data["entries"][5]["value"] += " + p^3"
+        path = tmp_path / "so3_bad.json"
+        path.write_text(json.dumps(data))
+        argv = ["check", "--group", "external", "--r-matrix", str(path),
+                "--checks", "ybe,cubic:eps=1,qla", "--format", "json"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert all(not r["skipped"] and r["detail"] == "" for r in payload["results"])
+        assert [(r["name"], r["passed"], r["witness"]) for r in payload["results"]] == [
+            ("ybe[so3]", False, {"key": [1, 1, 0, 0, 1, 1], "residual": "-p^6 + p^2"}),
+            ("cubic[so3,eps=+1]", False,
+             {"key": [2, 2], "residual": "-p^6 + p^4 + 2*p^2 - 2 - p^-2 + p^-4"}),
+            ("qla-rel1[fn]", False, {"key": [0, 0, 0, 0], "residual": "p^-2 - p^-4 - p^-6 + p^-8"}),
+            ("qla-rel2[fn]", False, {"key": [0, 0, 0, 2, 0, 2], "residual": "p^8 - 2*p^4 + 1"}),
+            ("qla-rel3[fn]", False,
+             {"key": [0, 0, 0, 1, 1], "residual": "p^10 - p^8 - 2*p^6 + 2*p^4 + p^2 - 2 + p^-4"}),
+            ("qla-rel4[fn]", False, {"key": [0, 1, 0, 1, 2], "residual": "p^5 - p^3 + p^-1"}),
+            ("ybe-qla", False, {"key": [2, 2], "residual": "1 - 2*p^-4 + p^-8"}),
+            ("jacobi", False, {
+                "key": [0, 0, 0, 0],
+                "residual": "p^10 - 2*p^8 - 2*p^6 + 8*p^4 + 2*p^2 - 18 + 2*p^-2 + 21*p^-4"
+                            " - 7*p^-6 - 13*p^-8 + 6*p^-10 + 4*p^-12 - 2*p^-14",
+            }),
+            ("aux1", False, {
+                "key": [0, 0, 0, 0, 0],
+                "residual": "-p^12 + 2*p^10 + 2*p^8 - 8*p^6 + 2*p^4 + 10*p^2 - 8 - 2*p^-2"
+                            " + 6*p^-4 - 4*p^-6 + 2*p^-10 - p^-12",
+            }),
+            ("aux2", False, {
+                "key": [0, 1, 0, 0, 1],
+                "residual": "p^8 - 3*p^4 + 2*p^2 + 3 - 4*p^-2 - p^-4 + 2*p^-6",
+            }),
+            ("qla-i[fI]", True, None),
+            ("qla-i[RI1]", True, None),
+            ("qla-i[RI2]", True, None),
+            ("null-space-lemma", True, None),
+            ("bigD-comm", False, {
+                "key": [4, 0],
+                "residual": "p^26 - p^24 - 4*p^22 + 7*p^20 + 4*p^18 - 18*p^16 + 4*p^14 + 22*p^12"
+                            " - 11*p^10 - 14*p^8 + 8*p^6 + 6*p^4 - 2*p^2 - 3 + p^-4",
+            }),
+            ("bigD-tilde", False, {"key": [0, 2, 2, 0], "residual": "p^10 - p^6"}),
+            ("square-antipode[fn]", False, {
+                "key": [0, 0, 0],
+                "residual": "-p^14 + p^12 + p^10 - 4*p^8 + p^6 + 3*p^4 - p^2",
+            }),
+        ]
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.txt"
