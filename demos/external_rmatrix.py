@@ -43,8 +43,10 @@ def spin1_r_matrix() -> RMatrixSpec:
     return RMatrixSpec(label="so3", ctx=DeformationContext(N=3, root_order=2), R=total)
 
 
-def run(argv: list[str]) -> int:
-    print(f"\n$ qla {' '.join(argv)}")
+def run(argv: list[str], path: Path) -> int:
+    """Run ``qla argv``, echoing the R-matrix file by its name alone."""
+    shown = [path.name if arg == str(path) else arg for arg in argv]
+    print(f"\n$ qla {' '.join(shown)}")
     code = qla_main(argv)
     print(f"(exit code {code})")
     return code
@@ -58,11 +60,11 @@ def main() -> int:
         print(f"saved {spec.label} R-matrix ({spec.R.N}x{spec.R.N} blocks) to {path.name}")
 
         ok = run(["check", "--group", "external", "--r-matrix", str(path),
-                  "--checks", "ybe,cubic:eps=1,qla,appendix"])
+                  "--checks", "ybe,cubic:eps=1,qla,appendix"], path)
         # The Killing pipeline reports a clean failure (reducible adjoint)
         # rather than crashing; its exit code is 1 by design.
         diagnostic = run(["check", "--group", "external", "--r-matrix", str(path),
-                          "--checks", "killing"])
+                          "--checks", "killing"], path)
         return 0 if ok == 0 and diagnostic == 1 else 1
 
 

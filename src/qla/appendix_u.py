@@ -62,7 +62,7 @@ def rep_u(R: BiMat) -> Mat:
     return Mat.from_sparse(contract("mikn,mn->ik", R.tilde().to4dict(), delta(R.N)), R.N)
 
 
-def normalize_D(u_mat: Mat, ctx: DeformationContext) -> tuple[Mat, Scalar]:
+def normalize_D(u_mat: Mat) -> tuple[Mat, Scalar]:
     """Rescale ρ(u) to the D-matrix with D[0,0] = 1; returns (D, alpha).
 
     ``D = alpha·ρ(u)``.  For the unitary series D = diag(1, q², …, q^{2(N-1)})
@@ -135,12 +135,13 @@ def build_u_data(R: BiMat, ctx: DeformationContext) -> UData:
     """Assemble the full u-calculus for one R-matrix.
 
     Asserts that ``rep_u(R⁻¹)`` is ρ(u)⁻¹ (their product is I) and returns
-    the constants.
+    the constants.  ``ctx`` is unused; it stays in the signature that the
+    benchmark's ``bench/scalar_micro.py`` calls.
     """
     u_mat, u_inv = rep_u(R), rep_u(R.inverse())
     if contract("ij,jk->ik", u_mat.to_sparse(), u_inv.to_sparse()) != delta(R.N):
         raise ValueError("u-inverse consistency failed: tr₂(P·tilde(R⁻¹)) ≠ ρ(u)⁻¹")
-    D, alpha = normalize_D(u_mat, ctx)
+    D, alpha = normalize_D(u_mat)
     D_inv = u_inv.scale(alpha ** -1)
     beta = beta_constant(D, D_inv, R)
     return UData(D=D, D_inv=D_inv, alpha=alpha, beta=beta)

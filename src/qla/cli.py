@@ -305,22 +305,6 @@ def run_checks(config: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _result_dict(result: CheckResult) -> dict:
-    out = {
-        "name": result.name,
-        "passed": result.passed,
-        "skipped": result.skipped,
-        "detail": result.detail,
-        "witness": None,
-    }
-    if result.witness is not None:
-        out["witness"] = {
-            "key": list(result.witness.key),
-            "residual": str(result.witness.residual),
-        }
-    return out
-
-
 def _emit(text: str, config: RunConfig) -> None:
     if config.out_path:
         Path(config.out_path).write_text(text + "\n")
@@ -377,7 +361,7 @@ def cmd_check(config: RunConfig) -> int:
     failures = [r for r in results if not r.passed]
     if config.output_format == "json":
         payload = {
-            "results": [_result_dict(r) for r in results],
+            "results": [r.to_dict() for r in results],
             "passed": not failures,
         }
         _emit(json.dumps(payload, indent=1), config)
@@ -499,7 +483,7 @@ def cmd_su2_tables(config: RunConfig) -> int:
         lines += ["", *_eval_table(rows, config.eval_points)]
     if config.output_format == "json":
         payload = {
-            "results": [_result_dict(r) for r in results],
+            "results": [r.to_dict() for r in results],
             "diffs": len(diffs),
             "evaluations": _evaluations(rows, config.eval_points),
         }

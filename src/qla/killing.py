@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .primed_basis import PrimedBasis, mu_scalar
 from .qla_core import QlaStructure, RepBundle
-from .reporting import CheckResult, Witness, check_mats_equal, check_sparse_zero
+from .reporting import CheckResult, check_mats_equal, check_sparse_zero
 from .scalars import DeformationContext, Scalar
 from .tensors import Mat, SparseTensor, commutator, contract, contract_residual, identity_multiple
 
@@ -243,9 +243,7 @@ def positivity_sample(
                     continue
             except ZeroDivisionError:  # a pole at the sample point
                 fault, residual = ": pole", "undefined"
-            return CheckResult(
-                "positivity", False, f"sample {s} at p={p0}{fault}", Witness((s, str(p0)), residual)
-            )
+            return CheckResult("positivity", False, f"sample {s} at p={p0}{fault}", (s, str(p0)), residual)
     return CheckResult(
         "positivity", True,
         f"{len(Xi_samples)} matrices x {len(p_samples)} points",

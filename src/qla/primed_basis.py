@@ -110,7 +110,7 @@ def build_primed(Q: QlaStructure, B_fn: RepBundle, columns: Mat | None = None) -
     :func:`golden_basis_matrix`.
     """
     n = Q.n
-    d_vec = d_vector(Q, normalize_D(B_fn.u, Q.ctx)[0])
+    d_vec = d_vector(Q, normalize_D(B_fn.u)[0])
     traces = deformed_traces(Q, B_fn)
     I0 = _ZERO
     for A in range(n):

@@ -10,22 +10,15 @@ from qla.tensors import Mat, contract_residual
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Location and value of the first failing entry of an identity check."""
-
-    key: tuple[int, ...]
-    residual: str
-
-    def describe(self) -> str:
-        return f"at {self.key}: residual {self.residual}"
-
-
-@dataclass(frozen=True)
 class CheckResult:
+    """One check; a failed identity carries its witness, the ``key`` and the
+    rendered ``residual`` of its residual's sorted-first nonzero entry."""
+
     name: str
     passed: bool
     detail: str = ""
-    witness: Witness | None = None
+    key: tuple | None = None
+    residual: str | None = None
     skipped: bool = False
 
     def line(self) -> str:
@@ -36,9 +29,14 @@ class CheckResult:
         text = f"{status}  {self.name}"
         if self.detail:
             text += f"  ({self.detail})"
-        if self.witness is not None and not self.passed:
-            text += f"  [{self.witness.describe()}]"
+        if self.key is not None and not self.passed:
+            text += f"  [at {self.key}: residual {self.residual}]"
         return text
+
+    def to_dict(self) -> dict:
+        witness = None if self.key is None else {"key": list(self.key), "residual": self.residual}
+        return {"name": self.name, "passed": self.passed, "skipped": self.skipped,
+                "detail": self.detail, "witness": witness}
 
 
 def check_sparse_zero(name: str, tensor: Mapping[tuple[int, ...], Scalar], detail: str = "") -> CheckResult:
@@ -46,7 +44,7 @@ def check_sparse_zero(name: str, tensor: Mapping[tuple[int, ...], Scalar], detai
     for key in sorted(tensor):
         value = tensor[key]
         if not value.is_zero:
-            return CheckResult(name, False, detail, Witness(key, value.render()))
+            return CheckResult(name, False, detail, key, value.render())
     return CheckResult(name, True, detail)
 
 
@@ -69,12 +67,6 @@ def check_mats_equal(name: str, got: Mat, expected: Mat, detail: str = "") -> Ch
     if got.nrows != expected.nrows or got.ncols != expected.ncols:
         return CheckResult(name, False, f"shape {got.nrows}x{got.ncols} vs {expected.nrows}x{expected.ncols}")
     return check_sparse_zero(name, contract_residual(got.to_sparse(), expected.to_sparse()), detail)
-
-
-def check_scalar_equal(name: str, got: Scalar, expected: Scalar, detail: str = "") -> CheckResult:
-    if got == expected:
-        return CheckResult(name, True, detail)
-    return CheckResult(name, False, detail, Witness((), f"{got.render()} != {expected.render()}"))
 
 
 def skipped(name: str, reason: str) -> CheckResult:

@@ -68,36 +68,34 @@ class TestNormalizeD:
     )
     def test_sun_alpha_and_D(self, N, alpha_exp):
         spec = sun_r_matrix(N)
-        D, alpha = normalize_D(rep_u(spec.R), spec.ctx)
+        D, alpha = normalize_D(rep_u(spec.R))
         assert alpha == S(alpha_exp)
         q2 = spec.ctx.q_power(2)
         expected = Mat.diagonal([q2 ** k for k in range(N)])
         assert D == expected
 
     def test_identity_input(self):
-        ctx = DeformationContext(N=2, root_order=1)
-        D, alpha = normalize_D(Mat.identity(2), ctx)
+        D, alpha = normalize_D(Mat.identity(2))
         assert D == Mat.identity(2)
         assert alpha == S("1")
 
     def test_zero_head_entry_rejected(self):
-        ctx = DeformationContext(N=2, root_order=1)
         bad = Mat.zeros(2)
         bad[1, 1] = S("p")
         with pytest.raises(ValueError, match="zero"):
-            normalize_D(bad, ctx)
+            normalize_D(bad)
 
 
 class TestBetaConstant:
     @pytest.mark.parametrize("N,beta_exp", [(2, "p"), (3, "p^2")])
     def test_sun_beta(self, N, beta_exp):
         spec = sun_r_matrix(N)
-        D, _ = normalize_D(rep_u(spec.R), spec.ctx)
+        D, _ = normalize_D(rep_u(spec.R))
         assert beta_constant(D, D.inverse(), spec.R) == S(beta_exp)
 
     def test_classical_limit_is_one(self):
         spec = sun_r_matrix(2)
-        D, _ = normalize_D(rep_u(spec.R), spec.ctx)
+        D, _ = normalize_D(rep_u(spec.R))
         assert beta_constant(D, D.inverse(), spec.R).eval_at(1) == S("1").eval_at(1)
 
     def test_inconsistent_D_rejected(self):

@@ -1,4 +1,8 @@
-"""Smoke test: every script in ``demos/`` runs to completion."""
+"""Every script in ``demos/`` runs to completion and prints its pinned stdout.
+
+The pinned copies live in ``tests/data/demos/<stem>.txt``; a demo whose
+output changes on purpose is re-pinned by rerunning it into that file.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = Path(__file__).resolve().parent / "data" / "demos"
 
 
 def test_demos_found():
@@ -36,4 +41,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (PINNED / f"{demo.stem}.txt").read_text()

@@ -90,7 +90,7 @@ class TestYangBaxterAndCharacteristic:
         result = check_ybe(broken)
         assert not result.passed
         assert result.line() == "FAIL  ybe[bad]  [at (0, 0, 1, 0, 1, 0): residual -p^5 + p]"
-        assert len(result.witness.key) == 6
+        assert len(result.key) == 6
 
     @pytest.mark.parametrize(
         "text, line",

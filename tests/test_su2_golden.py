@@ -118,7 +118,7 @@ class TestJimboDrinfeld:
             "FAIL  jimbo-drinfeld  (defining relations in the fundamental representation)"
             "  [at ('[X+, X-] - (q^H - q^-H)/(q - 1/q)', 0, 0): residual 2]"
         )
-        assert "[X+, X-]" in result.witness.key[0]
+        assert "[X+, X-]" in result.key[0]
 
     def test_non_diagonal_cartan_rejected(self, tables):
         tables.H.rows[0][1] = S("1")
@@ -167,7 +167,7 @@ class TestRossoTruncation:
         residual = contract_residual(rosso_term(tables, 0).to4dict(), tables.R_sl2.to4dict())
         partial = check_composite_zero("partial", residual, 2)
         assert not partial.passed
-        assert partial.witness.key == (2, 1)
+        assert partial.key == (2, 1)
 
 
 class TestGoldenSuite:
@@ -187,13 +187,20 @@ class TestGoldenSuite:
         results = golden_suite(tables)
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == ["fn-matrices"]
-        assert failed[0].witness.key[0] == "u"
+        assert failed[0].key[0] == "u"
 
     def test_stale_scalar_localizes(self, tables):
         tables.fn_index = tables.fn_index * S("p")
         results = golden_suite(tables)
         failed = [r.name for r in results if not r.passed]
         assert failed == ["fn-index"]
+
+    def test_stale_scalar_fails_with_its_residual(self, tables):
+        # A golden scalar fails like any identity: one grammar scalar, got − expected.
+        tables.fn_index = tables.fn_index + S("p")
+        failed = [r for r in golden_suite(tables) if not r.passed]
+        assert [r.line() for r in failed] == ["FAIL  fn-index  [at (): residual -p]"]
+        assert failed[0].to_dict()["witness"] == {"key": [], "residual": "-p"}
 
     def test_stale_metric_pattern_localizes(self, tables):
         # q^-2 in place of q^-1 at the (0, 2) corner of the tabulated pattern.
