@@ -28,7 +28,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,9 +62,7 @@ from .scalars import DeformationContext, Scalar
 from .su2_golden import golden_suite, load_su2_tables
 from .tensors import Mat
 
-__all__ = ["RunConfig", "ConfigError", "cmd_check", "cmd_report", "cmd_su2_tables", "main"]
-
-SUITES = ("ybe", "hecke", "cubic", "qla", "appendix", "killing", "golden")
+__all__ = ["ConfigError", "cmd_check", "cmd_report", "cmd_su2_tables", "main"]
 
 _POSITIVITY_POINTS = (1, Fraction(3, 2), 2)
 _POSITIVITY_SAMPLES = 6
@@ -74,73 +72,53 @@ class ConfigError(Exception):
     """Invalid combination of command-line options."""
 
 
-@dataclass
-class RunConfig:
-    """Validated options shared by the subcommands.
-
-    ``checks`` maps suite names to their (string-valued) parameters, e.g.
-    ``{"cubic": {"eps": "1"}}`` from ``--checks cubic:eps=1``; ``cubic:eps``
-    (1 or -1) is the only parameter a suite takes.
-    """
-
-    group: str = "su"
-    n: int = 2
-    root_order: int | None = None
-    r_matrix_path: str | None = None
-    checks: dict[str, dict[str, str]] = field(default_factory=dict)
-    rep: str = "both"
-    eval_points: list[Fraction] = field(default_factory=list)
-    output_format: str = "text"
-    skip_heavy: bool = False
-    out_path: str | None = None
-
-    def validate(self) -> None:
-        if self.group not in ("su", "external"):
-            raise ConfigError("--group must be 'su' or 'external'")
-        if self.group == "external" and not self.r_matrix_path:
-            raise ConfigError("--group external requires --r-matrix FILE")
-        if self.group == "su" and self.r_matrix_path:
-            raise ConfigError("--r-matrix applies to --group external")
-        if self.group == "su" and self.n < 2:
-            raise ConfigError("--group su requires --n >= 2")
-        if self.root_order is not None:
-            if self.group == "external":
-                raise ConfigError("--root-order applies to --group su; the --r-matrix file sets its own")
-            if self.root_order < 1:
-                raise ConfigError("--root-order must be at least 1")
-            if self.root_order % self.n:
-                raise ConfigError(
-                    f"--root-order must be a multiple of --n {self.n}, "
-                    f"so that q^(-1/{self.n}) is a power of p"
-                )
-        if self.rep not in ("fn", "ad", "both"):
-            raise ConfigError("--rep must be 'fn', 'ad', or 'both'")
-        if self.output_format not in ("text", "json"):
-            raise ConfigError("--format must be 'text' or 'json'")
-        unknown = set(self.checks) - set(SUITES)
-        if unknown:
+def _validate(args: argparse.Namespace) -> None:
+    """Refuse the option combinations that argparse's per-option checks let through."""
+    if args.group == "external" and not args.r_matrix_path:
+        raise ConfigError("--group external requires --r-matrix FILE")
+    if args.group == "su" and args.r_matrix_path:
+        raise ConfigError("--r-matrix applies to --group external")
+    if args.group == "su" and args.n < 2:
+        raise ConfigError("--group su requires --n >= 2")
+    if args.root_order is not None:
+        if args.group == "external":
+            raise ConfigError("--root-order applies to --group su; the --r-matrix file sets its own")
+        if args.root_order < 1:
+            raise ConfigError("--root-order must be at least 1")
+        if args.root_order % args.n:
             raise ConfigError(
-                f"unknown check suite(s) {', '.join(sorted(unknown))}; "
-                f"available: {', '.join(SUITES)}"
+                f"--root-order must be a multiple of --n {args.n}, "
+                f"so that q^(-1/{args.n}) is a power of p"
             )
-        for name, params in self.checks.items():
-            for key in params:
-                if (name, key) != ("cubic", "eps"):
-                    raise ConfigError(f"suite {name!r} takes no parameter {key!r}")
-        if "hecke" in self.checks and self.group != "su":
-            raise ConfigError("suite 'hecke' applies to --group su; use cubic:eps=... instead")
-        if "cubic" in self.checks:
-            raw = self.checks["cubic"].get("eps", "1")
-            try:
-                eps = int(raw)
-            except ValueError:
-                raise ConfigError(f"cubic parameter eps={raw!r} is not an integer") from None
-            if eps not in (1, -1):
-                raise ConfigError("cubic parameter eps must be 1 or -1")
+    unknown = set(args.checks) - set(SUITES)
+    if unknown:
+        raise ConfigError(
+            f"unknown check suite(s) {', '.join(sorted(unknown))}; "
+            f"available: {', '.join(SUITES)}"
+        )
+    for name, params in args.checks.items():
+        for key in params:
+            if (name, key) != ("cubic", "eps"):
+                raise ConfigError(f"suite {name!r} takes no parameter {key!r}")
+    if "hecke" in args.checks and args.group != "su":
+        raise ConfigError("suite 'hecke' applies to --group su; use cubic:eps=... instead")
+    if "cubic" in args.checks:
+        raw = args.checks["cubic"].get("eps", "1")
+        try:
+            eps = int(raw)
+        except ValueError:
+            raise ConfigError(f"cubic parameter eps={raw!r} is not an integer") from None
+        if eps not in (1, -1):
+            raise ConfigError("cubic parameter eps must be 1 or -1")
 
 
 def _parse_checks(text: str, group: str, n: int) -> dict[str, dict[str, str]]:
-    """Parse ``--checks``: 'all' or a comma list of ``name`` / ``name:k=v``."""
+    """Parse ``--checks``: 'all' or a comma list of ``name`` / ``name:k=v``.
+
+    Each suite name maps to its (string-valued) parameters, e.g.
+    ``{"cubic": {"eps": "1"}}`` from ``cubic:eps=1``; ``cubic:eps`` (1 or -1)
+    is the only parameter a suite takes.
+    """
     if text.strip() == "all":
         names = ["ybe", "qla", "appendix", "killing"]
         if group == "su":
@@ -153,9 +131,11 @@ def _parse_checks(text: str, group: str, n: int) -> dict[str, dict[str, str]]:
         token = token.strip()
         if not token:
             continue
-        name, _, param = token.partition(":")
+        name, colon, param = token.partition(":")
+        if not name:
+            raise ConfigError(f"malformed suite name {name!r} in {token!r}")
         params: dict[str, str] = {}
-        if param:
+        if colon:
             key, sep, value = param.partition("=")
             if not sep or not key or not value:
                 raise ConfigError(f"malformed suite parameter {param!r} in {token!r}")
@@ -173,21 +153,21 @@ def _parse_checks(text: str, group: str, n: int) -> dict[str, dict[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline(cfg: RunConfig) -> Pipeline:
+def _pipeline(args: argparse.Namespace) -> Pipeline:
     """The pipeline of the configured R-matrix: a loaded file or the built-in su(N)."""
-    if cfg.group == "external":
+    if args.group == "external":
         try:
-            spec = load_r_matrix(cfg.r_matrix_path)
+            spec = load_r_matrix(args.r_matrix_path)
         except OSError as exc:
-            raise ConfigError(f"cannot load R-matrix {cfg.r_matrix_path}: {exc.strerror}") from exc
+            raise ConfigError(f"cannot load R-matrix {args.r_matrix_path}: {exc.strerror}") from exc
         except ValueError as exc:  # its message starts with the path
             raise ConfigError(f"cannot load R-matrix {exc}") from exc
     else:
         ctx = None
-        if cfg.root_order is not None:
-            ctx = DeformationContext(N=cfg.n, root_order=cfg.root_order)
-        spec = sun_r_matrix(cfg.n, ctx)
-    return Pipeline(spec, rep=cfg.rep, su_family=cfg.group == "su")
+        if args.root_order is not None:
+            ctx = DeformationContext(N=args.n, root_order=args.root_order)
+        spec = sun_r_matrix(args.n, ctx)
+    return Pipeline(spec, rep=args.rep, su_family=args.group == "su")
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +175,28 @@ def _pipeline(cfg: RunConfig) -> Pipeline:
 # ---------------------------------------------------------------------------
 
 
-def _suite_ybe(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
+def _suite_ybe(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]:
     return [check_ybe(ppl.spec)]
 
 
-def _suite_hecke(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
+def _suite_hecke(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]:
     return [check_characteristic(ppl.spec, "hecke")]
 
 
-def _suite_cubic(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
-    return [check_characteristic(ppl.spec, "cubic", int(cfg.checks["cubic"].get("eps", "1")))]
+def _suite_cubic(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]:
+    return [check_characteristic(ppl.spec, "cubic", int(args.checks["cubic"].get("eps", "1")))]
 
 
-def _suite_qla(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
+def _suite_qla(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]:
     Q, B = ppl.structure, ppl.fn
-    out = verify_qla(Q, B, skip_heavy=cfg.skip_heavy)
+    out = verify_qla(Q, B, skip_heavy=args.skip_heavy)
     out.append(null_space_lemma(Q))
     out.extend(check_bigD_identities(Q))
     out.append(check_square_antipode(Q, B))
     return out
 
 
-def _suite_appendix(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
+def _suite_appendix(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]:
     out = check_D_identities(ppl.spec.R, build_u_data(ppl.spec.R, ppl.spec.ctx))
     lmats = fundamental_L_matrices(ppl.spec)
     out.extend(check_rll(ppl.spec, lmats))
@@ -224,7 +204,7 @@ def _suite_appendix(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
     return out
 
 
-def _suite_killing(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
+def _suite_killing(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]:
     Q, pb = ppl.structure, ppl.primed
     reports = ppl.reports
     out: list[CheckResult] = []
@@ -261,18 +241,19 @@ def _suite_killing(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
 _GOLDEN_SCOPE = "--group su --n 2 at root order 2"
 
 
-def _in_golden_scope(cfg: RunConfig) -> bool:
+def _in_golden_scope(args: argparse.Namespace) -> bool:
     """Whether the packaged su(2) tables apply: su(2) at root order 2."""
-    return cfg.group == "su" and cfg.n == 2 and cfg.root_order in (None, 2)
+    return args.group == "su" and args.n == 2 and args.root_order in (None, 2)
 
 
-def _suite_golden(ppl: Pipeline, cfg: RunConfig) -> list[CheckResult]:
-    if not _in_golden_scope(cfg):
+def _suite_golden(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]:
+    if not _in_golden_scope(args):
         return [skipped("golden", f"golden tables cover {_GOLDEN_SCOPE}")]
     return golden_suite(ppl=ppl)
 
 
-_SUITE_RUNNERS = {
+# Every suite, in run order.
+SUITES = {
     "ybe": _suite_ybe,
     "hecke": _suite_hecke,
     "cubic": _suite_cubic,
@@ -283,15 +264,15 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_checks(config: RunConfig) -> list[CheckResult]:
-    """Run the configured suites in canonical order."""
-    ppl = _pipeline(config)
+def run_checks(args: argparse.Namespace) -> list[CheckResult]:
+    """Run the selected suites in run order."""
+    ppl = _pipeline(args)
     results: list[CheckResult] = []
-    for suite in SUITES:
-        if suite not in config.checks:
+    for suite, runner in SUITES.items():
+        if suite not in args.checks:
             continue
         try:
-            results.extend(_SUITE_RUNNERS[suite](ppl, config))
+            results.extend(runner(ppl, args))
         except ValueError as exc:
             # A structurally unusable input (singular tilde system, metric not
             # block-diagonal, non-central casimir, ...) fails the suite rather
@@ -305,9 +286,9 @@ def run_checks(config: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out_path:
-        Path(config.out_path).write_text(text + "\n")
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out_path:
+        Path(args.out_path).write_text(text + "\n")
     else:
         print(text)
 
@@ -351,20 +332,18 @@ def _eval_table(scalars: dict[str, Scalar], points: list[Fraction]) -> list[str]
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(config: RunConfig) -> int:
-    config.validate()
-    if config.eval_points:
+def cmd_check(args: argparse.Namespace) -> int:
+    _validate(args)
+    if args.eval_points:
         raise ConfigError("--eval-at applies to report and su2-tables only")
-    if not config.checks:
-        config.checks = _parse_checks("all", config.group, config.n)
-    results = run_checks(config)
+    results = run_checks(args)
     failures = [r for r in results if not r.passed]
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "results": [r.to_dict() for r in results],
             "passed": not failures,
         }
-        _emit(json.dumps(payload, indent=1), config)
+        _emit(json.dumps(payload, indent=1), args)
     else:
         lines = [r.line() for r in results]
         n_skipped = sum(1 for r in results if r.skipped)
@@ -372,7 +351,7 @@ def cmd_check(config: RunConfig) -> int:
             f"passed {len(results) - len(failures)}/{len(results)}"
             + (f" ({n_skipped} skipped)" if n_skipped else "")
         )
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return 1 if failures else 0
 
 
@@ -390,11 +369,11 @@ def _headline_scalars(ppl: Pipeline) -> dict[str, Scalar]:
     return out
 
 
-def _text_report(ppl: Pipeline, cfg: RunConfig) -> str:
+def _text_report(ppl: Pipeline, args: argparse.Namespace) -> str:
     ctx = ppl.spec.ctx
     Q = ppl.structure
     sections = [
-        f"# {ppl.spec.label}: group {cfg.group}, N = {ctx.N}, root order {ctx.root_order}",
+        f"# {ppl.spec.label}: group {args.group}, N = {ctx.N}, root order {ctx.root_order}",
         f"n = {Q.n}, structure-constant nonzeros = {len(Q.f)}",
         "",
         "## primed basis",
@@ -417,28 +396,28 @@ def _text_report(ppl: Pipeline, cfg: RunConfig) -> str:
         if report.casimir_eigen is not None:
             sections.append(f"casimir[{name}] = {report.casimir_eigen.render()}")
         sections.append(f"mu[{name}] = {report.mu.render()}")
-    if cfg.eval_points:
+    if args.eval_points:
         sections += ["", "## evaluations"]
-        sections.extend(_eval_table(_headline_scalars(ppl), cfg.eval_points))
+        sections.extend(_eval_table(_headline_scalars(ppl), args.eval_points))
     return "\n".join(sections)
 
 
-def cmd_report(config: RunConfig) -> int:
-    config.validate()
-    if config.skip_heavy:
+def cmd_report(args: argparse.Namespace) -> int:
+    _validate(args)
+    if args.skip_heavy:
         raise ConfigError("--skip-heavy applies to check only")
-    ppl = _pipeline(config)
-    stages = ("structure", "primed") + (() if config.rep == "fn" else ("adjoint",))
+    ppl = _pipeline(args)
+    stages = ("structure", "primed") + (() if args.rep == "fn" else ("adjoint",))
     for stage in stages + ("reports",):
         try:
             getattr(ppl, stage)
         except ValueError as exc:
             print(f"error: {exc} (stage {stage})", file=sys.stderr)
             return 2
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "label": ppl.spec.label,
-            "group": config.group,
+            "group": args.group,
             "N": ppl.spec.ctx.N,
             "root_order": ppl.spec.ctx.root_order,
             "structure": structure_to_dict(ppl.structure),
@@ -450,28 +429,28 @@ def cmd_report(config: RunConfig) -> int:
                 for name in (b.name for b in ppl.bundles())
             },
             "evaluations": _evaluations(
-                _headline_scalars(ppl) if config.eval_points else {}, config.eval_points
+                _headline_scalars(ppl) if args.eval_points else {}, args.eval_points
             ),
         }
-        _emit(json.dumps(payload, indent=1), config)
+        _emit(json.dumps(payload, indent=1), args)
     else:
-        _emit(_text_report(ppl, config), config)
+        _emit(_text_report(ppl, args), args)
     return 0
 
 
-def cmd_su2_tables(config: RunConfig) -> int:
-    if not _in_golden_scope(config):
+def cmd_su2_tables(args: argparse.Namespace) -> int:
+    if not _in_golden_scope(args):
         raise ConfigError(f"su2-tables covers {_GOLDEN_SCOPE}")
-    if config.rep != "both" or config.skip_heavy:
+    if args.rep != "both" or args.skip_heavy:
         raise ConfigError("su2-tables takes neither --rep nor --skip-heavy")
-    config.validate()
+    _validate(args)
     tables = load_su2_tables()
     results = golden_suite(tables)
     diffs = [r for r in results if not r.passed]
     lines = [r.line() for r in results]
     lines.append(f"{len(diffs)} diffs")
     rows: dict[str, Scalar] = {}
-    if config.eval_points:
+    if args.eval_points:
         rows = {
             "index[fn]": tables.fn_index,
             "casimir[fn]": tables.fn_casimir,
@@ -480,16 +459,16 @@ def cmd_su2_tables(config: RunConfig) -> int:
             "casimir[ad']": tables.ad_casimir,
             "eta00[ad']": tables.ad_eta00,
         }
-        lines += ["", *_eval_table(rows, config.eval_points)]
-    if config.output_format == "json":
+        lines += ["", *_eval_table(rows, args.eval_points)]
+    if args.output_format == "json":
         payload = {
             "results": [r.to_dict() for r in results],
             "diffs": len(diffs),
-            "evaluations": _evaluations(rows, config.eval_points),
+            "evaluations": _evaluations(rows, args.eval_points),
         }
-        _emit(json.dumps(payload, indent=1), config)
+        _emit(json.dumps(payload, indent=1), args)
     else:
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return 1 if diffs else 0
 
 
@@ -509,19 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--group", choices=("su", "external"), default="su")
     common.add_argument("--n", type=int, default=2, help="rank parameter N for --group su")
     common.add_argument("--root-order", type=int, default=None, help="k with q = p^k")
-    common.add_argument("--r-matrix", dest="r_matrix", default=None, metavar="FILE")
+    common.add_argument("--r-matrix", dest="r_matrix_path", default=None, metavar="FILE")
     common.add_argument("--rep", choices=("fn", "ad", "both"), default="both")
     common.add_argument(
         "--eval-at",
-        dest="eval_at",
+        dest="eval_points",
         action="append",
         default=[],
         metavar="P0",
         help="evaluate headline scalars at this rational point (repeatable)",
     )
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--skip-heavy", dest="skip_heavy", action="store_true")
+    common.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")
+    common.add_argument("--out", dest="out_path", default=None, metavar="PATH")
+    common.add_argument("--skip-heavy", action="store_true")
 
     p_check = sub.add_parser("check", parents=[common], help="run identity suites")
     p_check.add_argument(
@@ -535,37 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    try:
-        points = [Fraction(text) for text in args.eval_at]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad --eval-at value: {exc}") from None
-    config = RunConfig(
-        group=args.group,
-        n=args.n,
-        root_order=args.root_order,
-        r_matrix_path=args.r_matrix,
-        rep=args.rep,
-        eval_points=points,
-        output_format=args.format,
-        skip_heavy=args.skip_heavy,
-        out_path=args.out,
-    )
-    if getattr(args, "checks", None) is not None:
-        config.checks = _parse_checks(args.checks, args.group, args.n)
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        try:
+            args.eval_points = [Fraction(text) for text in args.eval_points]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad --eval-at value: {exc}") from None
         if args.command == "check":
-            return cmd_check(config)
+            args.checks = _parse_checks(args.checks, args.group, args.n)
+            return cmd_check(args)
+        args.checks = {}
         if args.command == "report":
-            return cmd_report(config)
-        return cmd_su2_tables(config)
+            return cmd_report(args)
+        return cmd_su2_tables(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Mutation gate over the contraction engine, the scalar arithmetic and the check record.
+"""Mutation gate over the engine, the arithmetic, the identities, the check record and the options.
 
 Each mutant is one exact edit of a source file and the one test node that
 must fail on it.  The gate copies the repository into a temporary directory
@@ -46,6 +46,7 @@ class Equivalent(NamedTuple):
 
 
 TENSORS, SCALARS, REPORTING = "src/qla/tensors.py", "src/qla/scalars.py", "src/qla/reporting.py"
+QLA_CORE, RMATRIX, CLI = "src/qla/qla_core.py", "src/qla/rmatrix.py", "src/qla/cli.py"
 
 MUTANTS = [
     # The contraction engine: _join's packed add and its offset alignment.
@@ -183,6 +184,39 @@ MUTANTS = [
         '{"key": list(self.key), "residual": self.detail}',
         "tests/test_cli.py::TestCheckCommand::test_json_witnesses_of_a_perturbed_so3_entry",
     ),
+    # The identities: build_structure's δ term and the two δ-I terms with their letters swapped.
+    Mutant(
+        QLA_CORE,
+        '("ij,kr,ls->ijklrs", eye, eye, eye)',
+        '("ij,kr,ls->ijklsr", eye, eye, eye)',
+        "tests/test_qla_core.py::TestBuildStructure::test_classical_limit_of_f_is_the_commutator[2]",
+    ),
+    Mutant(
+        QLA_CORE,
+        '("da,b->dab", eye, Ivec)',
+        '("db,a->dab", eye, Ivec)',
+        "tests/test_qla_core.py::TestVerifyQla::test_su2_all_identities_pass",
+    ),
+    Mutant(
+        QLA_CORE,
+        '("cb,a->cab", eye, Ivec)',
+        '("ca,b->cab", eye, Ivec)',
+        "tests/test_qla_core.py::TestVerifyQla::test_su2_all_identities_pass",
+    ),
+    # L⁻ read off R⁻¹ without its re-key.
+    Mutant(
+        RMATRIX,
+        "        lminus={(a, c, b, d)",
+        "        lminus={(a, b, c, d)",
+        "tests/test_rmatrix.py::TestLMatrices::test_su2_lminus_blocks_are_lower_triangular",
+    ),
+    # The option rules: a root order that is no multiple of N let through.
+    Mutant(
+        CLI,
+        "        if args.root_order % args.n:",
+        "        if False:",
+        "tests/test_cli.py::TestConfig::test_root_order_validated",
+    ),
 ]
 
 EQUIVALENT = [
@@ -191,6 +225,14 @@ EQUIVALENT = [
         "        if digit >= half:",
         "        if digit > half:",
         "the slot bound keeps every coefficient strictly inside ±2^(bits−1), so no digit equals half",
+    ),
+    Equivalent(
+        SCALARS,
+        "        if step_exp < 0:",
+        "        if step_exp < -1:",
+        "both operands are shifted to smallest exponent 0, so a one-term divisor never steps below 0,"
+        " and any other leaves at a step of −1 a p^−1 remainder term that no later step can cancel:"
+        " an inexact division still raises, one step later",
     ),
     Equivalent(
         SCALARS,

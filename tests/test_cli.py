@@ -12,13 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from qla import appendix_u, killing, primed_basis, tensors
-from qla.cli import (
-    ConfigError,
-    RunConfig,
-    _parse_checks,
-    cmd_su2_tables,
-    main,
-)
+from qla.cli import ConfigError, _parse_checks, main
 from qla.pipeline import Pipeline
 from qla.qla_core import structure_from_dict
 from qla.reporting import CheckResult
@@ -61,55 +55,64 @@ def so3_path(tmp_path):
 
 
 class TestConfig:
-    def test_external_requires_r_matrix(self):
-        with pytest.raises(ConfigError, match="--r-matrix"):
-            RunConfig(group="external").validate()
+    @staticmethod
+    def _refused(capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
-    def test_su_requires_n_at_least_two(self):
-        with pytest.raises(ConfigError, match="--n >= 2"):
-            RunConfig(group="su", n=1).validate()
+    def test_external_requires_r_matrix(self, capsys):
+        self._refused(capsys, ["check", "--group", "external"],
+                      "--group external requires --r-matrix FILE")
 
-    def test_bad_rep_and_format(self):
-        with pytest.raises(ConfigError, match="--rep"):
-            RunConfig(rep="adjoint").validate()
-        with pytest.raises(ConfigError, match="--format"):
-            RunConfig(output_format="yaml").validate()
+    def test_su_requires_n_at_least_two(self, capsys):
+        self._refused(capsys, ["check", "--n", "1"], "--group su requires --n >= 2")
 
-    def test_unknown_suite(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            RunConfig(checks={"bogus": {}}).validate()
+    # argparse refuses a value outside an option's choices before any rule runs.
+    def test_bad_rep_and_format(self, capsys):
+        for options in (["--rep", "adjoint"], ["--format", "yaml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", *options])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
-    def test_root_order_validated(self):
-        with pytest.raises(ConfigError, match="at least 1"):
-            RunConfig(root_order=0).validate()
-        with pytest.raises(ConfigError, match="multiple of --n 3"):
-            RunConfig(n=3, root_order=2).validate()
-        with pytest.raises(ConfigError, match="applies to --group su"):
-            RunConfig(group="external", r_matrix_path="so3.json", root_order=2).validate()
-        RunConfig(n=3, root_order=6).validate()
+    def test_unknown_suite(self, capsys):
+        self._refused(capsys, ["check", "--checks", "bogus"],
+                      "unknown check suite(s) bogus; "
+                      "available: ybe, hecke, cubic, qla, appendix, killing, golden")
+
+    def test_root_order_validated(self, capsys):
+        self._refused(capsys, ["check", "--root-order", "0", "--checks", "ybe"],
+                      "--root-order must be at least 1")
+        self._refused(capsys, ["check", "--n", "3", "--root-order", "2", "--checks", "ybe"],
+                      "--root-order must be a multiple of --n 3, so that q^(-1/3) is a power of p")
+        self._refused(capsys, ["check", "--group", "external", "--r-matrix", "so3.json",
+                               "--root-order", "2", "--checks", "ybe"],
+                      "--root-order applies to --group su; the --r-matrix file sets its own")
+        assert main(["check", "--n", "3", "--root-order", "6", "--checks", "ybe"]) == 0
 
     @pytest.mark.parametrize(
         "checks, message",
         [
-            ({"ybe": {"eps": "-1"}}, "suite 'ybe' takes no parameter 'eps'"),
-            ({"hecke": {"bogus": "3"}}, "suite 'hecke' takes no parameter 'bogus'"),
-            ({"cubic": {"eta": "1"}}, "suite 'cubic' takes no parameter 'eta'"),
-            ({"golden": {"eps": "1"}}, "suite 'golden' takes no parameter 'eps'"),
+            (["--checks", "ybe:eps=-1"], "suite 'ybe' takes no parameter 'eps'"),
+            (["--checks", "hecke:bogus=3"], "suite 'hecke' takes no parameter 'bogus'"),
+            (["--checks", "cubic:eta=1"], "suite 'cubic' takes no parameter 'eta'"),
+            (["--checks", "golden:eps=1"], "suite 'golden' takes no parameter 'eps'"),
         ],
     )
-    def test_suite_parameters_other_than_cubic_eps_refused(self, checks, message):
-        with pytest.raises(ConfigError, match=message):
-            RunConfig(checks=checks).validate()
+    def test_suite_parameters_other_than_cubic_eps_refused(self, checks, message, capsys):
+        self._refused(capsys, ["check", *checks], message)
 
-    def test_suite_refusals_in_validate(self):
-        external = {"group": "external", "r_matrix_path": "so3.json"}
-        with pytest.raises(ConfigError, match="suite 'hecke' applies to --group su"):
-            RunConfig(checks={"hecke": {}}, **external).validate()
-        with pytest.raises(ConfigError, match="eps must be 1 or -1"):
-            RunConfig(checks={"cubic": {"eps": "2"}}, **external).validate()
-        with pytest.raises(ConfigError, match="eps='x' is not an integer"):
-            RunConfig(checks={"cubic": {"eps": "x"}}, **external).validate()
-        RunConfig(checks={"cubic": {"eps": "-1"}}, **external).validate()
+    def test_suite_refusals_in_validate(self, capsys):
+        external = ["check", "--group", "external", "--r-matrix", str(SO3_FILE), "--checks"]
+        self._refused(capsys, [*external, "hecke"],
+                      "suite 'hecke' applies to --group su; use cubic:eps=... instead")
+        self._refused(capsys, [*external, "cubic:eps=2"], "cubic parameter eps must be 1 or -1")
+        self._refused(capsys, [*external, "cubic:eps=x"], "cubic parameter eps='x' is not an integer")
+        # eps = -1 is accepted; so3 satisfies the eps = +1 cubic, so the check fails.
+        assert main([*external, "cubic:eps=-1"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_parse_checks_all_expands_by_group(self):
         su2 = _parse_checks("all", "su", 2)
@@ -222,6 +225,9 @@ class TestCheckCommand:
             ("ybe:eps=-1,hecke:bogus=3", "suite 'ybe' takes no parameter 'eps'"),
             ("hecke:bogus=3", "suite 'hecke' takes no parameter 'bogus'"),
             ("ybe,cubic:sign=1", "suite 'cubic' takes no parameter 'sign'"),
+            # The separator decides whether a parameter follows, and a suite needs a name.
+            ("ybe:", "malformed suite parameter '' in 'ybe:'"),
+            (":eps=1", "malformed suite name '' in ':eps=1'"),
         ],
     )
     def test_unused_suite_parameter_is_a_usage_error(self, checks, message, capsys):
@@ -660,7 +666,7 @@ class TestSu2TablesCommand:
 
         broken = [CheckResult("fn-index", False, detail="forced")]
         monkeypatch.setattr(cli_mod, "golden_suite", lambda tables: broken)
-        assert cmd_su2_tables(RunConfig()) == 1
+        assert main(["su2-tables"]) == 1
         assert "1 diffs" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -695,9 +701,12 @@ class TestSu2TablesCommand:
         assert main(["su2-tables", "--root-order", "2"]) == 0
         assert capsys.readouterr().out == (SO3_FILE.parent / "golden" / "su2_tables.txt").read_text()
 
-    def test_config_is_validated(self):
-        with pytest.raises(ConfigError, match="--format"):
-            cmd_su2_tables(RunConfig(output_format="xml"))
+    # In scope, su2-tables applies the rules every command shares.
+    def test_config_is_validated(self, capsys):
+        assert main(["su2-tables", "--r-matrix", "x.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --r-matrix applies to --group external\n"
 
     def test_json_format(self, capsys):
         assert main(["su2-tables", "--format", "json"]) == 0
