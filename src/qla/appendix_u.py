@@ -17,8 +17,8 @@ factors, and tr₂ of P·X is a contraction with :func:`~qla.tensors.delta`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .reporting import CheckResult, check_composite_zero, check_sparse_zero
 from .scalars import DeformationContext, Scalar
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UData:
+class UData(NamedTuple):
     """The normalized form of ρ(u) and the derived constants.
 
     ``D = alpha·ρ(u)`` with ``D[0,0] = 1``, ρ(u) the :func:`rep_u` of R (the

@@ -28,7 +28,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +77,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError("--group external requires --r-matrix FILE")
     if args.group == "su" and args.r_matrix_path:
         raise ConfigError("--r-matrix applies to --group external")
+    if args.group == "external" and args.n is not None:
+        raise ConfigError("--n applies to --group su; the --r-matrix file sets its own")
     if args.group == "su" and args.n < 2:
         raise ConfigError("--group su requires --n >= 2")
     if args.root_order is not None:
@@ -214,7 +215,7 @@ def _suite_killing(ppl: Pipeline, args: argparse.Namespace) -> list[CheckResult]
         if ppl.su_family and bundle is ppl.fn:
             reference = fundamental_metric_closed_form(ppl.spec.ctx)
         for result in check_metric_identities(Q, report.eta, reference=reference):
-            out.append(replace(result, name=f"{result.name}[{bundle.name}]"))
+            out.append(result._replace(name=f"{result.name}[{bundle.name}]"))
         out.append(check_chi0_central(pb, bundle))
         out.append(check_traceless(pb, bundle))
         out.append(check_comm_prime(Q, pb, bundle, report.mu))
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", choices=("su", "external"), default="su")
-    common.add_argument("--n", type=int, default=2, help="rank parameter N for --group su")
+    common.add_argument("--n", type=int, default=None, help="rank parameter N for --group su")
     common.add_argument("--root-order", type=int, default=None, help="k with q = p^k")
     common.add_argument("--r-matrix", dest="r_matrix_path", default=None, metavar="FILE")
     common.add_argument("--rep", choices=("fn", "ad", "both"), default="both")
@@ -516,6 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.group == "su" and args.n is None:
+        args.n = 2
     try:
         try:
             args.eval_points = [Fraction(text) for text in args.eval_points]

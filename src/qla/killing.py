@@ -12,10 +12,9 @@ bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .primed_basis import PrimedBasis, mu_scalar
 from .qla_core import QlaStructure, RepBundle
@@ -41,8 +40,7 @@ _ZERO = Scalar.from_rational(0)
 _ONE = Scalar.from_rational(1)
 
 
-@dataclass
-class KillingReport:
+class KillingReport(NamedTuple):
     """Killing-form data of one representation bundle.
 
     ``eta_full`` is the n×n metric written in the traceless basis (central

@@ -14,7 +14,7 @@ column 0 is always the 𝒟 that :func:`build_primed` solves for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .appendix_u import normalize_D, rep_u
 from .qla_core import QlaStructure, RepBundle, deformed_traces
@@ -41,8 +41,7 @@ _ZERO = Scalar.from_rational(0)
 _ONE = Scalar.from_rational(1)
 
 
-@dataclass(frozen=True)
-class PrimedBasis:
+class PrimedBasis(NamedTuple):
     """The primed basis data over one structure.
 
     ``d_vec`` is 𝒟^A, the coordinates of χ₀ in the unprimed basis;
@@ -63,7 +62,7 @@ class PrimedBasis:
     T_inv: Mat
     dropped_index: int
     f_primed: dict[tuple[int, int, int], Scalar]
-    traces: list[Scalar] = field(default_factory=list)
+    traces: Sequence[Scalar] = ()
 
     @property
     def n(self) -> int:

@@ -10,7 +10,7 @@ ad′ of :func:`~qla.primed_basis.adjoint_prime`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .appendix_u import rep_u
 from .reporting import CheckResult, check_composite_zero, check_sparse_zero, skipped
@@ -44,8 +44,16 @@ _ZERO = Scalar.from_rational(0)
 _ONE = Scalar.from_rational(1)
 
 
-@dataclass
-class RepBundle:
+class _RepBundleFields(NamedTuple):
+    name: str
+    dim: int
+    n: int
+    gen: SparseTensor
+    u: Mat
+    orep: SparseTensor | None = None
+
+
+class RepBundle(_RepBundleFields):
     """A representation of the quantum Lie algebra.
 
     ``gen`` holds ρ(χ_A) for the ``n`` generators as one sparse dict keyed
@@ -54,21 +62,17 @@ class RepBundle:
     ρ(O_A{}^B) keyed ``(A, B, row, col)``; ``u`` is ρ(u).
     """
 
-    name: str
-    dim: int
-    n: int
-    gen: SparseTensor
-    u: Mat
-    orep: SparseTensor | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> RepBundle:
+        self = super().__new__(cls, *args, **kwargs)
         for A, x, y in self.gen:
             if not (0 <= A < self.n and 0 <= x < self.dim and 0 <= y < self.dim):
                 raise ValueError(f"generator entry {(A, x, y)} is out of range")
+        return self
 
 
-@dataclass
-class QlaStructure:
+class QlaStructure(NamedTuple):
     """Structure data of the quantum Lie algebra on n = N² generators.
 
     ``bigR`` is ℝ^{AB}_{CD} as a BiMat over composite indices, ``f`` the

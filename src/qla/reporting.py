@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from qla.scalars import Scalar
 from qla.tensors import Mat, contract_residual
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check; a failed identity carries its witness, the ``key`` and the
     rendered ``residual`` of its residual's sorted-first nonzero entry."""
 

@@ -9,9 +9,9 @@ the L-matrix representation blocks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from qla.reporting import CheckResult, check_composite_zero, check_sparse_zero
 from qla.scalars import DeformationContext, Scalar, parse_ratio
@@ -24,17 +24,22 @@ from qla.tensors import BiMat, SparseTensor, contract, contract_residual, delta
 MAX_EXPONENT = 1024
 
 
-@dataclass(frozen=True)
-class RMatrixSpec:
-    """An N²×N² numerical R-matrix together with its deformation context."""
-
+class _RMatrixSpecFields(NamedTuple):
     label: str
     ctx: DeformationContext
     R: BiMat
 
-    def __post_init__(self) -> None:
+
+class RMatrixSpec(_RMatrixSpecFields):
+    """An N²×N² numerical R-matrix together with its deformation context."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RMatrixSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.R.N != self.ctx.N:
             raise ValueError("R-matrix size does not match the context dimension")
+        return self
 
     @property
     def N(self) -> int:
@@ -117,8 +122,7 @@ def check_characteristic(spec: RMatrixSpec, kind: str = "hecke", eps: int = 1) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LMatrices:
+class LMatrices(NamedTuple):
     """Representation images of the L-matrix entries, each family one sparse dict.
 
     ``lplus`` is keyed ``(k, l, row, col)``: entry (row, col) of the image of

@@ -29,10 +29,9 @@ numerator and denominator (``p^-3/4`` is ``p^-3`` over 4).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 #: Anything accepted where an exact rational coefficient is expected.
 RationalLike = Union[int, str, Fraction]
@@ -713,8 +712,12 @@ def parse_ratio(text: str) -> tuple[LaurentPoly, LaurentPoly]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationContext:
+class _DeformationContextFields(NamedTuple):
+    N: int
+    root_order: int
+
+
+class DeformationContext(_DeformationContextFields):
     """Fixes the deformation conventions for one algebra.
 
     ``N`` is the dimension of the defining vector representation and
@@ -722,14 +725,15 @@ class DeformationContext:
     ``q**r`` are exact monomials precisely when ``k*r`` is an integer.
     """
 
-    N: int
-    root_order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> DeformationContext:
+        self = super().__new__(cls, *args, **kwargs)
         if self.N < 2:
             raise ValueError("the defining representation needs dimension >= 2")
         if self.root_order < 1:
             raise ValueError("root_order must be a positive integer")
+        return self
 
     def q_power(self, r: int | Fraction) -> Scalar:
         """The exact monomial ``q**r`` (requires ``r * root_order`` integral)."""

@@ -18,9 +18,9 @@ limit at ``p = 1``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .killing import KillingReport
 from .pipeline import Pipeline
@@ -47,8 +47,7 @@ __all__ = [
 _GOLDEN_KEYS = ("chi0", "chi+", "chi-", "chi3", "u")
 
 
-@dataclass
-class Su2Tables:
+class Su2Tables(NamedTuple):
     """Parsed golden tables for the rank-one theory at root order 2.
 
     ``fn_matrices`` and ``ad_matrices`` map the golden labels

@@ -1,4 +1,4 @@
-"""Mutation gate over the engine, the arithmetic, the identities, the check record and the options.
+"""Mutation gate over the engine, the arithmetic, the identities, the records and the options.
 
 Each mutant is one exact edit of a source file and the one test node that
 must fail on it.  The gate copies the repository into a temporary directory
@@ -216,6 +216,37 @@ MUTANTS = [
         "        if args.root_order % args.n:",
         "        if False:",
         "tests/test_cli.py::TestConfig::test_root_order_validated",
+    ),
+    Mutant(
+        CLI,
+        '    if args.group == "external" and args.n is not None:',
+        "    if False:",
+        "tests/test_cli.py::TestConfig::test_n_refused_for_external[check]",
+    ),
+    # The validated records: each bound of a constructor check moved by one, or the check dropped.
+    Mutant(
+        SCALARS,
+        "        if self.N < 2:",
+        "        if self.N < 1:",
+        "tests/test_scalars.py::TestDeformationContext::test_validation",
+    ),
+    Mutant(
+        SCALARS,
+        "        if self.root_order < 1:",
+        "        if self.root_order < 0:",
+        "tests/test_scalars.py::TestDeformationContext::test_validation",
+    ),
+    Mutant(
+        QLA_CORE,
+        "0 <= A < self.n and",
+        "0 <= A <= self.n and",
+        "tests/test_qla_core.py::TestFundamentalGenerators::test_wrong_generator_dimension_rejected",
+    ),
+    Mutant(
+        RMATRIX,
+        "        if self.R.N != self.ctx.N:",
+        "        if False:",
+        "tests/test_rmatrix.py::TestSunRMatrix::test_spec_refuses_r_matrix_of_another_size",
     ),
 ]
 

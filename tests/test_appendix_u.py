@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,7 @@ def _spec(name):
 
 def _with_D(data, D):
     """``data`` with its D-matrix (and D⁻¹) replaced by ``D``."""
-    return replace(data, D=D, D_inv=D.inverse())
+    return data._replace(D=D, D_inv=D.inverse())
 
 
 def _conjugated(R, G):
@@ -199,7 +198,7 @@ class TestDIdentities:
     def test_scaled_alpha_fails_only_the_traces(self, name):
         spec = _spec(name)
         data = build_u_data(spec.R, spec.ctx)
-        lines = [r.line() for r in check_D_identities(spec.R, replace(data, alpha=data.alpha * S("p")))]
+        lines = [r.line() for r in check_D_identities(spec.R, data._replace(alpha=data.alpha * S("p")))]
         assert lines == [
             "FAIL  u-trace[a1]  [at (0, 0): residual p - 1]",
             "FAIL  u-trace[a2]  [at (0, 0): residual -1 + p^-1]",

@@ -92,6 +92,14 @@ class TestConfig:
                       "--root-order applies to --group su; the --r-matrix file sets its own")
         assert main(["check", "--n", "3", "--root-order", "6", "--checks", "ybe"]) == 0
 
+    # The --r-matrix file sets N, so an --n beside it would never be read.
+    @pytest.mark.parametrize("command", ["check", "report"])
+    def test_n_refused_for_external(self, command, capsys):
+        extra = ["--checks", "ybe"] if command == "check" else []
+        self._refused(capsys, [command, "--group", "external", "--r-matrix", str(SO3_FILE),
+                               "--n", "7", *extra],
+                      "--n applies to --group su; the --r-matrix file sets its own")
+
     @pytest.mark.parametrize(
         "checks, message",
         [

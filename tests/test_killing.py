@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -219,7 +218,7 @@ class TestMetricIdentities:
         _, Q, bundle, _, _ = su2
         bigD = Mat(Q.bigD.rows)
         bigD[1, 2] = S("p")
-        results = check_metric_identities(replace(Q, bigD=bigD), killing_metric(bundle))
+        results = check_metric_identities(Q._replace(bigD=bigD), killing_metric(bundle))
         assert [r.line() for r in results] == [
             "PASS  metric-rsym",
             "FAIL  metric-dsym  [at (2, 2): residual p^-8]",
@@ -419,7 +418,7 @@ class TestReports:
     def test_primed_basis_is_frozen(self, su2):
         # μ and η live on the reports, so nothing may write to the shared basis.
         pb = su2[4]
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             pb.dropped_index = 0
 
     def test_json_export(self, su2_reports):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -349,7 +348,7 @@ class TestRepresentationLevelChecks:
         adp = adjoint_prime(pb, Q)
         f = dict(Q.f)
         f[(1, 0, 1)] = f[(1, 0, 1)] + S("p")
-        bent = replace(Q, f=f)
+        bent = Q._replace(f=f)
         assert check_comm_prime(bent, pb, adp, mu_scalar(pb, adp)).line() == (
             "FAIL  comm-prime[ad']  [at (1, 0, 0, 2): residual -p^3 - p^-1]"
         )

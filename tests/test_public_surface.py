@@ -12,6 +12,9 @@ counts.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +87,15 @@ def test_allowed_names_are_exported_and_unused():
     exported, referenced = _surface()
     assert set(ALLOWED) <= {name for _, name in exported}
     assert set(ALLOWED).isdisjoint(referenced)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every command pays for what `import qla.cli` loads; `dataclasses` pulls in
+    # `inspect`, `ast`, `dis` and `tokenize`.  `-S` keeps a site `.pth` from loading them.
+    code = "import sys, qla.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "[]\n"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -266,7 +265,7 @@ class TestVerifyQla:
         _, Q, bundle = su2
         entries = dict(Q.f if field == "f" else Q.bigR.to4dict())
         entries[key] = entries.get(key, Scalar.from_rational(0)) + S("p")
-        Q_bad = replace(Q, **{field: entries if field == "f" else BiMat(Q.n, entries)})
+        Q_bad = Q._replace(**{field: entries if field == "f" else BiMat(Q.n, entries)})
         failed = [r.line() for r in verify_qla(Q_bad, bundle) if not r.passed]
         assert [line for line in failed if line.startswith("FAIL  qla-i[")] == lines
 
@@ -325,7 +324,7 @@ class TestVerifyQla:
         for key, text in edits:
             entries[key] = entries.get(key, S("0")) + S(text)
         bigR = BiMat(Q.bigR.N, entries)
-        results = {r.name: r for r in verify_qla(replace(Q, bigR=bigR), bundle)}
+        results = {r.name: r for r in verify_qla(Q._replace(bigR=bigR), bundle)}
         assert results["ybe-qla"].line() == line
 
     # Ratio perturbations: every residual below stands over a denominator, so
@@ -467,13 +466,13 @@ class TestVerifyQla:
         if target == "bigR":
             R4 = Q.bigR.to4dict()
             bigR = BiMat(Q.bigR.N, {**R4, key: R4.get(key, Scalar.zero()) + S("p")})
-            Q_bad = replace(Q, bigR=bigR)
+            Q_bad = Q._replace(bigR=bigR)
         elif target == "f":
             f = dict(Q.f)
             f[key] = f.get(key, Scalar.from_rational(0)) + S("p")
-            Q_bad = replace(Q, f=f)
+            Q_bad = Q._replace(f=f)
         else:
-            Q_bad = replace(Q, f={k: val for k, val in Q.f.items() if k[0] != 0})
+            Q_bad = Q._replace(f={k: val for k, val in Q.f.items() if k[0] != 0})
         names = ("qla-rel2[fn]", "aux1", "aux2")
         results = verify_qla(Q_bad, bundle, skip_heavy=True)
         assert [r.line() for r in results if r.name in names] == lines
@@ -554,7 +553,7 @@ class TestDeformedTraces:
         # the ℝ-sum rule too while ℝ is unperturbed; so ℝ carries the fault.
         _, Q, bundle = su2
         R4 = Q.bigR.to4dict()
-        Q_bad = replace(Q, bigR=BiMat(Q.n, {**R4, (3, 0, 0, 3): R4[(3, 0, 0, 3)] + S("p")}))
+        Q_bad = Q._replace(bigR=BiMat(Q.n, {**R4, (3, 0, 0, 3): R4[(3, 0, 0, 3)] + S("p")}))
         with pytest.raises(ValueError, match="^deformed traces of fn violate the ℝ-sum rule$"):
             deformed_traces(Q_bad, bundle)
 
@@ -624,7 +623,7 @@ class TestAdjointRep:
         _, Q, bundle = su2
         bigD = Mat(Q.bigD.rows)
         bigD[1, 2] = S("p")
-        result = check_square_antipode(replace(Q, bigD=bigD), bundle)
+        result = check_square_antipode(Q._replace(bigD=bigD), bundle)
         assert result.line() == "FAIL  square-antipode[fn]  [at (2, 1, 0): residual -p^-1]"
 
     @pytest.mark.parametrize("fixture_name", ["su2", "su3"])
@@ -708,7 +707,7 @@ class TestNullSpaceLemma:
         # The kernel is still the line of δ^i_j, but I now has a 1 at (0, 1) too.
         _, Q, _ = su3
         one = Scalar.from_rational(1)
-        bent = replace(Q, I_id=[Q.I_id[0], one, *Q.I_id[2:]])
+        bent = Q._replace(I_id=[Q.I_id[0], one, *Q.I_id[2:]])
         assert null_space_lemma(bent).line() == (
             "FAIL  null-space-lemma  (kernel vector is not proportional to the invariant vector)"
         )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -180,7 +179,7 @@ def test_bigD_residuals_agree_with_a_mod_p_evaluation(name, perturbed, seed, mon
     Q = build_structure(spec.R, spec.ctx)
     if perturbed:
         R4, key = Q.bigR.to4dict(), (0, 4, 1, 3)
-        Q = replace(Q, bigR=BiMat(Q.n, {**R4, key: R4.get(key, Scalar.zero()) + parse_scalar("p")}))
+        Q = Q._replace(bigR=BiMat(Q.n, {**R4, key: R4.get(key, Scalar.zero()) + parse_scalar("p")}))
     oracle = Oracle(seed)
     monkeypatch.setattr(qla_core, "contract_residual", oracle)
     results = {r.name: r.passed for r in check_bigD_identities(Q)}

@@ -60,6 +60,12 @@ class TestSunRMatrix:
         with pytest.raises(ValueError):
             sun_r_matrix(3, ctx=DeformationContext(N=2, root_order=2))
 
+    def test_spec_refuses_r_matrix_of_another_size(self):
+        # Built directly, so the spec's own check raises, not sun_r_matrix's.
+        ctx = DeformationContext(N=2, root_order=2)
+        with pytest.raises(ValueError, match="^R-matrix size does not match the context dimension$"):
+            RMatrixSpec(label="su3", ctx=ctx, R=sun_r_matrix(3).R)
+
     def test_classical_limit_is_flipless_identity(self):
         for N in (2, 3):
             spec = sun_r_matrix(N)

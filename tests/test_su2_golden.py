@@ -111,7 +111,7 @@ class TestJimboDrinfeld:
         assert lhs == rhs
 
     def test_sign_flip_fails(self, tables):
-        tables.X_plus = tables.X_plus.scale(S("-1"))
+        tables = tables._replace(X_plus=tables.X_plus.scale(S("-1")))
         result = jimbo_drinfeld_check(tables)
         assert not result.passed
         assert result.line() == (
@@ -153,7 +153,7 @@ class TestRossoTruncation:
 
     def test_scaled_lambda_entry_fails_both_r_matrix_checks(self, tables):
         R4 = tables.R_sl2.to4dict()
-        tables.R_sl2 = BiMat(2, {**R4, (1, 0, 0, 1): R4[(1, 0, 0, 1)] * S("p")})
+        tables = tables._replace(R_sl2=BiMat(2, {**R4, (1, 0, 0, 1): R4[(1, 0, 0, 1)] * S("p")}))
         failing = [result.line() for result in golden_suite(tables) if not result.passed]
         witness = "[at (2, 1): residual -p^2 + p + p^-2 - p^-3]"
         assert failing == [
@@ -190,14 +190,14 @@ class TestGoldenSuite:
         assert failed[0].key[0] == "u"
 
     def test_stale_scalar_localizes(self, tables):
-        tables.fn_index = tables.fn_index * S("p")
+        tables = tables._replace(fn_index=tables.fn_index * S("p"))
         results = golden_suite(tables)
         failed = [r.name for r in results if not r.passed]
         assert failed == ["fn-index"]
 
     def test_stale_scalar_fails_with_its_residual(self, tables):
         # A golden scalar fails like any identity: one grammar scalar, got − expected.
-        tables.fn_index = tables.fn_index + S("p")
+        tables = tables._replace(fn_index=tables.fn_index + S("p"))
         failed = [r for r in golden_suite(tables) if not r.passed]
         assert [r.line() for r in failed] == ["FAIL  fn-index  [at (): residual -p]"]
         assert failed[0].to_dict()["witness"] == {"key": [], "residual": "-p"}
